@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .identities import WeightDescriptor, WeightedIdentity
-from .magma import Monomial
+from .magma import Monomial, atom
 from .peirce import peirce_poly, peirce_symbol
 from .poly import Poly1, format_rational, parse_rational, rational_roots
 
@@ -71,9 +70,6 @@ def _zero(dim: int) -> Vector:
 def _add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
-def _sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
 def _scale(x: Vector, s: Fraction) -> Vector:
     return tuple(a * s for a in x)
 
@@ -86,11 +82,17 @@ class StructureAlgebra:
     weight: Vector | None = None
     idempotents: tuple[Vector, ...] = ()
     name: str = ""
+    # _terms[i][j] holds the nonzero (k, c_ijk) of e_i e_j; multiply loops over these only.
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.structure = tuple(
             tuple(_vec(self.structure[i][j]) for j in range(self.dim))
             for i in range(self.dim)
+        )
+        self._terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(prod) if c) for prod in row)
+            for row in self.structure
         )
         if self.bilinear_form is not None:
             self.bilinear_form = tuple(_vec(row) for row in self.bilinear_form)
@@ -130,14 +132,12 @@ class StructureAlgebra:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.structure[i]
+            row = self._terms[i]
             for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                prod = row[j]
-                s = xi * yj
-                for k in range(self.dim):
-                    out[k] += s * prod[k]
+                if yj and row[j]:
+                    s = xi * yj
+                    for k, c in row[j]:
+                        out[k] += s * c
         return tuple(out)
 
     def mult_operator(self, c: Sequence) -> Matrix:
@@ -227,8 +227,8 @@ def char_poly_matrix(m: Matrix) -> Poly1:
     return Poly1(coeffs)
 
 
-def null_space(m: Matrix) -> list[Vector]:
-    """Basis of the kernel, by exact Gaussian elimination."""
+def _row_reduce(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of m and its pivot columns, by exact Gauss-Jordan."""
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     a = [row[:] for row in m]
@@ -249,6 +249,13 @@ def null_space(m: Matrix) -> list[Vector]:
         r += 1
         if r == n_rows:
             break
+    return a, pivots
+
+
+def null_space(m: Matrix) -> list[Vector]:
+    """Basis of the kernel, by exact Gaussian elimination."""
+    n_cols = len(m[0]) if m else 0
+    a, pivots = _row_reduce(m)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -258,24 +265,6 @@ def null_space(m: Matrix) -> list[Vector]:
             v[pc] = -a[row_idx][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: Matrix, rhs: Vector) -> Vector:
-    """Solve m x = rhs for invertible m."""
-    n = len(m)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[col])]
-    return tuple(a[i][n] for i in range(n))
 
 
 # --- spectral analysis --------------------------------------------------------
@@ -315,59 +304,73 @@ def eigen_decomposition(algebra: StructureAlgebra, c: Sequence) -> PeirceDecompo
 # --- monomial evaluation and linearization ------------------------------------
 
 
+# One evaluator serves plain evaluation and both linearizations: Taylor-mode
+# differentiation over the monomial DAG.  A jet is a dict {exponent tuple:
+# vector}, the coefficients of a truncated polynomial in infinitesimals; the
+# leaf x + eps*y is {(0,): x, (1,): y}.  A product keeps only the exponents
+# within `caps`, so it computes modulo eps^(cap+1) in each infinitesimal.
+
+
+def _jet_product(algebra: StructureAlgebra, a: dict, b: dict, caps: tuple[int, ...]) -> dict:
+    out: dict = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            if all(i <= cap for i, cap in zip(e, caps)):
+                v = algebra.multiply(va, vb)
+                out[e] = _add(out[e], v) if e in out else v
+    return out
+
+
+def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, caps: tuple[int, ...] = ()) -> dict:
+    """Jet of m, given memo[atom()] = the leaf jet.
+
+    Walks the DAG with an explicit stack, so depth costs no recursion, and
+    computes each canonical subtree once.  `memo` maps subtrees to their jets;
+    evaluations of several monomials at the same leaf may share it.
+    """
+    stack = [m]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        pending = [child for child in (node.left, node.right) if child not in memo]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            memo[node] = _jet_product(algebra, memo[node.left], memo[node.right], caps)
+    return memo[m]
+
+
 def evaluate_monomial(algebra: StructureAlgebra, m: Monomial, x: Sequence) -> Vector:
     x = _vec(x)
     if len(x) != algebra.dim:
         raise ValueError("vector length does not match algebra dimension")
-
-    def walk(node: Monomial) -> Vector:
-        if node.is_atom:
-            return x
-        return algebra.multiply(walk(node.left), walk(node.right))
-
-    return walk(m)
-
-
-def _evaluate_labeled(algebra: StructureAlgebra, m: Monomial, labels: Sequence[Vector]) -> Vector:
-    """Root product value with leaves labeled left-to-right by `labels`."""
-    counter = itertools.count()
-
-    def walk(node: Monomial) -> Vector:
-        if node.is_atom:
-            return labels[next(counter)]
-        return algebra.multiply(walk(node.left), walk(node.right))
-
-    return walk(m)
+    return _evaluate_jet(algebra, m, {atom(): {(): x}})[()]
 
 
 def linearize(
     algebra: StructureAlgebra, m: Monomial, k: int, x: Sequence, y: Sequence
 ) -> Vector:
-    """D^k(m; x, y): sum over all C(deg, k) dichotomic leaf labelings."""
+    """D^k(m; x, y): the sum over all C(deg, k) labelings of k leaves by y and
+    the rest by x, computed as the eps^k coefficient of m(x + eps*y)."""
     deg = m.degree
     if not 0 <= k <= deg:
         raise ValueError(f"order k must be in 0..{deg}, got {k}")
     x, y = _vec(x), _vec(y)
-    if k == 0:
-        return evaluate_monomial(algebra, m, x)
-    out = _zero(algebra.dim)
-    for positions in itertools.combinations(range(deg), k):
-        labels = [x] * deg
-        for pos in positions:
-            labels[pos] = y
-        out = _add(out, _evaluate_labeled(algebra, m, labels))
-    return out
+    return _evaluate_jet(algebra, m, {atom(): {(0,): x, (1,): y}}, (k,))[(k,)]
 
 
 def second_linearization(
     algebra: StructureAlgebra, m: Monomial, c: Sequence, x: Sequence, y: Sequence
 ) -> Vector:
-    """Polarized D^2(m; c, x, y) = D^2(c, x+y) - D^2(c, x) - D^2(c, y)."""
+    """Polarized D^2(m; c, x, y) = D^2(c, x+y) - D^2(c, x) - D^2(c, y),
+    computed as the eps*delta coefficient of m(c + eps*x + delta*y)."""
     c, x, y = _vec(c), _vec(x), _vec(y)
-    if m.degree < 2:
-        return _zero(algebra.dim)
-    total = linearize(algebra, m, 2, c, _add(x, y))
-    return _sub(_sub(total, linearize(algebra, m, 2, c, x)), linearize(algebra, m, 2, c, y))
+    jet = _evaluate_jet(algebra, m, {atom(): {(0, 0): c, (1, 0): x, (0, 1): y}}, (1, 1))
+    return jet.get((1, 1), _zero(algebra.dim))
 
 
 # --- verification reports -----------------------------------------------------
@@ -423,12 +426,12 @@ def verify_second_linearization(
     return VerificationReport(not failures, f"second linearization of {m}", tuple(failures))
 
 
-def _weight_value(algebra: StructureAlgebra, w: WeightDescriptor, x: Vector) -> Fraction:
+def _weight_value(algebra: StructureAlgebra, w: WeightDescriptor, x: Vector, memo: dict) -> Fraction:
     value = Fraction(1)
     if w.baric_exp:
         value *= algebra.omega(x) ** w.baric_exp
     for m in w.bilinear_args:
-        value *= algebra.b(x, evaluate_monomial(algebra, m, x))
+        value *= algebra.b(x, _evaluate_jet(algebra, m, memo)[()])
     return value
 
 
@@ -443,14 +446,17 @@ def verify_identity(
     seed: int = 0,
 ) -> VerificationReport:
     """Evaluate the identity at random rational vectors; all must vanish."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
         x = _random_vector(algebra.dim, rng)
+        memo = {atom(): {(): x}}  # shared by every term and weight at this x
         acc = _zero(algebra.dim)
         for t in identity.terms:
-            coeff = t.coeff * _weight_value(algebra, t.weight, x)
-            acc = _add(acc, _scale(evaluate_monomial(algebra, t.monomial, x), coeff))
+            coeff = t.coeff * _weight_value(algebra, t.weight, x, memo)
+            acc = _add(acc, _scale(_evaluate_jet(algebra, t.monomial, memo)[()], coeff))
         if acc != _zero(algebra.dim):
             failures.append(f"trial {trial}: P(x) != 0")
     return VerificationReport(
@@ -491,30 +497,34 @@ def fusion_empirical(
     decomp = decomposition or eigen_decomposition(algebra, c)
     if not decomp.semisimple:
         raise ValueError("empirical fusion check needs a semisimple decomposition")
-    order: list[tuple[Fraction, int]] = []  # (eigenvalue, column) per eigenvector
-    columns: list[Vector] = []
-    for lam in decomp.eigenvalues:
-        for v in decomp.eigenbases[lam]:
-            order.append((lam, len(columns)))
-            columns.append(v)
-    basis_matrix = [[columns[j][i] for j in range(len(columns))] for i in range(algebra.dim)]
-    failures = []
-    for lam in decomp.eigenvalues:
-        for mu in decomp.eigenvalues:
-            if mu < lam:
-                continue
-            allowed = predicted.allowed(lam, mu)
-            for x in decomp.eigenbases[lam]:
-                for y in decomp.eigenbases[mu]:
-                    coords = solve(basis_matrix, algebra.multiply(x, y))
-                    present = {nu for (nu, j) in order if coords[j]}
-                    extra = present - set(allowed)
-                    if extra:
-                        failures.append(
-                            f"A_c({lam}) * A_c({mu}) has components at "
-                            + ", ".join(format_rational(nu) for nu in sorted(extra))
-                            + f" outside the allowed {sorted(allowed)}"
-                        )
+    bases = decomp.eigenbases
+    columns = [v for lam in decomp.eigenvalues for v in bases[lam]]
+    column_eigenvalue = [lam for lam in decomp.eigenvalues for _ in bases[lam]]
+    failures = [
+        f"eigenvalue {format_rational(lam)} of L_c is outside the predicted spectrum"
+        for lam in decomp.eigenvalues
+        if lam not in predicted.spectrum
+    ]
+    known = [lam for lam in decomp.eigenvalues if lam in predicted.spectrum]
+    blocks = [(lam, mu) for lam in known for mu in known if mu >= lam]
+    products = [algebra.multiply(x, y) for lam, mu in blocks for x in bases[lam] for y in bases[mu]]
+    # One elimination of [eigenbasis | products] leaves every product's
+    # eigenbasis coordinates in the right-hand block.
+    n = algebra.dim
+    reduced, _ = _row_reduce([[v[i] for v in columns] + [p[i] for p in products] for i in range(n)])
+    col = n
+    for lam, mu in blocks:
+        allowed = predicted.allowed(lam, mu)
+        for _ in range(len(bases[lam]) * len(bases[mu])):
+            present = {column_eigenvalue[j] for j in range(n) if reduced[j][col]}
+            col += 1
+            extra = present - set(allowed)
+            if extra:
+                failures.append(
+                    f"A_c({lam}) * A_c({mu}) has components at "
+                    + ", ".join(format_rational(nu) for nu in sorted(extra))
+                    + f" outside the allowed {sorted(allowed)}"
+                )
     return VerificationReport(not failures, "empirical fusion", tuple(failures))
 
 
@@ -555,18 +565,9 @@ def _algebra_from_matrix_basis(
     )
 
 
-def _mat_mult(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
-def _mat_tr(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def _sym_product(a, b):
-    ab = _mat_mult(a, b)
-    ba = _mat_mult(b, a)
+    ab = mat_mul(a, b)
+    ba = mat_mul(b, a)
     n = len(a)
     return [[(ab[i][j] + ba[i][j]) / 2 for j in range(n)] for i in range(n)]
 
@@ -604,7 +605,7 @@ def jordan_sym(n: int) -> StructureAlgebra:
         basis,
         _sym_product,
         coords,
-        bilinear=lambda x, y: _mat_tr(_mat_mult(x, y)),
+        bilinear=lambda x, y: mat_trace(mat_mul(x, y)),
         name=f"jordan_sym{n}",
         idempotents=(e00, unit),
     )
@@ -659,7 +660,7 @@ def hsiang_tracefree_sym3() -> StructureAlgebra:
 
     def mult(a, b):
         ab = _sym_product(a, b)
-        tr = _mat_tr(_mat_mult(a, b))
+        tr = mat_trace(mat_mul(a, b))
         return [
             [ab[i][j] - (tr / 3 if i == j else 0) for j in range(3)]
             for i in range(3)
@@ -674,7 +675,7 @@ def hsiang_tracefree_sym3() -> StructureAlgebra:
         basis,
         mult,
         coords,
-        bilinear=lambda x, y: _mat_tr(_mat_mult(x, y)) / 6,
+        bilinear=lambda x, y: mat_trace(mat_mul(x, y)) / 6,
         name="hsiang_sym3",
         idempotents=(c,),
     )

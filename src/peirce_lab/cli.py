@@ -2,8 +2,9 @@
 
 Commands: poly, spectrum, symbol, fusion, enumerate, verify, catalog list.
 Exit codes: 0 success / all verifications pass, 1 a verification failed,
-2 parse error (monomial text, JSON files), 3 validation error (zero-sum
-violation, degenerate identity, bad parameters).
+2 parse error (monomial text, JSON files, --trials below 1), 3 validation
+error (zero-sum violation, degenerate identity, bad parameters, monomial
+nesting too deep).
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ def _parse_params(text: str | None) -> dict:
 
 
 def _load_identity(args) -> identities.WeightedIdentity:
+    identity = _read_identity(args)
+    # main names this degree if a recursion over the monomials overflows the stack
+    args.identity_degree = max(t.monomial.degree for t in identity.terms)
+    return identity
+
+
+def _read_identity(args) -> identities.WeightedIdentity:
     sources = [s for s in (args.catalog, args.identity, getattr(args, "source", None)) if s]
     if len(sources) != 1:
         raise _CliError(
@@ -237,6 +245,8 @@ def _load_algebra(args) -> algebras.StructureAlgebra:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise _CliError(f"--trials must be at least 1, got {args.trials}", EXIT_PARSE_ERROR)
     algebra = _load_algebra(args)
     identity = _load_identity(args)
     if not algebra.idempotents:
@@ -350,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builder", help="built-in algebra name")
     p.add_argument("--algebra", help="algebra JSON file")
     p.add_argument("--idempotent", type=int, default=0, help="index into the algebra's idempotent list")
-    p.add_argument("--trials", type=int, default=50, help="random vectors for the identity check")
+    p.add_argument("--trials", type=int, default=50, help="random vectors for the identity check (at least 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="list catalog identities and builders")
@@ -374,6 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     except magma.MonomialSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except RecursionError:
+        degree = getattr(args, "identity_degree", None)
+        detail = f" (degree {degree})" if degree is not None else ""
+        print(f"error: monomial nesting too deep{detail}", file=sys.stderr)
+        return EXIT_VALIDATION_ERROR
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
-from .peirce import peirce_poly, peirce_symbol
+from .peirce import _divided_difference, _divided_difference_at, peirce_poly, peirce_symbol
 from .poly import (
     Poly1,
     Poly3,
@@ -468,9 +468,9 @@ def train_closed_forms(family: str, gamma: Sequence) -> tuple[Poly1, Poly3]:
         rho = Poly1({1: 2, 0: -1}) * train_poly
         half = Fraction(1, 2)
         y = (
-            _dd_var(rho, "a")
-            + _dd_var(rho, "b")
-            - _dd_const(rho, half)
+            _divided_difference(rho, "a")
+            + _divided_difference(rho, "b")
+            - _divided_difference_at(rho, half)
         )
         return rho, y
     if family == "plenary_train":
@@ -480,16 +480,6 @@ def train_closed_forms(family: str, gamma: Sequence) -> tuple[Poly1, Poly3]:
         y = numerator.div_linear("p", two_ab)
         return rho, y
     raise ValueError(f"unknown train family {family!r}")
-
-
-def _dd_var(f: Poly1, name: str) -> Poly3:
-    diff = Poly3.from_poly1(f, "p") - Poly3.from_poly1(f, name)
-    return diff.div_linear("p", Poly3.var(name))
-
-
-def _dd_const(f: Poly1, value: Fraction) -> Poly3:
-    quotient = divide_exact(f - f(value), Poly1({1: 1, 0: -value}))
-    return Poly3.from_poly1(quotient, "p")
 
 
 # --- JSON wire format ----------------------------------------------------------

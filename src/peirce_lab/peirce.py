@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .magma import Monomial, plenary_power, principal_power
+from .magma import Monomial
 from .poly import Poly1, Poly3, divide_exact
 
 __all__ = [
@@ -115,14 +115,3 @@ def total_peirce_value(m: Monomial, leaf_values: Sequence[Fraction], q: Fraction
         raise ValueError(f"expected {m.degree} leaf values, got {len(leaf_values)}")
     total = sum((Fraction(v) for v in leaf_values), Fraction(0))
     return math.factorial(m.degree - 1) * total * peirce_poly(m)(q)
-
-
-# Self-checks used by callers that want a cheap oracle; the closed forms and
-# the recursions must agree for principal and plenary powers.
-def closed_forms_agree(n: int) -> bool:
-    return (
-        principal_peirce_closed(n) == peirce_poly(principal_power(n))
-        and plenary_peirce_closed(n) == peirce_poly(plenary_power(n))
-        and principal_symbol_closed(n) == peirce_symbol(principal_power(n))
-        and plenary_symbol_closed(n) == peirce_symbol(plenary_power(n))
-    )

@@ -1,5 +1,6 @@
 """Concrete algebras: builders, spectral analysis, linearization theorems."""
 
+import itertools
 import json
 import math
 import random
@@ -31,8 +32,8 @@ from peirce_lab.algebras import (
     verify_identity,
     verify_second_linearization,
 )
-from peirce_lab.identities import catalog, fusion_table, make_identity
-from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, principal_power
+from peirce_lab.identities import FusionTable, catalog, fusion_table, make_identity
+from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
 from peirce_lab.peirce import peirce_poly
 from peirce_lab.poly import Poly1
 
@@ -42,6 +43,30 @@ F = Fraction
 
 def _rand_vec(dim, rng):
     return tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
+
+
+def _dense_product(alg, x, y):
+    """x * y as the full structure-constant sum over every (i, j, k)."""
+    return tuple(
+        sum((x[i] * y[j] * alg.structure[i][j][k] for i in range(alg.dim) for j in range(alg.dim)), F(0))
+        for k in range(alg.dim)
+    )
+
+
+def _labelled_linearization(alg, m, k, x, y):
+    """D^k(m; x, y) by its definition: the sum over all C(deg, k) ways to
+    label k leaves by y and the others by x, each labelled tree evaluated in full."""
+
+    def walk(node, labels):
+        if node.is_atom:
+            return next(labels)
+        return alg.multiply(walk(node.left, labels), walk(node.right, labels))
+
+    out = tuple(F(0) for _ in range(alg.dim))
+    for positions in itertools.combinations(range(m.degree), k):
+        labels = iter([y if i in positions else x for i in range(m.degree)])
+        out = tuple(a + b for a, b in zip(out, walk(m, labels)))
+    return out
 
 
 # --- builders -----------------------------------------------------------------
@@ -141,6 +166,38 @@ def test_jordan_negative_control_fails_hsiang_identity():
     assert not report.ok
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_identity_needs_a_trial(trials):
+    with pytest.raises(ValueError):
+        verify_identity(hsiang_tracefree_sym3(), catalog("hsiang"), trials=trials)
+
+
+def test_fusion_empirical_names_eigenvalue_outside_predicted_spectrum():
+    # L_c of E_00 in jordan_sym2 has eigenvalue 0, which the hsiang table lacks
+    alg = jordan_sym(2)
+    c = alg.idempotents[0]
+    report = fusion_empirical(alg, c, fusion_table(catalog("hsiang")), eigen_decomposition(alg, c))
+    assert not report.ok
+    assert any(f.startswith("eigenvalue 0 ") for f in report.failures), report.failures
+
+
+def test_fusion_empirical_reports_every_stray_component():
+    # jordan_sym2 at E_00: A(1) = <E_00>, A(0) = <E_11>, A(1/2) = <E_01>.
+    # A table that allows nothing must flag each nonzero product's components.
+    alg = jordan_sym(2)
+    c = alg.idempotents[0]
+    spectrum = (F(0), HALF, F(1))
+    nothing = FusionTable(spectrum, {(a, b): frozenset() for a in spectrum for b in spectrum if a <= b}, "generic")
+    report = fusion_empirical(alg, c, nothing, eigen_decomposition(alg, c))
+    assert report.failures == (
+        "A_c(0) * A_c(0) has components at 0 outside the allowed []",
+        "A_c(0) * A_c(1/2) has components at 1/2 outside the allowed []",
+        "A_c(1/2) * A_c(1/2) has components at 0, 1 outside the allowed []",
+        "A_c(1/2) * A_c(1) has components at 1/2 outside the allowed []",
+        "A_c(1) * A_c(1) has components at 1 outside the allowed []",
+    )
+
+
 def test_spectrum_inclusion_negative_control():
     # e0 idempotent, e0*e1 = (1/3) e1: eigenvalue 1/3 is not a Jordan root
     alg = StructureAlgebra(
@@ -207,6 +264,20 @@ def test_evaluate_monomial_powers():
     assert evaluate_monomial(alg, parse_monomial("z^2*z^2"), x) == alg.multiply(x2, x2)
 
 
+def test_sparse_multiply_matches_dense_sum():
+    algs = [build_algebra(name) for name in builder_names()]
+    algs.append(algebra_from_json(json.dumps(algebra_to_json(spin_factor(8)))))
+    rng = random.Random(8)
+    for alg in algs:
+        for _ in range(10):
+            x, y = _rand_vec(alg.dim, rng), _rand_vec(alg.dim, rng)
+            got = alg.multiply(x, y)
+            assert got == _dense_product(alg, x, y), alg.name
+            assert all(type(v) is F for v in got)
+        with pytest.raises(ValueError):
+            alg.multiply(x[:-1], y)
+
+
 def test_nonassociative_shapes_differ():
     # x^2 y + 2 x (x y) style check: distinct tree shapes evaluate differently
     alg = hsiang_tracefree_sym3()
@@ -262,16 +333,53 @@ def test_second_linearization_theorem_to_degree_5():
 
 
 def test_second_linearization_is_polarized_d2():
-    alg = jordan_sym(2)
     rng = random.Random(5)
-    c, x, y = (_rand_vec(alg.dim, rng) for _ in range(3))
-    m = parse_monomial("z^2*z^2")
-    total = linearize(alg, m, 2, c, tuple(a + b for a, b in zip(x, y)))
-    direct = tuple(
-        t - u - v
-        for t, u, v in zip(total, linearize(alg, m, 2, c, x), linearize(alg, m, 2, c, y))
-    )
-    assert second_linearization(alg, m, c, x, y) == direct
+    for alg in (jordan_sym(2), hsiang_tracefree_sym3(), spin_factor(3)):
+        c, x, y = (_rand_vec(alg.dim, rng) for _ in range(3))
+        for d in range(2, 7):
+            for m in enumerate_monomials(d):
+                total = linearize(alg, m, 2, c, tuple(a + b for a, b in zip(x, y)))
+                direct = tuple(
+                    t - u - v
+                    for t, u, v in zip(total, linearize(alg, m, 2, c, x), linearize(alg, m, 2, c, y))
+                )
+                assert second_linearization(alg, m, c, x, y) == direct, (alg.name, str(m))
+        assert second_linearization(alg, atom(), c, x, y) == tuple(F(0) for _ in range(alg.dim))
+
+
+@pytest.mark.parametrize("name", ["jordan_sym2", "hsiang_sym3", "spin_factor3"])
+def test_linearize_matches_labelled_sum(name):
+    alg = build_algebra(name)
+    rng = random.Random(17)
+    x, y = _rand_vec(alg.dim, rng), _rand_vec(alg.dim, rng)
+    for d in range(1, 7):
+        for m in enumerate_monomials(d):
+            for k in range(d + 1):
+                assert linearize(alg, m, k, x, y) == _labelled_linearization(alg, m, k, x, y), (str(m), k)
+
+
+def test_linearize_product_count(monkeypatch):
+    # z^[6] has 5 distinct product nodes; mod eps^3 each multiplies at most
+    # 6 pairs of jet coefficients.  The labelled sum takes C(32, 2) * 31.
+    alg = hsiang_tracefree_sym3()
+    rng = random.Random(4)
+    x, y = _rand_vec(alg.dim, rng), _rand_vec(alg.dim, rng)
+    calls = []
+    inner = alg.multiply
+    monkeypatch.setattr(alg, "multiply", lambda u, v: calls.append(1) or inner(u, v))
+    linearize(alg, plenary_power(6), 2, x, y)
+    assert 0 < len(calls) <= 30
+
+
+def test_deep_monomial_evaluates_without_recursion():
+    alg = jordan_sym(2)
+    c = alg.idempotents[0]  # E_00; E_01 lies in A_c(1/2)
+    m = principal_power(2000)
+    assert evaluate_monomial(alg, m, c) == c
+    # D^1(m; c, y) = rho(m, L_c) y, and rho(m, 1/2) = 1
+    y = alg.basis_vector(2)
+    assert linearize(alg, m, 1, c, y) == y
+    assert linearize(alg, m, 1, c, c) == tuple(2000 * v for v in c)
 
 
 # --- weights on concrete algebras ---------------------------------------------

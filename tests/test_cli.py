@@ -250,3 +250,20 @@ def test_catalog_params_cli(capsys):
 def test_bad_idempotent_index(capsys):
     code, _, _ = run(capsys, "verify", "--builder", "hsiang_sym3", "--catalog", "hsiang", "--idempotent", "9")
     assert code == EXIT_VALIDATION_ERROR
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "verify", "--builder", "jordan_sym2", "--catalog", "hsiang", "--trials", trials)
+    assert code == EXIT_PARSE_ERROR
+    assert "--trials" in err and "Traceback" not in err
+    assert "[PASS]" not in out
+
+
+def test_deep_monomial_is_a_validation_error(capsys):
+    # z^500 already overflows the peirce_poly recursion on Python 3.10-3.12;
+    # 3000 is past the recursion limit on every supported version
+    code, out, err = run(capsys, "poly", "z^3000")
+    assert code == EXIT_VALIDATION_ERROR
+    assert err.strip() == "error: monomial nesting too deep (degree 3000)"
+    assert out == ""
