@@ -70,10 +70,15 @@ def _read_identity(args) -> identities.WeightedIdentity:
             with open(args.identity) as fh:
                 payload = json.load(fh)
             return identities.identity_from_json(payload)
-        except (OSError, json.JSONDecodeError, KeyError, magma.MonomialSyntaxError) as exc:
-            raise _CliError(f"cannot read identity file: {exc}", EXIT_PARSE_ERROR)
-        except identities.ZeroSumViolation as exc:
+        except (
+            identities.ZeroSumViolation,
+            identities.EmptyIdentity,
+            identities.InvalidWeight,
+        ) as exc:
             raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
+        except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
+            # ValueError covers JSON syntax, monomial syntax and bad numbers
+            raise _CliError(f"cannot read identity file: {exc}", EXIT_PARSE_ERROR)
     # bare monomial: treat as the formal identity 1 * m, no zero-sum demand
     m = _parse_monomial_arg(args.source)
     return identities.WeightedIdentity(

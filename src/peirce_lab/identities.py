@@ -20,6 +20,7 @@ from .peirce import _divided_difference, _divided_difference_at, peirce_poly, pe
 from .poly import (
     Poly1,
     Poly3,
+    _symbol_zero_grid,
     divide_exact,
     format_rational,
     parse_rational,
@@ -34,6 +35,7 @@ __all__ = [
     "FusionTable",
     "ZeroSumViolation",
     "EmptyIdentity",
+    "InvalidWeight",
     "DegenerateIdentity",
     "IrrationalSpectrum",
     "InternalHalfRootMissing",
@@ -63,6 +65,10 @@ class EmptyIdentity(ValueError):
     """An identity needs at least one term."""
 
 
+class InvalidWeight(ValueError):
+    """A weight's baric exponent is negative."""
+
+
 class DegenerateIdentity(ValueError):
     """The Peirce polynomial vanishes identically; no spectral data exists."""
 
@@ -89,6 +95,10 @@ class WeightDescriptor:
 
     baric_exp: int = 0
     bilinear_args: tuple[Monomial, ...] = ()
+
+    def __post_init__(self):
+        if self.baric_exp < 0:
+            raise InvalidWeight(f"baric exponent must be nonnegative, got {self.baric_exp}")
 
     @property
     def kind(self) -> str:
@@ -121,8 +131,6 @@ def constant_weight() -> WeightDescriptor:
 
 
 def baric_weight(k: int) -> WeightDescriptor:
-    if k < 0:
-        raise ValueError("baric exponent must be nonnegative")
     return WeightDescriptor(baric_exp=k)
 
 
@@ -260,25 +268,23 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
     one = Fraction(1)
     half = Fraction(1, 2)
     eigenvalues = sorted(set(mult) | {one})
-    symbol = identity_symbol(identity)
+    zeros = _symbol_zero_grid(identity_symbol(identity), eigenvalues)
 
     entries: dict[tuple[Fraction, Fraction], frozenset[Fraction]] = {}
-    for i, lam in enumerate(eigenvalues):
-        for mu in eigenvalues[i:]:
-            y_zeros = {nu for nu in eigenvalues if symbol(lam, mu, nu) == 0}
-            if mode == "generic":
-                allowed = y_zeros | ({one, lam, mu} & set(eigenvalues))
-                for simple, other in ((lam, mu), (mu, lam)):
-                    if other == half and mult.get(simple, 0) == 1:
-                        allowed.discard(simple)
+    for (lam, mu), y_zeros in zeros.items():
+        if mode == "generic":
+            allowed = y_zeros | ({one, lam, mu} & set(eigenvalues))
+            for simple, other in ((lam, mu), (mu, lam)):
+                if other == half and mult.get(simple, 0) == 1:
+                    allowed.discard(simple)
+        else:
+            if one in (lam, mu):
+                allowed = {mu if lam == one else lam}
+            elif lam == mu:
+                allowed = {nu for nu in y_zeros if nu != one} | {one}
             else:
-                if one in (lam, mu):
-                    allowed = {mu if lam == one else lam}
-                elif lam == mu:
-                    allowed = {nu for nu in y_zeros if nu != one} | {one}
-                else:
-                    allowed = set(y_zeros)
-            entries[(lam, mu)] = frozenset(allowed)
+                allowed = set(y_zeros)
+        entries[(lam, mu)] = frozenset(allowed)
 
     refinements = ()
     if mode == "metrized_orthogonal":

@@ -8,7 +8,8 @@ exact.  No stored coefficient is ever zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "Poly1",
@@ -155,8 +156,15 @@ class Poly1:
         return out
 
     def __call__(self, x: Scalar) -> Fraction:
+        """Horner's rule over the stored exponents, highest first."""
+        if not self.coeffs:
+            return Fraction(0)
         x = Fraction(x)
-        return sum((c * x**e for e, c in self.coeffs.items()), Fraction(0))
+        acc, prev = Fraction(0), self.degree
+        for e in sorted(self.coeffs, reverse=True):
+            acc = acc * x ** (prev - e) + self.coeffs[e]
+            prev = e
+        return acc * x**prev
 
     def derivative(self) -> "Poly1":
         return Poly1({e - 1: c * e for e, c in self.coeffs.items() if e >= 1})
@@ -303,12 +311,13 @@ class Poly3:
         """Partial evaluation of one variable."""
         i = _VAR_INDEX[name]
         value = Fraction(value)
-        out = Poly3.zero()
+        out: dict[Key3, Fraction] = {}
         for k, c in self.coeffs.items():
             key = list(k)
             e, key[i] = k[i], 0
-            out = out + Poly3({tuple(key): c * value**e})
-        return out
+            key = tuple(key)
+            out[key] = out.get(key, 0) + c * value**e
+        return Poly3(out)
 
     def derivative(self, name: str) -> "Poly3":
         i = _VAR_INDEX[name]
@@ -407,7 +416,7 @@ def divide_exact(f: Poly1, g: Poly1) -> Poly1:
     return Poly1(out)
 
 
-def _divisors(n: int) -> Iterable[int]:
+def _divisors(n: int) -> list[int]:
     n = abs(n)
     out = []
     d = 1
@@ -419,10 +428,72 @@ def _divisors(n: int) -> Iterable[int]:
     return sorted(set(out))
 
 
+def _integer_coeffs(f: Poly1) -> list[int]:
+    """Dense primitive integer coefficients of a nonzero f, lowest degree first.
+
+    They are f times a nonzero rational, so they have the same roots as f.
+    """
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    out = [0] * (f.degree + 1)
+    for e, c in f.coeffs.items():
+        out[e] = c.numerator * (den // c.denominator)
+    g = gcd(*out)
+    return [c // g for c in out]
+
+
+def _horner_hom(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^n * f(p/q) for f = sum coeffs[e] * t^e, n = len(coeffs) - 1, q > 0.
+
+    Homogeneous Horner in integers: zero exactly when f(p/q) is zero.
+    """
+    acc = 0
+    qpow = 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
+
+
+def _symbol_zero_grid(
+    y: Poly3, values: Sequence[Fraction]
+) -> dict[tuple[Fraction, Fraction], set[Fraction]]:
+    """{(lam, mu): {nu in values : y(lam, mu, nu) == 0}} for every pair with
+    lam at or before mu in `values`.
+
+    y is scaled to integer coefficients and each variable is homogenized with
+    the denominator of the value put in for it, so a is substituted once per
+    lam, b once per pair, and each nu is one integer Horner pass.
+    """
+    fracs = [(v.numerator, v.denominator) for v in values]
+    den = lcm(*(c.denominator for c in y.coeffs.values()))
+    da, db, dp = (max((k[i] for k in y.coeffs), default=0) for i in range(3))
+    # dense a-coefficients of the b^eb * p^ep part of den * y
+    by_bp: dict[tuple[int, int], list[int]] = {}
+    for (ea, eb, ep), c in y.coeffs.items():
+        by_bp.setdefault((eb, ep), [0] * (da + 1))[ea] = c.numerator * (den // c.denominator)
+    grid: dict[tuple[Fraction, Fraction], set[Fraction]] = {}
+    for i, (pa, qa) in enumerate(fracs):
+        # dense b-coefficients of the p^ep part, a substituted
+        at_a: dict[int, list[int]] = {}
+        for (eb, ep), coeffs in by_bp.items():
+            at_a.setdefault(ep, [0] * (db + 1))[eb] = _horner_hom(coeffs, pa, qa)
+        for j in range(i, len(values)):
+            pb, qb = fracs[j]
+            at_ab = [0] * (dp + 1)
+            for ep, coeffs in at_a.items():
+                at_ab[ep] = _horner_hom(coeffs, pb, qb)
+            grid[(values[i], values[j])] = {
+                nu for nu, (pn, qn) in zip(values, fracs) if _horner_hom(at_ab, pn, qn) == 0
+            }
+    return grid
+
+
 def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
     """All rational roots with multiplicities, plus the rootless residual.
 
     The residual times the product of the (t - r)^m factors reproduces f.
+    Each candidate p/q of the rational root theorem is tested in integers by
+    `_horner_hom`; a Fraction is built only for a root.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -435,27 +506,23 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
         f = Poly1({e - k: c for e, c in f.coeffs.items()})
 
     if f.degree >= 1:
-        # Clear denominators to get integer coefficients.
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in f.coeffs.values()))
-        ints = {e: int(c * den) for e, c in f.coeffs.items()}
-        g = gcd(*ints.values())
-        ints = {e: c // g for e, c in ints.items()}
-        a0 = ints.get(0)
-        an = ints[max(ints)]
-        candidates = []
-        for num in _divisors(a0):
-            for denom in _divisors(an):
-                r = Fraction(num, denom)
-                candidates.extend((r, -r))
-        for r in sorted(set(candidates)):
+        ints = _integer_coeffs(f)
+        dens = _divisors(ints[-1])
+        candidates = (
+            (p, q)
+            for num in _divisors(ints[0])
+            for q in dens
+            if gcd(num, q) == 1
+            for p in (num, -num)
+        )
+        for p, q in candidates:
             mult = 0
-            while f.degree >= 1 and f(r) == 0:
-                f = divide_exact(f, Poly1({1: 1, 0: -r}))
+            while f.degree >= 1 and _horner_hom(ints, p, q) == 0:
+                f = divide_exact(f, Poly1({1: 1, 0: Fraction(-p, q)}))
+                ints = _integer_coeffs(f)
                 mult += 1
             if mult:
-                roots.append((r, mult))
+                roots.append((Fraction(p, q), mult))
             if f.degree < 1:
                 break
 

@@ -267,3 +267,35 @@ def test_deep_monomial_is_a_validation_error(capsys):
     assert code == EXIT_VALIDATION_ERROR
     assert err.strip() == "error: monomial nesting too deep (degree 3000)"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "payload, code, message",
+    [
+        ({"terms": []}, EXIT_VALIDATION_ERROR, "identity has no nonzero terms"),
+        (
+            {"terms": [{"coeff": "x", "monomial": "z"}]},
+            EXIT_PARSE_ERROR,
+            "cannot read identity file: ",
+        ),
+        ([1, 2], EXIT_PARSE_ERROR, "cannot read identity file: "),
+        (
+            {
+                "terms": [
+                    {"coeff": "1", "monomial": "z^2", "weight": {"kind": "baric", "k": -1}},
+                    {"coeff": "-1", "monomial": "z"},
+                ]
+            },
+            EXIT_VALIDATION_ERROR,
+            "baric exponent must be nonnegative",
+        ),
+    ],
+    ids=["empty-terms", "bad-coefficient", "top-level-list", "negative-baric-exponent"],
+)
+def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(payload))
+    got, out, err = run(capsys, "poly", "--identity", str(path))
+    assert got == code
+    assert err.startswith(f"error: {message}")
+    assert out == ""

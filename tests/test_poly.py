@@ -1,14 +1,19 @@
 """Exact polynomial arithmetic: ring axioms, division, rational roots."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from peirce_lab import identities
+from peirce_lab.identities import catalog, fusion_table, identity_symbol, make_identity, spectrum
+from peirce_lab.magma import atom, enumerate_monomials
 from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
     Poly3,
+    _symbol_zero_grid,
     divide_exact,
     format_rational,
     parse_rational,
@@ -117,6 +122,129 @@ def test_rational_roots_reconstruct(root_list):
     for r, m in roots:
         rebuilt = rebuilt * (t - Poly1.const(r)) ** m
     assert rebuilt == f
+
+
+def _divisors_naive(n):
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _roots_by_fraction_evaluation(f):
+    """Rational root theorem candidates, each evaluated with Poly1.__call__;
+    a root's multiplicity is the number of derivatives that vanish there."""
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    low, top = min(f.coeffs), f.degree
+    candidates = {Fraction(0)} | {
+        Fraction(s * p, q)
+        for p in _divisors_naive(int(f.coeffs[low] * den))
+        for q in _divisors_naive(int(f.coeffs[top] * den))
+        for s in (1, -1)
+    }
+    roots = []
+    for r in sorted(candidates):
+        m, g = 0, f
+        while not g.is_zero and g(r) == 0:
+            m, g = m + 1, g.derivative()
+        if m:
+            roots.append((r, m))
+    residual = f
+    for r, m in roots:
+        residual = divide_exact(residual, Poly1({1: 1, 0: -r}) ** m)
+    return roots, residual
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    small_rationals.filter(bool),
+    st.integers(min_value=2, max_value=3),
+    st.lists(small_rationals, max_size=2),
+    poly1s(max_degree=3).filter(lambda g: not g.is_zero),
+)
+def test_rational_roots_match_fraction_evaluation(zero_mult, repeated, mult, others, extra):
+    """A root at 0, a repeated root, more planted roots and a cofactor with
+    rational coefficients that may or may not have rational roots."""
+    t = Poly1.t()
+    f = t**zero_mult * (t - repeated) ** mult * extra
+    for r in others:
+        f = f * (t - r)
+    assert rational_roots(f) == _roots_by_fraction_evaluation(f)
+
+
+def _zeros_by_evaluation(y, values):
+    """The per-triple definition of the symbol grid, through Poly3.__call__."""
+    return {
+        (lam, mu): {nu for nu in values if y(lam, mu, nu) == 0}
+        for i, lam in enumerate(values)
+        for mu in values[i:]
+    }
+
+
+_GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
+_ALWAYS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(small_rationals.filter(bool), st.sampled_from(_GRID_MONOMIALS)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(small_rationals, max_size=3),
+)
+def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
+    """Symbols of random identities with Fraction coefficients, at values that
+    include 0, negatives, denominators > 1 and the rational spectrum, so that
+    zeros occur."""
+    try:
+        ident = make_identity(terms, require_zero_sum=False)
+    except identities.EmptyIdentity:
+        assume(False)
+    report = spectrum(ident)
+    values = sorted(set(_ALWAYS + extra_values + [r for r, _ in report.roots]))
+    y = identity_symbol(ident)
+    assert _symbol_zero_grid(y, values) == _zeros_by_evaluation(y, values)
+
+
+def test_symbol_zero_grid_of_zero_symbol():
+    y = identity_symbol(make_identity([(1, atom())], require_zero_sum=False))
+    assert y.is_zero
+    values = [Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
+    grid = _symbol_zero_grid(y, values)
+    assert grid == _zeros_by_evaluation(y, values)
+    assert all(zeros == set(values) for zeros in grid.values())
+
+
+def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
+    """Five planted roots: the grid makes no Poly3.__call__, and the table is
+    the one the per-triple definition gives."""
+    t = Poly1.t()
+    f = t - 1
+    for r in (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(3)):
+        f = f * (t - r)
+    ident = catalog("principal_train", {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
+
+    calls = []
+    evaluate = Poly3.__call__
+
+    def counted(self, *args):
+        calls.append(args)
+        return evaluate(self, *args)
+
+    for mode in ("generic", "metrized_orthogonal"):
+        monkeypatch.setattr(Poly3, "__call__", counted)
+        table = fusion_table(ident, mode=mode)
+        assert calls == []
+        monkeypatch.setattr(identities, "_symbol_zero_grid", _zeros_by_evaluation)
+        reference = fusion_table(ident, mode=mode)
+        monkeypatch.undo()
+        assert calls, "the reference evaluates Y per triple"
+        assert len(table.spectrum) == 7
+        assert table == reference
+        calls.clear()
 
 
 def test_poly3_basics():
