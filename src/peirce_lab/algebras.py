@@ -26,7 +26,6 @@ __all__ = [
     "StructureAlgebra",
     "PeirceDecomposition",
     "UnrealizableWeight",
-    "IrrationalEigenvalue",
     "jordan_sym",
     "spin_factor",
     "hsiang_tracefree_sym3",
@@ -53,10 +52,6 @@ Matrix = list[list[Fraction]]
 
 class UnrealizableWeight(ValueError):
     """The identity references a weight map the algebra does not carry."""
-
-
-class IrrationalEigenvalue(ValueError):
-    """The characteristic polynomial has a nonconstant rootless factor."""
 
 
 def _vec(values: Sequence) -> Vector:

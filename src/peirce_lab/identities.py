@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
-from .peirce import _divided_difference, _divided_difference_at, peirce_poly, peirce_symbol
+from .peirce import _divided_difference, peirce_poly, peirce_symbol
 from .poly import (
     Poly1,
     Poly3,
@@ -472,17 +472,16 @@ def train_closed_forms(family: str, gamma: Sequence) -> tuple[Poly1, Poly3]:
         numerator = Poly1({k - 1: gamma[n - k] for k in range(1, n + 1)})
         train_poly = divide_exact(numerator, Poly1({1: 1, 0: -1}))
         rho = Poly1({1: 2, 0: -1}) * train_poly
-        half = Fraction(1, 2)
         y = (
             _divided_difference(rho, "a")
             + _divided_difference(rho, "b")
-            - _divided_difference_at(rho, half)
+            - _divided_difference(rho, Fraction(1, 2))
         )
         return rho, y
     if family == "plenary_train":
         rho = Poly1({k - 1: gamma[n - k] * 2 ** (k - 1) for k in range(1, n + 1)})
         two_ab = Poly3.var("a") * Poly3.var("b") * 2
-        numerator = Poly3.from_poly1(rho, "p") - rho.compose3(two_ab)
+        numerator = Poly3.from_poly1(rho, "p") - rho(two_ab)
         y = numerator.div_linear("p", two_ab)
         return rho, y
     raise ValueError(f"unknown train family {family!r}")
@@ -506,17 +505,24 @@ def _weight_to_json(w: WeightDescriptor) -> dict:
     }
 
 
+def _exponent_from_json(k) -> int:
+    # bool is an int subclass, but `true` is not a JSON integer
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"baric exponent must be a JSON integer, got {json.dumps(k)}")
+    return k
+
+
 def _weight_from_json(obj: Mapping) -> WeightDescriptor:
     kind = obj.get("kind", "constant")
     if kind == "constant":
         return constant_weight()
     if kind == "baric":
-        return baric_weight(int(obj["k"]))
+        return baric_weight(_exponent_from_json(obj["k"]))
     if kind == "bilinear":
         return bilinear_weight(parse_monomial(obj["monomial"]))
     if kind == "product":
         return WeightDescriptor(
-            int(obj.get("k", 0)),
+            _exponent_from_json(obj.get("k", 0)),
             tuple(sorted(parse_monomial(s) for s in obj.get("monomials", []))),
         )
     raise ValueError(f"unknown weight kind {kind!r}")

@@ -47,15 +47,9 @@ def peirce_symbol(m: Monomial) -> Poly3:
     if m.is_atom:
         return Poly3.zero()
     left, right = m.left, m.right
-    rho_la = Poly3.from_poly1(peirce_poly(left), "a")
-    rho_lb = Poly3.from_poly1(peirce_poly(left), "b")
-    rho_ra = Poly3.from_poly1(peirce_poly(right), "a")
-    rho_rb = Poly3.from_poly1(peirce_poly(right), "b")
-    return (
-        Poly3.var("p") * (peirce_symbol(left) + peirce_symbol(right))
-        + rho_la * rho_rb
-        + rho_lb * rho_ra
-    )
+    # rho(left, a)*rho(right, b) + rho(left, b)*rho(right, a): a term and its a <-> b swap
+    cross = Poly3.from_poly1(peirce_poly(left), "a") * Poly3.from_poly1(peirce_poly(right), "b")
+    return Poly3.var("p") * (peirce_symbol(left) + peirce_symbol(right)) + cross + cross.swap_ab()
 
 
 def principal_peirce_closed(n: int) -> Poly1:
@@ -73,16 +67,13 @@ def plenary_peirce_closed(n: int) -> Poly1:
     return Poly1({n - 1: 2 ** (n - 1)})
 
 
-def _divided_difference(f: Poly1, name: str) -> Poly3:
-    """(f(p) - f(name)) / (p - name)."""
-    diff = Poly3.from_poly1(f, "p") - Poly3.from_poly1(f, name)
-    return diff.div_linear("p", Poly3.var(name))
-
-
-def _divided_difference_at(f: Poly1, value: Fraction) -> Poly3:
-    """(f(p) - f(value)) / (p - value)."""
-    quotient = divide_exact(f - f(value), Poly1({1: 1, 0: -value}))
-    return Poly3.from_poly1(quotient, "p")
+def _divided_difference(f: Poly1, x: str | Fraction) -> Poly3:
+    """(f(p) - f(x)) / (p - x), for x the name of a variable or a value."""
+    if isinstance(x, str):
+        fx, x = Poly3.from_poly1(f, x), Poly3.var(x)
+    else:
+        fx = f(x)
+    return divide_exact(Poly3.from_poly1(f, "p") - fx, Poly3.var("p") - x, "p")
 
 
 def principal_symbol_closed(n: int) -> Poly3:
@@ -91,7 +82,7 @@ def principal_symbol_closed(n: int) -> Poly3:
     return (
         _divided_difference(rho, "a")
         + _divided_difference(rho, "b")
-        - _divided_difference_at(rho, Fraction(1, 2))
+        - _divided_difference(rho, Fraction(1, 2))
     )
 
 

@@ -1,17 +1,23 @@
 """Exact sparse polynomials over the rationals.
 
-Poly1 is univariate in t; Poly3 is in the three commuting variables
-(a, b, p).  Coefficients are `fractions.Fraction`, so every operation is
-exact.  No stored coefficient is ever zero.
+`Poly` is a polynomial in the commuting variables `vars`, stored as
+`coeffs: {exponent tuple: Fraction}`, so every operation is exact.  No
+stored coefficient is ever zero.  `Poly1` (the variable t, for Peirce
+polynomials) and `Poly3` (the variables a, b, p, for Peirce symbols) are
+constructors of `Poly` that fix the variables.  `divide_exact` is the one
+exact division: long division in one variable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
+from operator import add, itemgetter
+from itertools import chain
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
+    "Poly",
     "Poly1",
     "Poly3",
     "ExactDivisionError",
@@ -22,6 +28,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, Fraction]
+Exponents = tuple[int, ...]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -52,34 +59,78 @@ def _coeff_str(c: Fraction, var_part: str, first: bool) -> str:
     return f" {sign} {body}"
 
 
-class Poly1:
-    """Sparse univariate polynomial in t."""
+def _make(vars: tuple[str, ...], coeffs: dict[Exponents, Fraction]) -> "Poly":
+    """The polynomial with trusted coeffs (exponent tuples to nonzero
+    Fractions); a Poly1 or a Poly3 when `vars` are theirs."""
+    out = object.__new__(_CLASSES.get(vars, Poly))
+    out.vars = vars
+    out.coeffs = coeffs
+    return out
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Scalar] | None = None):
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[e] = c
+def _collect(vars: tuple[str, ...], terms: Iterable[tuple[Exponents, Fraction]]) -> "Poly":
+    """The sum of the (exponents, Fraction) terms; like terms are added."""
+    out: dict[Exponents, Fraction] = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return _make(vars, {k: c for k, c in out.items() if c})
+
+
+class Poly:
+    """Sparse polynomial in the commuting variables `vars`, by default VARS.
+
+    The constructor takes {exponents: coefficient}; with one variable an
+    exponent may be a plain int.  `Poly1` and `Poly3` fix VARS, and the
+    classmethods below build polynomials in them.
+    """
+
+    __slots__ = ("vars", "coeffs")
+    VARS: tuple[str, ...] = ()
+
+    def __init__(self, coeffs: Mapping | None = None, vars: Sequence[str] | None = None):
+        self.vars = self.VARS if vars is None else tuple(vars)
+        self.coeffs: dict[Exponents, Fraction] = {}
+        for e, c in (coeffs or {}).items():
+            key = (e,) if isinstance(e, int) else tuple(e)
+            if len(key) != len(self.vars):
+                raise ValueError(f"exponents {e!r} do not match the variables {self.vars}")
+            c = Fraction(c)
+            if c:
+                self.coeffs[key] = c
 
     @classmethod
-    def zero(cls) -> "Poly1":
+    def zero(cls) -> "Poly":
         return cls()
 
     @classmethod
-    def const(cls, c: Scalar) -> "Poly1":
-        return cls({0: c})
+    def const(cls, c: Scalar) -> "Poly":
+        return cls({(0,) * len(cls.VARS): c})
 
     @classmethod
-    def term(cls, exp: int, coeff: Scalar = 1) -> "Poly1":
+    def term(cls, exp: int | Exponents, coeff: Scalar = 1) -> "Poly":
         return cls({exp: coeff})
 
     @classmethod
-    def t(cls) -> "Poly1":
-        return cls({1: 1})
+    def var(cls, name: str) -> "Poly":
+        if name not in cls.VARS:
+            raise ValueError(f"{name!r} is not one of the variables {cls.VARS}")
+        return cls({tuple(int(v == name) for v in cls.VARS): 1})
+
+    def _index(self, name: str | None) -> int:
+        if name is None and len(self.vars) == 1:
+            return 0
+        if name not in self.vars:
+            raise ValueError(f"{name!r} is not one of the variables {self.vars}")
+        return self.vars.index(name)
+
+    def _coerce(self, other: "Poly | Scalar") -> "Poly":
+        if isinstance(other, Poly):
+            if other.vars != self.vars:
+                raise ValueError(f"variables differ: {self.vars} and {other.vars}")
+            return other
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
+        return _make(self.vars, {(0,) * len(self.vars): Fraction(other)} if other else {})
 
     @property
     def is_zero(self) -> bool:
@@ -87,333 +138,189 @@ class Poly1:
 
     @property
     def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
-        return max(self.coeffs) if self.coeffs else -1
+        """Total degree, with the convention deg 0 = -1."""
+        return max(map(sum, self.coeffs), default=-1)
 
-    def coeff(self, exp: int) -> Fraction:
-        return self.coeffs.get(exp, Fraction(0))
-
-    def leading(self) -> Fraction:
-        return self.coeffs[self.degree]
+    def coeff(self, exp: int | Exponents) -> Fraction:
+        return self.coeffs.get(exp if isinstance(exp, tuple) else (exp,), Fraction(0))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly1):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly1.const(other)
-        return NotImplemented
+        if not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        return getattr(other, "vars", self.vars) == self.vars and self._coerce(other).coeffs == self.coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.vars, frozenset(self.coeffs.items())))
 
-    def __add__(self, other: "Poly1 | Scalar") -> "Poly1":
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly1(out)
+    def __add__(self, other: "Poly | Scalar") -> "Poly":
+        return _collect(self.vars, chain(self.coeffs.items(), self._coerce(other).coeffs.items()))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Poly1":
-        return Poly1({e: -c for e, c in self.coeffs.items()})
+    def __neg__(self) -> "Poly":
+        return _make(self.vars, {k: -c for k, c in self.coeffs.items()})
 
-    def __sub__(self, other: "Poly1 | Scalar") -> "Poly1":
+    def __sub__(self, other: "Poly | Scalar") -> "Poly":
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other: Scalar) -> "Poly":
+        return -self + other
+
+    def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = Poly1.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "Poly1":
-        return Poly1.const(other) - self
-
-    def __mul__(self, other: "Poly1 | Scalar") -> "Poly1":
-        if isinstance(other, (int, Fraction)):
-            return Poly1({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly1(out)
+            return _make(self.vars, {k: c * other for k, c in self.coeffs.items()} if other else {})
+        other = self._coerce(other).coeffs.items()
+        return _collect(
+            self.vars,
+            ((tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in self.coeffs.items() for k2, c2 in other),
+        )
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly1":
+    def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power")
-        out = Poly1.const(1)
+        out = self._coerce(1)
         for _ in range(n):
             out = out * self
         return out
 
-    def __call__(self, x: Scalar) -> Fraction:
-        """Horner's rule over the stored exponents, highest first."""
-        if not self.coeffs:
-            return Fraction(0)
-        x = Fraction(x)
-        acc, prev = Fraction(0), self.degree
-        for e in sorted(self.coeffs, reverse=True):
-            acc = acc * x ** (prev - e) + self.coeffs[e]
-            prev = e
-        return acc * x**prev
+    def __call__(self, *args: "Poly | Scalar") -> "Poly | Fraction":
+        """The value at one scalar or one polynomial per variable.
 
-    def derivative(self) -> "Poly1":
-        return Poly1({e - 1: c * e for e, c in self.coeffs.items() if e >= 1})
+        It is a Fraction at scalars and a polynomial (in the variables of the
+        arguments) at polynomials.
+        """
+        if len(args) != len(self.vars):
+            raise TypeError(f"expected {len(self.vars)} arguments, got {len(args)}")
+        args = [x if isinstance(x, Poly) else Fraction(x) for x in args]
+        acc = next((x * 0 for x in args if isinstance(x, Poly)), Fraction(0))
+        for k, c in self.coeffs.items():
+            for x, e in zip(args, k):
+                if e:
+                    c = c * x**e
+            acc = acc + c
+        return acc
+
+    def substitute(self, name: str, value: Scalar) -> "Poly":
+        """Partial evaluation of one variable; the variables stay the same."""
+        i = self._index(name)
+        value = Fraction(value)
+        return _collect(
+            self.vars, ((k[:i] + (0,) + k[i + 1 :], c * value ** k[i]) for k, c in self.coeffs.items())
+        )
+
+    def derivative(self, name: str | None = None) -> "Poly":
+        """Partial derivative; `name` may be left out with one variable."""
+        i = self._index(name)
+        return _make(
+            self.vars,
+            {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self.coeffs.items() if k[i]},
+        )
+
+    def change_vars(self, vars: Sequence[str], names: Mapping[str, str]) -> "Poly":
+        """The same polynomial with each variable v renamed to names[v], as a
+        polynomial in `vars`.  A variable not renamed must not occur."""
+        vars = tuple(vars)
+        where = {v: vars.index(names[v]) for v in names}
+
+        def renamed(k: Exponents) -> Exponents:
+            key = [0] * len(vars)
+            for v, e in zip(self.vars, k):
+                if e:
+                    if v not in where:
+                        raise ValueError(f"polynomial involves {v!r}")
+                    key[where[v]] += e
+            return tuple(key)
+
+        return _collect(vars, ((renamed(k), c) for k, c in self.coeffs.items()))
+
+    def render(self) -> str:
+        """Terms by descending exponent of the last variable, then of the
+        others in order, e.g. "2*t^3 - 3*t^2 + t" or "4*p + 8*a*b"."""
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i, k in enumerate(sorted(self.coeffs, key=lambda k: k[-1:] + k[:-1], reverse=True)):
+            var = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, k) if e)
+            parts.append(_coeff_str(self.coeffs[k], var, first=(i == 0)))
+        return "".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
+
+class Poly1(Poly):
+    """Polynomial in t."""
+
+    __slots__ = ()
+    VARS = ("t",)
+
+    @classmethod
+    def t(cls) -> "Poly1":
+        return cls.var("t")
 
     def compose3(self, arg: "Poly3") -> "Poly3":
         """Substitute a Poly3 for t."""
-        out = Poly3.zero()
-        for e, c in self.coeffs.items():
-            out = out + arg**e * c
-        return out
-
-    def render(self) -> str:
-        """Descending exponents, e.g. "2*t^3 - 3*t^2 + t"."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, e in enumerate(sorted(self.coeffs, reverse=True)):
-            var = "t" if e == 1 else (f"t^{e}" if e else "")
-            parts.append(_coeff_str(self.coeffs[e], var, first=(i == 0)))
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly1({self.render()})"
+        return self(arg)
 
 
-VARS3 = ("a", "b", "p")
-_VAR_INDEX = {v: i for i, v in enumerate(VARS3)}
+class Poly3(Poly):
+    """Polynomial in the commuting variables (a, b, p)."""
 
-Key3 = tuple[int, int, int]
-
-
-class Poly3:
-    """Sparse polynomial in the commuting variables (a, b, p)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[Key3, Scalar] | None = None):
-        self.coeffs: dict[Key3, Fraction] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[k] = c
-
-    @classmethod
-    def zero(cls) -> "Poly3":
-        return cls()
-
-    @classmethod
-    def const(cls, c: Scalar) -> "Poly3":
-        return cls({(0, 0, 0): c})
-
-    @classmethod
-    def var(cls, name: str) -> "Poly3":
-        key = [0, 0, 0]
-        key[_VAR_INDEX[name]] = 1
-        return cls({tuple(key): 1})
+    __slots__ = ()
+    VARS = ("a", "b", "p")
 
     @classmethod
     def from_poly1(cls, f: Poly1, name: str) -> "Poly3":
-        i = _VAR_INDEX[name]
-        out: dict[Key3, Fraction] = {}
-        for e, c in f.coeffs.items():
-            key = [0, 0, 0]
-            key[i] = e
-            out[tuple(key)] = c
-        return cls(out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly3):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly3.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "Poly3 | Scalar") -> "Poly3":
-        if isinstance(other, (int, Fraction)):
-            other = Poly3.const(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Poly3(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly3":
-        return Poly3({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Poly3 | Scalar") -> "Poly3":
-        if isinstance(other, (int, Fraction)):
-            other = Poly3.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "Poly3":
-        return Poly3.const(other) - self
-
-    def __mul__(self, other: "Poly3 | Scalar") -> "Poly3":
-        if isinstance(other, (int, Fraction)):
-            return Poly3({k: c * other for k, c in self.coeffs.items()})
-        out: dict[Key3, Fraction] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                s = out.get(k, Fraction(0)) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Poly3(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly3":
-        if n < 0:
-            raise ValueError("negative power")
-        out = Poly3.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __call__(self, a: Scalar, b: Scalar, p: Scalar) -> Fraction:
-        vals = (Fraction(a), Fraction(b), Fraction(p))
-        acc = Fraction(0)
-        for k, c in self.coeffs.items():
-            term = c
-            for v, e in zip(vals, k):
-                if e:
-                    term *= v**e
-            acc += term
-        return acc
-
-    def substitute(self, name: str, value: Scalar) -> "Poly3":
-        """Partial evaluation of one variable."""
-        i = _VAR_INDEX[name]
-        value = Fraction(value)
-        out: dict[Key3, Fraction] = {}
-        for k, c in self.coeffs.items():
-            key = list(k)
-            e, key[i] = k[i], 0
-            key = tuple(key)
-            out[key] = out.get(key, 0) + c * value**e
-        return Poly3(out)
-
-    def derivative(self, name: str) -> "Poly3":
-        i = _VAR_INDEX[name]
-        out: dict[Key3, Fraction] = {}
-        for k, c in self.coeffs.items():
-            if k[i] >= 1:
-                key = list(k)
-                key[i] = k[i] - 1
-                out[tuple(key)] = c * k[i]
-        return Poly3(out)
+        return f.change_vars(cls.VARS, {"t": name})
 
     def swap_ab(self) -> "Poly3":
-        return Poly3({(kb, ka, kp): c for (ka, kb, kp), c in self.coeffs.items()})
+        return self.change_vars(self.vars, {"a": "b", "b": "a", "p": "p"})
 
     def as_poly1(self, name: str) -> Poly1:
         """Project onto a single variable; other exponents must be zero."""
-        i = _VAR_INDEX[name]
-        out: dict[int, Fraction] = {}
-        for k, c in self.coeffs.items():
-            if any(e and j != i for j, e in enumerate(k)):
-                raise ValueError(f"polynomial involves more than {name!r}")
-            out[k[i]] = c
-        return Poly1(out)
+        return self.change_vars(Poly1.VARS, {name: "t"})
 
     def div_linear(self, name: str, shift: "Poly3 | Scalar") -> "Poly3":
         """Exact division by (name - shift) where shift does not involve name."""
-        if isinstance(shift, (int, Fraction)):
-            shift = Poly3.const(shift)
-        i = _VAR_INDEX[name]
-        if any(k[i] for k in shift.coeffs):
-            raise ValueError(f"shift must not involve {name!r}")
-        # Collect coefficient layers in the chosen variable, then run Horner.
-        layers: dict[int, Poly3] = {}
-        for k, c in self.coeffs.items():
-            key = list(k)
-            e, key[i] = k[i], 0
-            layers[e] = layers.get(e, Poly3.zero()) + Poly3({tuple(key): c})
-        if not layers:
-            return Poly3.zero()
-        var_mono = Poly3.var(name)
-        top = max(layers)
-        quotient = Poly3.zero()
-        carry = Poly3.zero()
-        for e in range(top, 0, -1):
-            carry = carry * shift + layers.get(e, Poly3.zero()) if e != top else layers[e]
-            quotient = quotient + carry * var_mono ** (e - 1)
-        remainder = carry * shift + layers.get(0, Poly3.zero())
-        if not remainder.is_zero:
-            raise ExactDivisionError(f"({name} - shift) does not divide exactly")
-        return quotient
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-
-        def sort_key(k: Key3):
-            # p-degree first, then a, then b, descending
-            return (k[2], k[0], k[1])
-
-        parts = []
-        for i, k in enumerate(sorted(self.coeffs, key=sort_key, reverse=True)):
-            factors = []
-            for v, e in zip(VARS3, k):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            parts.append(_coeff_str(self.coeffs[k], "*".join(factors), first=(i == 0)))
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Poly3({self.render()})"
+        return divide_exact(self, self.var(name) - shift, name)
 
 
-def divide_exact(f: Poly1, g: Poly1) -> Poly1:
-    """Quotient f/g when g divides f exactly; raises ExactDivisionError otherwise."""
+_CLASSES = {Poly1.VARS: Poly1, Poly3.VARS: Poly3}
+
+
+def divide_exact(f: Poly, g: Poly, name: str = "t") -> Poly:
+    """Quotient f/g when g divides f exactly, by long division in `name`.
+
+    The leading coefficient of g in `name` must be a constant, so the
+    remainder is unique; a nonzero one raises ExactDivisionError.
+    """
+    g = f._coerce(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
+    i = f._index(name)
+    by_degree = itemgetter(i)
+    lead = max(g.coeffs, key=by_degree)
+    if sum(lead) != lead[i] or sum(k[i] == lead[i] for k in g.coeffs) > 1:
+        raise ValueError(f"the leading coefficient of the divisor in {name!r} is not a constant")
+    glead = g.coeffs[lead]
     rem = dict(f.coeffs)
-    out: dict[int, Fraction] = {}
-    gdeg, glead = g.degree, g.leading()
+    out: dict[Exponents, Fraction] = {}
     while rem:
-        rdeg = max(rem)
-        if rdeg < gdeg:
+        top = max(rem, key=by_degree)
+        if top[i] < lead[i]:
             raise ExactDivisionError("nonzero remainder in exact division")
-        e = rdeg - gdeg
-        c = rem[rdeg] / glead
-        out[e] = c
-        for ge, gc in g.coeffs.items():
-            k = ge + e
-            s = rem.get(k, Fraction(0)) - c * gc
+        shift = top[:i] + (top[i] - lead[i],) + top[i + 1 :]
+        c = out[shift] = rem[top] / glead
+        for gk, gc in g.coeffs.items():
+            k = tuple(map(add, shift, gk))
+            s = rem.get(k, 0) - c * gc
             if s:
                 rem[k] = s
             else:
-                rem.pop(k, None)
-    return Poly1(out)
+                del rem[k]
+    return _make(f.vars, out)
 
 
 def _divisors(n: int) -> list[int]:
@@ -435,7 +342,7 @@ def _integer_coeffs(f: Poly1) -> list[int]:
     """
     den = lcm(*(c.denominator for c in f.coeffs.values()))
     out = [0] * (f.degree + 1)
-    for e, c in f.coeffs.items():
+    for (e,), c in f.coeffs.items():
         out[e] = c.numerator * (den // c.denominator)
     g = gcd(*out)
     return [c // g for c in out]
@@ -500,10 +407,10 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
     roots: list[tuple[Fraction, int]] = []
 
     # Root at zero first.
-    k = min(f.coeffs)
+    (k,) = min(f.coeffs)
     if k > 0:
         roots.append((Fraction(0), k))
-        f = Poly1({e - k: c for e, c in f.coeffs.items()})
+        f = _make(f.vars, {(e - k,): c for (e,), c in f.coeffs.items()})
 
     if f.degree >= 1:
         ints = _integer_coeffs(f)
@@ -517,13 +424,13 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
         )
         for p, q in candidates:
             mult = 0
-            while f.degree >= 1 and _horner_hom(ints, p, q) == 0:
+            while len(ints) > 1 and _horner_hom(ints, p, q) == 0:
                 f = divide_exact(f, Poly1({1: 1, 0: Fraction(-p, q)}))
                 ints = _integer_coeffs(f)
                 mult += 1
             if mult:
                 roots.append((Fraction(p, q), mult))
-            if f.degree < 1:
+            if len(ints) < 2:
                 break
 
     roots.sort(key=lambda rm: rm[0])

@@ -289,8 +289,35 @@ def test_deep_monomial_is_a_validation_error(capsys):
             EXIT_VALIDATION_ERROR,
             "baric exponent must be nonnegative",
         ),
+        *(
+            (
+                {
+                    "terms": [
+                        {"coeff": "1", "monomial": "z^2", "weight": weight},
+                        {"coeff": "-1", "monomial": "z"},
+                    ]
+                },
+                EXIT_PARSE_ERROR,
+                f"cannot read identity file: baric exponent must be a JSON integer, got {got}",
+            )
+            for weight, got in [
+                ({"kind": "baric", "k": 1.5}, "1.5"),
+                ({"kind": "baric", "k": "2"}, '"2"'),
+                ({"kind": "baric", "k": True}, "true"),
+                ({"kind": "product", "k": 1.5, "monomials": ["z"]}, "1.5"),
+            ]
+        ),
     ],
-    ids=["empty-terms", "bad-coefficient", "top-level-list", "negative-baric-exponent"],
+    ids=[
+        "empty-terms",
+        "bad-coefficient",
+        "top-level-list",
+        "negative-baric-exponent",
+        "fractional-baric-exponent",
+        "string-baric-exponent",
+        "boolean-baric-exponent",
+        "fractional-product-exponent",
+    ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
     path = tmp_path / "identity.json"

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from peirce_lab import identities
-from peirce_lab.identities import catalog, fusion_table, identity_symbol, make_identity, spectrum
+from peirce_lab.identities import (
+    catalog,
+    fusion_table,
+    identity_peirce_poly,
+    identity_symbol,
+    make_identity,
+    spectrum,
+)
 from peirce_lab.magma import atom, enumerate_monomials
 from peirce_lab.poly import (
     ExactDivisionError,
@@ -27,6 +34,23 @@ def poly1s(max_degree=5):
     return st.dictionaries(
         st.integers(min_value=0, max_value=max_degree), rationals, max_size=4
     ).map(Poly1)
+
+
+def poly3s(max_exp=2):
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * 3)
+    return st.dictionaries(exponents, rationals, max_size=4).map(Poly3)
+
+
+@st.composite
+def constant_led_divisors(draw):
+    """(name, g): g = c * name^d + lower terms in name, c a nonzero constant,
+    e.g. p - h(a, b)."""
+    name = draw(st.sampled_from(Poly3.VARS))
+    i = Poly3.VARS.index(name)
+    d = draw(st.integers(min_value=1, max_value=2))
+    rest = draw(poly3s())
+    rest = Poly3({k: c for k, c in rest.coeffs.items() if k[i] < d})
+    return name, Poly3.var(name) ** d * draw(rationals.filter(bool)) + rest
 
 
 def test_rational_round_trip():
@@ -136,7 +160,7 @@ def _roots_by_fraction_evaluation(f):
     candidates = {Fraction(0)} | {
         Fraction(s * p, q)
         for p in _divisors_naive(int(f.coeffs[low] * den))
-        for q in _divisors_naive(int(f.coeffs[top] * den))
+        for q in _divisors_naive(int(f.coeff(top) * den))
         for s in (1, -1)
     }
     roots = []
@@ -290,3 +314,56 @@ def test_poly3_from_poly1_and_compose3():
 def test_poly3_evaluation_consistent(f, x, y, z):
     g = f.compose3(Poly3.var("b"))
     assert g(x, y, z) == f(y)
+
+
+@given(poly3s(), constant_led_divisors())
+def test_divide_exact_inverts_multiplication_in_three_variables(f, divisor):
+    name, g = divisor
+    assert divide_exact(f * g, g, name) == f
+
+
+@given(poly3s(), st.sampled_from(Poly3.VARS), poly3s(), st.integers(min_value=1, max_value=2))
+def test_divide_exact_rejects_a_nonconstant_leading_coefficient(f, name, lead, d):
+    lead = lead.substitute(name, 1)
+    assume(lead.degree >= 1)
+    with pytest.raises(ValueError):
+        divide_exact(f, lead * Poly3.var(name) ** d + 1, name)
+
+
+@given(poly1s(), st.sampled_from(Poly3.VARS))
+def test_from_poly1_then_as_poly1_round_trip(f, name):
+    assert Poly3.from_poly1(f, name).as_poly1(name) == f
+
+
+@given(poly3s())
+def test_swap_ab_is_an_involution(f):
+    assert f.swap_ab().swap_ab() == f
+
+
+_TRAIN_GAMMA = {"gamma": ["1", "-7/6", "1/3", "-1/6"]}
+
+
+@pytest.mark.parametrize(
+    "name, params, rho, y",
+    [
+        ("jordan_power_assoc", None, "2*t^3 - 3*t^2 + t",
+         "2*p^2 + 2*a*p + 2*b*p - 4*p + 2*a^2 - 8*a*b + a + 2*b^2 + b"),
+        ("bernstein", None, "4*t^2 - 2*t", "4*p + 8*a*b - 2"),
+        ("pseudo_composition", None, "2*t^2 + t - 1", "2*p + 2*a + 2*b"),
+        ("walcher", None, "2*t^2 - 1/2", "2*p + 2*a + 2*b - 1"),
+        ("walcher", {"a_c": "1/3"}, "2*t^2 + 1/3*t - 2/3", "2*p + 2*a + 2*b - 2/3"),
+        ("hsiang", None, "8*t^3 + 8*t^2 - 2*t - 2",
+         "8*p^2 + 8*a*p + 8*b*p + 4*p + 8*a^2 + 8*a*b + 4*a + 8*b^2 + 4*b - 6"),
+        ("principal_train", _TRAIN_GAMMA, "2*t^3 - 4/3*t^2 + 1/2*t - 1/6",
+         "2*p^2 + 2*a*p + 2*b*p - 7/3*p + 2*a^2 - 4/3*a + 2*b^2 - 4/3*b + 2/3"),
+        ("plenary_train", _TRAIN_GAMMA, "8*t^3 - 14/3*t^2 + 2/3*t - 1/6",
+         "8*p^2 + 16*a*b*p - 14/3*p + 32*a^2*b^2 - 28/3*a*b + 2/3"),
+        ("nourigat_varro", {"a1": 1, "a2": 2, "b1": 1, "b2": 1, "b3": 1}, "4*t^3 + 4*t^2 - t - 1",
+         "4*p^2 + 4*a*p + 4*b*p + 2*p + 4*a^2 + 8*a*b + 4*b^2 - 2"),
+        ("elduque_labra", None, "0", "8*a*b - 4*a - 4*b + 2"),
+    ],
+)
+def test_catalog_rho_and_symbol_render(name, params, rho, y):
+    ident = catalog(name, params)
+    assert identity_peirce_poly(ident).render() == rho
+    assert identity_symbol(ident).render() == y
