@@ -271,12 +271,12 @@ def cmd_verify(args) -> int:
 
     spectrum_lines: list[str] = []
     if ok_idem and id_report.ok:
+        decomp = algebras.eigen_decomposition(algebra, c)
         try:
-            sp = algebras.spectrum_inclusion_check(algebra, c, identity)
+            sp = algebras.spectrum_inclusion_check(algebra, c, identity, decomp)
             checks.append(("spectrum inclusion", sp.ok, list(sp.failures)))
         except (ValueError, identities.DegenerateIdentity) as exc:
             spectrum_lines.append(f"spectrum inclusion skipped: {exc}")
-        decomp = algebras.eigen_decomposition(algebra, c)
         for lam in decomp.eigenvalues:
             spectrum_lines.append(
                 f"eigenvalue {format_rational(lam)}  multiplicity {decomp.multiplicity(lam)}"

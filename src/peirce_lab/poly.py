@@ -335,15 +335,22 @@ def _divisors(n: int) -> list[int]:
     return sorted(set(out))
 
 
+def _cleared_coeffs(f: Poly1) -> tuple[list[int], int]:
+    """Dense integer coefficients of f, lowest degree first, and the least
+    den > 0 with f = (1/den) * sum ints[e] * t^e."""
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    out = [0] * (f.degree + 1)
+    for (e,), c in f.coeffs.items():
+        out[e] = c.numerator * (den // c.denominator)
+    return out, den
+
+
 def _integer_coeffs(f: Poly1) -> list[int]:
     """Dense primitive integer coefficients of a nonzero f, lowest degree first.
 
     They are f times a nonzero rational, so they have the same roots as f.
     """
-    den = lcm(*(c.denominator for c in f.coeffs.values()))
-    out = [0] * (f.degree + 1)
-    for (e,), c in f.coeffs.items():
-        out[e] = c.numerator * (den // c.denominator)
+    out, _ = _cleared_coeffs(f)
     g = gcd(*out)
     return [c // g for c in out]
 

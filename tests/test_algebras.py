@@ -7,7 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from peirce_lab import algebras
 from peirce_lab.algebras import (
     StructureAlgebra,
     UnrealizableWeight,
@@ -16,6 +18,7 @@ from peirce_lab.algebras import (
     build_algebra,
     builder_names,
     char_poly,
+    char_poly_matrix,
     dimension_constraints_check,
     eigen_decomposition,
     evaluate_monomial,
@@ -32,7 +35,14 @@ from peirce_lab.algebras import (
     verify_identity,
     verify_second_linearization,
 )
-from peirce_lab.identities import FusionTable, catalog, fusion_table, make_identity
+from peirce_lab.identities import (
+    FusionTable,
+    baric_weight,
+    bilinear_weight,
+    catalog,
+    fusion_table,
+    make_identity,
+)
 from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
 from peirce_lab.peirce import peirce_poly
 from peirce_lab.poly import Poly1
@@ -101,7 +111,26 @@ def test_spin_factor_guard():
     with pytest.raises(ValueError):
         spin_factor(1)
     with pytest.raises(ValueError):
-        jordan_sym(4)
+        jordan_sym(1)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_jordan_sym_beyond_three(n):
+    alg = jordan_sym(n)
+    assert alg.dim == n * (n + 1) // 2
+    e00, unit = alg.idempotents
+    d = eigen_decomposition(alg, e00)
+    assert d.semisimple
+    assert {lam: d.multiplicity(lam) for lam in d.eigenvalues} == {F(0): n * (n - 1) // 2, HALF: n - 1, F(1): 1}
+    d1 = eigen_decomposition(alg, unit)
+    assert {lam: d1.multiplicity(lam) for lam in d1.eigenvalues} == {F(1): n * (n + 1) // 2}
+    jordan = catalog("jordan_power_assoc")
+    report = verify_identity(alg, jordan, trials=5)
+    assert report.ok, report.failures
+    report = spectrum_inclusion_check(alg, e00, jordan, d)
+    assert report.ok, report.failures
+    report = fusion_empirical(alg, e00, fusion_table(jordan), d)
+    assert report.ok, report.failures
 
 
 # --- Hsiang pipeline ----------------------------------------------------------
@@ -278,6 +307,25 @@ def test_sparse_multiply_matches_dense_sum():
             alg.multiply(x[:-1], y)
 
 
+def test_vector_length_is_checked():
+    # every entry point clears denominators of vectors it must first check
+    zero = (F(0), F(0))
+    alg = StructureAlgebra(dim=2, structure=(((F(1), F(0)), zero), (zero, zero)),
+                           bilinear_form=((F(1), F(0)), zero), weight=(F(1), F(0)))
+    x, short = (F(1), F(2)), (F(1),)
+    calls = [
+        lambda: alg.multiply(x, short),
+        lambda: alg.b(short, x),
+        lambda: alg.omega(x + x),
+        lambda: evaluate_monomial(alg, principal_power(2), short),
+        lambda: linearize(alg, atom(), 0, short, x),
+        lambda: second_linearization(alg, atom(), x, x, short),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="vector length does not match algebra dimension"):
+            call()
+
+
 def test_nonassociative_shapes_differ():
     # x^2 y + 2 x (x y) style check: distinct tree shapes evaluate differently
     alg = hsiang_tracefree_sym3()
@@ -365,8 +413,8 @@ def test_linearize_product_count(monkeypatch):
     rng = random.Random(4)
     x, y = _rand_vec(alg.dim, rng), _rand_vec(alg.dim, rng)
     calls = []
-    inner = alg.multiply
-    monkeypatch.setattr(alg, "multiply", lambda u, v: calls.append(1) or inner(u, v))
+    inner = alg._product
+    monkeypatch.setattr(alg, "_product", lambda u, v: calls.append(1) or inner(u, v))
     linearize(alg, plenary_power(6), 2, x, y)
     assert 0 < len(calls) <= 30
 
@@ -457,3 +505,260 @@ def test_poly_at_matrix():
     llv = alg.multiply(c, lv)
     want = tuple(2 * a - b + 3 * w for a, b, w in zip(llv, lv, v))
     assert mat_vec(m, v) == want
+
+
+# --- integer kernels against their Fraction definitions -----------------------
+#
+# algebras computes in ints over cleared denominators.  The oracles below are
+# the definitions in Fractions, with no shared code.
+
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+
+
+def _fraction_mat_mul(m1, m2):
+    n = len(m1)
+    return [[sum((m1[i][k] * m2[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+
+
+def _fraction_char_poly(m):
+    """Faddeev-LeVerrier in Fractions."""
+    n = len(m)
+    coeffs = {n: F(1)}
+    mk = [row[:] for row in m]
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                mk[i][i] += coeffs[n - k + 1]
+            mk = _fraction_mat_mul(m, mk)
+        coeffs[n - k] = -sum((mk[i][i] for i in range(n)), F(0)) / k
+    return Poly1(coeffs)
+
+
+def _fraction_poly_at_matrix(f, m):
+    """f(M) by Horner's scheme in Fractions."""
+    n = len(m)
+    out = [[F(0)] * n for _ in range(n)]
+    for e in range(f.degree, -1, -1):
+        out = _fraction_mat_mul(out, m)
+        for i in range(n):
+            out[i][i] += f.coeff(e)
+    return out
+
+
+def _form_error(structure, form):
+    """The first failing check of StructureAlgebra's validation, per triple in Fractions."""
+    n = len(structure)
+
+    def b(x, y):
+        return sum((x[i] * form[i][j] * y[j] for i in range(n) for j in range(n)), F(0))
+
+    basis = [tuple(F(int(i == j)) for j in range(n)) for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if structure[i][j] != structure[j][i]:
+                return f"structure constants not commutative at ({i}, {j})"
+    if any(form[i][j] != form[j][i] for i in range(n) for j in range(n)):
+        return "bilinear form is not symmetric"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if b(structure[i][j], basis[k]) != b(basis[i], structure[j][k]):
+            return f"bilinear form is not associating on basis triple ({i}, {j}, {k})"
+    return None
+
+
+def _fraction_jet(alg, m, leaf, caps=()):
+    """The jet of m at `leaf` in Fractions, every product by _dense_product."""
+    memo = {atom(): leaf}
+    stack = [m]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        pending = [child for child in (node.left, node.right) if child not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        out = {}
+        for ea, va in memo[node.left].items():
+            for eb, vb in memo[node.right].items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                if all(i <= cap for i, cap in zip(e, caps)):
+                    v = _dense_product(alg, va, vb)
+                    out[e] = tuple(s + t for s, t in zip(out[e], v)) if e in out else v
+        memo[node] = out
+    return memo[m]
+
+
+def _fraction_identity_failures(alg, identity, trials, seed):
+    """verify_identity's failure lines, with P(x) summed in Fractions."""
+    rng = random.Random(seed)
+    failures = []
+    for trial in range(trials):
+        x = algebras._random_vector(alg.dim, rng)
+        acc = [F(0)] * alg.dim
+        for t in identity.terms:
+            w = F(1)
+            if t.weight.baric_exp:
+                w *= sum((a * b for a, b in zip(alg.weight, x)), F(0)) ** t.weight.baric_exp
+            for m in t.weight.bilinear_args:
+                y = _fraction_jet(alg, m, {(): x})[()]
+                w *= sum((x[i] * alg.bilinear_form[i][j] * y[j] for i in range(alg.dim) for j in range(alg.dim)), F(0))
+            value = _fraction_jet(alg, t.monomial, {(): x})[()]
+            acc = [a + t.coeff * w * v for a, v in zip(acc, value)]
+        if any(acc):
+            failures.append(f"trial {trial}: P(x) != 0")
+    return tuple(failures)
+
+
+@st.composite
+def rational_matrices(draw, min_size=0, max_size=5):
+    """Square matrices with denominators > 1, negative entries and zero rows."""
+    n = draw(st.integers(min_size, max_size))
+    m = [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)):
+        m[i] = [F(0)] * n
+    return m
+
+
+def _symmetric(draw, n, entries=small_fractions):
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_char_poly_matches_fraction_faddeev_leverrier(m):
+    assert char_poly_matrix(m) == _fraction_char_poly(m)
+
+
+def test_integer_faddeev_leverrier_refuses_a_non_integral_matrix():
+    # Every trace division is exact for an int matrix; a remainder is an error.
+    assert algebras._faddeev_leverrier([[2, 1], [1, 2]]) == [3, -4, 1]
+    with pytest.raises(ArithmeticError):
+        algebras._faddeev_leverrier([[F(1, 2)]])
+    with pytest.raises(ArithmeticError):
+        algebras._faddeev_leverrier([[F(1, 2), F(0)], [F(0), F(1, 2)]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.dictionaries(st.integers(0, 5), small_fractions, max_size=4).map(Poly1))
+def test_poly_at_matrix_matches_fraction_horner(m, f):
+    assert poly_at_matrix(f, m) == _fraction_poly_at_matrix(f, m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_form_check_matches_per_triple_definition(data):
+    # A builder's structure with its form scaled (still associating) or with
+    # one entry changed, or random constants and a random symmetric form.
+    if data.draw(st.booleans()):
+        alg = build_algebra(data.draw(st.sampled_from(["jordan_sym2", "spin_factor2", "hsiang_sym3"])))
+        n, structure = alg.dim, alg.structure
+        scale = data.draw(small_fractions)
+        form = [[scale * v for v in row] for row in alg.bilinear_form]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            form[i][j] = form[j][i] = form[i][j] + data.draw(small_fractions)
+    else:
+        n = data.draw(st.integers(1, 4))
+        vectors = st.tuples(*[small_fractions] * n)
+        structure = _symmetric(data.draw, n, vectors)
+        if data.draw(st.booleans()):  # a noncommutative pair
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            structure[i][j] = data.draw(vectors)
+        form = _symmetric(data.draw, n)
+        if data.draw(st.booleans()):  # an asymmetric entry
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            form[i][j] = data.draw(small_fractions)
+    structure = tuple(tuple(tuple(v) for v in row) for row in structure)
+    form = tuple(tuple(row) for row in form)
+    want = _form_error(structure, form)
+    if want is None:
+        StructureAlgebra(dim=n, structure=structure, bilinear_form=form)
+    else:
+        with pytest.raises(ValueError) as err:
+            StructureAlgebra(dim=n, structure=structure, bilinear_form=form)
+        assert str(err.value) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["jordan_sym2", "hsiang_sym3", "spin_factor3"]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_integer_jets_match_fraction_jets(name, degree, data):
+    alg = build_algebra(name)
+    m = data.draw(st.sampled_from(enumerate_monomials(degree)))
+    vectors = st.tuples(*[small_fractions] * alg.dim)
+    c, x, y = data.draw(vectors), data.draw(vectors), data.draw(vectors)
+    assert evaluate_monomial(alg, m, x) == _fraction_jet(alg, m, {(): x})[()]
+    jet = _fraction_jet(alg, m, {(0,): x, (1,): y}, (degree,))
+    for k in range(degree + 1):
+        assert linearize(alg, m, k, x, y) == jet[(k,)], k
+    polar = _fraction_jet(alg, m, {(0, 0): c, (1, 0): x, (0, 1): y}, (1, 1))
+    assert second_linearization(alg, m, c, x, y) == polar.get((1, 1), tuple(F(0) for _ in range(alg.dim)))
+
+
+def test_integer_jets_of_a_deep_power():
+    alg = hsiang_tracefree_sym3()
+    x = (F(1, 2), F(-3, 4), F(2, 3), F(5, 4), F(-1, 3))
+    y = (F(0), F(1, 2), F(0), F(-1, 4), F(3))
+    m = principal_power(300)
+    jet = _fraction_jet(alg, m, {(0,): x, (1,): y}, (1,))
+    assert evaluate_monomial(alg, m, x) == jet[(0,)]
+    assert linearize(alg, m, 1, x, y) == jet[(1,)]
+
+
+@pytest.mark.parametrize(
+    "name, identity",
+    [
+        ("hsiang_sym3", "hsiang"),
+        ("jordan_sym2", "hsiang"),
+        ("jordan_sym3", "jordan_power_assoc"),
+        ("hsiang_sym3", "jordan_power_assoc"),
+        ("spin_factor3", "pseudo_composition"),
+        ("hsiang_sym3", "pseudo_composition"),
+    ],
+)
+def test_verify_identity_matches_fraction_sum(name, identity):
+    alg = build_algebra(name)
+    report = verify_identity(alg, catalog(identity), trials=8, seed=5)
+    assert report.failures == _fraction_identity_failures(alg, catalog(identity), 8, 5)
+
+
+def test_verify_identity_weights_match_fraction_sum():
+    # Weights with denominators, on identities that hold only when every
+    # weight is scaled right, and on identities that fail.
+    z = atom()
+    base = spin_factor(2)
+    spin = StructureAlgebra(
+        dim=base.dim,
+        structure=base.structure,
+        bilinear_form=tuple(tuple(v / 3 for v in row) for row in base.bilinear_form),
+        weight=(F(3, 2), F(0), F(0)),
+    )
+    # x = (a, u): x^2 - 2a x + (a^2 - |u|^2) = 0, with a = (2/3) omega(x) and
+    # a^2 + |u|^2 = 3 b(x, x); times x this is a cubic identity.
+    cubic = make_identity(
+        [(1, principal_power(3)), (F(-4, 3), principal_power(2), baric_weight(1)),
+         (F(8, 9), z, baric_weight(2)), (-3, z, bilinear_weight(z))],
+        require_zero_sum=False,
+    )
+    # e^2 = (5/4) e, omega(e) = 2/3, b(e, e) = 3/5
+    line = StructureAlgebra(dim=1, structure=(((F(5, 4),),),), bilinear_form=((F(3, 5),),), weight=(F(2, 3),))
+    line_identity = make_identity(
+        [(F(3, 5), principal_power(3), baric_weight(2)),
+         (F(-4, 9), principal_power(2), bilinear_weight(principal_power(2)))],
+        require_zero_sum=False,
+    )
+    cases = [(spin, cubic, True), (line, line_identity, True)]
+    cases += [(alg, catalog(name), False) for alg in (spin, line) for name in ("bernstein", "walcher")]
+    for alg, identity, holds in cases:
+        report = verify_identity(alg, identity, trials=6, seed=2)
+        assert report.ok == holds, identity
+        assert report.failures == _fraction_identity_failures(alg, identity, 6, 2), identity

@@ -207,6 +207,33 @@ def test_malformed_algebra_file_exit_2(capsys, tmp_path):
     assert code == EXIT_PARSE_ERROR
 
 
+def test_nonassociating_algebra_file_exit_3(capsys, tmp_path):
+    # commutative, but b(e0 e0, e1) = 0 while b(e0, e0 e1) = 1
+    bad = tmp_path / "alg.json"
+    bad.write_text(json.dumps({
+        "dim": 2,
+        "structure": [[["1", "0"], ["1", "0"]], [["1", "0"], ["0", "0"]]],
+        "bilinear_form": [["1", "0"], ["0", "1"]],
+        "idempotents": [["1", "0"]],
+    }))
+    code, out, err = run(capsys, "verify", "--algebra", str(bad), "--catalog", "jordan_power_assoc")
+    assert code == EXIT_VALIDATION_ERROR
+    assert err == "error: invalid algebra: bilinear form is not associating on basis triple (0, 0, 1)\n"
+    assert out == ""
+
+
+def test_verify_decomposes_l_c_once(capsys, monkeypatch):
+    from peirce_lab import algebras
+
+    calls = []
+    inner = algebras.eigen_decomposition
+    monkeypatch.setattr(algebras, "eigen_decomposition", lambda *a: calls.append(1) or inner(*a))
+    code, out, _ = run(capsys, "verify", "--builder", "hsiang_sym3", "--catalog", "hsiang")
+    assert code == EXIT_OK
+    assert "[PASS] spectrum inclusion" in out and "[PASS] empirical fusion within generic table" in out
+    assert len(calls) == 1
+
+
 def test_algebra_file_round_trip_via_cli(capsys, tmp_path):
     from peirce_lab.algebras import algebra_to_json, hsiang_tracefree_sym3
 
