@@ -261,12 +261,17 @@ def cmd_verify(args) -> int:
             f"--idempotent must be in 0..{len(algebra.idempotents) - 1}", EXIT_VALIDATION_ERROR
         )
     c = algebra.idempotents[args.idempotent]
+    if not any(c):
+        raise _CliError(f"idempotent {args.idempotent} is the zero vector", EXIT_VALIDATION_ERROR)
     checks: list[tuple[str, bool, list[str]]] = []
 
     ok_idem = algebra.is_idempotent(c)
     checks.append(("idempotent", ok_idem, [] if ok_idem else ["c*c != c"]))
 
-    id_report = algebras.verify_identity(algebra, identity, trials=args.trials)
+    try:
+        id_report = algebras.verify_identity(algebra, identity, trials=args.trials)
+    except algebras.UnrealizableWeight as exc:
+        raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
     checks.append(("identity holds", id_report.ok, list(id_report.failures)))
 
     spectrum_lines: list[str] = []

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, itemgetter
-from itertools import chain
+from operator import add, itemgetter, ne
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -323,18 +323,6 @@ def divide_exact(f: Poly, g: Poly, name: str = "t") -> Poly:
     return _make(f.vars, out)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
 def _cleared_coeffs(f: Poly1) -> tuple[list[int], int]:
     """Dense integer coefficients of f, lowest degree first, and the least
     den > 0 with f = (1/den) * sum ints[e] * t^e."""
@@ -343,16 +331,6 @@ def _cleared_coeffs(f: Poly1) -> tuple[list[int], int]:
     for (e,), c in f.coeffs.items():
         out[e] = c.numerator * (den // c.denominator)
     return out, den
-
-
-def _integer_coeffs(f: Poly1) -> list[int]:
-    """Dense primitive integer coefficients of a nonzero f, lowest degree first.
-
-    They are f times a nonzero rational, so they have the same roots as f.
-    """
-    out, _ = _cleared_coeffs(f)
-    g = gcd(*out)
-    return [c // g for c in out]
 
 
 def _horner_hom(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -402,43 +380,218 @@ def _symbol_zero_grid(
     return grid
 
 
+# --- rational roots ----------------------------------------------------------
+#
+# Root finding runs on dense integer polynomials: lists of ints, lowest degree
+# first, with a nonzero last entry.  No coefficient is ever factored.
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its entries, with a positive leading entry."""
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b, deg b >= 1."""
+    r = a[:]
+    db, lead = len(b) - 1, b[-1]
+    while len(r) > db:
+        g = gcd(lead, r[-1])
+        u, v = lead // g, r[-1] // g
+        shift = len(r) - 1 - db
+        r = [c * u for c in r]
+        for j in range(db):
+            r[shift + j] -= v * b[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _divide_dense(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a/b when b divides a in Z[t], else ExactDivisionError."""
+    rem = a[:]
+    db, lead = len(b) - 1, b[-1]
+    out = [0] * max(len(a) - db, 0)
+    for i in reversed(range(len(out))):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            raise ExactDivisionError("nonzero remainder in exact division")
+        if c:
+            out[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    if any(rem[:db]):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return out
+
+
+def _square_free(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for f of degree >= 1: f with every repeated factor
+    taken once, by a primitive pseudo-remainder sequence."""
+    a, b = f, _primitive([e * c for e, c in enumerate(f)][1:])
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return _divide_dense(f, b)
+        a, b = b, _primitive(r)
+    return f
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """The coefficients of a(x + 1): n running sums over the reversed list."""
+    b = a[::-1]
+    for m in range(len(b), 1, -1):
+        b[:m] = accumulate(b[:m])
+    return b[::-1]
+
+
+def _sign_changes(a: list[int]) -> int:
+    signs = [c > 0 for c in a if c]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _floor_shift(x: int, j: int) -> int:
+    """floor(x / 2^j); j may be negative."""
+    return x >> j if j >= 0 else x << -j
+
+
+def _dyadic(num: int, j: int) -> Fraction:
+    """num / 2^j; j may be negative."""
+    return Fraction(num, 1 << j) if j >= 0 else Fraction(num << -j)
+
+
+def _sign_at(f: list[int], num: int, j: int) -> int:
+    """The sign of f(num / 2^j); j may be negative."""
+    v = _horner_hom(f, num, 1 << j) if j >= 0 else _horner_hom(f, num << -j, 1)
+    return (v > 0) - (v < 0)
+
+
+# An interval with at most this many points of the grid (1/L) Z is decided by
+# testing them all: a test is one Horner pass, cheaper than a bisection step.
+_GRID_TESTS = 16
+
+
+def _grid_roots(f: list[int], a: int, j: int, most: int) -> list[Fraction] | None:
+    """The rational roots of f in (a / 2^j, (a + 1) / 2^j) if that interval
+    holds at most `most` points of the grid (1/L) Z, L = |lc(f)|; else None.
+
+    A rational root p/q of f has q | L, so it is such a point k/L, and
+    `_horner_hom` tests each exactly.
+    """
+    lead = abs(f[-1])
+    lo = _floor_shift(lead * a, j) + 1  # the least k with k/L > a / 2^j
+    hi = -_floor_shift(-lead * (a + 1), j) - 1  # the greatest k with k/L < (a + 1) / 2^j
+    if hi - lo >= most:
+        return None
+    return [Fraction(k, lead) for k in range(lo, hi + 1) if not _horner_hom(f, k, lead)]
+
+
+def _snap(f: list[int], s: int, a: int, j: int) -> Fraction | None:
+    """The root of f in (a / 2^j, (a + 1) / 2^j), an interval that holds
+    exactly one root, a simple one, if that root is rational; else None.
+
+    s is the sign of f just right of a.  The interval is halved by sign tests
+    until it holds at most one grid point of `_grid_roots`.
+    """
+    while True:
+        a, j = 2 * a, j + 1
+        mid = _sign_at(f, a + 1, j)
+        if not mid:
+            return _dyadic(a + 1, j)
+        if mid == s:
+            a += 1
+        roots = _grid_roots(f, a, j, 1)
+        if roots is not None:
+            return roots[0] if roots else None
+
+
+def _positive_rational_roots(f: list[int]) -> list[Fraction]:
+    """The distinct positive rational roots of f, where f(0) != 0.
+
+    Every positive root is below B = 2^e, the least power of two at or above
+    Fujiwara's bound 2 max (|a_i| / |lc|)^(1/(n-i)) over the coefficients a_i
+    of sign opposite to the leading one.  Descartes bisection (Collins &
+    Akritas) runs on p(x) = f(B x) over (0, 1).  The sign changes of p bound
+    its roots in (0, oo), and those of (x + 1)^n p(1 / (x + 1)) its roots in
+    (0, 1), both up to an even number; a half is 2^n p(x / 2) or its shift
+    by 1.  An interval is dropped once `_grid_roots` decides it, so no
+    interval gets narrower than about 1/L and repeated roots need no
+    square-free part; one that isolates a root goes to `_snap`.
+    """
+    n, lead = len(f) - 1, abs(f[-1])
+    opposite = [(n - i, abs(c)) for i, c in enumerate(f) if c * f[-1] < 0]
+    if not opposite:
+        return []
+
+    def bounds(e: int) -> bool:  # every (|a_i| / |lc|)^(1/d) <= 2^(e-1)
+        return all(c << max((1 - e) * d, 0) <= lead << max((e - 1) * d, 0) for d, c in opposite)
+
+    e = 1 + max(-((lead.bit_length() - c.bit_length() - 1) // d) for d, c in opposite)
+    while bounds(e - 1):
+        e -= 1
+    roots: list[Fraction] = []
+    # p is a positive multiple of f(B x) moved onto (0, 1) from (c / 2^j, (c + 1) / 2^j),
+    # and p(0) != 0
+    stack = [([c << (e * i if e >= 0 else -e * (n - i)) for i, c in enumerate(f)], 0, -e)]
+    while stack:
+        p, c, j = stack.pop()
+        grid = _grid_roots(f, c, j, _GRID_TESTS)
+        if grid is not None:
+            roots += grid
+            continue
+        changes = _sign_changes(p)
+        if changes == 1:  # one root in (0, oo); in (0, 1) if p(0), p(1) differ
+            changes = int(p[0] * sum(p) < 0)
+        elif changes > 1:
+            changes = _sign_changes(_taylor_shift(p[::-1]))
+        if changes == 1:
+            root = _snap(f, 1 if p[0] > 0 else -1, c, j)
+            if root:
+                roots.append(root)
+        elif changes > 1:
+            m = len(p) - 1
+            left = [a << (m - i) for i, a in enumerate(p)]
+            right = _taylor_shift(left)
+            if not right[0]:
+                roots.append(_dyadic(2 * c + 1, j + 1))
+                while not right[0]:
+                    del right[0]
+            stack += ((right, 2 * c + 1, j + 1), (left, 2 * c, j + 1))
+    return roots
+
+
 def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
     """All rational roots with multiplicities, plus the rootless residual.
 
     The residual times the product of the (t - r)^m factors reproduces f.
-    Each candidate p/q of the rational root theorem is tested in integers by
-    `_horner_hom`; a Fraction is built only for a root.
+    No coefficient is factored.  The roots of the primitive integer
+    coefficients F of f are found on either side of 0 by
+    `_positive_rational_roots` and tested exactly by `_horner_hom`; each
+    root r = p/q is divided out of F as q*t - p, as often as it divides, and
+    the residual is built once, from the content of f, the q^m and the
+    quotient.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
     roots: list[tuple[Fraction, int]] = []
-
-    # Root at zero first.
-    (k,) = min(f.coeffs)
+    ints, den = _cleared_coeffs(f)
+    k = next(e for e, c in enumerate(ints) if c)
     if k > 0:
         roots.append((Fraction(0), k))
-        f = _make(f.vars, {(e - k,): c for (e,), c in f.coeffs.items()})
-
-    if f.degree >= 1:
-        ints = _integer_coeffs(f)
-        dens = _divisors(ints[-1])
-        candidates = (
-            (p, q)
-            for num in _divisors(ints[0])
-            for q in dens
-            if gcd(num, q) == 1
-            for p in (num, -num)
-        )
-        for p, q in candidates:
-            mult = 0
-            while len(ints) > 1 and _horner_hom(ints, p, q) == 0:
-                f = divide_exact(f, Poly1({1: 1, 0: Fraction(-p, q)}))
-                ints = _integer_coeffs(f)
-                mult += 1
-            if mult:
-                roots.append((Fraction(p, q), mult))
-            if len(ints) < 2:
-                break
-
-    roots.sort(key=lambda rm: rm[0])
-    return roots, f
+    num = gcd(*ints)  # f = (num / den) * rest * t^k
+    rest = [c // num for c in ints[k:]]
+    for s in (1, -1):
+        side = rest if s > 0 else [-c if e % 2 else c for e, c in enumerate(rest)]
+        for r in _positive_rational_roots(side):
+            r = r if s > 0 else -r
+            p, q = r.numerator, r.denominator
+            m = 0
+            while not _horner_hom(rest, p, q):
+                rest = _divide_dense(rest, [-p, q])
+                m += 1
+            num *= q**m
+            roots.append((r, m))
+    roots.sort(key=itemgetter(0))
+    return roots, _make(f.vars, {(e,): Fraction(num * c, den) for e, c in enumerate(rest) if c})

@@ -242,6 +242,50 @@ def test_spectrum_inclusion_negative_control():
     assert any("1/3" in f for f in report.failures)
 
 
+_TRAIN_WITH_SQRT2 = {"gamma": [1, -1, -2, 2]}  # rho = (2t - 1)(t^2 - 2)
+
+
+@pytest.mark.parametrize("residual, ok", [("t^2 - 2", True), ("(t^2 - 2)^2", True), ("t^2 - 3", False)])
+def test_spectrum_inclusion_decides_an_irrational_factor(residual, ok):
+    t = Poly1.t()
+    residual = {"t^2 - 2": t**2 - 2, "(t^2 - 2)^2": (t**2 - 2) ** 2, "t^2 - 3": t**2 - 3}[residual]
+    decomposition = algebras.PeirceDecomposition(
+        idempotent=(F(1), F(0), F(0)),
+        char_poly=(t - HALF) * residual,
+        eigenvalues=(HALF,),
+        eigenbases={HALF: ((F(1), F(0), F(0)),)},
+        residual=residual,
+        semisimple=False,
+    )
+    alg = jordan_sym(2)
+    report = spectrum_inclusion_check(
+        alg, alg.idempotents[0], catalog("principal_train", _TRAIN_WITH_SQRT2), decomposition
+    )
+    assert report.ok is ok
+    expected = () if ok else (f"L_c has non-rational spectral factor {residual.render()}",)
+    assert report.failures == expected
+
+
+def test_spectrum_inclusion_on_an_algebra_with_eigenvalues_plus_minus_sqrt2():
+    # e0 e0 = e0, e0 e1 = e2, e0 e2 = 2 e1: chi(L_e0) = (t - 1)(t^2 - 2)
+    z, o = F(0), F(1)
+    alg = StructureAlgebra(
+        dim=3,
+        structure=(
+            ((o, z, z), (z, z, o), (z, F(2), z)),
+            ((z, z, o), (z, z, z), (z, z, z)),
+            ((z, F(2), z), (z, z, z), (z, z, z)),
+        ),
+        idempotents=((o, z, z),),
+    )
+    d = eigen_decomposition(alg, alg.idempotents[0])
+    assert d.eigenvalues == (F(1),) and d.residual == Poly1.t() ** 2 - 2
+    report = spectrum_inclusion_check(alg, alg.idempotents[0], catalog("principal_train", _TRAIN_WITH_SQRT2), d)
+    assert report.ok, report.failures
+    report = spectrum_inclusion_check(alg, alg.idempotents[0], catalog("hsiang"), d)
+    assert report.failures == ("L_c has non-rational spectral factor t^2 - 2",)
+
+
 # --- spectral machinery -------------------------------------------------------
 
 

@@ -279,6 +279,23 @@ def test_bad_idempotent_index(capsys):
     assert code == EXIT_VALIDATION_ERROR
 
 
+def test_unrealizable_weight_exit_3(capsys):
+    # elduque_labra is baric; hsiang_sym3 carries no weight functional
+    code, out, err = run(capsys, "verify", "--builder", "hsiang_sym3", "--catalog", "elduque_labra")
+    assert code == EXIT_VALIDATION_ERROR
+    assert err == "error: algebra hsiang_sym3 has no weight functional\n"
+    assert out == ""
+
+
+def test_zero_idempotent_exit_3(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 1, "structure": [[["1"]]], "idempotents": [["0"]]}))
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
+    assert code == EXIT_VALIDATION_ERROR
+    assert err == "error: idempotent 0 is the zero vector\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_rejects_trials_below_one(capsys, trials):
     code, out, err = run(capsys, "verify", "--builder", "jordan_sym2", "--catalog", "hsiang", "--trials", trials)

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring axioms, division, rational roots."""
 
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -195,6 +196,94 @@ def test_rational_roots_match_fraction_evaluation(zero_mult, repeated, mult, oth
     for r in others:
         f = f * (t - r)
     assert rational_roots(f) == _roots_by_fraction_evaluation(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-10**6, max_value=10**6, max_denominator=50),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=4,
+    ),
+    poly1s(max_degree=3).filter(lambda g: not g.is_zero),
+)
+def test_rational_roots_of_planted_roots_times_a_cofactor(planted, cofactor):
+    """Planted roots with numerators up to 10^6 and denominators up to 50,
+    times a small cofactor whose roots the definitional oracle finds."""
+    t = Poly1.t()
+    f = cofactor
+    expected, residual = _roots_by_fraction_evaluation(cofactor)
+    mult = dict(expected)
+    for r, m in planted:
+        f = f * (t - r) ** m
+        mult[r] = mult.get(r, 0) + m
+    assert rational_roots(f) == (sorted(mult.items()), residual)
+
+
+_P61 = 2**61 - 1
+_SEMIPRIME = 1000000007 * 998244353
+_LCM40 = lcm(*range(1, 41))
+
+
+def _adversarial_cases():
+    """(f, roots, residual): f is content * prod (q t - p)^m * h with h free
+    of rational roots, so the residual is content * prod q^m * h."""
+    t = Poly1.t()
+    return [
+        (t**2 - _P61, [], t**2 - _P61),
+        ((t - _P61) * (t + 1), [(Fraction(-1), 1), (Fraction(_P61), 1)], Poly1.const(1)),
+        (t**2 - _SEMIPRIME, [], t**2 - _SEMIPRIME),
+        (
+            (1000000007 * t - 998244353) * (t**2 + t + 1),
+            [(Fraction(998244353, 1000000007), 1)],
+            1000000007 * (t**2 + t + 1),
+        ),
+        (t**2 - (10**14 + 31), [], t**2 - (10**14 + 31)),
+        (
+            (8 * t - 3) * (7 * t + 5) * (t**4 - _LCM40),
+            [(Fraction(-5, 7), 1), (Fraction(3, 8), 1)],
+            56 * (t**4 - _LCM40),
+        ),
+        (
+            (1001 * t - 1000) * (1002 * t - 1001) * (t**2 + 1),
+            [(Fraction(1000, 1001), 1), (Fraction(1001, 1002), 1)],
+            1001 * 1002 * (t**2 + 1),
+        ),
+        # -3 is the left end of the interval isolating -23/7
+        (
+            -(t**5) - Fraction(37, 7) * t**4 - Fraction(25, 7) * t**3 + Fraction(69, 7) * t**2,
+            [(Fraction(-23, 7), 1), (Fraction(-3), 1), (Fraction(0), 2), (Fraction(1), 1)],
+            Poly1.const(-1),
+        ),
+        (
+            t**3 * (2 * t - 1) ** 2 * (2 * t + 1) * (8 * t - 3) * (4 * t + 5) * (t - 1024) * (t**2 - 2),
+            [
+                (Fraction(-5, 4), 1),
+                (Fraction(-1, 2), 1),
+                (Fraction(0), 3),
+                (Fraction(3, 8), 1),
+                (Fraction(1, 2), 2),
+                (Fraction(1024), 1),
+            ],
+            256 * (t**2 - 2),
+        ),
+        (
+            Fraction(3, 5) * (1000003 * t - 2) * (1000003 * t + 7) ** 2 * (t - 1) * (t**2 - 5),
+            [(Fraction(-7, 1000003), 2), (Fraction(2, 1000003), 1), (Fraction(1), 1)],
+            Fraction(3, 5) * 1000003**3 * (t**2 - 5),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("f, roots, residual", _adversarial_cases())
+def test_rational_roots_adversarial_inputs_are_fast(f, roots, residual):
+    start = time.perf_counter()
+    found = rational_roots(f)
+    elapsed = time.perf_counter() - start
+    assert found == (roots, residual)
+    assert elapsed < 0.1, f"rational_roots took {elapsed:.3f} s on {f.render()}"
 
 
 def _zeros_by_evaluation(y, values):
