@@ -257,6 +257,12 @@ def _adversarial_cases():
             [(Fraction(-23, 7), 1), (Fraction(-3), 1), (Fraction(0), 2), (Fraction(1), 1)],
             Poly1.const(-1),
         ),
+        # the same with an interval too wide to test its grid points one by one
+        (
+            (t + 3) * (1000003 * t + 3300011) * (t**2 + 1),
+            [(Fraction(-3300011, 1000003), 1), (Fraction(-3), 1)],
+            1000003 * (t**2 + 1),
+        ),
         (
             t**3 * (2 * t - 1) ** 2 * (2 * t + 1) * (8 * t - 3) * (4 * t + 5) * (t - 1024) * (t**2 - 2),
             [
