@@ -10,6 +10,8 @@ idempotent (omega(c) = 1, b(c, c) = 1, b(c, c^2) = 1), which is exactly the
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +22,7 @@ from .peirce import _divided_difference, peirce_poly, peirce_symbol
 from .poly import (
     Poly1,
     Poly3,
+    _collect,
     _symbol_zero_grid,
     divide_exact,
     format_rational,
@@ -82,7 +85,13 @@ class InternalHalfRootMissing(AssertionError):
 
 
 class CatalogParameterError(ValueError):
-    """Family parameters violate the family's defining constraint."""
+    """Family parameters are missing, unknown, of the wrong kind, or violate
+    the family's defining constraint."""
+
+
+# Identity-level results (rho, spectrum, symbol, zero grid) are memoized per
+# identity in bounded caches of this size and shared between callers.
+_IDENTITY_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, order=True)
@@ -149,6 +158,10 @@ class IdentityTerm:
 class WeightedIdentity:
     terms: tuple[IdentityTerm, ...]
     name: str | None = None
+
+    def __post_init__(self):
+        # a tuple keeps the identity hashable, so it can key the caches below
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     def __str__(self) -> str:
         parts = []
@@ -217,22 +230,25 @@ def _zero_sum_holds(identity: WeightedIdentity) -> bool:
     return sum(t.coeff for t in identity.terms) == 0
 
 
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def identity_peirce_poly(identity: WeightedIdentity) -> Poly1:
     """rho_c(P, t) = sum coeff * rho(monomial, t)."""
-    out = Poly1.zero()
-    for t in identity.terms:
-        out = out + peirce_poly(t.monomial) * t.coeff
-    return out
+    return _collect(
+        Poly1.VARS,
+        ((k, t.coeff * c) for t in identity.terms for k, c in peirce_poly(t.monomial).coeffs.items()),
+    )
 
 
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def identity_symbol(identity: WeightedIdentity) -> Poly3:
     """Y(a, b, p) = sum coeff * symbol(monomial)."""
-    out = Poly3.zero()
-    for t in identity.terms:
-        out = out + peirce_symbol(t.monomial) * t.coeff
-    return out
+    return _collect(
+        Poly3.VARS,
+        ((k, t.coeff * c) for t in identity.terms for k, c in peirce_symbol(t.monomial).coeffs.items()),
+    )
 
 
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def spectrum(identity: WeightedIdentity) -> SpectrumReport:
     rho = identity_peirce_poly(identity)
     if rho.is_zero:
@@ -243,6 +259,25 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
         )
     roots, residual = rational_roots(rho)
     return SpectrumReport(rho, tuple(roots), residual, degenerate=False)
+
+
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
+def _zero_grid(
+    identity: WeightedIdentity,
+) -> tuple[tuple[Fraction, ...], tuple[tuple[tuple[Fraction, Fraction], frozenset[Fraction]], ...]]:
+    """The eigenvalues (the rational roots of rho, and 1) and the zeros of Y
+    on them, as ((lam, mu), {nu : Y(lam, mu, nu) == 0}) pairs for lam <= mu;
+    both fusion modes read this one grid."""
+    report = spectrum(identity)
+    if report.degenerate:
+        raise DegenerateIdentity("degenerate identity has no fusion table")
+    if report.residual.degree >= 1:
+        raise IrrationalSpectrum(
+            f"non-rational spectral factor remains: {report.residual.render()}"
+        )
+    eigenvalues = tuple(sorted({r for r, _ in report.roots} | {Fraction(1)}))
+    grid = _symbol_zero_grid(identity_symbol(identity), eigenvalues)
+    return eigenvalues, tuple((pair, frozenset(zeros)) for pair, zeros in grid.items())
 
 
 def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTable:
@@ -257,23 +292,15 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
     """
     if mode not in ("generic", "metrized_orthogonal"):
         raise ValueError(f"unknown fusion mode {mode!r}")
-    report = spectrum(identity)
-    if report.degenerate:
-        raise DegenerateIdentity("degenerate identity has no fusion table")
-    if report.residual.degree >= 1:
-        raise IrrationalSpectrum(
-            f"non-rational spectral factor remains: {report.residual.render()}"
-        )
-    mult = dict(report.roots)
+    eigenvalues, zeros = _zero_grid(identity)
+    mult = dict(spectrum(identity).roots)
     one = Fraction(1)
     half = Fraction(1, 2)
-    eigenvalues = sorted(set(mult) | {one})
-    zeros = _symbol_zero_grid(identity_symbol(identity), eigenvalues)
 
     entries: dict[tuple[Fraction, Fraction], frozenset[Fraction]] = {}
-    for (lam, mu), y_zeros in zeros.items():
+    for (lam, mu), y_zeros in zeros:
         if mode == "generic":
-            allowed = y_zeros | ({one, lam, mu} & set(eigenvalues))
+            allowed = set(y_zeros) | {one, lam, mu}
             for simple, other in ((lam, mu), (mu, lam)):
                 if other == half and mult.get(simple, 0) == 1:
                     allowed.discard(simple)
@@ -292,7 +319,7 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
             "b-orthogonal Peirce components",
             "first-order weight terms vanish off A_c(1)",
         )
-    return FusionTable(tuple(eigenvalues), entries, mode, refinements)
+    return FusionTable(eigenvalues, entries, mode, refinements)
 
 
 def multiply_identities(p1: WeightedIdentity, p2: WeightedIdentity) -> WeightedIdentity:
@@ -317,8 +344,25 @@ def multiply_identities(p1: WeightedIdentity, p2: WeightedIdentity) -> WeightedI
 # --- catalog -----------------------------------------------------------------
 
 
-def _as_fractions(values: Sequence) -> list[Fraction]:
-    return [Fraction(v) for v in values]
+def _number(family: str, name: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise CatalogParameterError(
+            f"{family} parameter {name} must be a number, got {value!r}"
+        ) from None
+
+
+def _numbers(family: str, name: str, values) -> list[Fraction]:
+    """A list of numbers; one number (a string included) is a list of one."""
+    if isinstance(values, (str, int, Fraction)):
+        values = [values]
+    try:
+        return [Fraction(v) for v in values]
+    except TypeError:
+        raise CatalogParameterError(
+            f"{family} parameter {name} must be a list of numbers, got {values!r}"
+        ) from None
 
 
 def _catalog_jordan_power_assoc() -> WeightedIdentity:
@@ -343,8 +387,8 @@ def _catalog_pseudo_composition() -> WeightedIdentity:
 
 
 def _catalog_walcher(a_c="1/2", b_c=None) -> WeightedIdentity:
-    a_c = Fraction(a_c)
-    b_c = 1 - a_c if b_c is None else Fraction(b_c)
+    a_c = _number("walcher", "a_c", a_c)
+    b_c = 1 - a_c if b_c is None else _number("walcher", "b_c", b_c)
     if a_c + b_c != 1:
         raise CatalogParameterError(
             f"walcher requires a(c) + b(c) = 1, got {format_rational(a_c + b_c)}"
@@ -373,7 +417,7 @@ def _catalog_hsiang() -> WeightedIdentity:
 
 
 def _validate_train_gammas(gamma: Sequence[Fraction], family: str) -> list[Fraction]:
-    gamma = _as_fractions(gamma)
+    gamma = _numbers(family, "gamma", gamma)
     if len(gamma) < 2:
         raise CatalogParameterError(f"{family} needs rank >= 2 (at least two gammas)")
     if gamma[0] != 1:
@@ -406,7 +450,10 @@ def _catalog_plenary_train(gamma) -> WeightedIdentity:
 
 
 def _catalog_nourigat_varro(a1, a2, b1, b2, b3) -> WeightedIdentity:
-    a1, a2, b1, b2, b3 = (Fraction(v) for v in (a1, a2, b1, b2, b3))
+    a1, a2, b1, b2, b3 = (
+        _number("nourigat_varro", name, v)
+        for name, v in zip(("a1", "a2", "b1", "b2", "b3"), (a1, a2, b1, b2, b3))
+    )
     if a1 + a2 - b1 - b2 - b3 != 0:
         raise CatalogParameterError(
             "nourigat_varro requires a1 + a2 = b1 + b2 + b3 (coefficient sum zero)"
@@ -452,10 +499,25 @@ def catalog_names() -> list[str]:
 
 
 def catalog(name: str, params: Mapping | None = None) -> WeightedIdentity:
-    """Named identity families; `params` holds family-specific arguments."""
+    """Named identity families; `params` holds family-specific arguments.
+
+    A parameter the family does not take, or a required one left out, raises
+    CatalogParameterError.
+    """
     if name not in _CATALOG:
         raise KeyError(f"unknown catalog identity {name!r}; known: {', '.join(catalog_names())}")
-    return _CATALOG[name](**dict(params or {}))
+    family = _CATALOG[name]
+    params = dict(params or {})
+    known = inspect.signature(family).parameters
+    unknown = [k for k in params if k not in known]
+    if unknown:
+        takes = f"its parameters are {', '.join(known)}" if known else "it takes none"
+        raise CatalogParameterError(f"{name} has no parameter {unknown[0]!r}; {takes}")
+    missing = [k for k, p in known.items() if p.default is p.empty and k not in params]
+    if missing:
+        plural = "s" if len(missing) > 1 else ""
+        raise CatalogParameterError(f"{name} needs the parameter{plural} {', '.join(missing)}")
+    return family(**params)
 
 
 # --- train closed forms -------------------------------------------------------

@@ -48,11 +48,14 @@ class Monomial:
         if left is None:
             self.degree = 1
             self._key: tuple = (1,)
+            self._hash = hash(self._key)
         else:
             assert right is not None
             self.degree = left.degree + right.degree
             self._key = (self.degree, left._key, right._key)
-        self._hash = hash(self._key)
+            # O(1) from the children: hashing the nested key would walk the
+            # whole tree, since Python does not cache tuple hashes
+            self._hash = hash((self.degree, left._hash, right._hash))
 
     @property
     def is_atom(self) -> bool:

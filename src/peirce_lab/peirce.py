@@ -7,8 +7,10 @@ The two central recursions, over the canonical binary-tree form:
                                          + rho(m1, a)*rho(m2, b)
                                          + rho(m1, b)*rho(m2, a)
 
-Both are memoized per canonical monomial, since shared subtrees recur
-heavily in enumeration and identity evaluation.
+Both run in integers on exponent dicts (`_rho_ints`, `_symbol_ints`),
+memoized per canonical monomial, since shared subtrees recur heavily in
+enumeration and identity evaluation; `peirce_poly` and `peirce_symbol` build
+one exact polynomial from the result.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .magma import Monomial
-from .poly import Poly1, Poly3, divide_exact
+from .poly import Poly1, Poly3, _make, divide_exact
 
 __all__ = [
     "peirce_poly",
@@ -34,22 +36,50 @@ __all__ = [
 
 
 @functools.cache
+def _rho_ints(m: Monomial) -> dict[int, int]:
+    """rho(m) as {exponent of t: coefficient}; the coefficients are integers."""
+    if m.is_atom:
+        return {0: 1}
+    out = {e + 1: c for e, c in _rho_ints(m.left).items()}
+    for e, c in _rho_ints(m.right).items():
+        out[e + 1] = out.get(e + 1, 0) + c
+    return out
+
+
+@functools.cache
+def _symbol_ints(m: Monomial) -> dict[tuple[int, int, int], int]:
+    """sym(m) as {(exponents of a, b, p): coefficient}, in integers.
+
+    The p-shifted part has p-exponent >= 1 and the cross terms have 0, so the
+    two never share a key.
+    """
+    if m.is_atom:
+        return {}
+    left, right = m.left, m.right
+    out = {(ea, eb, ep + 1): c for (ea, eb, ep), c in _symbol_ints(left).items()}
+    for (ea, eb, ep), c in _symbol_ints(right).items():
+        k = (ea, eb, ep + 1)
+        out[k] = out.get(k, 0) + c
+    # rho(left, a)*rho(right, b) + rho(left, b)*rho(right, a): a term and its a <-> b swap
+    rho_right = _rho_ints(right).items()
+    for e1, c1 in _rho_ints(left).items():
+        for e2, c2 in rho_right:
+            c = c1 * c2
+            for k in ((e1, e2, 0), (e2, e1, 0)):
+                out[k] = out.get(k, 0) + c
+    return out
+
+
+@functools.cache
 def peirce_poly(m: Monomial) -> Poly1:
     """rho(m, t): 1 on the generator, t*(rho(left) + rho(right)) on products."""
-    if m.is_atom:
-        return Poly1.const(1)
-    return Poly1.t() * (peirce_poly(m.left) + peirce_poly(m.right))
+    return _make(Poly1.VARS, {(e,): Fraction(c) for e, c in _rho_ints(m).items()})
 
 
 @functools.cache
 def peirce_symbol(m: Monomial) -> Poly3:
     """The trivariate symbol in (a, b, p); symmetric under a <-> b."""
-    if m.is_atom:
-        return Poly3.zero()
-    left, right = m.left, m.right
-    # rho(left, a)*rho(right, b) + rho(left, b)*rho(right, a): a term and its a <-> b swap
-    cross = Poly3.from_poly1(peirce_poly(left), "a") * Poly3.from_poly1(peirce_poly(right), "b")
-    return Poly3.var("p") * (peirce_symbol(left) + peirce_symbol(right)) + cross + cross.swap_ab()
+    return _make(Poly3.VARS, {k: Fraction(c) for k, c in _symbol_ints(m).items()})
 
 
 def principal_peirce_closed(n: int) -> Poly1:

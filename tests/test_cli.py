@@ -304,6 +304,28 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     assert "[PASS]" not in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--catalog", "nourigat_varro"],
+            "nourigat_varro needs the parameters a1, a2, b1, b2, b3",
+        ),
+        (["--catalog", "hsiang", "--params", "x=1"], "hsiang has no parameter 'x'; it takes none"),
+        (
+            ["--catalog", "walcher", "--params", "a_c=1/3:b_c=1"],
+            "walcher parameter a_c must be a number, got ['1/3', 'b_c=1']",
+        ),
+    ],
+    ids=["missing", "unknown", "list-for-a-number"],
+)
+def test_bad_catalog_parameters_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == EXIT_VALIDATION_ERROR
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_deep_monomial_is_a_validation_error(capsys):
     # z^500 already overflows the peirce_poly recursion on Python 3.10-3.12;
     # 3000 is past the recursion limit on every supported version

@@ -1,11 +1,13 @@
 """Weighted identities: validation, spectra, symbols, fusion, catalog, products."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peirce_lab import identities
 from peirce_lab.identities import (
     CatalogParameterError,
     DegenerateIdentity,
@@ -30,11 +32,13 @@ from peirce_lab.identities import (
 )
 from peirce_lab.magma import (
     atom,
+    enumerate_monomials,
     parse_monomial,
     plenary_power,
     principal_power,
     product,
 )
+from peirce_lab.peirce import peirce_poly, peirce_symbol
 from peirce_lab.poly import Poly1, Poly3
 
 HALF = Fraction(1, 2)
@@ -401,6 +405,24 @@ def test_train_constraint_validation():
         train_closed_forms("principal_train", [1])
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("nourigat_varro", None, "nourigat_varro needs the parameters a1, a2, b1, b2, b3"),
+        ("principal_train", {}, "principal_train needs the parameter gamma"),
+        ("hsiang", {"x": "1"}, "hsiang has no parameter 'x'; it takes none"),
+        ("walcher", {"a_c": "1/3", "c": "1"}, "walcher has no parameter 'c'; its parameters are a_c, b_c"),
+        ("walcher", {"a_c": ["1/3", "b_c=1"]}, "walcher parameter a_c must be a number, got ['1/3', 'b_c=1']"),
+        ("nourigat_varro", {"a1": 1, "a2": 1, "b1": 1, "b2": 0, "b3": [1]}, "nourigat_varro parameter b3"),
+        ("plenary_train", {"gamma": 5}, "plenary_train needs rank >= 2"),
+        ("principal_train", {"gamma": [1, None]}, "principal_train parameter gamma must be a list of numbers"),
+    ],
+)
+def test_catalog_checks_parameters_against_the_family(name, params, message):
+    with pytest.raises(CatalogParameterError, match="^" + re.escape(message)):
+        catalog(name, params)
+
+
 # --- JSON round trip ----------------------------------------------------------
 
 
@@ -429,3 +451,107 @@ def test_identity_json_rejects_bad_sum():
     blob = {"terms": [{"coeff": "1", "monomial": "z"}]}
     with pytest.raises(ZeroSumViolation):
         identity_from_json(blob)
+
+
+# --- identity-level results: oracles and sharing ---------------------------------
+
+
+def _clear_identity_caches():
+    for fn in (identity_peirce_poly, identity_symbol, spectrum, identities._zero_grid):
+        fn.cache_clear()
+
+
+def _rho_by_growing_sum(identity):
+    out = Poly1.zero()
+    for t in identity.terms:
+        out = out + peirce_poly(t.monomial) * t.coeff
+    return out
+
+
+def _symbol_by_growing_sum(identity):
+    out = Poly3.zero()
+    for t in identity.terms:
+        out = out + peirce_symbol(t.monomial) * t.coeff
+    return out
+
+
+_SMALL_MONOMIALS = [m for d in range(1, 9) for m in enumerate_monomials(d)]
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-6, max_value=6, max_denominator=12),
+            st.sampled_from(_SMALL_MONOMIALS),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_identity_rho_and_symbol_match_growing_sums(raw_terms):
+    # a list of terms, repeated monomials and zero coefficients all allowed
+    ident = WeightedIdentity([IdentityTerm(c, m, baric_weight(k)) for c, m, k in raw_terms])
+    assert isinstance(ident.terms, tuple)
+    _clear_identity_caches()
+    rho, sym = identity_peirce_poly(ident), identity_symbol(ident)
+    assert rho == _rho_by_growing_sum(ident)
+    assert sym == _symbol_by_growing_sum(ident)
+    assert identity_peirce_poly(ident) is rho and identity_symbol(ident) is sym
+
+
+def test_identity_built_from_a_list_is_hashable_and_cached():
+    terms = [IdentityTerm(Fraction(1), principal_power(3)), IdentityTerm(Fraction(-1), atom())]
+    ident = WeightedIdentity(terms, name="listed")
+    assert ident == WeightedIdentity(tuple(terms), name="listed")
+    assert hash(ident) == hash(WeightedIdentity(tuple(terms), name="listed"))
+    report = spectrum(ident)
+    assert spectrum(ident) is report
+    assert report.roots == ((Fraction(-1), 1), (HALF, 1))
+
+
+def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
+    """rho, the spectrum, Y and both fusion tables of one identity solve rho
+    once and build the zero grid of Y once."""
+    t = Poly1.t()
+    f = t - 1
+    for r in (Fraction(-3), Fraction(-1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(3, 2)):
+        f = f * (t - r)
+    ident = catalog("principal_train", {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
+    counts = {"rational_roots": 0, "_symbol_zero_grid": 0}
+
+    def counted(name):
+        original = getattr(identities, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(identities, name, wrapper)
+
+    counted("rational_roots")
+    counted("_symbol_zero_grid")
+    _clear_identity_caches()
+    rho = identity_peirce_poly(ident)
+    report = spectrum(ident)
+    sym = identity_symbol(ident)
+    generic = fusion_table(ident, mode="generic")
+    metrized = fusion_table(ident, mode="metrized_orthogonal")
+    assert counts == {"rational_roots": 1, "_symbol_zero_grid": 1}
+    assert len(report.roots) == 6 and report.peirce_poly is rho
+    assert generic.spectrum == metrized.spectrum and len(generic.spectrum) == 7
+    # the cached results are immutable
+    eigenvalues, grid = identities._zero_grid(ident)
+    assert isinstance(eigenvalues, tuple) and isinstance(grid, tuple)
+    assert all(isinstance(zeros, frozenset) for _, zeros in grid)
+    assert sym == _symbol_by_growing_sum(ident)
+
+
+def test_degenerate_and_irrational_identities_raise_on_every_call():
+    _clear_identity_caches()
+    for _ in range(2):
+        with pytest.raises(DegenerateIdentity):
+            fusion_table(catalog("elduque_labra"), mode="metrized_orthogonal")
+        with pytest.raises(identities.IrrationalSpectrum):
+            fusion_table(catalog("principal_train", {"gamma": [1, -1, -2, 2]}))

@@ -1,6 +1,7 @@
 """Monomial trees: canonical form, parsing, formatting, enumeration."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -153,3 +154,31 @@ def test_leaves_inorder():
     leaves = list(leaves_inorder(m))
     assert len(leaves) == 3
     assert all(leaf.is_atom for leaf in leaves)
+
+
+def test_equal_monomials_built_along_different_paths_hash_equal():
+    z = atom()
+    z2 = product(z, z)
+    # (z^2 * z) * z^2 built with the factors in either order, or parsed
+    paths = [
+        product(product(z2, z), z2),
+        product(z2, product(z, z2)),
+        parse_monomial("z^2*(z*z^2)"),
+        parse_monomial("(z*z)*(z^2*z)"),
+    ]
+    assert len({id(m) for m in paths}) == len(paths)
+    for m in paths:
+        assert m == paths[0]
+        assert hash(m) == hash(paths[0])
+    assert len(set(paths)) == 1
+    assert hash(plenary_power(4)) == hash(product(plenary_power(3), plenary_power(3)))
+    assert hash(principal_power(6)) == hash(power(atom(), 6))
+
+
+def test_principal_power_builds_in_linear_time():
+    # hashing the whole nested key made each new node cost its depth, so the
+    # build was quadratic; at O(1) per node it takes milliseconds
+    start = time.perf_counter()
+    m = principal_power(5000)
+    assert time.perf_counter() - start < 0.2
+    assert m.degree == 5000

@@ -168,3 +168,54 @@ def test_product_recursion_property(d_left, d_right):
     m = product(m1, m2)
     t = Poly1.t()
     assert peirce_poly(m) == t * (peirce_poly(m1) + peirce_poly(m2))
+
+
+# --- Fraction oracles: the recursions as polynomial arithmetic -----------------
+
+
+def _rho_oracle(m, memo):
+    """rho by the definition, in Poly1 arithmetic over Fractions."""
+    if m not in memo:
+        if m.is_atom:
+            memo[m] = Poly1.const(1)
+        else:
+            memo[m] = Poly1.t() * (_rho_oracle(m.left, memo) + _rho_oracle(m.right, memo))
+    return memo[m]
+
+
+def _symbol_oracle(m, memo, rho_memo):
+    """The symbol by the definition, in Poly3 arithmetic over Fractions."""
+    if m not in memo:
+        if m.is_atom:
+            memo[m] = Poly3.zero()
+        else:
+            left, right = m.left, m.right
+            cross = Poly3.from_poly1(_rho_oracle(left, rho_memo), "a") * Poly3.from_poly1(
+                _rho_oracle(right, rho_memo), "b"
+            )
+            memo[m] = (
+                Poly3.var("p") * (_symbol_oracle(left, memo, rho_memo) + _symbol_oracle(right, memo, rho_memo))
+                + cross
+                + cross.swap_ab()
+            )
+    return memo[m]
+
+
+def test_integer_recursions_match_fraction_oracles_to_degree_10():
+    rho_memo, sym_memo = {}, {}
+    for d in range(1, 11):
+        for m in enumerate_monomials(d):
+            rho, sym = peirce_poly(m), peirce_symbol(m)
+            assert rho == _rho_oracle(m, rho_memo)
+            assert sym == _symbol_oracle(m, sym_memo, rho_memo)
+            # coefficients are stored as Fractions, like every Poly's
+            assert all(type(c) is Fraction for c in (*rho.coeffs.values(), *sym.coeffs.values()))
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=11, max_value=40), st.randoms(use_true_random=False))
+def test_integer_recursions_match_fraction_oracles_random(degree, rng):
+    m = _random_monomial(degree, rng)
+    rho_memo = {}
+    assert peirce_poly(m) == _rho_oracle(m, rho_memo)
+    assert peirce_symbol(m) == _symbol_oracle(m, {}, rho_memo)

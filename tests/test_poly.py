@@ -357,9 +357,12 @@ def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
         monkeypatch.setattr(Poly3, "__call__", counted)
         table = fusion_table(ident, mode=mode)
         assert calls == []
+        # the grid is cached per identity: the reference must build its own
+        identities._zero_grid.cache_clear()
         monkeypatch.setattr(identities, "_symbol_zero_grid", _zeros_by_evaluation)
         reference = fusion_table(ident, mode=mode)
         monkeypatch.undo()
+        identities._zero_grid.cache_clear()
         assert calls, "the reference evaluates Y per triple"
         assert len(table.spectrum) == 7
         assert table == reference
