@@ -262,9 +262,7 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
-def _zero_grid(
-    identity: WeightedIdentity,
-) -> tuple[tuple[Fraction, ...], tuple[tuple[tuple[Fraction, Fraction], frozenset[Fraction]], ...]]:
+def _zero_grid(identity: WeightedIdentity) -> tuple[tuple[Fraction, ...], tuple]:
     """The eigenvalues (the rational roots of rho, and 1) and the zeros of Y
     on them, as ((lam, mu), {nu : Y(lam, mu, nu) == 0}) pairs for lam <= mu;
     both fusion modes read this one grid."""
@@ -354,8 +352,7 @@ def _number(family: str, name: str, value) -> Fraction:
 
 
 def _numbers(family: str, name: str, values) -> list[Fraction]:
-    """A list of numbers; one number (a string included) is a list of one."""
-    if isinstance(values, (str, int, Fraction)):
+    if isinstance(values, str):  # one number, not a list of its characters
         values = [values]
     try:
         return [Fraction(v) for v in values]

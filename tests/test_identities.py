@@ -414,7 +414,8 @@ def test_train_constraint_validation():
         ("walcher", {"a_c": "1/3", "c": "1"}, "walcher has no parameter 'c'; its parameters are a_c, b_c"),
         ("walcher", {"a_c": ["1/3", "b_c=1"]}, "walcher parameter a_c must be a number, got ['1/3', 'b_c=1']"),
         ("nourigat_varro", {"a1": 1, "a2": 1, "b1": 1, "b2": 0, "b3": [1]}, "nourigat_varro parameter b3"),
-        ("plenary_train", {"gamma": 5}, "plenary_train needs rank >= 2"),
+        ("plenary_train", {"gamma": 5}, "plenary_train parameter gamma must be a list of numbers, got 5"),
+        ("plenary_train", {"gamma": "12"}, "plenary_train needs rank >= 2"),
         ("principal_train", {"gamma": [1, None]}, "principal_train parameter gamma must be a list of numbers"),
     ],
 )
