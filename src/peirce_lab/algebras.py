@@ -245,10 +245,6 @@ def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
     ]
 
 
-def mat_identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def mat_trace(m: Matrix) -> Fraction:
     return sum((m[i][i] for i in range(len(m))), Fraction(0))
 

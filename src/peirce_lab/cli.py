@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import algebras, identities, magma
-from .poly import format_rational
+from .poly import RationalSyntaxError, format_rational
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,7 +62,7 @@ def _read_identity(args) -> identities.WeightedIdentity:
         try:
             return identities.catalog(args.catalog, _parse_params(args.params))
         except KeyError as exc:
-            raise _CliError(str(exc), EXIT_PARSE_ERROR)
+            raise _CliError(exc.args[0], EXIT_PARSE_ERROR)
         except (identities.CatalogParameterError, ValueError) as exc:
             raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
     if args.identity:
@@ -238,12 +238,12 @@ def _load_algebra(args) -> algebras.StructureAlgebra:
         try:
             return algebras.build_algebra(args.builder)
         except KeyError as exc:
-            raise _CliError(str(exc), EXIT_PARSE_ERROR)
+            raise _CliError(exc.args[0], EXIT_PARSE_ERROR)
     try:
         with open(args.algebra) as fh:
             payload = json.load(fh)
         return algebras.algebra_from_json(payload)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, RationalSyntaxError, KeyError, TypeError) as exc:
         raise _CliError(f"cannot read algebra file: {exc}", EXIT_PARSE_ERROR)
     except ValueError as exc:
         raise _CliError(f"invalid algebra: {exc}", EXIT_VALIDATION_ERROR)

@@ -15,14 +15,16 @@ import inspect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
-from .peirce import _divided_difference, peirce_poly, peirce_symbol
+from .peirce import _divided_difference, _rho_ints, _symbol_ints
 from .poly import (
     Poly1,
     Poly3,
-    _collect,
+    _horner_hom,
+    _make,
     _symbol_zero_grid,
     divide_exact,
     format_rational,
@@ -160,8 +162,13 @@ class WeightedIdentity:
     name: str | None = None
 
     def __post_init__(self):
-        # a tuple keeps the identity hashable, so it can key the caches below
+        # a tuple keeps the identity hashable, so it can key the caches below;
+        # the hash is taken once, since every cache lookup asks for it
         object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "_hash", hash((self.terms, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         parts = []
@@ -230,22 +237,43 @@ def _zero_sum_holds(identity: WeightedIdentity) -> bool:
     return sum(t.coeff for t in identity.terms) == 0
 
 
+def _integer_sum(identity: WeightedIdentity, ints: Callable[[Monomial], dict]) -> tuple[int, dict]:
+    """(D, sum n_i * ints(m_i)) without its zero terms, where D is the lcm of
+    the coefficient denominators and n_i = D * coeff_i: D times the identity's
+    sum of the per-monomial integer forms of `peirce`."""
+    den = lcm(*(t.coeff.denominator for t in identity.terms))
+    out: dict = {}
+    for t in identity.terms:
+        n = t.coeff.numerator * (den // t.coeff.denominator)
+        for k, c in ints(t.monomial).items():
+            out[k] = out.get(k, 0) + n * c
+    return den, {k: c for k, c in out.items() if c}
+
+
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
+def _integer_rho(identity: WeightedIdentity) -> tuple[int, dict[int, int]]:
+    """(D, D * rho) with D * rho as {exponent of t: int}."""
+    return _integer_sum(identity, _rho_ints)
+
+
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
+def _integer_symbol(identity: WeightedIdentity) -> tuple[int, dict[tuple[int, int, int], int]]:
+    """(D, D * Y) with D * Y as {(exponents of a, b, p): int}."""
+    return _integer_sum(identity, _symbol_ints)
+
+
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def identity_peirce_poly(identity: WeightedIdentity) -> Poly1:
     """rho_c(P, t) = sum coeff * rho(monomial, t)."""
-    return _collect(
-        Poly1.VARS,
-        ((k, t.coeff * c) for t in identity.terms for k, c in peirce_poly(t.monomial).coeffs.items()),
-    )
+    den, ints = _integer_rho(identity)
+    return _make(Poly1.VARS, {(e,): Fraction(c, den) for e, c in ints.items()})
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def identity_symbol(identity: WeightedIdentity) -> Poly3:
     """Y(a, b, p) = sum coeff * symbol(monomial)."""
-    return _collect(
-        Poly3.VARS,
-        ((k, t.coeff * c) for t in identity.terms for k, c in peirce_symbol(t.monomial).coeffs.items()),
-    )
+    den, ints = _integer_symbol(identity)
+    return _make(Poly3.VARS, {k: Fraction(c, den) for k, c in ints.items()})
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
@@ -253,10 +281,12 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
     rho = identity_peirce_poly(identity)
     if rho.is_zero:
         return SpectrumReport(rho, (), Poly1.zero(), degenerate=True)
-    if _zero_sum_holds(identity) and rho(Fraction(1, 2)) != 0:
-        raise InternalHalfRootMissing(
-            "rho(P, 1/2) != 0 for a validated identity; this is a bug"
-        )
+    if _zero_sum_holds(identity):
+        ints = _integer_rho(identity)[1]
+        if _horner_hom([ints.get(e, 0) for e in range(max(ints) + 1)], 1, 2):
+            raise InternalHalfRootMissing(
+                "rho(P, 1/2) != 0 for a validated identity; this is a bug"
+            )
     roots, residual = rational_roots(rho)
     return SpectrumReport(rho, tuple(roots), residual, degenerate=False)
 
@@ -264,8 +294,8 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def _zero_grid(identity: WeightedIdentity) -> tuple[tuple[Fraction, ...], tuple]:
     """The eigenvalues (the rational roots of rho, and 1) and the zeros of Y
-    on them, as ((lam, mu), {nu : Y(lam, mu, nu) == 0}) pairs for lam <= mu;
-    both fusion modes read this one grid."""
+    on them, as ((i, j), {k : Y(lam_i, lam_j, lam_k) == 0}) pairs of indices
+    into the eigenvalues for i <= j; both fusion modes read this one grid."""
     report = spectrum(identity)
     if report.degenerate:
         raise DegenerateIdentity("degenerate identity has no fusion table")
@@ -274,7 +304,7 @@ def _zero_grid(identity: WeightedIdentity) -> tuple[tuple[Fraction, ...], tuple]
             f"non-rational spectral factor remains: {report.residual.render()}"
         )
     eigenvalues = tuple(sorted({r for r, _ in report.roots} | {Fraction(1)}))
-    grid = _symbol_zero_grid(identity_symbol(identity), eigenvalues)
+    grid = _symbol_zero_grid(_integer_symbol(identity)[1], eigenvalues)
     return eigenvalues, tuple((pair, frozenset(zeros)) for pair, zeros in grid.items())
 
 
@@ -286,30 +316,37 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
     from the lam * (1/2) row.  metrized_orthogonal additionally assumes
     b-orthogonal Peirce components and vanishing first-order weight terms,
     which lets the exceptions be dropped except for lam = mu (diagonal) and
-    the lam = 1 row.
+    the lam = 1 row.  The rules run on indices into the eigenvalues.
     """
     if mode not in ("generic", "metrized_orthogonal"):
         raise ValueError(f"unknown fusion mode {mode!r}")
     eigenvalues, zeros = _zero_grid(identity)
-    mult = dict(spectrum(identity).roots)
-    one = Fraction(1)
-    half = Fraction(1, 2)
+    one = eigenvalues.index(Fraction(1))
+    half = eigenvalues.index(Fraction(1, 2)) if Fraction(1, 2) in eigenvalues else -1
+    simple = {eigenvalues.index(r) for r, m in spectrum(identity).roots if m == 1}
 
+    # one frozenset of eigenvalues per distinct allowed set of indices, built
+    # as a union of singletons, which reuses their stored hashes
+    singletons = [frozenset((v,)) for v in eigenvalues]
+    as_values: dict[frozenset[int], frozenset[Fraction]] = {}
     entries: dict[tuple[Fraction, Fraction], frozenset[Fraction]] = {}
-    for (lam, mu), y_zeros in zeros:
+    for (i, j), y_zeros in zeros:
         if mode == "generic":
-            allowed = set(y_zeros) | {one, lam, mu}
-            for simple, other in ((lam, mu), (mu, lam)):
-                if other == half and mult.get(simple, 0) == 1:
-                    allowed.discard(simple)
+            allowed = y_zeros | {one, i, j}
+            if j == half and i in simple:
+                allowed -= {i}
+            if i == half and j in simple:
+                allowed -= {j}
+        elif one in (i, j):
+            allowed = frozenset((j if i == one else i,))
+        elif i == j:
+            allowed = y_zeros | {one}
         else:
-            if one in (lam, mu):
-                allowed = {mu if lam == one else lam}
-            elif lam == mu:
-                allowed = {nu for nu in y_zeros if nu != one} | {one}
-            else:
-                allowed = set(y_zeros)
-        entries[(lam, mu)] = frozenset(allowed)
+            allowed = y_zeros
+        values = as_values.get(allowed)
+        if values is None:
+            values = as_values[allowed] = frozenset().union(*map(singletons.__getitem__, allowed))
+        entries[(eigenvalues[i], eigenvalues[j])] = values
 
     refinements = ()
     if mode == "metrized_orthogonal":
@@ -349,6 +386,10 @@ def _number(family: str, name: str, value) -> Fraction:
         raise CatalogParameterError(
             f"{family} parameter {name} must be a number, got {value!r}"
         ) from None
+    except ZeroDivisionError:
+        raise CatalogParameterError(
+            f"{family} parameter {name} has a zero denominator: {value!r}"
+        ) from None
 
 
 def _numbers(family: str, name: str, values) -> list[Fraction]:
@@ -359,6 +400,10 @@ def _numbers(family: str, name: str, values) -> list[Fraction]:
     except TypeError:
         raise CatalogParameterError(
             f"{family} parameter {name} must be a list of numbers, got {values!r}"
+        ) from None
+    except ZeroDivisionError:
+        raise CatalogParameterError(
+            f"{family} parameter {name} has a zero denominator: {values!r}"
         ) from None
 
 

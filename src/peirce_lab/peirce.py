@@ -10,7 +10,8 @@ The two central recursions, over the canonical binary-tree form:
 Both run in integers on exponent dicts (`_rho_ints`, `_symbol_ints`),
 memoized per canonical monomial, since shared subtrees recur heavily in
 enumeration and identity evaluation; `peirce_poly` and `peirce_symbol` build
-one exact polynomial from the result.
+one exact polynomial from the result, and `identities` sums the integer
+forms of an identity's monomials over one denominator.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ __all__ = [
     "Poly1",
     "Poly3",
     "ExactDivisionError",
+    "RationalSyntaxError",
     "divide_exact",
     "rational_roots",
     "parse_rational",
@@ -35,9 +36,20 @@ class ExactDivisionError(ArithmeticError):
     """A division expected to be exact left a nonzero remainder."""
 
 
+class RationalSyntaxError(ValueError):
+    """Text that is not a rational number, or one with a zero denominator."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" or a plain integer string."""
-    return Fraction(text.strip())
+    if not isinstance(text, str):
+        raise RationalSyntaxError(f"expected a rational number as a string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:
+        raise RationalSyntaxError(str(exc)) from None
+    except ZeroDivisionError:
+        raise RationalSyntaxError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Scalar) -> str:
@@ -347,36 +359,34 @@ def _horner_hom(coeffs: Sequence[int], p: int, q: int) -> int:
 
 
 def _symbol_zero_grid(
-    y: Poly3, values: Sequence[Fraction]
-) -> dict[tuple[Fraction, Fraction], set[Fraction]]:
-    """{(lam, mu): {nu in values : y(lam, mu, nu) == 0}} for every pair with
-    lam at or before mu in `values`.
+    y: Mapping[Exponents, int], values: Sequence[Fraction]
+) -> dict[tuple[int, int], set[int]]:
+    """{(i, j): {k : y(values[i], values[j], values[k]) == 0}} for i <= j.
 
-    y is scaled to integer coefficients and each variable is homogenized with
-    the denominator of the value put in for it, so a is substituted once per
-    lam, b once per pair, and each nu is one integer Horner pass.
+    y is {(exponents of a, b, p): int}, any nonzero integer multiple of a
+    symbol, and the zeros are indices into `values`.  Each variable is
+    homogenized with the denominator of the value put in for it, so a is
+    substituted once per lam, b once per pair, and each nu is one integer
+    Horner pass.
     """
     fracs = [(v.numerator, v.denominator) for v in values]
-    den = lcm(*(c.denominator for c in y.coeffs.values()))
-    da, db, dp = (max((k[i] for k in y.coeffs), default=0) for i in range(3))
-    # dense a-coefficients of the b^eb * p^ep part of den * y
+    da, db, dp = (max((k[i] for k in y), default=0) for i in range(3))
+    # dense a-coefficients of the b^eb * p^ep part of y
     by_bp: dict[tuple[int, int], list[int]] = {}
-    for (ea, eb, ep), c in y.coeffs.items():
-        by_bp.setdefault((eb, ep), [0] * (da + 1))[ea] = c.numerator * (den // c.denominator)
-    grid: dict[tuple[Fraction, Fraction], set[Fraction]] = {}
+    for (ea, eb, ep), c in y.items():
+        by_bp.setdefault((eb, ep), [0] * (da + 1))[ea] = c
+    grid: dict[tuple[int, int], set[int]] = {}
     for i, (pa, qa) in enumerate(fracs):
         # dense b-coefficients of the p^ep part, a substituted
         at_a: dict[int, list[int]] = {}
         for (eb, ep), coeffs in by_bp.items():
             at_a.setdefault(ep, [0] * (db + 1))[eb] = _horner_hom(coeffs, pa, qa)
-        for j in range(i, len(values)):
+        for j in range(i, len(fracs)):
             pb, qb = fracs[j]
             at_ab = [0] * (dp + 1)
             for ep, coeffs in at_a.items():
                 at_ab[ep] = _horner_hom(coeffs, pb, qb)
-            grid[(values[i], values[j])] = {
-                nu for nu, (pn, qn) in zip(values, fracs) if _horner_hom(at_ab, pn, qn) == 0
-            }
+            grid[(i, j)] = {k for k, (pn, qn) in enumerate(fracs) if not _horner_hom(at_ab, pn, qn)}
     return grid
 
 

@@ -316,8 +316,16 @@ def test_verify_rejects_trials_below_one(capsys, trials):
             ["--catalog", "walcher", "--params", "a_c=1/3:b_c=1"],
             "walcher parameter a_c must be a number, got ['1/3', 'b_c=1']",
         ),
+        (
+            ["--catalog", "principal_train", "--params", "gamma=1:1/0"],
+            "principal_train parameter gamma has a zero denominator: ['1', '1/0']",
+        ),
+        (
+            ["--catalog", "walcher", "--params", "a_c=1/0"],
+            "walcher parameter a_c has a zero denominator: '1/0'",
+        ),
     ],
-    ids=["missing", "unknown", "list-for-a-number"],
+    ids=["missing", "unknown", "list-for-a-number", "zero-denominator-in-list", "zero-denominator"],
 )
 def test_bad_catalog_parameters_exit_3(capsys, argv, message):
     code, out, err = run(capsys, "spectrum", *argv)
@@ -343,6 +351,11 @@ def test_deep_monomial_is_a_validation_error(capsys):
             {"terms": [{"coeff": "x", "monomial": "z"}]},
             EXIT_PARSE_ERROR,
             "cannot read identity file: ",
+        ),
+        (
+            {"terms": [{"coeff": "1/0", "monomial": "z^2"}, {"coeff": "-1", "monomial": "z"}]},
+            EXIT_PARSE_ERROR,
+            "cannot read identity file: zero denominator in '1/0'\n",
         ),
         ([1, 2], EXIT_PARSE_ERROR, "cannot read identity file: "),
         (
@@ -377,6 +390,7 @@ def test_deep_monomial_is_a_validation_error(capsys):
     ids=[
         "empty-terms",
         "bad-coefficient",
+        "zero-denominator-coefficient",
         "top-level-list",
         "negative-baric-exponent",
         "fractional-baric-exponent",
@@ -391,4 +405,46 @@ def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
     got, out, err = run(capsys, "poly", "--identity", str(path))
     assert got == code
     assert err.startswith(f"error: {message}")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0", "zero denominator in '1/0'"),
+        ("x", "Invalid literal for Fraction: 'x'"),
+        (1, "expected a rational number as a string, got 1"),
+    ],
+    ids=["zero-denominator", "not-a-number", "json-number"],
+)
+def test_unreadable_number_in_algebra_file_exit_2(capsys, tmp_path, value, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 1, "structure": [[[value]]], "idempotents": [["1"]]}))
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: cannot read algebra file: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["spectrum", "--catalog", "nope"],
+            "unknown catalog identity 'nope'; known: bernstein, elduque_labra, hsiang, "
+            "jordan_power_assoc, nourigat_varro, plenary_train, principal_train, "
+            "pseudo_composition, walcher",
+        ),
+        (
+            ["verify", "--builder", "nope", "--catalog", "hsiang"],
+            "unknown builder 'nope'; known: hsiang_sym3, jordan_sym2, jordan_sym3, "
+            "spin_factor2, spin_factor3",
+        ),
+    ],
+    ids=["catalog", "builder"],
+)
+def test_unknown_name_message_has_no_stray_quotes(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: {message}\n"
     assert out == ""

@@ -5,13 +5,14 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from peirce_lab import identities
 from peirce_lab.identities import (
     CatalogParameterError,
     DegenerateIdentity,
     EmptyIdentity,
+    FusionTable,
     IdentityTerm,
     WeightedIdentity,
     ZeroSumViolation,
@@ -458,7 +459,14 @@ def test_identity_json_rejects_bad_sum():
 
 
 def _clear_identity_caches():
-    for fn in (identity_peirce_poly, identity_symbol, spectrum, identities._zero_grid):
+    for fn in (
+        identity_peirce_poly,
+        identity_symbol,
+        spectrum,
+        identities._integer_rho,
+        identities._integer_symbol,
+        identities._zero_grid,
+    ):
         fn.cache_clear()
 
 
@@ -512,6 +520,25 @@ def test_identity_built_from_a_list_is_hashable_and_cached():
     assert report.roots == ((Fraction(-1), 1), (HALF, 1))
 
 
+def test_identity_hash_is_taken_once(monkeypatch):
+    terms = [IdentityTerm(Fraction(1, 3), principal_power(3)), IdentityTerm(Fraction(-1, 3), atom())]
+    listed = WeightedIdentity(terms, name="hashed")
+    tupled = WeightedIdentity(tuple(terms), name="hashed")
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed != WeightedIdentity(tuple(terms), name="other")
+    report = spectrum(listed)
+    calls = []
+    term_hash = IdentityTerm.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return term_hash(self)
+
+    monkeypatch.setattr(IdentityTerm, "__hash__", counted)
+    assert spectrum(tupled) is report
+    assert calls == []
+
+
 def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     """rho, the spectrum, Y and both fusion tables of one identity solve rho
     once and build the zero grid of Y once."""
@@ -556,3 +583,99 @@ def test_degenerate_and_irrational_identities_raise_on_every_call():
             fusion_table(catalog("elduque_labra"), mode="metrized_orthogonal")
         with pytest.raises(identities.IrrationalSpectrum):
             fusion_table(catalog("principal_train", {"gamma": [1, -1, -2, 2]}))
+
+
+# --- fusion tables: the per-triple definition as the oracle ----------------------
+
+
+def _fusion_by_definition(identity, mode):
+    """The fusion table by its definition: Y evaluated per triple by
+    Poly.__call__, and the exceptions applied on Fraction sets."""
+    report = spectrum(identity)
+    eigenvalues = tuple(sorted({r for r, _ in report.roots} | {ONE}))
+    y = _symbol_by_growing_sum(identity)
+    mult = dict(report.roots)
+    entries = {}
+    for i, lam in enumerate(eigenvalues):
+        for mu in eigenvalues[i:]:
+            y_zeros = {nu for nu in eigenvalues if y(lam, mu, nu) == 0}
+            if mode == "generic":
+                allowed = y_zeros | {ONE, lam, mu}
+                for simple, other in ((lam, mu), (mu, lam)):
+                    if other == HALF and mult.get(simple, 0) == 1:
+                        allowed.discard(simple)
+            elif ONE in (lam, mu):
+                allowed = {mu if lam == ONE else lam}
+            elif lam == mu:
+                allowed = {nu for nu in y_zeros if nu != ONE} | {ONE}
+            else:
+                allowed = y_zeros
+            entries[(lam, mu)] = frozenset(allowed)
+    refinements = ()
+    if mode == "metrized_orthogonal":
+        refinements = (
+            "b-orthogonal Peirce components",
+            "first-order weight terms vanish off A_c(1)",
+        )
+    return FusionTable(eigenvalues, entries, mode, refinements)
+
+
+# coprime denominators, so that the identity's common denominator D is > 1
+_SCALES = [Fraction(1, 3), Fraction(1, 7), Fraction(-10, 21), Fraction(5, 2), Fraction(1)]
+_PLANTED = [
+    Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(-1, 3), Fraction(0), Fraction(1, 7),
+    Fraction(1, 3), HALF, Fraction(2, 3), ONE, Fraction(3, 2), Fraction(3), Fraction(-10, 21),
+]
+_FUSION_MONOMIALS = [m for d in range(1, 6) for m in enumerate_monomials(d)]
+
+
+def _planted_train(family, roots):
+    """The train identity whose gammas are the coefficients of (t - 1) prod (t - r)."""
+    t = Poly1.t()
+    f = t - 1
+    for r in roots:
+        f = f * (t - r)
+    return catalog(family, {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
+
+
+def _zero_sum_identity(raw_terms, last):
+    """The terms and `last`, weighted so that the coefficients sum to 0, or
+    None if they cancel."""
+    terms = list(raw_terms)
+    rest = -sum(c for c, _ in terms)
+    if rest:
+        terms.append((rest, last))
+    try:
+        return make_identity(terms)
+    except EmptyIdentity:
+        return None
+
+
+_RATIONAL_SPECTRUM_IDENTITIES = st.one_of(
+    st.builds(
+        _planted_train,
+        st.sampled_from(["principal_train", "plenary_train"]),
+        st.lists(st.sampled_from(_PLANTED), min_size=1, max_size=4),
+    ),
+    st.builds(
+        _zero_sum_identity,
+        st.lists(
+            st.tuples(st.sampled_from(_SCALES), st.sampled_from(_FUSION_MONOMIALS)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(_FUSION_MONOMIALS),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RATIONAL_SPECTRUM_IDENTITIES, st.sampled_from(_SCALES))
+def test_fusion_table_matches_the_per_triple_definition(ident, scale):
+    assume(ident is not None)
+    # scaling an identity changes neither its spectrum nor the zeros of Y
+    ident = make_identity([(scale * t.coeff, t.monomial, t.weight) for t in ident.terms])
+    report = spectrum(ident)
+    assume(not report.degenerate and report.residual.degree < 1)
+    for mode in ("generic", "metrized_orthogonal"):
+        assert fusion_table(ident, mode=mode) == _fusion_by_definition(ident, mode)

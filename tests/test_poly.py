@@ -301,6 +301,29 @@ def _zeros_by_evaluation(y, values):
     }
 
 
+def _integer_form(y):
+    """The least integer multiple of y, as the {exponents: int} that
+    _symbol_zero_grid reads."""
+    den = lcm(*(c.denominator for c in y.coeffs.values()))
+    return {k: int(c * den) for k, c in y.coeffs.items()}
+
+
+def _by_value(grid, values):
+    """An index grid of _symbol_zero_grid, keyed and filled by the values."""
+    return {
+        (values[i], values[j]): {values[k] for k in zeros} for (i, j), zeros in grid.items()
+    }
+
+
+def _index_grid_by_evaluation(y_ints, values):
+    """_symbol_zero_grid through the per-triple definition."""
+    index = {v: k for k, v in enumerate(values)}
+    return {
+        (index[lam], index[mu]): {index[nu] for nu in zeros}
+        for (lam, mu), zeros in _zeros_by_evaluation(Poly3(y_ints), values).items()
+    }
+
+
 _GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
 _ALWAYS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-2, 3)]
 
@@ -325,14 +348,15 @@ def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
     report = spectrum(ident)
     values = sorted(set(_ALWAYS + extra_values + [r for r, _ in report.roots]))
     y = identity_symbol(ident)
-    assert _symbol_zero_grid(y, values) == _zeros_by_evaluation(y, values)
+    grid = _symbol_zero_grid(_integer_form(y), values)
+    assert _by_value(grid, values) == _zeros_by_evaluation(y, values)
 
 
 def test_symbol_zero_grid_of_zero_symbol():
     y = identity_symbol(make_identity([(1, atom())], require_zero_sum=False))
     assert y.is_zero
     values = [Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
-    grid = _symbol_zero_grid(y, values)
+    grid = _by_value(_symbol_zero_grid(_integer_form(y), values), values)
     assert grid == _zeros_by_evaluation(y, values)
     assert all(zeros == set(values) for zeros in grid.values())
 
@@ -359,7 +383,7 @@ def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
         assert calls == []
         # the grid is cached per identity: the reference must build its own
         identities._zero_grid.cache_clear()
-        monkeypatch.setattr(identities, "_symbol_zero_grid", _zeros_by_evaluation)
+        monkeypatch.setattr(identities, "_symbol_zero_grid", _index_grid_by_evaluation)
         reference = fusion_table(ident, mode=mode)
         monkeypatch.undo()
         identities._zero_grid.cache_clear()
