@@ -238,9 +238,9 @@ def _zero_sum_holds(identity: WeightedIdentity) -> bool:
 
 
 def _integer_sum(identity: WeightedIdentity, ints: Callable[[Monomial], dict]) -> tuple[int, dict]:
-    """(D, sum n_i * ints(m_i)) without its zero terms, where D is the lcm of
-    the coefficient denominators and n_i = D * coeff_i: D times the identity's
-    sum of the per-monomial integer forms of `peirce`."""
+    """(D, D * sum coeff_i * ints(m_i)) in integers, without zero terms, where
+    D is the lcm of the coefficient denominators and `ints` is one of the
+    per-monomial integer forms of `peirce`."""
     den = lcm(*(t.coeff.denominator for t in identity.terms))
     out: dict = {}
     for t in identity.terms:

@@ -539,6 +539,22 @@ def test_identity_hash_is_taken_once(monkeypatch):
     assert calls == []
 
 
+def test_half_root_guard_reads_the_integer_rho(monkeypatch):
+    """A rho without the root 1/2 on a zero-sum identity is reported as a bug:
+    rho(z^2) = 2t is replaced by 2t + 1."""
+    ident = make_identity([(1, principal_power(2)), (-1, atom())])
+    rho_ints = identities._rho_ints
+    monkeypatch.setattr(
+        identities, "_rho_ints", lambda m: {0: 1, 1: 2} if m.degree == 2 else rho_ints(m)
+    )
+    _clear_identity_caches()
+    with pytest.raises(identities.InternalHalfRootMissing):
+        spectrum(ident)
+    monkeypatch.undo()
+    _clear_identity_caches()
+    assert spectrum(ident).roots == ((HALF, 1),)
+
+
 def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     """rho, the spectrum, Y and both fusion tables of one identity solve rho
     once and build the zero grid of Y once."""
