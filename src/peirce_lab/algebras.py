@@ -25,7 +25,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .identities import WeightDescriptor, WeightedIdentity, identity_peirce_poly
-from .magma import Monomial, atom
+from .magma import Monomial, atom, fold
 from .peirce import peirce_poly, peirce_symbol
 from .poly import (
     ExactDivisionError,
@@ -414,23 +414,10 @@ def _jet_product(algebra: StructureAlgebra, a: dict, b: dict, caps: tuple[int, .
 def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, caps: tuple[int, ...] = ()) -> dict:
     """Jet of m, given memo[atom()] = the leaf jet.
 
-    Walks the DAG with an explicit stack, so depth costs no recursion, and
-    computes each canonical subtree once.  `memo` maps subtrees to their jets;
-    evaluations of several monomials at the same leaf may share it.
+    `memo` maps subtrees to their jets; evaluations of several monomials at
+    the same leaf may share it.
     """
-    stack = [m]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [child for child in (node.left, node.right) if child not in memo]
-        if pending:
-            stack.extend(pending)
-        else:
-            stack.pop()
-            memo[node] = _jet_product(algebra, memo[node.left], memo[node.right], caps)
-    return memo[m]
+    return fold(m, memo, lambda node, a, b: _jet_product(algebra, a, b, caps))
 
 
 def evaluate_monomial(algebra: StructureAlgebra, m: Monomial, x: Sequence) -> Vector:

@@ -43,13 +43,6 @@ def _parse_params(text: str | None) -> dict:
     return out
 
 
-def _load_identity(args) -> identities.WeightedIdentity:
-    identity = _read_identity(args)
-    # main names this degree if a recursion over the monomials overflows the stack
-    args.identity_degree = max(t.monomial.degree for t in identity.terms)
-    return identity
-
-
 def _read_identity(args) -> identities.WeightedIdentity:
     sources = [s for s in (args.catalog, args.identity, getattr(args, "source", None)) if s]
     if len(sources) != 1:
@@ -133,7 +126,7 @@ def _fusion_payload(table: identities.FusionTable) -> dict:
 
 
 def cmd_poly(args) -> int:
-    identity = _load_identity(args)
+    identity = _read_identity(args)
     rho = identities.identity_peirce_poly(identity)
     lines = [f"rho = {rho.render()}"]
     payload = {"command": "poly", "input": str(identity), "rho": rho.render()}
@@ -155,7 +148,7 @@ def cmd_poly(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    identity = _load_identity(args)
+    identity = _read_identity(args)
     report = identities.spectrum(identity)
     lines = [f"rho = {report.peirce_poly.render()}"]
     if report.degenerate:
@@ -175,7 +168,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_symbol(args) -> int:
-    identity = _load_identity(args)
+    identity = _read_identity(args)
     sym = identities.identity_symbol(identity)
     label = "D" if _is_bare_monomial(args) else "Y"
     lines = [f"{label} = {sym.render()}"]
@@ -185,7 +178,7 @@ def cmd_symbol(args) -> int:
 
 
 def cmd_fusion(args) -> int:
-    identity = _load_identity(args)
+    identity = _read_identity(args)
     mode = "metrized_orthogonal" if args.mode == "metrized" else "generic"
     try:
         table = identities.fusion_table(identity, mode=mode)
@@ -253,7 +246,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise _CliError(f"--trials must be at least 1, got {args.trials}", EXIT_PARSE_ERROR)
     algebra = _load_algebra(args)
-    identity = _load_identity(args)
+    identity = _read_identity(args)
     if not algebra.idempotents:
         raise _CliError("algebra declares no idempotents", EXIT_VALIDATION_ERROR)
     if not 0 <= args.idempotent < len(algebra.idempotents):
@@ -395,9 +388,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except RecursionError:
-        degree = getattr(args, "identity_degree", None)
-        detail = f" (degree {degree})" if degree is not None else ""
-        print(f"error: monomial nesting too deep{detail}", file=sys.stderr)
+        # the monomial parser is the only recursion over monomials: parentheses
+        # nested too deeply
+        print("error: monomial nesting too deep", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
 

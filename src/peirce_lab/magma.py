@@ -2,15 +2,18 @@
 
 A monomial is an unordered complete binary tree whose leaves are the
 generator.  Children of every product node are kept in a canonical order
-(by degree, then by the recursive tree encoding), so two monomials that
-are equal as commutative words are structurally identical and can be used
-as dict keys directly.
+(by degree, then left child, then right child), and nodes are interned:
+two monomials that are equal as commutative words are the same object, so
+equality and hashing are identity.  Other modules walk a tree only through
+:func:`fold`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+import threading
+import weakref
+from typing import Callable, TypeVar
 
 __all__ = [
     "Monomial",
@@ -20,6 +23,7 @@ __all__ = [
     "power",
     "principal_power",
     "plenary_power",
+    "fold",
     "parse_monomial",
     "format_monomial",
     "enumerate_monomials",
@@ -27,6 +31,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_DEGREE = 14
+T = TypeVar("T")
 
 
 class MonomialSyntaxError(ValueError):
@@ -37,43 +42,56 @@ class MonomialSyntaxError(ValueError):
         self.position = position
 
 
+# Every live monomial by its (left, right) children; weak values free the ones
+# nothing else references.  Not a cache: clearing it would make equal
+# monomials distinct objects.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_interning = threading.Lock()
+
+
 class Monomial:
-    """Immutable canonical binary tree; build via :func:`atom` / :func:`product`."""
+    """Immutable canonical binary tree; build via :func:`atom` / :func:`product`.
 
-    __slots__ = ("left", "right", "degree", "_key", "_hash")
+    `Monomial(left, right)` puts the children in canonical order and returns
+    the one node with those children.  `principal` marks z^n and `plenary`
+    marks z^[n]; the atom z is both.
+    """
 
-    def __init__(self, left: "Monomial | None", right: "Monomial | None"):
-        self.left = left
-        self.right = right
-        if left is None:
-            self.degree = 1
-            self._key: tuple = (1,)
-            self._hash = hash(self._key)
-        else:
-            assert right is not None
-            self.degree = left.degree + right.degree
-            self._key = (self.degree, left._key, right._key)
-            # O(1) from the children: hashing the nested key would walk the
-            # whole tree, since Python does not cache tuple hashes
-            self._hash = hash((self.degree, left._hash, right._hash))
+    __slots__ = ("left", "right", "degree", "principal", "plenary", "__weakref__")
+
+    def __new__(cls, left: "Monomial | None", right: "Monomial | None") -> "Monomial":
+        if left is not None and right < left:
+            left, right = right, left
+        with _interning:  # one node per pair of children, whichever thread asks
+            node = _interned.get((left, right))
+            if node is None:
+                node = _interned[left, right] = object.__new__(cls)
+                node.left, node.right = left, right
+                node.degree = 1 if left is None else left.degree + right.degree
+                node.principal = left is None or (left.degree == 1 and right.principal)
+                node.plenary = left is None or (left is right and left.plenary)
+        return node
 
     @property
     def is_atom(self) -> bool:
         return self.left is None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __lt__(self, other: "Monomial") -> bool:
-        return self._key < other._key
+        """Canonical order: degree, then left child, then right child."""
+        a, b = self, other
+        while a is not b:
+            if a.degree != b.degree:
+                return a.degree < b.degree
+            # equal degrees above 1: both are products, and interning makes
+            # them differ in the first pair of children that are not one object
+            a, b = (a.left, b.left) if a.left is not b.left else (a.right, b.right)
+        return False
 
     def __le__(self, other: "Monomial") -> bool:
-        return self._key <= other._key
+        return self is other or self < other
+
+    def __reduce__(self):
+        return Monomial, (self.left, self.right)
 
     def __repr__(self) -> str:
         return f"Monomial({format_monomial(self)!r})"
@@ -92,8 +110,6 @@ def atom() -> Monomial:
 
 def product(m1: Monomial, m2: Monomial) -> Monomial:
     """Commutative product; children stored in canonical order."""
-    if m2._key < m1._key:
-        m1, m2 = m2, m1
     return Monomial(m1, m2)
 
 
@@ -120,6 +136,28 @@ def plenary_power(n: int) -> Monomial:
     for _ in range(n - 1):
         out = Monomial(out, out)
     return out
+
+
+def fold(m: Monomial, memo: dict[Monomial, T], step: Callable[[Monomial, T, T], T]) -> T:
+    """memo[m], setting memo[node] = step(node, memo[node.left], memo[node.right])
+    once for every subtree missing from memo, children first.
+
+    `memo` must hold the atom's value.  The walk keeps its own stack, so depth
+    costs no recursion.
+    """
+    stack = [m]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+        elif node.left not in memo:
+            stack.append(node.left)
+        elif node.right not in memo:
+            stack.append(node.right)
+        else:
+            stack.pop()
+            memo[node] = step(node, memo[node.left], memo[node.right])
+    return memo[m]
 
 
 # --- text format ------------------------------------------------------------
@@ -183,10 +221,8 @@ class _Parser:
                 self.i += 1
                 n = self.integer()
                 self.expect("]")
-                base = out
                 for _ in range(n - 1):
-                    base = product(base, base)
-                out = base
+                    out = product(out, out)
             else:
                 out = power(out, self.integer())
         return out
@@ -221,35 +257,30 @@ def parse_monomial(text: str) -> Monomial:
 
 def format_monomial(m: Monomial) -> str:
     """Render with minimal parentheses; inverse of :func:`parse_monomial`."""
-    if m.is_atom:
-        return "z"
-    n = m.degree
-    if m == principal_power(n):
-        return f"z^{n}"
-    if n & (n - 1) == 0 and m == plenary_power(n.bit_length()):
-        return f"z^[{n.bit_length()}]"
-
-    def child(c: Monomial) -> str:
-        s = format_monomial(c)
-        return f"({s})" if "*" in s else s
-
-    return f"{child(m.left)}*{child(m.right)}"
+    out = []
+    stack: list = [m]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif node.principal:
+            out.append(f"z^{node.degree}" if node.degree > 1 else "z")
+        elif node.plenary:
+            out.append(f"z^[{node.degree.bit_length()}]")
+        else:
+            # pushed right to left; a child without sugar is a product, so
+            # it goes in parentheses
+            for item in (node.right, "*", node.left):
+                if isinstance(item, str) or item.principal or item.plenary:
+                    stack.append(item)
+                else:
+                    stack += [")", item, "("]
+    return "".join(out)
 
 
 # --- enumeration ------------------------------------------------------------
 
 _enum_cache: dict[int, tuple[Monomial, ...]] = {1: (_ATOM,)}
-
-
-def _enumerate(d: int) -> tuple[Monomial, ...]:
-    if d not in _enum_cache:
-        out = set()
-        for a in range(1, d // 2 + 1):
-            for ma in _enumerate(a):
-                for mb in _enumerate(d - a):
-                    out.add(product(ma, mb))
-        _enum_cache[d] = tuple(sorted(out, key=lambda m: m._key))
-    return _enum_cache[d]
 
 
 def enumerate_monomials(d: int, max_degree: int = MAX_ENUMERATION_DEGREE) -> list[Monomial]:
@@ -260,13 +291,16 @@ def enumerate_monomials(d: int, max_degree: int = MAX_ENUMERATION_DEGREE) -> lis
     """
     if not 1 <= d <= max_degree:
         raise ValueError(f"degree must be in 1..{max_degree}, got {d}")
-    return list(_enumerate(d))
-
-
-def leaves_inorder(m: Monomial) -> Iterator[Monomial]:
-    """Leaves in left-to-right order (used by the linearization machinery)."""
-    if m.is_atom:
-        yield m
-    else:
-        yield from leaves_inorder(m.left)
-        yield from leaves_inorder(m.right)
+    # the cache holds degrees 1..len(_enum_cache); each further degree is
+    # generated from the lower ones in canonical order: by the degree of the
+    # left child, then the left child, then the right child
+    for n in range(len(_enum_cache) + 1, d + 1):
+        out = []
+        for a in range(1, n // 2 + 1):
+            rights = _enum_cache[n - a]
+            for i, left in enumerate(_enum_cache[a]):
+                # equal degrees: only right >= left, so each pair once
+                for right in rights[i:] if 2 * a == n else rights:
+                    out.append(Monomial(left, right))
+        _enum_cache[n] = tuple(out)
+    return list(_enum_cache[d])

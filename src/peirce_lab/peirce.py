@@ -7,8 +7,8 @@ The two central recursions, over the canonical binary-tree form:
                                          + rho(m1, a)*rho(m2, b)
                                          + rho(m1, b)*rho(m2, a)
 
-Both run in integers on exponent dicts (`_rho_ints`, `_symbol_ints`),
-memoized per canonical monomial, since shared subtrees recur heavily in
+Both run in integers on exponent dicts (`_rho_ints`, `_symbol_ints`) as
+`magma.fold`s, memoized per monomial, since shared subtrees recur heavily in
 enumeration and identity evaluation; `peirce_poly` and `peirce_symbol` build
 one exact polynomial from the result, and `identities` sums the integer
 forms of an identity's monomials over one denominator.
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .magma import Monomial
+from .magma import Monomial, atom, fold
 from .poly import Poly1, Poly3, _make, divide_exact
 
 __all__ = [
@@ -36,39 +36,46 @@ __all__ = [
 ]
 
 
-@functools.cache
-def _rho_ints(m: Monomial) -> dict[int, int]:
-    """rho(m) as {exponent of t: coefficient}; the coefficients are integers."""
-    if m.is_atom:
-        return {0: 1}
-    out = {e + 1: c for e, c in _rho_ints(m.left).items()}
-    for e, c in _rho_ints(m.right).items():
+# Memos of the two recursions, keyed by monomial, each seeded with the atom
+# as `magma.fold` requires.
+_rho_cache: dict[Monomial, dict[int, int]] = {atom(): {0: 1}}
+_symbol_cache: dict[Monomial, dict[tuple[int, int, int], int]] = {atom(): {}}
+
+
+def _rho_step(m: Monomial, left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
+    out = {e + 1: c for e, c in left.items()}
+    for e, c in right.items():
         out[e + 1] = out.get(e + 1, 0) + c
     return out
 
 
-@functools.cache
+def _rho_ints(m: Monomial) -> dict[int, int]:
+    """rho(m) as {exponent of t: coefficient}; the coefficients are integers."""
+    return fold(m, _rho_cache, _rho_step)
+
+
+def _symbol_step(m: Monomial, left: dict, right: dict) -> dict[tuple[int, int, int], int]:
+    out = {(ea, eb, ep + 1): c for (ea, eb, ep), c in left.items()}
+    for (ea, eb, ep), c in right.items():
+        k = (ea, eb, ep + 1)
+        out[k] = out.get(k, 0) + c
+    # rho(left, a)*rho(right, b) + rho(left, b)*rho(right, a): a term and its a <-> b swap
+    rho_right = _rho_ints(m.right).items()
+    for e1, c1 in _rho_ints(m.left).items():
+        for e2, c2 in rho_right:
+            c = c1 * c2
+            for k in ((e1, e2, 0), (e2, e1, 0)):
+                out[k] = out.get(k, 0) + c
+    return out
+
+
 def _symbol_ints(m: Monomial) -> dict[tuple[int, int, int], int]:
     """sym(m) as {(exponents of a, b, p): coefficient}, in integers.
 
     The p-shifted part has p-exponent >= 1 and the cross terms have 0, so the
     two never share a key.
     """
-    if m.is_atom:
-        return {}
-    left, right = m.left, m.right
-    out = {(ea, eb, ep + 1): c for (ea, eb, ep), c in _symbol_ints(left).items()}
-    for (ea, eb, ep), c in _symbol_ints(right).items():
-        k = (ea, eb, ep + 1)
-        out[k] = out.get(k, 0) + c
-    # rho(left, a)*rho(right, b) + rho(left, b)*rho(right, a): a term and its a <-> b swap
-    rho_right = _rho_ints(right).items()
-    for e1, c1 in _rho_ints(left).items():
-        for e2, c2 in rho_right:
-            c = c1 * c2
-            for k in ((e1, e2, 0), (e2, e1, 0)):
-                out[k] = out.get(k, 0) + c
-    return out
+    return fold(m, _symbol_cache, _symbol_step)
 
 
 @functools.cache

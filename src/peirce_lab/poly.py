@@ -272,10 +272,6 @@ class Poly1(Poly):
     def t(cls) -> "Poly1":
         return cls.var("t")
 
-    def compose3(self, arg: "Poly3") -> "Poly3":
-        """Substitute a Poly3 for t."""
-        return self(arg)
-
 
 class Poly3(Poly):
     """Polynomial in the commuting variables (a, b, p)."""

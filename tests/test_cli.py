@@ -1,6 +1,7 @@
 """Command-line interface: output, JSON schema, exit-code contract."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -12,6 +13,7 @@ from peirce_lab.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from peirce_lab.peirce import plenary_symbol_closed
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -334,13 +336,39 @@ def test_bad_catalog_parameters_exit_3(capsys, argv, message):
     assert out == ""
 
 
-def test_deep_monomial_is_a_validation_error(capsys):
-    # z^500 already overflows the peirce_poly recursion on Python 3.10-3.12;
-    # 3000 is past the recursion limit on every supported version
-    code, out, err = run(capsys, "poly", "z^3000")
+def test_deep_principal_power_answers(capsys):
+    # rho(z^n) = 2*t^(n-1) + t^(n-2) + ... + t; 3000 is past the default
+    # recursion limit on every supported version, and nothing recurses
+    for n in (2000, 3000):
+        code, out, err = run(capsys, "poly", f"z^{n}")
+        assert code == EXIT_OK
+        assert out.startswith(f"rho = 2*t^{n - 1} + t^{n - 2} + ")
+        assert err == ""
+
+
+def test_deep_parentheses_are_a_validation_error(capsys):
+    # the monomial parser is the one recursion left
+    code, out, err = run(capsys, "poly", "(" * 400 + "z" + ")" * 400)
     assert code == EXIT_VALIDATION_ERROR
-    assert err.strip() == "error: monomial nesting too deep (degree 3000)"
+    assert err == "error: monomial nesting too deep\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["poly", "z^[64]"], "rho = 9223372036854775808*t^63"),
+        (["symbol", "z^[40]"], f"D = {plenary_symbol_closed(40).render()}"),
+    ],
+    ids=["poly", "symbol"],
+)
+def test_deep_plenary_power_is_fast(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert out == expected + "\n"
+    assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from peirce_lab.magma import (
     atom,
     enumerate_monomials,
     format_monomial,
-    leaves_inorder,
     parse_monomial,
     plenary_power,
     power,
@@ -145,15 +144,7 @@ def test_random_tree_canonical_invariance(degree, rng):
 
     m = build(degree)
     assert m.degree == degree
-    assert sum(1 for _ in leaves_inorder(m)) == degree
     assert parse_monomial(format_monomial(m)) == m
-
-
-def test_leaves_inorder():
-    m = parse_monomial("z^3")
-    leaves = list(leaves_inorder(m))
-    assert len(leaves) == 3
-    assert all(leaf.is_atom for leaf in leaves)
 
 
 def test_equal_monomials_built_along_different_paths_hash_equal():
@@ -166,7 +157,7 @@ def test_equal_monomials_built_along_different_paths_hash_equal():
         parse_monomial("z^2*(z*z^2)"),
         parse_monomial("(z*z)*(z^2*z)"),
     ]
-    assert len({id(m) for m in paths}) == len(paths)
+    assert len({id(m) for m in paths}) == 1
     for m in paths:
         assert m == paths[0]
         assert hash(m) == hash(paths[0])
@@ -182,3 +173,60 @@ def test_principal_power_builds_in_linear_time():
     m = principal_power(5000)
     assert time.perf_counter() - start < 0.2
     assert m.degree == 5000
+
+
+def old_key(m):
+    # the recursive tuple key that ordered monomials before they were interned
+    return (1,) if m.is_atom else (m.degree, old_key(m.left), old_key(m.right))
+
+
+def test_order_matches_the_recursive_key_up_to_degree_10():
+    ms = [m for d in range(1, 11) for m in enumerate_monomials(d)]
+    random.Random(0).shuffle(ms)
+    assert sorted(ms) == sorted(ms, key=old_key)
+
+
+def test_enumeration_is_in_the_order_of_the_recursive_key():
+    for d in range(1, 13):
+        ms = enumerate_monomials(d)
+        assert ms == sorted(ms, key=old_key)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=12),
+       st.randoms(use_true_random=False))
+def test_order_matches_the_recursive_key_on_random_monomials(degrees, rng):
+    def build(d):
+        if d == 1:
+            return atom()
+        split = rng.randint(1, d - 1)
+        return product(build(split), build(d - split))
+
+    ms = [build(d) for d in degrees]
+    assert sorted(ms) == sorted(ms, key=old_key)
+    for a in ms:
+        for b in ms:
+            assert (a < b) == (old_key(a) < old_key(b))
+            assert (a <= b) == (old_key(a) <= old_key(b))
+
+
+def left_chain(base, factors):
+    # base*z*z*...*z as the parser reads it: each step multiplies by z
+    return parse_monomial(format_monomial(base) + "*z" * (factors - 1))
+
+
+def test_deep_monomials_compare_without_recursion():
+    assert principal_power(3000) == principal_power(3000)
+    assert principal_power(3000) is principal_power(3000)
+    a, b = principal_power(3000), left_chain(plenary_power(3), 2997)
+    assert a.degree == b.degree == 3000
+    # they first differ at the bottom: z^4 = z*z^3 against z^[3] = z^2*z^2
+    assert a < b and not b < a and a != b
+
+
+def test_deep_left_chain_formats_without_recursion():
+    m = left_chain(plenary_power(3), 3000)
+    assert format_monomial(m) == "z*(" * 2998 + "z*z^[3]" + ")" * 2998
+    # parsing nests three frames per parenthesis, so the round trip is
+    # checked at a depth inside the default recursion limit
+    shallow = left_chain(plenary_power(3), 200)
+    assert parse_monomial(format_monomial(shallow)) is shallow
