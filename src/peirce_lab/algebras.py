@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
 
+from ._record import _Record, _set
 from .identities import WeightDescriptor, WeightedIdentity, identity_peirce_poly
 from .magma import Monomial, atom, fold
 from .peirce import peirce_poly, peirce_symbol
@@ -101,28 +101,39 @@ def _divided(values: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(v, den) for v in values)
 
 
-@dataclass
-class StructureAlgebra:
-    dim: int
-    structure: tuple  # structure[i][j] is the product vector e_i e_j
-    bilinear_form: tuple | None = None
-    weight: Vector | None = None
-    idempotents: tuple[Vector, ...] = ()
-    name: str = ""
+class StructureAlgebra(_Record):
+    """Structure constants with an optional form, weight and idempotents.
+
+    Unlike the other records it is mutable and unhashable; reassigning a
+    field does not update the integer copies.
+    """
+
     # Integer copies over one denominator each.  _terms[i][j] holds the
     # nonzero (k, _den * c_ijk) of e_i e_j, so _product loops over these only;
     # _form is _form_den * the bilinear form and _omega _omega_den * the weight.
-    _terms: tuple = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-    _form: list | None = field(init=False, repr=False, compare=False)
-    _form_den: int = field(init=False, repr=False, compare=False)
-    _omega: list | None = field(init=False, repr=False, compare=False)
-    _omega_den: int = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "dim", "structure", "bilinear_form", "weight", "idempotents", "name",
+        "_terms", "_den", "_form", "_form_den", "_omega", "_omega_den",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        dim: int,
+        structure: tuple,  # structure[i][j] is the product vector e_i e_j
+        bilinear_form: tuple | None = None,
+        weight: Vector | None = None,
+        idempotents: tuple[Vector, ...] = (),
+        name: str = "",
+    ):
+        self.dim = dim
+        self.bilinear_form = bilinear_form
+        self.weight = weight
+        self.name = name
         self.structure = tuple(
-            tuple(_vec(self.structure[i][j]) for j in range(self.dim))
-            for i in range(self.dim)
+            tuple(_vec(structure[i][j]) for j in range(dim)) for i in range(dim)
         )
         self._den = lcm(*(c.denominator for row in self.structure for prod in row for c in prod))
         self._terms = tuple(
@@ -137,7 +148,7 @@ class StructureAlgebra:
         if self.weight is not None:
             self.weight = _vec(self.weight)
             (self._omega,), self._omega_den = _cleared((self.weight,))
-        self.idempotents = tuple(_vec(c) for c in self.idempotents)
+        self.idempotents = tuple(_vec(c) for c in idempotents)
         self._validate()
 
     def _validate(self) -> None:
@@ -217,14 +228,24 @@ class StructureAlgebra:
         return Fraction(self._omega_of(xs), den * self._omega_den)
 
 
-@dataclass(frozen=True)
-class PeirceDecomposition:
-    idempotent: Vector
-    char_poly: Poly1
-    eigenvalues: tuple[Fraction, ...]
-    eigenbases: Mapping[Fraction, tuple[Vector, ...]]
-    residual: Poly1
-    semisimple: bool
+class PeirceDecomposition(_Record):
+    __slots__ = ("idempotent", "char_poly", "eigenvalues", "eigenbases", "residual", "semisimple")
+
+    def __init__(
+        self,
+        idempotent: Vector,
+        char_poly: Poly1,
+        eigenvalues: tuple[Fraction, ...],
+        eigenbases: Mapping[Fraction, tuple[Vector, ...]],
+        residual: Poly1,
+        semisimple: bool,
+    ):
+        _set(self, "idempotent", idempotent)
+        _set(self, "char_poly", char_poly)
+        _set(self, "eigenvalues", eigenvalues)
+        _set(self, "eigenbases", eigenbases)
+        _set(self, "residual", residual)
+        _set(self, "semisimple", semisimple)
 
     def multiplicity(self, lam: Fraction) -> int:
         return len(self.eigenbases.get(lam, ()))
@@ -452,11 +473,13 @@ def second_linearization(
 # --- verification reports -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    subject: str
-    failures: tuple[str, ...] = ()
+class VerificationReport(_Record):
+    __slots__ = ("ok", "subject", "failures")
+
+    def __init__(self, ok: bool, subject: str, failures: tuple[str, ...] = ()):
+        _set(self, "ok", ok)
+        _set(self, "subject", subject)
+        _set(self, "failures", failures)
 
     def __bool__(self) -> bool:
         return self.ok

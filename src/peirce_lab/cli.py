@@ -3,8 +3,7 @@
 Commands: poly, spectrum, symbol, fusion, enumerate, verify, catalog list.
 Exit codes: 0 success / all verifications pass, 1 a verification failed,
 2 parse error (monomial text, JSON files, --trials below 1), 3 validation
-error (zero-sum violation, degenerate identity, bad parameters, monomial
-nesting too deep).
+error (zero-sum violation, degenerate identity, bad parameters).
 """
 
 from __future__ import annotations
@@ -69,8 +68,9 @@ def _read_identity(args) -> identities.WeightedIdentity:
             identities.InvalidWeight,
         ) as exc:
             raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
-        except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
-            # ValueError covers JSON syntax, monomial syntax and bad numbers
+        except (OSError, KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
+            # ValueError covers JSON syntax, monomial syntax and bad numbers;
+            # the JSON decoder recurses on nested brackets
             raise _CliError(f"cannot read identity file: {exc}", EXIT_PARSE_ERROR)
     # bare monomial: treat as the formal identity 1 * m, no zero-sum demand
     m = _parse_monomial_arg(args.source)
@@ -236,7 +236,14 @@ def _load_algebra(args) -> algebras.StructureAlgebra:
         with open(args.algebra) as fh:
             payload = json.load(fh)
         return algebras.algebra_from_json(payload)
-    except (OSError, json.JSONDecodeError, RationalSyntaxError, KeyError, TypeError) as exc:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        RecursionError,  # the JSON decoder recurses on nested brackets
+        RationalSyntaxError,
+        KeyError,
+        TypeError,
+    ) as exc:
         raise _CliError(f"cannot read algebra file: {exc}", EXIT_PARSE_ERROR)
     except ValueError as exc:
         raise _CliError(f"invalid algebra: {exc}", EXIT_VALIDATION_ERROR)
@@ -387,11 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     except magma.MonomialSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except RecursionError:
-        # the monomial parser is the only recursion over monomials: parentheses
-        # nested too deeply
-        print("error: monomial nesting too deep", file=sys.stderr)
-        return EXIT_VALIDATION_ERROR
 
 
 if __name__ == "__main__":

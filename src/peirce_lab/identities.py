@@ -11,13 +11,12 @@ idempotent (omega(c) = 1, b(c, c) = 1, b(c, c^2) = 1), which is exactly the
 from __future__ import annotations
 
 import functools
-import inspect
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
+from ._record import _Record, _set
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
 from .peirce import _divided_difference, _rho_ints, _symbol_ints
 from .poly import (
@@ -96,20 +95,26 @@ class CatalogParameterError(ValueError):
 _IDENTITY_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True, order=True)
-class WeightDescriptor:
+@functools.total_ordering
+class WeightDescriptor(_Record):
     """Normalized weight w(z) = omega(z)^baric_exp * prod b(z, z^m).
 
     Products of weights close under this normal form, which is what
-    multiply_identities produces.
+    multiply_identities produces.  Weights are ordered by their fields.
     """
 
-    baric_exp: int = 0
-    bilinear_args: tuple[Monomial, ...] = ()
+    __slots__ = ("baric_exp", "bilinear_args")
 
-    def __post_init__(self):
-        if self.baric_exp < 0:
-            raise InvalidWeight(f"baric exponent must be nonnegative, got {self.baric_exp}")
+    def __init__(self, baric_exp: int = 0, bilinear_args: tuple[Monomial, ...] = ()):
+        if baric_exp < 0:
+            raise InvalidWeight(f"baric exponent must be nonnegative, got {baric_exp}")
+        _set(self, "baric_exp", baric_exp)
+        _set(self, "bilinear_args", bilinear_args)
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
 
     @property
     def kind(self) -> str:
@@ -149,23 +154,30 @@ def bilinear_weight(m: Monomial) -> WeightDescriptor:
     return WeightDescriptor(bilinear_args=(m,))
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
-    coeff: Fraction  # value of the polynomial-map coefficient at the idempotent
-    monomial: Monomial
-    weight: WeightDescriptor = field(default_factory=constant_weight)
+class IdentityTerm(_Record):
+    __slots__ = ("coeff", "monomial", "weight")
+
+    def __init__(
+        self,
+        coeff: Fraction,  # value of the polynomial-map coefficient at the idempotent
+        monomial: Monomial,
+        weight: WeightDescriptor = WeightDescriptor(),  # immutable, so one is shared
+    ):
+        _set(self, "coeff", coeff)
+        _set(self, "monomial", monomial)
+        _set(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class WeightedIdentity:
-    terms: tuple[IdentityTerm, ...]
-    name: str | None = None
+class WeightedIdentity(_Record):
+    __slots__ = ("terms", "name", "_hash")
 
-    def __post_init__(self):
+    def __init__(self, terms: Iterable[IdentityTerm], name: str | None = None):
         # a tuple keeps the identity hashable, so it can key the caches below;
         # the hash is taken once, since every cache lookup asks for it
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "_hash", hash((self.terms, self.name)))
+        terms = tuple(terms)
+        _set(self, "terms", terms)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((terms, name)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -179,20 +191,36 @@ class WeightedIdentity:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    peirce_poly: Poly1
-    roots: tuple[tuple[Fraction, int], ...]
-    residual: Poly1
-    degenerate: bool
+class SpectrumReport(_Record):
+    __slots__ = ("peirce_poly", "roots", "residual", "degenerate")
+
+    def __init__(
+        self,
+        peirce_poly: Poly1,
+        roots: tuple[tuple[Fraction, int], ...],
+        residual: Poly1,
+        degenerate: bool,
+    ):
+        _set(self, "peirce_poly", peirce_poly)
+        _set(self, "roots", roots)
+        _set(self, "residual", residual)
+        _set(self, "degenerate", degenerate)
 
 
-@dataclass(frozen=True)
-class FusionTable:
-    spectrum: tuple[Fraction, ...]  # eigenvalues, always including 1
-    entries: Mapping[tuple[Fraction, Fraction], frozenset[Fraction]]
-    mode: str  # "generic" | "metrized_orthogonal"
-    refinements_applied: tuple[str, ...] = ()
+class FusionTable(_Record):
+    __slots__ = ("spectrum", "entries", "mode", "refinements_applied")
+
+    def __init__(
+        self,
+        spectrum: tuple[Fraction, ...],  # eigenvalues, always including 1
+        entries: Mapping[tuple[Fraction, Fraction], frozenset[Fraction]],
+        mode: str,  # "generic" | "metrized_orthogonal"
+        refinements_applied: tuple[str, ...] = (),
+    ):
+        _set(self, "spectrum", spectrum)
+        _set(self, "entries", entries)
+        _set(self, "mode", mode)
+        _set(self, "refinements_applied", refinements_applied)
 
     def allowed(self, lam: Fraction, mu: Fraction) -> frozenset[Fraction]:
         key = (lam, mu) if lam <= mu else (mu, lam)
@@ -550,12 +578,16 @@ def catalog(name: str, params: Mapping | None = None) -> WeightedIdentity:
         raise KeyError(f"unknown catalog identity {name!r}; known: {', '.join(catalog_names())}")
     family = _CATALOG[name]
     params = dict(params or {})
-    known = inspect.signature(family).parameters
+    # every family takes plain positional-or-keyword parameters, the
+    # trailing ones with defaults
+    code = family.__code__
+    known = code.co_varnames[: code.co_argcount]
     unknown = [k for k in params if k not in known]
     if unknown:
         takes = f"its parameters are {', '.join(known)}" if known else "it takes none"
         raise CatalogParameterError(f"{name} has no parameter {unknown[0]!r}; {takes}")
-    missing = [k for k, p in known.items() if p.default is p.empty and k not in params]
+    required = known[: len(known) - len(family.__defaults__ or ())]
+    missing = [k for k in required if k not in params]
     if missing:
         plural = "s" if len(missing) > 1 else ""
         raise CatalogParameterError(f"{name} needs the parameter{plural} {', '.join(missing)}")

@@ -207,14 +207,37 @@ class _Parser:
         return int(tok)
 
     def expression(self) -> Monomial:
-        out = self.factor()
-        while self.peek() == "*":
-            self.i += 1
-            out = product(out, self.factor())
-        return out
+        """expression ::= factor ("*" factor)*; factor ::= primary postfix*;
+        primary ::= "z" | "(" expression ")".
 
-    def factor(self) -> Monomial:
-        out = self.primary()
+        An open parenthesis pushes the product read so far in the enclosing
+        expression and its close pops it, so nesting costs no recursion.
+        """
+        enclosing: list[Monomial | None] = []
+        out = None  # the product of the factors read so far
+        while True:
+            tok = self.peek()
+            if tok == "(":
+                self.i += 1
+                enclosing.append(out)
+                out = None
+                continue
+            if tok != "z":
+                raise MonomialSyntaxError("expected 'z' or '('", self.pos())
+            self.i += 1
+            factor = _ATOM
+            while True:
+                factor = self.postfix(factor)
+                out = factor if out is None else product(out, factor)
+                if self.peek() == "*":
+                    self.i += 1
+                    break
+                if not enclosing:
+                    return out
+                self.expect(")")
+                factor, out = out, enclosing.pop()
+
+    def postfix(self, out: Monomial) -> Monomial:
         while self.peek() == "^":
             self.i += 1
             if self.peek() == "[":
@@ -226,18 +249,6 @@ class _Parser:
             else:
                 out = power(out, self.integer())
         return out
-
-    def primary(self) -> Monomial:
-        tok = self.peek()
-        if tok == "z":
-            self.i += 1
-            return _ATOM
-        if tok == "(":
-            self.i += 1
-            out = self.expression()
-            self.expect(")")
-            return out
-        raise MonomialSyntaxError("expected 'z' or '('", self.pos())
 
 
 def parse_monomial(text: str) -> Monomial:

@@ -13,6 +13,8 @@ from peirce_lab.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from peirce_lab.identities import identity_peirce_poly, identity_to_json, make_identity
+from peirce_lab.magma import parse_monomial, principal_power
 from peirce_lab.peirce import plenary_symbol_closed
 
 REPORT_SCHEMA = {
@@ -346,12 +348,13 @@ def test_deep_principal_power_answers(capsys):
         assert err == ""
 
 
-def test_deep_parentheses_are_a_validation_error(capsys):
-    # the monomial parser is the one recursion left
+def test_deep_parentheses_answer(capsys):
+    # the parser keeps its own stack, so nesting past the recursion limit
+    # answers
     code, out, err = run(capsys, "poly", "(" * 400 + "z" + ")" * 400)
-    assert code == EXIT_VALIDATION_ERROR
-    assert err == "error: monomial nesting too deep\n"
-    assert out == ""
+    assert code == EXIT_OK
+    assert out == "rho = 1\n"
+    assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -452,6 +455,47 @@ def test_unreadable_number_in_algebra_file_exit_2(capsys, tmp_path, value, messa
     assert code == EXIT_PARSE_ERROR
     assert err == f"error: cannot read algebra file: {message}\n"
     assert out == ""
+
+
+DEEP_BRACKETS = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["poly", "--identity"], DEEP_BRACKETS, "cannot read identity file: "),
+        (
+            ["verify", "--catalog", "hsiang", "--algebra"],
+            '{"dim": ' + DEEP_BRACKETS + ', "structure": []}',
+            "cannot read algebra file: ",
+        ),
+    ],
+    ids=["identity", "algebra-dim"],
+)
+def test_json_nested_past_the_recursion_limit_exit_2(capsys, tmp_path, argv, text, message):
+    # the JSON decoder raises RecursionError; that is an unreadable file
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EXIT_PARSE_ERROR
+    assert err.startswith(f"error: {message}")
+    assert out == ""
+
+
+def test_deep_identity_file_round_trips(capsys, tmp_path):
+    # identity_to_json writes the 397-factor chain z^[3]*z*...*z with 395
+    # nested parentheses, and the CLI reads it back
+    m = parse_monomial("z^[3]" + "*z" * 396)
+    identity = make_identity([(1, m), (-1, principal_power(m.degree))])
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(identity_to_json(identity)))
+    assert path.read_text().count("(") == 395
+    code, out, err = run(capsys, "--json", "poly", "--identity", str(path))
+    assert code == EXIT_OK
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["input"] == str(identity)
+    assert payload["rho"] == identity_peirce_poly(identity).render()
 
 
 @pytest.mark.parametrize(

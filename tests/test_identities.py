@@ -1,5 +1,6 @@
 """Weighted identities: validation, spectra, symbols, fusion, catalog, products."""
 
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -101,6 +102,40 @@ def test_catalog_names_complete():
     )
     with pytest.raises(KeyError):
         catalog("nope")
+
+
+def signature_check(name, params):
+    """The parameter check of `catalog` on `inspect.signature`, as it was
+    written before the check read the family's code object: the oracle."""
+    known = inspect.signature(identities._CATALOG[name]).parameters
+    unknown = [k for k in params if k not in known]
+    if unknown:
+        takes = f"its parameters are {', '.join(known)}" if known else "it takes none"
+        return f"{name} has no parameter {unknown[0]!r}; {takes}"
+    missing = [k for k, p in known.items() if p.default is p.empty and k not in params]
+    if missing:
+        plural = "s" if len(missing) > 1 else ""
+        return f"{name} needs the parameter{plural} {', '.join(missing)}"
+    return None
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_parameter_errors_match_signature_oracle(name):
+    known = list(inspect.signature(identities._CATALOG[name]).parameters)
+    cases = [
+        {},  # every required parameter missing
+        {k: "1" for k in known[1:]},  # the first one missing
+        {k: "1" for k in known[:1]},  # all but the first missing
+        {"x": "1"},  # unknown
+        {**{k: "1" for k in known}, "extra": "1"},  # all, plus one extra
+    ]
+    for params in cases:
+        want = signature_check(name, params)
+        if want is None:
+            continue
+        with pytest.raises(CatalogParameterError) as exc:
+            catalog(name, params)
+        assert str(exc.value) == want, params
 
 
 def test_jordan_peirce_poly_and_roots():

@@ -4,8 +4,9 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from peirce_lab import magma
 from peirce_lab.magma import (
     MAX_ENUMERATION_DEGREE,
     Monomial,
@@ -226,7 +227,103 @@ def test_deep_monomials_compare_without_recursion():
 def test_deep_left_chain_formats_without_recursion():
     m = left_chain(plenary_power(3), 3000)
     assert format_monomial(m) == "z*(" * 2998 + "z*z^[3]" + ")" * 2998
-    # parsing nests three frames per parenthesis, so the round trip is
-    # checked at a depth inside the default recursion limit
-    shallow = left_chain(plenary_power(3), 200)
-    assert parse_monomial(format_monomial(shallow)) is shallow
+
+
+def test_deep_left_chain_round_trips():
+    # 2998 nested parentheses, far past the default recursion limit
+    m = left_chain(plenary_power(3), 3000)
+    assert parse_monomial(format_monomial(m)) is m
+
+
+class RecursiveParser:
+    """The recursive-descent parser the iterative one replaced: the oracle
+    for its results, error messages and error positions."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = magma._tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+
+    def pos(self):
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
+
+    def expect(self, tok):
+        if self.peek() != tok:
+            raise MonomialSyntaxError(f"expected {tok!r}", self.pos())
+        self.i += 1
+
+    def integer(self):
+        tok = self.peek()
+        if tok is None or not tok.isdigit():
+            raise MonomialSyntaxError("expected an integer", self.pos())
+        if int(tok) == 0:
+            raise MonomialSyntaxError("exponent 0 is not allowed", self.pos())
+        self.i += 1
+        return int(tok)
+
+    def expression(self):
+        out = self.factor()
+        while self.peek() == "*":
+            self.i += 1
+            out = product(out, self.factor())
+        return out
+
+    def factor(self):
+        out = self.primary()
+        while self.peek() == "^":
+            self.i += 1
+            if self.peek() == "[":
+                self.i += 1
+                n = self.integer()
+                self.expect("]")
+                for _ in range(n - 1):
+                    out = product(out, out)
+            else:
+                out = power(out, self.integer())
+        return out
+
+    def primary(self):
+        tok = self.peek()
+        if tok == "z":
+            self.i += 1
+            return atom()
+        if tok == "(":
+            self.i += 1
+            out = self.expression()
+            self.expect(")")
+            return out
+        raise MonomialSyntaxError("expected 'z' or '('", self.pos())
+
+    def parse(self):
+        if not self.tokens:
+            raise MonomialSyntaxError("empty input", 0)
+        out = self.expression()
+        if self.peek() is not None:
+            raise MonomialSyntaxError(f"trailing input {self.peek()!r}", self.pos())
+        return out
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except MonomialSyntaxError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(["z", "z", "*", "(", ")", "^", "[", "]", "0", "2", "3", " ", "x"]), max_size=14))
+def test_parser_agrees_with_recursive_oracle(pieces):
+    text = "".join(pieces)
+    want = _parse_outcome(lambda t: RecursiveParser(t).parse(), text)
+    assert _parse_outcome(parse_monomial, text) == want
+
+
+@given(st.integers(min_value=1, max_value=9).flatmap(
+    lambda d: st.sampled_from(enumerate_monomials(d))))
+def test_parser_agrees_with_recursive_oracle_on_formatted_text(m):
+    # well-formed text with parentheses, powers and plenary sugar
+    text = format_monomial(product(m, atom())) + "*(z^2*z)^[2]"
+    assert parse_monomial(text) is RecursiveParser(text).parse()
