@@ -4,9 +4,9 @@ A record lists its attributes in ``__slots__``; the public ones are its
 fields, in constructor order, and the private ones (a leading underscore)
 hold values derived from them.  Equality, hashing, ``repr`` and pickling
 read the fields only.  Records are immutable: ``__init__`` sets the slots
-through ``_set`` and assignment raises ``AttributeError`` (StructureAlgebra
-alone restores assignment).  This is what ``@dataclass(frozen=True)``
-generates, without generating and compiling that code on every import.
+through ``_set`` and assignment raises ``AttributeError``.  This is what
+``@dataclass(frozen=True)`` generates, without generating and compiling that
+code on every import.
 """
 
 from __future__ import annotations

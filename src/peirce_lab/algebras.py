@@ -102,11 +102,7 @@ def _divided(values: Sequence[int], den: int) -> Vector:
 
 
 class StructureAlgebra(_Record):
-    """Structure constants with an optional form, weight and idempotents.
-
-    Unlike the other records it is mutable and unhashable; reassigning a
-    field does not update the integer copies.
-    """
+    """Structure constants with an optional form, weight and idempotents."""
 
     # Integer copies over one denominator each.  _terms[i][j] holds the
     # nonzero (k, _den * c_ijk) of e_i e_j, so _product loops over these only;
@@ -115,9 +111,6 @@ class StructureAlgebra(_Record):
         "dim", "structure", "bilinear_form", "weight", "idempotents", "name",
         "_terms", "_den", "_form", "_form_den", "_omega", "_omega_den",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -128,27 +121,26 @@ class StructureAlgebra(_Record):
         idempotents: tuple[Vector, ...] = (),
         name: str = "",
     ):
-        self.dim = dim
-        self.bilinear_form = bilinear_form
-        self.weight = weight
-        self.name = name
-        self.structure = tuple(
-            tuple(_vec(structure[i][j]) for j in range(dim)) for i in range(dim)
+        structure = tuple(tuple(_vec(structure[i][j]) for j in range(dim)) for i in range(dim))
+        den = lcm(*(c.denominator for row in structure for prod in row for c in prod))
+        terms = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(_scaled(prod, den)) if c) for prod in row)
+            for row in structure
         )
-        self._den = lcm(*(c.denominator for row in self.structure for prod in row for c in prod))
-        self._terms = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(_scaled(prod, self._den)) if c) for prod in row)
-            for row in self.structure
-        )
-        self._form, self._form_den = None, 1
-        if self.bilinear_form is not None:
-            self.bilinear_form = tuple(_vec(row) for row in self.bilinear_form)
-            self._form, self._form_den = _cleared(self.bilinear_form)
-        self._omega, self._omega_den = None, 1
-        if self.weight is not None:
-            self.weight = _vec(self.weight)
-            (self._omega,), self._omega_den = _cleared((self.weight,))
-        self.idempotents = tuple(_vec(c) for c in idempotents)
+        form, form_den = None, 1
+        if bilinear_form is not None:
+            bilinear_form = tuple(_vec(row) for row in bilinear_form)
+            form, form_den = _cleared(bilinear_form)
+        omega, omega_den = None, 1
+        if weight is not None:
+            weight = _vec(weight)
+            (omega,), omega_den = _cleared((weight,))
+        idempotents = tuple(_vec(c) for c in idempotents)
+        # in the order of __slots__
+        values = (dim, structure, bilinear_form, weight, idempotents, name,
+                  terms, den, form, form_den, omega, omega_den)
+        for slot, value in zip(self.__slots__, values):
+            _set(self, slot, value)
         self._validate()
 
     def _validate(self) -> None:

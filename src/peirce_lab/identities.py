@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import _Record, _set
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
-from .peirce import _divided_difference, _rho_ints, _symbol_ints
+from .peirce import _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints
 from .poly import (
     Poly1,
     Poly3,
@@ -265,15 +265,19 @@ def _zero_sum_holds(identity: WeightedIdentity) -> bool:
     return sum(t.coeff for t in identity.terms) == 0
 
 
-def _integer_sum(identity: WeightedIdentity, ints: Callable[[Monomial], dict]) -> tuple[int, dict]:
+def _integer_sum(
+    identity: WeightedIdentity, ints: Callable[[Monomial, dict], dict]
+) -> tuple[int, dict]:
     """(D, D * sum coeff_i * ints(m_i)) in integers, without zero terms, where
     D is the lcm of the coefficient denominators and `ints` is one of the
-    per-monomial integer forms of `peirce`."""
+    per-monomial integer forms of `peirce`; the terms share one memo, so a
+    subtree common to several monomials is folded once."""
     den = lcm(*(t.coeff.denominator for t in identity.terms))
+    memo: dict = {}
     out: dict = {}
     for t in identity.terms:
         n = t.coeff.numerator * (den // t.coeff.denominator)
-        for k, c in ints(t.monomial).items():
+        for k, c in ints(t.monomial, memo).items():
             out[k] = out.get(k, 0) + n * c
     return den, {k: c for k, c in out.items() if c}
 
@@ -407,16 +411,19 @@ def multiply_identities(p1: WeightedIdentity, p2: WeightedIdentity) -> WeightedI
 # --- catalog -----------------------------------------------------------------
 
 
-def _number(family: str, name: str, value) -> Fraction:
+def _number(family: str, name: str, value, whole=None) -> Fraction:
+    """Fraction(value), or a CatalogParameterError naming the family and the
+    parameter and showing `whole`, the list that value comes from, if any."""
+    kind, shown = ("a number", value) if whole is None else ("a list of numbers", whole)
     try:
         return Fraction(value)
-    except TypeError:
+    except (TypeError, ValueError):
         raise CatalogParameterError(
-            f"{family} parameter {name} must be a number, got {value!r}"
+            f"{family} parameter {name} must be {kind}, got {shown!r}"
         ) from None
     except ZeroDivisionError:
         raise CatalogParameterError(
-            f"{family} parameter {name} has a zero denominator: {value!r}"
+            f"{family} parameter {name} has a zero denominator: {shown!r}"
         ) from None
 
 
@@ -424,15 +431,12 @@ def _numbers(family: str, name: str, values) -> list[Fraction]:
     if isinstance(values, str):  # one number, not a list of its characters
         values = [values]
     try:
-        return [Fraction(v) for v in values]
+        items = iter(values)
     except TypeError:
         raise CatalogParameterError(
             f"{family} parameter {name} must be a list of numbers, got {values!r}"
         ) from None
-    except ZeroDivisionError:
-        raise CatalogParameterError(
-            f"{family} parameter {name} has a zero denominator: {values!r}"
-        ) from None
+    return [_number(family, name, v, values) for v in items]
 
 
 def _catalog_jordan_power_assoc() -> WeightedIdentity:
@@ -608,18 +612,10 @@ def train_closed_forms(family: str, gamma: Sequence) -> tuple[Poly1, Poly3]:
         numerator = Poly1({k - 1: gamma[n - k] for k in range(1, n + 1)})
         train_poly = divide_exact(numerator, Poly1({1: 1, 0: -1}))
         rho = Poly1({1: 2, 0: -1}) * train_poly
-        y = (
-            _divided_difference(rho, "a")
-            + _divided_difference(rho, "b")
-            - _divided_difference(rho, Fraction(1, 2))
-        )
-        return rho, y
+        return rho, _principal_symbol(rho)
     if family == "plenary_train":
         rho = Poly1({k - 1: gamma[n - k] * 2 ** (k - 1) for k in range(1, n + 1)})
-        two_ab = Poly3.var("a") * Poly3.var("b") * 2
-        numerator = Poly3.from_poly1(rho, "p") - rho(two_ab)
-        y = numerator.div_linear("p", two_ab)
-        return rho, y
+        return rho, _plenary_symbol(rho)
     raise ValueError(f"unknown train family {family!r}")
 
 

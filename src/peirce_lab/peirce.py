@@ -8,15 +8,16 @@ The two central recursions, over the canonical binary-tree form:
                                          + rho(m1, b)*rho(m2, a)
 
 Both run in integers on exponent dicts (`_rho_ints`, `_symbol_ints`) as
-`magma.fold`s, memoized per monomial, since shared subtrees recur heavily in
-enumeration and identity evaluation; `peirce_poly` and `peirce_symbol` build
-one exact polynomial from the result, and `identities` sums the integer
-forms of an identity's monomials over one denominator.
+`magma.fold`s over a memo that lives for one call, so each shared subtree is
+folded once and no monomial outlives its caller; the symbol fold carries
+(rho, sym) pairs, so a node reads its children's rho from them.
+`peirce_poly` and `peirce_symbol` build one exact polynomial from the
+result, and `identities` sums the integer forms of an identity's monomials
+over one denominator, with one memo for all of them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -36,12 +37,6 @@ __all__ = [
 ]
 
 
-# Memos of the two recursions, keyed by monomial, each seeded with the atom
-# as `magma.fold` requires.
-_rho_cache: dict[Monomial, dict[int, int]] = {atom(): {0: 1}}
-_symbol_cache: dict[Monomial, dict[tuple[int, int, int], int]] = {atom(): {}}
-
-
 def _rho_step(m: Monomial, left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
     out = {e + 1: c for e, c in left.items()}
     for e, c in right.items():
@@ -49,45 +44,51 @@ def _rho_step(m: Monomial, left: dict[int, int], right: dict[int, int]) -> dict[
     return out
 
 
-def _rho_ints(m: Monomial) -> dict[int, int]:
-    """rho(m) as {exponent of t: coefficient}; the coefficients are integers."""
-    return fold(m, _rho_cache, _rho_step)
+def _rho_ints(m: Monomial, memo: dict) -> dict[int, int]:
+    """rho(m) as {exponent of t: coefficient}; the coefficients are integers.
+
+    `memo` maps the subtrees folded so far to their rho; a caller passes a
+    new dict per call, or one dict to share subtrees between monomials.
+    """
+    memo.setdefault(atom(), {0: 1})
+    return fold(m, memo, _rho_step)
 
 
-def _symbol_step(m: Monomial, left: dict, right: dict) -> dict[tuple[int, int, int], int]:
-    out = {(ea, eb, ep + 1): c for (ea, eb, ep), c in left.items()}
-    for (ea, eb, ep), c in right.items():
+def _symbol_step(m: Monomial, left: tuple, right: tuple) -> tuple[dict, dict]:
+    (rho_left, sym_left), (rho_right, sym_right) = left, right
+    out = {(ea, eb, ep + 1): c for (ea, eb, ep), c in sym_left.items()}
+    for (ea, eb, ep), c in sym_right.items():
         k = (ea, eb, ep + 1)
         out[k] = out.get(k, 0) + c
     # rho(left, a)*rho(right, b) + rho(left, b)*rho(right, a): a term and its a <-> b swap
-    rho_right = _rho_ints(m.right).items()
-    for e1, c1 in _rho_ints(m.left).items():
-        for e2, c2 in rho_right:
+    rho_right_items = rho_right.items()
+    for e1, c1 in rho_left.items():
+        for e2, c2 in rho_right_items:
             c = c1 * c2
             for k in ((e1, e2, 0), (e2, e1, 0)):
                 out[k] = out.get(k, 0) + c
-    return out
+    return _rho_step(m, rho_left, rho_right), out
 
 
-def _symbol_ints(m: Monomial) -> dict[tuple[int, int, int], int]:
+def _symbol_ints(m: Monomial, memo: dict) -> dict[tuple[int, int, int], int]:
     """sym(m) as {(exponents of a, b, p): coefficient}, in integers.
 
-    The p-shifted part has p-exponent >= 1 and the cross terms have 0, so the
-    two never share a key.
+    `memo` maps the subtrees folded so far to their (rho, sym) pair, as in
+    `_rho_ints`.  The p-shifted part has p-exponent >= 1 and the cross terms
+    have 0, so the two never share a key.
     """
-    return fold(m, _symbol_cache, _symbol_step)
+    memo.setdefault(atom(), ({0: 1}, {}))
+    return fold(m, memo, _symbol_step)[1]
 
 
-@functools.cache
 def peirce_poly(m: Monomial) -> Poly1:
     """rho(m, t): 1 on the generator, t*(rho(left) + rho(right)) on products."""
-    return _make(Poly1.VARS, {(e,): Fraction(c) for e, c in _rho_ints(m).items()})
+    return _make(Poly1.VARS, {(e,): Fraction(c) for e, c in _rho_ints(m, {}).items()})
 
 
-@functools.cache
 def peirce_symbol(m: Monomial) -> Poly3:
     """The trivariate symbol in (a, b, p); symmetric under a <-> b."""
-    return _make(Poly3.VARS, {k: Fraction(c) for k, c in _symbol_ints(m).items()})
+    return _make(Poly3.VARS, {k: Fraction(c) for k, c in _symbol_ints(m, {}).items()})
 
 
 def principal_peirce_closed(n: int) -> Poly1:
@@ -105,8 +106,9 @@ def plenary_peirce_closed(n: int) -> Poly1:
     return Poly1({n - 1: 2 ** (n - 1)})
 
 
-def _divided_difference(f: Poly1, x: str | Fraction) -> Poly3:
-    """(f(p) - f(x)) / (p - x), for x the name of a variable or a value."""
+def _divided_difference(f: Poly1, x: str | Fraction | Poly3) -> Poly3:
+    """(f(p) - f(x)) / (p - x), for x the name of a variable, a value or a
+    polynomial in a and b."""
     if isinstance(x, str):
         fx, x = Poly3.from_poly1(f, x), Poly3.var(x)
     else:
@@ -114,9 +116,9 @@ def _divided_difference(f: Poly1, x: str | Fraction) -> Poly3:
     return divide_exact(Poly3.from_poly1(f, "p") - fx, Poly3.var("p") - x, "p")
 
 
-def principal_symbol_closed(n: int) -> Poly3:
-    """Symbol of z^n via divided differences of the principal rho."""
-    rho = principal_peirce_closed(n)
+def _principal_symbol(rho: Poly1) -> Poly3:
+    """Delta(rho; a) + Delta(rho; b) - Delta(rho; 1/2): the symbol of a sum
+    of principal powers with Peirce polynomial rho."""
     return (
         _divided_difference(rho, "a")
         + _divided_difference(rho, "b")
@@ -124,13 +126,20 @@ def principal_symbol_closed(n: int) -> Poly3:
     )
 
 
+def _plenary_symbol(rho: Poly1) -> Poly3:
+    """Delta(rho; 2ab): the symbol of a sum of plenary powers with Peirce
+    polynomial rho."""
+    return _divided_difference(rho, Poly3.var("a") * Poly3.var("b") * 2)
+
+
+def principal_symbol_closed(n: int) -> Poly3:
+    """Symbol of z^n via divided differences of the principal rho."""
+    return _principal_symbol(principal_peirce_closed(n))
+
+
 def plenary_symbol_closed(n: int) -> Poly3:
     """Symbol of z^[n]: 2^(n-1) * (p^(n-1) - (2ab)^(n-1)) / (p - 2ab)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    two_ab = Poly3.var("a") * Poly3.var("b") * 2
-    numerator = Poly3.var("p") ** (n - 1) - two_ab ** (n - 1)
-    return numerator.div_linear("p", two_ab) * 2 ** (n - 1)
+    return _plenary_symbol(plenary_peirce_closed(n))
 
 
 def half_specialization(m: Monomial) -> Poly3:

@@ -328,8 +328,19 @@ def test_verify_rejects_trials_below_one(capsys, trials):
             ["--catalog", "walcher", "--params", "a_c=1/0"],
             "walcher parameter a_c has a zero denominator: '1/0'",
         ),
+        (
+            ["--catalog", "principal_train", "--params", "gamma=1:x"],
+            "principal_train parameter gamma must be a list of numbers, got ['1', 'x']",
+        ),
+        (
+            ["--catalog", "walcher", "--params", "a_c=x"],
+            "walcher parameter a_c must be a number, got 'x'",
+        ),
     ],
-    ids=["missing", "unknown", "list-for-a-number", "zero-denominator-in-list", "zero-denominator"],
+    ids=[
+        "missing", "unknown", "list-for-a-number", "zero-denominator-in-list", "zero-denominator",
+        "not-a-number-in-list", "not-a-number",
+    ],
 )
 def test_bad_catalog_parameters_exit_3(capsys, argv, message):
     code, out, err = run(capsys, "spectrum", *argv)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from peirce_lab import identities
+from peirce_lab import identities, peirce
 from peirce_lab.identities import (
     CatalogParameterError,
     DegenerateIdentity,
@@ -453,6 +453,9 @@ def test_train_constraint_validation():
         ("plenary_train", {"gamma": 5}, "plenary_train parameter gamma must be a list of numbers, got 5"),
         ("plenary_train", {"gamma": "12"}, "plenary_train needs rank >= 2"),
         ("principal_train", {"gamma": [1, None]}, "principal_train parameter gamma must be a list of numbers"),
+        ("principal_train", {"gamma": "1:-3:2"}, "principal_train parameter gamma must be a list of numbers, got ['1:-3:2']"),
+        ("principal_train", {"gamma": ["1", "x"]}, "principal_train parameter gamma must be a list of numbers, got ['1', 'x']"),
+        ("walcher", {"a_c": "x"}, "walcher parameter a_c must be a number, got 'x'"),
     ],
 )
 def test_catalog_checks_parameters_against_the_family(name, params, message):
@@ -580,7 +583,8 @@ def test_half_root_guard_reads_the_integer_rho(monkeypatch):
     ident = make_identity([(1, principal_power(2)), (-1, atom())])
     rho_ints = identities._rho_ints
     monkeypatch.setattr(
-        identities, "_rho_ints", lambda m: {0: 1, 1: 2} if m.degree == 2 else rho_ints(m)
+        identities, "_rho_ints",
+        lambda m, memo: {0: 1, 1: 2} if m.degree == 2 else rho_ints(m, memo),
     )
     _clear_identity_caches()
     with pytest.raises(identities.InternalHalfRootMissing):
@@ -588,6 +592,21 @@ def test_half_root_guard_reads_the_integer_rho(monkeypatch):
     monkeypatch.undo()
     _clear_identity_caches()
     assert spectrum(ident).roots == ((HALF, 1),)
+
+
+def test_terms_of_an_identity_share_one_memo(monkeypatch):
+    """z^4 - z^[3]: both terms contain z^2, yet each of the four distinct
+    product nodes z^2, z^3, z^4 and z^2*z^2 is folded once per identity."""
+    ident = make_identity([(1, principal_power(4)), (-1, plenary_power(3))])
+    nodes = {principal_power(d) for d in (2, 3, 4)} | {plenary_power(3)}
+    for name, integer_form in (("_rho_step", identities._integer_rho),
+                               ("_symbol_step", identities._integer_symbol)):
+        step, calls = getattr(peirce, name), []
+        monkeypatch.setattr(peirce, name, lambda m, l, r: calls.append(m) or step(m, l, r))
+        _clear_identity_caches()
+        integer_form(ident)
+        assert len(calls) == len(set(calls)) and set(calls) == nodes
+        monkeypatch.undo()
 
 
 def test_one_root_solve_and_one_grid_per_identity(monkeypatch):

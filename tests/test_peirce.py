@@ -1,13 +1,16 @@
 """Peirce polynomials and symbols: goldens, specializations, closed forms."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peirce_lab import peirce
 from peirce_lab.magma import (
     atom,
     enumerate_monomials,
@@ -219,3 +222,37 @@ def test_integer_recursions_match_fraction_oracles_random(degree, rng):
     rho_memo = {}
     assert peirce_poly(m) == _rho_oracle(m, rho_memo)
     assert peirce_symbol(m) == _symbol_oracle(m, {}, rho_memo)
+
+
+# --- per-call memos --------------------------------------------------------------
+
+
+def _product_nodes(m):
+    seen, stack = set(), [m]
+    while stack:
+        node = stack.pop()
+        if not node.is_atom and node not in seen:
+            seen.add(node)
+            stack += [node.left, node.right]
+    return seen
+
+
+def test_a_monomial_is_freed_after_the_recursions():
+    m = parse_monomial("z^37*z^[5]")
+    ref = weakref.ref(m)
+    peirce_poly(m)
+    peirce_symbol(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("fn, name", [(peirce_poly, "_rho_step"), (peirce_symbol, "_symbol_step")])
+def test_every_call_folds_every_product_node_once(monkeypatch, fn, name):
+    m = parse_monomial("(z^5*z^[3])*z^4")
+    step, calls = getattr(peirce, name), []
+    monkeypatch.setattr(peirce, name, lambda node, l, r: calls.append(node) or step(node, l, r))
+    for _ in range(2):
+        calls.clear()
+        fn(m)
+        assert len(calls) == len(set(calls)) and set(calls) == _product_nodes(m)

@@ -145,22 +145,27 @@ ALGEBRA_FIELDS = ("dim", "structure", "bilinear_form", "weight", "idempotents", 
 AlgebraOracle = dataclasses.make_dataclass("StructureAlgebra", ALGEBRA_FIELDS)
 
 
-def test_structure_algebra_is_a_mutable_unhashable_record():
+def test_structure_algebra_is_an_immutable_hashable_record():
     alg = build_algebra("hsiang_sym3")
     oracle = AlgebraOracle(*(getattr(alg, name) for name in ALGEBRA_FIELDS))
     assert repr(alg) == repr(oracle)
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(alg)
     same = build_algebra("hsiang_sym3")
     assert alg == same and not alg != same
+    assert hash(alg) == hash(same)
+    # no field can be changed under the integer copies that multiply reads
+    for name in ALGEBRA_FIELDS + ("_den", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(alg, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(alg, name)
     # the integer copies are not compared
-    same._den *= 7
-    assert alg == same
+    object.__setattr__(same, "_den", same._den * 7)
+    assert alg == same and hash(alg) == hash(same)
     for clone in (copy.copy(alg), copy.deepcopy(alg), pickle.loads(pickle.dumps(alg))):
-        assert type(clone) is StructureAlgebra and clone == alg
+        assert type(clone) is StructureAlgebra and clone == alg and hash(clone) == hash(alg)
         assert clone.multiply(alg.idempotents[0], alg.idempotents[0]) == alg.idempotents[0]
-    same.name = "renamed"
-    assert alg != same and same.name == "renamed"
+    renamed = StructureAlgebra(*(getattr(alg, name) for name in ALGEBRA_FIELDS[:-1]), name="renamed")
+    assert alg != renamed and renamed.name == "renamed"
     assert alg != oracle
 
 
