@@ -97,6 +97,11 @@ def _cleared_vectors(algebra: StructureAlgebra, *vectors: Sequence) -> tuple[lis
     return _cleared(vectors)
 
 
+def _check_length(field: str, values: Sequence, dim: int) -> None:
+    if len(values) != dim:
+        raise ValueError(f"{field} has length {len(values)}, expected {dim}")
+
+
 def _divided(values: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(v, den) for v in values)
 
@@ -121,7 +126,22 @@ class StructureAlgebra(_Record):
         idempotents: tuple[Vector, ...] = (),
         name: str = "",
     ):
-        structure = tuple(tuple(_vec(structure[i][j]) for j in range(dim)) for i in range(dim))
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
+        _check_length("structure", structure, dim)
+        for i, row in enumerate(structure):
+            _check_length(f"structure[{i}]", row, dim)
+            for j, prod in enumerate(row):
+                _check_length(f"structure[{i}][{j}]", prod, dim)
+        if bilinear_form is not None:
+            _check_length("bilinear_form", bilinear_form, dim)
+            for i, row in enumerate(bilinear_form):
+                _check_length(f"bilinear_form[{i}]", row, dim)
+        if weight is not None:
+            _check_length("weight", weight, dim)
+        for i, c in enumerate(idempotents):
+            _check_length(f"idempotents[{i}]", c, dim)
+        structure = tuple(tuple(_vec(prod) for prod in row) for row in structure)
         den = lcm(*(c.denominator for row in structure for prod in row for c in prod))
         terms = tuple(
             tuple(tuple((k, c) for k, c in enumerate(_scaled(prod, den)) if c) for prod in row)
@@ -248,18 +268,6 @@ class PeirceDecomposition(_Record):
 
 def mat_vec(m: Matrix, x: Vector) -> Vector:
     return tuple(sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in m)
-
-
-def mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
-    n = len(m1)
-    return [
-        [sum((m1[i][k] * m2[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mat_trace(m: Matrix) -> Fraction:
-    return sum((m[i][i] for i in range(len(m))), Fraction(0))
 
 
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -659,69 +667,69 @@ def dimension_constraints_check(decomp: PeirceDecomposition) -> VerificationRepo
 # --- builders -----------------------------------------------------------------
 
 
-def _algebra_from_matrix_basis(
-    basis: list, mult, coords, bilinear=None, name: str = "", idempotents=()
+def _matrix_unit_algebra(
+    n: int, basis: list[dict], coords: list[dict], form_den: int, trace_free: bool, name: str, idempotents
 ) -> StructureAlgebra:
-    """Structure constants from a matrix basis, a product map, and a coordinate map."""
+    """The algebra on a basis of n x n matrices under x o y = (xy + yx)/2,
+    minus (tr(xy)/n) I when trace_free, with the form tr(xy)/form_den.
+
+    Matrices are sparse int dicts {(row, col): entry}, multiplied by the
+    matrix-unit rule E_ij E_kl = delta_jk E_il; coords[k] is the k-th
+    coordinate as a functional {(row, col): weight}.  The constants stay ints
+    over den until one shared Fraction is made per distinct value.
+    """
+    # den * (x o y) = scale * (xy + yx) - shift * tr(xy) * I
+    scale, shift = (n, 2) if trace_free else (1, 0)
+    den = 2 * scale
+    eye = [shift * sum(f.get((i, i), 0) for i in range(n)) for f in coords]
+    readers: dict = {}  # (row, col) -> the (k, weight) of each coordinate that reads it
+    for k, f in enumerate(coords):
+        for pos, w in f.items():
+            readers.setdefault(pos, []).append((k, w))
     dim = len(basis)
-    structure = [
-        [_vec(coords(mult(basis[i], basis[j]))) for j in range(dim)] for i in range(dim)
-    ]
-    form = None
-    if bilinear is not None:
-        form = [[Fraction(bilinear(basis[i], basis[j])) for j in range(dim)] for i in range(dim)]
+    ints = [[None] * dim for _ in range(dim)]
+    traces = [[0] * dim for _ in range(dim)]
+    for a, x in enumerate(basis):
+        for b in range(a, dim):
+            m: dict = {}  # xy + yx
+            tr = 0
+            for (i, j), u in x.items():
+                for (k, l), v in basis[b].items():
+                    if j == k:
+                        m[i, l] = m.get((i, l), 0) + u * v
+                    if l == i:
+                        m[k, j] = m.get((k, j), 0) + u * v
+                        if j == k:
+                            tr += u * v
+            out = [-tr * e for e in eye]
+            for pos, v in m.items():
+                for k, w in readers.get(pos, ()):
+                    out[k] += scale * w * v
+            ints[a][b] = ints[b][a] = out
+            traces[a][b] = traces[b][a] = tr
+    shared = {v: Fraction(v, den) for v in {v for row in ints for out in row for v in out}}
+    forms = {v: Fraction(v, form_den) for v in {v for row in traces for v in row}}
     return StructureAlgebra(
         dim=dim,
-        structure=tuple(tuple(row) for row in structure),
-        bilinear_form=tuple(tuple(row) for row in form) if form else None,
-        idempotents=tuple(_vec(c) for c in idempotents),
+        structure=tuple(tuple(tuple(shared[v] for v in out) for out in row) for row in ints),
+        bilinear_form=tuple(tuple(forms[v] for v in row) for row in traces),
+        idempotents=idempotents,
         name=name,
     )
-
-
-def _sym_product(a, b):
-    ab = mat_mul(a, b)
-    ba = mat_mul(b, a)
-    n = len(a)
-    return [[(ab[i][j] + ba[i][j]) / 2 for j in range(n)] for i in range(n)]
 
 
 def jordan_sym(n: int) -> StructureAlgebra:
     """Jordan algebra of symmetric n x n matrices, x o y = (xy + yx)/2."""
     if n < 2:
         raise ValueError("jordan_sym needs n >= 2")
-
-    def sym_basis(size):
-        basis = []
-        slots = []
-        for i in range(size):
-            e = [[Fraction(0)] * size for _ in range(size)]
-            e[i][i] = Fraction(1)
-            basis.append(e)
-            slots.append((i, i))
-        for i in range(size):
-            for j in range(i + 1, size):
-                e = [[Fraction(0)] * size for _ in range(size)]
-                e[i][j] = e[j][i] = Fraction(1)
-                basis.append(e)
-                slots.append((i, j))
-        return basis, slots
-
-    basis, slots = sym_basis(n)
-
-    def coords(mat):
-        return [mat[i][j] for (i, j) in slots]
-
+    # The diagonal units E_ii, then E_ij + E_ji for i < j, read at (i, j).
+    slots = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis = [{(i, j): 1, (j, i): 1} for i, j in slots]
     # First basis vector is E_00, an idempotent; the unit is the sum of E_ii.
-    unit = [Fraction(1) if i < n and slots[i][0] == slots[i][1] else Fraction(0) for i in range(len(basis))]
-    e00 = [Fraction(1 if i == 0 else 0) for i in range(len(basis))]
-    return _algebra_from_matrix_basis(
-        basis,
-        _sym_product,
-        coords,
-        bilinear=lambda x, y: mat_trace(mat_mul(x, y)),
-        name=f"jordan_sym{n}",
-        idempotents=(e00, unit),
+    e00 = [int(k == 0) for k in range(len(slots))]
+    unit = [int(k < n) for k in range(len(slots))]
+    return _matrix_unit_algebra(
+        n, basis, [{s: 1} for s in slots], 1, False, f"jordan_sym{n}", (e00, unit)
     )
 
 
@@ -762,37 +770,13 @@ def hsiang_tracefree_sym3() -> StructureAlgebra:
     Carries the associating form b(x, y) = tr(xy)/6, normalized so that
     b(c, c) = 1 at the idempotent diag(-1, -1, 2).
     """
-    def mk(entries):
-        return [[Fraction(v) for v in row] for row in entries]
-
-    s12 = mk([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    s13 = mk([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    s23 = mk([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
-    d1 = mk([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-    d2 = mk([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
-    basis = [s12, s13, s23, d1, d2]
-
-    def mult(a, b):
-        ab = _sym_product(a, b)
-        tr = mat_trace(mat_mul(a, b))
-        return [
-            [ab[i][j] - (tr / 3 if i == j else 0) for j in range(3)]
-            for i in range(3)
-        ]
-
-    def coords(mat):
-        return [mat[0][1], mat[0][2], mat[1][2], mat[0][0], mat[0][0] + mat[1][1]]
-
+    # E_01 + E_10, E_02 + E_20, E_12 + E_21, E_00 - E_11, E_11 - E_22; the
+    # last two coordinates of diag(d0, d1, d2) are d0 and d0 + d1.
+    basis = [{(0, 1): 1, (1, 0): 1}, {(0, 2): 1, (2, 0): 1}, {(1, 2): 1, (2, 1): 1},
+             {(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+    coords = [{(0, 1): 1}, {(0, 2): 1}, {(1, 2): 1}, {(0, 0): 1}, {(0, 0): 1, (1, 1): 1}]
     # c = diag(-1, -1, 2) in these coordinates
-    c = (Fraction(0), Fraction(0), Fraction(0), Fraction(-1), Fraction(-2))
-    return _algebra_from_matrix_basis(
-        basis,
-        mult,
-        coords,
-        bilinear=lambda x, y: mat_trace(mat_mul(x, y)) / 6,
-        name="hsiang_sym3",
-        idempotents=(c,),
-    )
+    return _matrix_unit_algebra(3, basis, coords, 6, True, "hsiang_sym3", ((0, 0, 0, -1, -2),))
 
 
 _BUILDERS = {
@@ -839,10 +823,12 @@ def algebra_to_json(algebra: StructureAlgebra) -> dict:
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    dim = int(obj["dim"])
+    dim = obj["dim"]
+    # bool is an int subclass, but `true` is not a JSON integer
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise TypeError(f"dim must be a JSON integer, got {json.dumps(dim)}")
     structure = tuple(
-        tuple(tuple(parse_rational(v) for v in obj["structure"][i][j]) for j in range(dim))
-        for i in range(dim)
+        tuple(tuple(parse_rational(v) for v in prod) for prod in row) for row in obj["structure"]
     )
     form = obj.get("bilinear_form")
     weight = obj.get("weight")

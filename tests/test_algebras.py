@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -809,3 +810,96 @@ def test_verify_identity_weights_match_fraction_sum():
         report = verify_identity(alg, identity, trials=6, seed=2)
         assert report.ok == holds, identity
         assert report.failures == _fraction_identity_failures(alg, identity, 6, 2), identity
+
+
+# --- matrix-unit builders against their Fraction-matrix definitions -----------
+#
+# The builders read each product off the rule E_ij E_kl = delta_jk E_il in
+# ints.  The oracles below are the definitions: d^2 dense Fraction products
+# of n x n matrices for the constants, and d^2 more for the trace form.
+
+
+def _fraction_trace(m):
+    return sum((m[i][i] for i in range(len(m))), F(0))
+
+
+def _fraction_jordan_product(a, b):
+    ab, ba = _fraction_mat_mul(a, b), _fraction_mat_mul(b, a)
+    return [[(u + v) / 2 for u, v in zip(r, s)] for r, s in zip(ab, ba)]
+
+
+def _fraction_matrix_algebra(basis, mult, coords, bilinear, name, idempotents):
+    return StructureAlgebra(
+        dim=len(basis),
+        structure=tuple(tuple(tuple(F(v) for v in coords(mult(x, y))) for y in basis) for x in basis),
+        bilinear_form=tuple(tuple(F(bilinear(x, y)) for y in basis) for x in basis),
+        idempotents=idempotents,
+        name=name,
+    )
+
+
+def _oracle_jordan_sym(n):
+    slots = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis = []
+    for i, j in slots:
+        e = [[F(0)] * n for _ in range(n)]
+        e[i][j] = e[j][i] = F(1)
+        basis.append(e)
+    e00 = tuple(F(int(k == 0)) for k in range(len(slots)))
+    unit = tuple(F(int(k < n)) for k in range(len(slots)))
+    return _fraction_matrix_algebra(
+        basis,
+        _fraction_jordan_product,
+        lambda m: [m[i][j] for i, j in slots],
+        lambda x, y: _fraction_trace(_fraction_mat_mul(x, y)),
+        f"jordan_sym{n}",
+        (e00, unit),
+    )
+
+
+def _oracle_hsiang_sym3():
+    basis = [
+        [[F(v) for v in row] for row in entries]
+        for entries in (
+            [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+            [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+            [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 1, 0], [0, 0, -1]],
+        )
+    ]
+
+    def mult(a, b):
+        ab = _fraction_jordan_product(a, b)
+        tr = _fraction_trace(_fraction_mat_mul(a, b))
+        return [[ab[i][j] - (tr / 3 if i == j else 0) for j in range(3)] for i in range(3)]
+
+    return _fraction_matrix_algebra(
+        basis,
+        mult,
+        lambda m: [m[0][1], m[0][2], m[1][2], m[0][0], m[0][0] + m[1][1]],
+        lambda x, y: _fraction_trace(_fraction_mat_mul(x, y)) / 6,
+        "hsiang_sym3",
+        ((F(0), F(0), F(0), F(-1), F(-2)),),
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_jordan_sym_matches_fraction_matrix_oracle(n):
+    assert json.dumps(algebra_to_json(jordan_sym(n))) == json.dumps(algebra_to_json(_oracle_jordan_sym(n)))
+
+
+def test_hsiang_sym3_matches_fraction_matrix_oracle():
+    got = json.dumps(algebra_to_json(hsiang_tracefree_sym3()))
+    assert got == json.dumps(algebra_to_json(_oracle_hsiang_sym3()))
+
+
+def test_jordan_sym10_builds_fast():
+    # the Fraction-matrix builder took tens of seconds here; the bound is loose
+    start = time.perf_counter()
+    alg = jordan_sym(10)
+    elapsed = time.perf_counter() - start
+    assert alg.dim == 55
+    d = eigen_decomposition(alg, alg.idempotents[0])
+    assert {lam: d.multiplicity(lam) for lam in d.eigenvalues} == {F(0): 45, HALF: 9, F(1): 1}
+    assert elapsed < 5, elapsed

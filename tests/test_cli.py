@@ -468,6 +468,48 @@ def test_unreadable_number_in_algebra_file_exit_2(capsys, tmp_path, value, messa
     assert out == ""
 
 
+SQUARE = [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]  # e0 e0 = e0, e1 e1 = e1
+
+
+@pytest.mark.parametrize(
+    "payload, catalog, message",
+    [
+        ({"dim": 2, "structure": SQUARE[:1], "idempotents": [["1", "0"]]},
+         "jordan_power_assoc", "structure has length 1, expected 2"),
+        ({"dim": 1, "structure": [[["1", "0"]]], "idempotents": [["1"]]},
+         "jordan_power_assoc", "structure[0][0] has length 2, expected 1"),
+        ({"dim": 2, "structure": SQUARE, "bilinear_form": [["1", "0"], ["0"]], "idempotents": [["1", "0"]]},
+         "jordan_power_assoc", "bilinear_form[1] has length 1, expected 2"),
+        ({"dim": 1, "structure": [[["1"]]], "idempotents": [["1", "0"]]},
+         "jordan_power_assoc", "idempotents[0] has length 2, expected 1"),
+        # the weight used to be zipped against shorter vectors and verified
+        ({"dim": 1, "structure": [[["1"]]], "weight": ["1", "2"], "idempotents": [["1"]]},
+         "bernstein", "weight has length 2, expected 1"),
+        ({"dim": 0, "structure": [], "idempotents": []}, "jordan_power_assoc", "dim must be at least 1, got 0"),
+        ({"dim": -1, "structure": [], "idempotents": []}, "jordan_power_assoc", "dim must be at least 1, got -1"),
+    ],
+    ids=["structure-rows", "long-product", "short-form-row", "long-idempotent", "long-weight", "dim-0", "dim-negative"],
+)
+def test_misshapen_algebra_file_exit_3(capsys, tmp_path, payload, catalog, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", catalog)
+    assert code == EXIT_VALIDATION_ERROR
+    assert err == f"error: invalid algebra: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("dim, got", [(1.5, "1.5"), (True, "true"), ("x", '"x"')], ids=["float", "bool", "string"])
+def test_non_integer_dim_in_algebra_file_exit_2(capsys, tmp_path, dim, got):
+    # int() used to read 1.5 and true as 1, and both verified
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": dim, "structure": [[["1"]]], "idempotents": [["1"]]}))
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: cannot read algebra file: dim must be a JSON integer, got {got}\n"
+    assert out == ""
+
+
 DEEP_BRACKETS = "[" * 100_000 + "]" * 100_000
 
 
