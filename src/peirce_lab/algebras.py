@@ -266,33 +266,9 @@ class PeirceDecomposition(_Record):
 # --- exact linear algebra -----------------------------------------------------
 
 
-def mat_vec(m: Matrix, x: Vector) -> Vector:
-    return tuple(sum((row[j] * x[j] for j in range(len(x))), Fraction(0)) for row in m)
-
-
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def poly_at_matrix(f: Poly1, m: Matrix) -> Matrix:
-    """f(M) by a homogeneous Horner pass over the int matrix A = d*M.
-
-    With f = (1/q) * sum a_e t^e of degree n, q * d^n * f(M) is
-    sum a_e d^(n-e) A^e, all in ints; it is divided once at the end.
-    """
-    n = len(m)
-    a, d = _cleared(m)
-    ints, q = _cleared_coeffs(f)
-    acc = [[0] * n for _ in range(n)]
-    dpow = 1
-    for c in reversed(ints):
-        acc = _int_mat_mul(acc, a)
-        for i in range(n):
-            acc[i][i] += c * dpow
-        dpow *= d
-    den = q * d ** max(f.degree, 0)  # the zero polynomial leaves acc zero
-    return [list(_divided(row, den)) for row in acc]
 
 
 def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
@@ -470,6 +446,26 @@ def second_linearization(
     return _divided(jet.get((1, 1), [0] * algebra.dim), _jet_scale(algebra, den, m.degree))
 
 
+def _operator_poly(algebra: StructureAlgebra, f: Poly1, c: Sequence, v: Sequence) -> Vector:
+    """f(L_c) v by a homogeneous Horner pass through the product kernel.
+
+    With c = cs/d, v = vs/e and s = d * _den, the kernel applied to cs is
+    A = s * L_c.  With f = (1/q) * sum a_k t^k of degree n, q * e * s^n *
+    f(L_c) v is sum a_k s^(n-k) A^k vs, all in ints; it is divided once at
+    the end.
+    """
+    (cs,), d = _cleared_vectors(algebra, c)
+    (vs,), e = _cleared_vectors(algebra, v)
+    ints, q = _cleared_coeffs(f)
+    s = d * algebra._den
+    acc = [0] * algebra.dim
+    spow = 1
+    for a in reversed(ints):
+        acc = [w + a * spow * u for w, u in zip(algebra._product(cs, acc), vs)]
+        spow *= s
+    return _divided(acc, q * e * s ** max(f.degree, 0))  # the zero polynomial leaves acc zero
+
+
 # --- verification reports -----------------------------------------------------
 
 
@@ -488,15 +484,12 @@ class VerificationReport(_Record):
 def verify_first_linearization(
     algebra: StructureAlgebra, c: Sequence, m: Monomial
 ) -> VerificationReport:
-    """Check D^1(m; c, .) == rho(m, L_c) as exact matrices."""
-    c = _vec(c)
-    lc = algebra.mult_operator(c)
-    rhs = poly_at_matrix(peirce_poly(m), lc)
+    """Check D^1(m; c, .) == rho(m, L_c) column by column."""
+    rho = peirce_poly(m)
     failures = []
     for j in range(algebra.dim):
-        got = linearize(algebra, m, 1, c, algebra.basis_vector(j))
-        want = tuple(rhs[i][j] for i in range(algebra.dim))
-        if got != want:
+        e_j = algebra.basis_vector(j)
+        if linearize(algebra, m, 1, c, e_j) != _operator_poly(algebra, rho, c, e_j):
             failures.append(f"column {j}: D^1 != rho(L_c)")
     return VerificationReport(not failures, f"first linearization of {m}", tuple(failures))
 
@@ -510,17 +503,13 @@ def verify_second_linearization(
     decomposition: PeirceDecomposition | None = None,
 ) -> VerificationReport:
     """Check D^2(m; c, x, y) == symbol(m)(lam, mu, L_c)(xy) on eigenbasis pairs."""
-    c = _vec(c)
     decomp = decomposition or eigen_decomposition(algebra, c)
-    lc = algebra.mult_operator(c)
     sym_p = peirce_symbol(m).substitute("a", lam).substitute("b", mu).as_poly1("p")
-    op = poly_at_matrix(sym_p, lc)
     failures = []
     for x in decomp.eigenbases.get(Fraction(lam), ()):
         for y in decomp.eigenbases.get(Fraction(mu), ()):
             lhs = second_linearization(algebra, m, c, x, y)
-            rhs = mat_vec(op, algebra.multiply(x, y))
-            if lhs != rhs:
+            if lhs != _operator_poly(algebra, sym_p, c, algebra.multiply(x, y)):
                 failures.append(f"pair in A_c({lam}) x A_c({mu}) fails for {m}")
     return VerificationReport(not failures, f"second linearization of {m}", tuple(failures))
 
@@ -820,6 +809,18 @@ def algebra_to_json(algebra: StructureAlgebra) -> dict:
     return out
 
 
+def _rationals_from_json(value, field: str, depth: int) -> tuple:
+    """`depth` levels of nested JSON lists of rational literals, as tuples.
+
+    A JSON string is iterable, so each level must be checked to be a list.
+    """
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a JSON list, got {json.dumps(value)}")
+    if depth == 1:
+        return tuple(parse_rational(v) for v in value)
+    return tuple(_rationals_from_json(v, f"{field}[{i}]", depth - 1) for i, v in enumerate(value))
+
+
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -827,16 +828,13 @@ def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be a JSON integer, got {json.dumps(dim)}")
-    structure = tuple(
-        tuple(tuple(parse_rational(v) for v in prod) for prod in row) for row in obj["structure"]
-    )
-    form = obj.get("bilinear_form")
-    weight = obj.get("weight")
+    # null means absent; an empty list goes on to the length checks
+    form, weight = obj.get("bilinear_form"), obj.get("weight")
     return StructureAlgebra(
         dim=dim,
-        structure=structure,
-        bilinear_form=tuple(tuple(parse_rational(v) for v in row) for row in form) if form else None,
-        weight=tuple(parse_rational(v) for v in weight) if weight else None,
-        idempotents=tuple(tuple(parse_rational(v) for v in c) for c in obj.get("idempotents", [])),
+        structure=_rationals_from_json(obj["structure"], "structure", 3),
+        bilinear_form=None if form is None else _rationals_from_json(form, "bilinear_form", 2),
+        weight=None if weight is None else _rationals_from_json(weight, "weight", 1),
+        idempotents=_rationals_from_json(obj.get("idempotents", []), "idempotents", 2),
         name=obj.get("name", ""),
     )

@@ -653,9 +653,13 @@ def _weight_from_json(obj: Mapping) -> WeightDescriptor:
     if kind == "bilinear":
         return bilinear_weight(parse_monomial(obj["monomial"]))
     if kind == "product":
+        monomials = obj.get("monomials", [])
+        # a JSON string is iterable, one character at a time
+        if not isinstance(monomials, list):
+            raise TypeError(f"monomials must be a JSON list, got {json.dumps(monomials)}")
         return WeightDescriptor(
             _exponent_from_json(obj.get("k", 0)),
-            tuple(sorted(parse_monomial(s) for s in obj.get("monomials", []))),
+            tuple(sorted(parse_monomial(s) for s in monomials)),
         )
     raise ValueError(f"unknown weight kind {kind!r}")
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peirce_lab import algebras
 from peirce_lab.algebras import (
@@ -27,8 +27,6 @@ from peirce_lab.algebras import (
     hsiang_tracefree_sym3,
     jordan_sym,
     linearize,
-    mat_vec,
-    poly_at_matrix,
     second_linearization,
     spectrum_inclusion_check,
     spin_factor,
@@ -425,6 +423,26 @@ def test_second_linearization_theorem_to_degree_5():
                         assert report.ok, (alg.name, str(m), lam, mu, report.failures)
 
 
+@pytest.mark.parametrize("name, columns", [("jordan_sym2", (0, 2)), ("hsiang_sym3", (0, 1, 2, 3, 4))])
+def test_linearization_checks_fail_at_twice_the_idempotent(name, columns):
+    # Negative controls: both laws hold at the idempotent c and fail at 2c,
+    # which is not idempotent; a check that always passed would miss this.
+    alg = build_algebra(name)
+    c = alg.idempotents[0]
+    c2 = tuple(2 * v for v in c)
+    decomp = eigen_decomposition(alg, c)
+    m = parse_monomial("z^3")
+    assert verify_first_linearization(alg, c, m).ok
+    first = verify_first_linearization(alg, c2, m)
+    assert not first.ok
+    assert first.failures == tuple(f"column {j}: D^1 != rho(L_c)" for j in columns)
+    assert verify_second_linearization(alg, c, m, HALF, HALF, decomp).ok
+    second = verify_second_linearization(alg, c2, m, HALF, HALF, decomp)
+    assert not second.ok
+    pairs = decomp.multiplicity(HALF) ** 2
+    assert second.failures == ("pair in A_c(1/2) x A_c(1/2) fails for z^3",) * pairs
+
+
 def test_second_linearization_is_polarized_d2():
     rng = random.Random(5)
     for alg in (jordan_sym(2), hsiang_tracefree_sym3(), spin_factor(3)):
@@ -539,20 +557,6 @@ def test_algebra_validation_rejects_nonassociating_form():
             ),
             bilinear_form=((F(1), F(0)), (F(0), F(1))),
         )
-
-
-def test_poly_at_matrix():
-    alg = jordan_sym(2)
-    c = alg.idempotents[0]
-    lc = alg.mult_operator(c)
-    t = Poly1.t()
-    m = poly_at_matrix(2 * t**2 - t + 3, lc)
-    rng = random.Random(9)
-    v = _rand_vec(alg.dim, rng)
-    lv = alg.multiply(c, v)
-    llv = alg.multiply(c, lv)
-    want = tuple(2 * a - b + 3 * w for a, b, w in zip(llv, lv, v))
-    assert mat_vec(m, v) == want
 
 
 # --- integer kernels against their Fraction definitions -----------------------
@@ -692,10 +696,26 @@ def test_integer_faddeev_leverrier_refuses_a_non_integral_matrix():
         algebras._faddeev_leverrier([[F(1, 2), F(0)], [F(0), F(1, 2)]])
 
 
+# Six coordinates cover every builder; each algebra reads the first dim.
+six_fractions = st.lists(small_fractions, min_size=6, max_size=6)
+
+
 @settings(max_examples=80, deadline=None)
-@given(rational_matrices(), st.dictionaries(st.integers(0, 5), small_fractions, max_size=4).map(Poly1))
-def test_poly_at_matrix_matches_fraction_horner(m, f):
-    assert poly_at_matrix(f, m) == _fraction_poly_at_matrix(f, m)
+@given(
+    st.sampled_from(builder_names()),
+    st.dictionaries(st.integers(0, 5), small_fractions, max_size=4).map(Poly1),
+    six_fractions,
+    six_fractions,
+)
+@example("jordan_sym2", Poly1({}), [F(1, 2)] * 6, [F(-3, 4)] * 6)  # the zero polynomial
+@example("hsiang_sym3", Poly1({0: F(-5, 3)}), [F(2, 3)] * 6, [F(1, 5)] * 6)  # a constant
+@example("spin_factor3", Poly1({1: F(2), 3: F(-1, 4)}), [F(0)] * 6, [F(1)] * 6)  # c = 0
+def test_operator_poly_matches_fraction_matrix_horner(name, f, c, v):
+    alg = build_algebra(name)
+    c, v = tuple(c[: alg.dim]), tuple(v[: alg.dim])
+    op = _fraction_poly_at_matrix(f, alg.mult_operator(c))
+    want = tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in op)
+    assert algebras._operator_poly(alg, f, c, v) == want
 
 
 @settings(max_examples=120, deadline=None)

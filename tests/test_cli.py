@@ -428,6 +428,17 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                 ({"kind": "product", "k": 1.5, "monomials": ["z"]}, "1.5"),
             ]
         ),
+        (
+            # a string used to be read one character at a time, as b(z, z)
+            {
+                "terms": [
+                    {"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "k": 0, "monomials": "z"}},
+                    {"coeff": "-1", "monomial": "z"},
+                ]
+            },
+            EXIT_PARSE_ERROR,
+            'cannot read identity file: monomials must be a JSON list, got "z"',
+        ),
     ],
     ids=[
         "empty-terms",
@@ -439,6 +450,7 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "string-baric-exponent",
         "boolean-baric-exponent",
         "fractional-product-exponent",
+        "string-monomials",
     ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
@@ -487,8 +499,16 @@ SQUARE = [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]  # e0 e0 = e0, e1 
          "bernstein", "weight has length 2, expected 1"),
         ({"dim": 0, "structure": [], "idempotents": []}, "jordan_power_assoc", "dim must be at least 1, got 0"),
         ({"dim": -1, "structure": [], "idempotents": []}, "jordan_power_assoc", "dim must be at least 1, got -1"),
+        # an empty weight or form used to read as absent
+        ({"dim": 2, "structure": SQUARE, "weight": [], "idempotents": [["1", "0"]]},
+         "bernstein", "weight has length 0, expected 2"),
+        ({"dim": 2, "structure": SQUARE, "bilinear_form": [], "idempotents": [["1", "0"]]},
+         "jordan_power_assoc", "bilinear_form has length 0, expected 2"),
     ],
-    ids=["structure-rows", "long-product", "short-form-row", "long-idempotent", "long-weight", "dim-0", "dim-negative"],
+    ids=[
+        "structure-rows", "long-product", "short-form-row", "long-idempotent", "long-weight", "dim-0",
+        "dim-negative", "empty-weight", "empty-form",
+    ],
 )
 def test_misshapen_algebra_file_exit_3(capsys, tmp_path, payload, catalog, message):
     path = tmp_path / "alg.json"
@@ -496,6 +516,32 @@ def test_misshapen_algebra_file_exit_3(capsys, tmp_path, payload, catalog, messa
     code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", catalog)
     assert code == EXIT_VALIDATION_ERROR
     assert err == f"error: invalid algebra: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"dim": 2, "structure": SQUARE, "idempotents": ["10"]}, 'idempotents[0] must be a JSON list, got "10"'),
+        ({"dim": 2, "structure": SQUARE, "weight": "10", "idempotents": [["1", "0"]]},
+         'weight must be a JSON list, got "10"'),
+        ({"dim": 2, "structure": [SQUARE[0], [["0", "0"], "01"]], "idempotents": [["1", "0"]]},
+         'structure[1][1] must be a JSON list, got "01"'),
+        ({"dim": 2, "structure": SQUARE, "bilinear_form": ["10", ["0", "1"]], "idempotents": [["1", "0"]]},
+         'bilinear_form[0] must be a JSON list, got "10"'),
+        ({"dim": 1, "structure": "1", "idempotents": [["1"]]}, 'structure must be a JSON list, got "1"'),
+        ({"dim": 2, "structure": SQUARE, "idempotents": {"0": ["1", "0"]}},
+         'idempotents must be a JSON list, got {"0": ["1", "0"]}'),
+    ],
+    ids=["idempotent", "weight", "product", "form-row", "structure", "object"],
+)
+def test_string_for_a_list_in_algebra_file_exit_2(capsys, tmp_path, fields, message):
+    # a string is iterable, so "10" used to read as the vector (1, 0) and verify
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(fields))
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: cannot read algebra file: {message}\n"
     assert out == ""
 
 
