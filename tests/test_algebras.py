@@ -559,6 +559,19 @@ def test_algebra_validation_rejects_nonassociating_form():
         )
 
 
+def test_poly_at_matrix():
+    # f(L_c)v against L_c applied by multiply
+    alg = jordan_sym(2)
+    c = alg.idempotents[0]
+    t = Poly1.t()
+    rng = random.Random(9)
+    v = _rand_vec(alg.dim, rng)
+    lv = alg.multiply(c, v)
+    llv = alg.multiply(c, lv)
+    want = tuple(2 * a - b + 3 * w for a, b, w in zip(llv, lv, v))
+    assert algebras._operator_poly(alg, 2 * t**2 - t + 3, c, v) == want
+
+
 # --- integer kernels against their Fraction definitions -----------------------
 #
 # algebras computes in ints over cleared denominators.  The oracles below are
@@ -710,7 +723,7 @@ six_fractions = st.lists(small_fractions, min_size=6, max_size=6)
 @example("jordan_sym2", Poly1({}), [F(1, 2)] * 6, [F(-3, 4)] * 6)  # the zero polynomial
 @example("hsiang_sym3", Poly1({0: F(-5, 3)}), [F(2, 3)] * 6, [F(1, 5)] * 6)  # a constant
 @example("spin_factor3", Poly1({1: F(2), 3: F(-1, 4)}), [F(0)] * 6, [F(1)] * 6)  # c = 0
-def test_operator_poly_matches_fraction_matrix_horner(name, f, c, v):
+def test_poly_at_matrix_matches_fraction_horner(name, f, c, v):
     alg = build_algebra(name)
     c, v = tuple(c[: alg.dim]), tuple(v[: alg.dim])
     op = _fraction_poly_at_matrix(f, alg.mult_operator(c))
