@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
 from .identities import WeightDescriptor, WeightedIdentity, identity_peirce_poly
@@ -106,15 +106,90 @@ def _divided(values: Sequence[int], den: int) -> Vector:
     return tuple(Fraction(v, den) for v in values)
 
 
+# Statements per compiled function of a product kernel.  The compiler's
+# memory grows with the source it is given (about 2 KB per statement), so a
+# dense algebra is compiled in pieces of this size.
+_KERNEL_CHUNK = 2048
+
+
+def _compile_product(
+    dim: int, terms: tuple, chunk: int = _KERNEL_CHUNK
+) -> Callable[[Sequence[int], Sequence[int]], list[int]]:
+    """One straight-line function (x, y) -> out over int vectors of length dim,
+    with out[k] = sum over i, j of x_i y_j c for each (k, c) in terms[i][j].
+
+    terms must be symmetric, so each unordered pair {i, j} with nonzero
+    constants computes p = x_i y_j + x_j y_i (x_i y_i when i == j) once and
+    adds c * p into every output it feeds.  Two guards hold for any input:
+    - the source is built from int indices only, and the constants are bound
+      as closure cells, because str() refuses an int of more than 4300 digits;
+    - each statement updates one output by one pair, so no expression nests
+      deeper than a fixed bound (CPython refuses to compile a sum of a few
+      thousand terms).
+    The source is compiled in pieces of about `chunk` statements, which keeps
+    the compiler's memory bounded; each piece after the first takes the
+    outputs so far, and the statements of one pair stay in one piece.
+    """
+    pieces: list[list] = [[]]  # per piece, statements (target, constant or None, product)
+    first: dict[int, int] = {}  # output -> the piece that assigns it first
+    for i in range(dim):
+        for j in range(i, dim):
+            row = terms[i][j]
+            if not row:
+                continue
+            if len(pieces[-1]) >= chunk:
+                pieces.append([])
+            body = pieces[-1]
+            pair = f"x{i} * y{i}" if i == j else f"(x{i} * y{j} + x{j} * y{i})"
+            if len(row) > 1:
+                body.append(("p =", None, pair))
+                pair = "p"
+            for k, c in row:
+                body.append((f"o{k} {'+=' if k in first else '='}", None if c == 1 else c, pair))
+                first.setdefault(k, len(pieces) - 1)
+    xs = "".join(f"x{i}, " for i in range(dim))
+    ys = "".join(f"y{i}, " for i in range(dim))
+    os_ = "".join(f"o{k}, " for k in range(dim))
+    steps = []
+    for n, body in enumerate(pieces):
+        consts = list({c: None for _, c, _ in body if c is not None})
+        names = {c: f"c{m}" for m, c in enumerate(consts)}
+        lines = [f"def make({''.join(f'{name}, ' for name in names.values())}):"]
+        if n == 0:
+            out = ", ".join(f"o{k}" if first.get(k) == 0 else "0" for k in range(dim))
+            lines += ["    def step(x, y):", f"        {xs}= x", f"        {ys}= y"]
+        else:  # the outputs come in from the pieces before
+            out = os_.rstrip(", ")
+            lines += ["    def step(x, y, o):", f"        {xs}= x", f"        {ys}= y", f"        {os_}= o"]
+        lines += [f"        {target} {product}" if c is None else f"        {target} {names[c]} * {product}"
+                  for target, c, product in body]
+        lines += [f"        return [{out}]", "    return step"]
+        namespace: dict = {}
+        exec(compile("\n".join(lines), f"<product kernel, dim {dim}>", "exec"), namespace)
+        steps.append(namespace["make"](*consts))
+    head, rest = steps[0], steps[1:]
+    if not rest:
+        return head
+
+    def product(x, y):
+        out = head(x, y)
+        for step in rest:
+            out = step(x, y, out)
+        return out
+
+    return product
+
+
 class StructureAlgebra(_Record):
     """Structure constants with an optional form, weight and idempotents."""
 
     # Integer copies over one denominator each.  _terms[i][j] holds the
-    # nonzero (k, _den * c_ijk) of e_i e_j, so _product loops over these only;
-    # _form is _form_den * the bilinear form and _omega _omega_den * the weight.
+    # nonzero (k, _den * c_ijk) of e_i e_j; _form is _form_den * the bilinear
+    # form and _omega _omega_den * the weight.  _product(x, y) is the kernel
+    # compiled from _terms: _den * (x y) for int coordinate vectors x and y.
     __slots__ = (
         "dim", "structure", "bilinear_form", "weight", "idempotents", "name",
-        "_terms", "_den", "_form", "_form_den", "_omega", "_omega_den",
+        "_terms", "_den", "_form", "_form_den", "_omega", "_omega_den", "_product",
     )
 
     def __init__(
@@ -162,6 +237,8 @@ class StructureAlgebra(_Record):
         for slot, value in zip(self.__slots__, values):
             _set(self, slot, value)
         self._validate()
+        # after _validate, which proves _terms[i][j] == _terms[j][i]
+        _set(self, "_product", _compile_product(dim, terms))
 
     def _validate(self) -> None:
         n = self.dim
@@ -194,26 +271,22 @@ class StructureAlgebra(_Record):
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
-    def _product(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
-        """_den * (x y) for int coordinate vectors x and y of length dim."""
-        out = [0] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for xi, row in zip(x, self._terms):
-            if xi:
-                for j, yj in ys:
-                    s = xi * yj
-                    for k, c in row[j]:
-                        out[k] += s * c
-        return out
-
     def multiply(self, x: Sequence, y: Sequence) -> Vector:
         (xs, ys), den = _cleared_vectors(self, x, y)
         return _divided(self._product(xs, ys), den * den * self._den)
 
     def mult_operator(self, c: Sequence) -> Matrix:
         """L_c as an exact matrix (columns are c * e_j)."""
-        cols = [self.multiply(c, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        (cs,), den = _cleared_vectors(self, c)
+        unit = [0] * self.dim
+        cols = []
+        for j in range(self.dim):
+            unit[j] = 1
+            cols.append(self._product(cs, unit))
+            unit[j] = 0
+        s = den * self._den
+        shared = {v: Fraction(v, s) for v in {v for col in cols for v in col}}
+        return [[shared[col[k]] for col in cols] for k in range(self.dim)]
 
     def is_idempotent(self, c: Sequence) -> bool:
         c = _vec(c)
@@ -528,23 +601,26 @@ def _weight_value(
     return num, wden
 
 
-def _random_vector(dim: int, rng: random.Random) -> Vector:
-    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
-
-
 def verify_identity(
     algebra: StructureAlgebra,
     identity: WeightedIdentity,
     trials: int = 50,
     seed: int = 0,
 ) -> VerificationReport:
-    """Evaluate the identity at random rational vectors; all must vanish."""
+    """Evaluate the identity at random rational vectors; all must vanish.
+
+    Coordinate i of a trial vector is n_i / d_i with n_i in -9..9 and d_i in
+    1..4, drawn in that order; the vector is taken as ints xs = den * x with
+    den = lcm(d_i).
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
-        (xs,), den = _cleared_vectors(algebra, _random_vector(algebra.dim, rng))
+        draws = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(algebra.dim)]
+        den = lcm(*(d for _, d in draws))
+        xs = [n * (den // d) for n, d in draws]
         memo = {atom(): {(): xs}}  # shared by every term and weight at this x
         # Term t at x is num * value / tden with ints num, value and tden > 0;
         # P(x) is zero when the sum over the common denominator is.
@@ -828,6 +904,9 @@ def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be a JSON integer, got {json.dumps(dim)}")
+    name = obj.get("name", "")
+    if name is not None and not isinstance(name, str):
+        raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
     # null means absent; an empty list goes on to the length checks
     form, weight = obj.get("bilinear_form"), obj.get("weight")
     return StructureAlgebra(
@@ -836,5 +915,5 @@ def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
         bilinear_form=None if form is None else _rationals_from_json(form, "bilinear_form", 2),
         weight=None if weight is None else _rationals_from_json(weight, "weight", 1),
         idempotents=_rationals_from_json(obj.get("idempotents", []), "idempotents", 2),
-        name=obj.get("name", ""),
+        name=name,
     )

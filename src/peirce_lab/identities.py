@@ -683,12 +683,20 @@ def identity_to_json(identity: WeightedIdentity) -> dict:
 def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
     if isinstance(obj, str):
         obj = json.loads(obj)
+    raw, name = obj["terms"], obj.get("name")
+    if not isinstance(raw, list):
+        raise TypeError(f"terms must be a JSON list, got {json.dumps(raw)}")
+    for i, t in enumerate(raw):
+        if not isinstance(t, dict):
+            raise TypeError(f"terms[{i}] must be a JSON object, got {json.dumps(t)}")
+    if name is not None and not isinstance(name, str):
+        raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
     terms = [
         IdentityTerm(
             parse_rational(t["coeff"]),
             parse_monomial(t["monomial"]),
             _weight_from_json(t.get("weight", {"kind": "constant"})),
         )
-        for t in obj["terms"]
+        for t in raw
     ]
-    return make_identity(terms, name=obj.get("name"))
+    return make_identity(terms, name=name)

@@ -469,18 +469,17 @@ def test_linearize_matches_labelled_sum(name):
                 assert linearize(alg, m, k, x, y) == _labelled_linearization(alg, m, k, x, y), (str(m), k)
 
 
-def test_linearize_product_count(monkeypatch):
+def test_linearize_product_count():
     # z^[6] has 5 distinct product nodes; mod eps^3 each multiplies at most
     # 6 pairs of jet coefficients.  The labelled sum takes C(32, 2) * 31.
     alg = hsiang_tracefree_sym3()
     rng = random.Random(4)
     x, y = _rand_vec(alg.dim, rng), _rand_vec(alg.dim, rng)
     calls = []
-    inner = StructureAlgebra._product
-    # algebras are slotted, so the kernel is counted on the class
-    monkeypatch.setattr(
-        StructureAlgebra, "_product", lambda self, u, v: calls.append(1) or inner(self, u, v)
-    )
+    inner = alg._product
+    # the kernel is a slot of this one (immutable) algebra, so it is wrapped
+    # there, past the record's __setattr__
+    object.__setattr__(alg, "_product", lambda u, v: calls.append(1) or inner(u, v))
     linearize(alg, plenary_power(6), 2, x, y)
     assert 0 < len(calls) <= 30
 
@@ -533,6 +532,10 @@ def test_algebra_json_round_trip():
         assert back.structure == alg.structure
         assert back.bilinear_form == alg.bilinear_form
         assert back.idempotents == alg.idempotents
+        # a null name is absent, and the algebra stays hashable
+        blob["name"] = None
+        back = algebra_from_json(blob)
+        assert back.name is None and hash(back) == hash(algebra_from_json(blob))
 
 
 def test_algebra_validation_rejects_noncommutative():
@@ -578,6 +581,84 @@ def test_poly_at_matrix():
 # the definitions in Fractions, with no shared code.
 
 small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+
+
+def _loop_product(alg, x, y):
+    """The loop kernel, the oracle of the compiled one: _den * (x y) summed
+    over the nonzero (k, c) of _terms[i][j] for every ordered pair (i, j)."""
+    out = [0] * alg.dim
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for xi, row in zip(x, alg._terms):
+        if xi:
+            for j, yj in ys:
+                s = xi * yj
+                for k, c in row[j]:
+                    out[k] += s * c
+    return out
+
+
+# constants with zeros, signs, denominators and more than 64 bits
+kernel_constants = st.one_of(
+    st.just(F(0)), small_fractions, st.integers(-(2**80), 2**80).map(F)
+)
+# vector entries with zeros, signs and more than 64 bits
+kernel_entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def commutative_algebras(draw, max_dim=6):
+    n = draw(st.integers(1, max_dim))
+    structure = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            structure[i][j] = structure[j][i] = tuple(draw(kernel_constants) for _ in range(n))
+    return StructureAlgebra(dim=n, structure=tuple(tuple(row) for row in structure))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compiled_kernel_matches_loop(data):
+    alg = data.draw(commutative_algebras())
+    vectors = st.lists(kernel_entries, min_size=alg.dim, max_size=alg.dim)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert alg._product(x, y) == _loop_product(alg, x, y)
+    assert alg._product(y, x) == alg._product(x, y)
+    # the same kernel compiled in pieces of a few statements each
+    pieces = algebras._compile_product(alg.dim, alg._terms, data.draw(st.integers(1, 4)))
+    assert pieces(x, y) == _loop_product(alg, x, y)
+
+
+def test_kernel_with_one_long_output_sum():
+    # e_i e_j = e_0 for all i, j: coordinate 0 sums 78 * 79 / 2 = 3081 pair
+    # terms, past the length of one sum that CPython 3.10-3.12 can compile
+    n = 78
+    e0 = tuple(F(int(k == 0)) for k in range(n))
+    alg = StructureAlgebra(dim=n, structure=tuple(tuple(e0 for _ in range(n)) for _ in range(n)))
+    rng = random.Random(78)
+    x, y = _rand_vec(n, rng), _rand_vec(n, rng)
+    got = alg.multiply(x, y)
+    assert got == _dense_product(alg, x, y)
+    assert got[0] == sum(x) * sum(y) and not any(got[1:])
+
+
+def test_kernel_with_a_constant_past_the_str_limit():
+    # str() refuses an int of more than 4300 digits, so the kernel source
+    # must never print a constant
+    big = F(10**4400 + 7, 3)
+    zero = F(0)
+    alg = StructureAlgebra(dim=2, structure=(((big, F(1)), (F(-1), zero)), ((F(-1), zero), (zero, big))))
+    assert alg._den == 3 and alg._terms[0][0][0][1].bit_length() > 14_000
+    x, y = (F(2, 3), F(-5)), (F(7), F(1, 4))
+    assert alg.multiply(x, y) == _dense_product(alg, x, y)
+
+
+def test_mult_operator_columns_are_products():
+    for alg in [build_algebra(name) for name in builder_names()] + [spin_factor(8)]:
+        for c in alg.idempotents + (_rand_vec(alg.dim, random.Random(alg.dim)),):
+            lc = alg.mult_operator(c)
+            for j in range(alg.dim):
+                col = _dense_product(alg, c, alg.basis_vector(j))
+                assert [row[j] for row in lc] == list(col), (alg.name, j)
 
 
 def _fraction_mat_mul(m1, m2):
@@ -655,12 +736,17 @@ def _fraction_jet(alg, m, leaf, caps=()):
     return memo[m]
 
 
+def _random_vector(dim, rng):
+    """verify_identity's trial vector, drawn as Fractions."""
+    return tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
+
+
 def _fraction_identity_failures(alg, identity, trials, seed):
     """verify_identity's failure lines, with P(x) summed in Fractions."""
     rng = random.Random(seed)
     failures = []
     for trial in range(trials):
-        x = algebras._random_vector(alg.dim, rng)
+        x = _random_vector(alg.dim, rng)
         acc = [F(0)] * alg.dim
         for t in identity.terms:
             w = F(1)
@@ -843,6 +929,20 @@ def test_verify_identity_weights_match_fraction_sum():
         report = verify_identity(alg, identity, trials=6, seed=2)
         assert report.ok == holds, identity
         assert report.failures == _fraction_identity_failures(alg, identity, 6, 2), identity
+
+
+def test_verify_identity_trial_vectors_match_fraction_draw():
+    # On e1^2 = e1, e2^2 = e2, e1 e2 = 0 with omega = (1, 0), x = a e1 + b e2
+    # gives P(x) = x^2 - omega(x) x = b (b - a) e2: zero exactly when b = 0 or
+    # a = b, so the verdict of each trial depends on the exact vector drawn.
+    zero = (F(0), F(0))
+    alg = StructureAlgebra(dim=2, structure=(((F(1), F(0)), zero), (zero, (F(0), F(1)))), weight=(F(1), F(0)))
+    identity = make_identity(
+        [(1, principal_power(2)), (-1, atom(), baric_weight(1))], require_zero_sum=False
+    )
+    report = verify_identity(alg, identity, trials=200, seed=3)
+    assert 0 < len(report.failures) < 200
+    assert report.failures == _fraction_identity_failures(alg, identity, 200, 3)
 
 
 # --- matrix-unit builders against their Fraction-matrix definitions -----------

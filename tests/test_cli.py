@@ -439,6 +439,14 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
             EXIT_PARSE_ERROR,
             'cannot read identity file: monomials must be a JSON list, got "z"',
         ),
+        # these used to end in "string indices must be integers" or an unhashable name
+        ({"terms": "abc"}, EXIT_PARSE_ERROR, 'cannot read identity file: terms must be a JSON list, got "abc"\n'),
+        ({"terms": [3]}, EXIT_PARSE_ERROR, "cannot read identity file: terms[0] must be a JSON object, got 3\n"),
+        (
+            {"terms": [{"coeff": "1", "monomial": "z^2"}, {"coeff": "-1", "monomial": "z"}], "name": {"a": 1}},
+            EXIT_PARSE_ERROR,
+            'cannot read identity file: name must be a JSON string or null, got {"a": 1}\n',
+        ),
     ],
     ids=[
         "empty-terms",
@@ -451,6 +459,9 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "boolean-baric-exponent",
         "fractional-product-exponent",
         "string-monomials",
+        "string-terms",
+        "number-term",
+        "object-name",
     ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
@@ -532,8 +543,11 @@ def test_misshapen_algebra_file_exit_3(capsys, tmp_path, payload, catalog, messa
         ({"dim": 1, "structure": "1", "idempotents": [["1"]]}, 'structure must be a JSON list, got "1"'),
         ({"dim": 2, "structure": SQUARE, "idempotents": {"0": ["1", "0"]}},
          'idempotents must be a JSON list, got {"0": ["1", "0"]}'),
+        # a list name used to load, and made the algebra unhashable
+        ({"dim": 2, "structure": SQUARE, "idempotents": [["1", "0"]], "name": ["x"]},
+         'name must be a JSON string or null, got ["x"]'),
     ],
-    ids=["idempotent", "weight", "product", "form-row", "structure", "object"],
+    ids=["idempotent", "weight", "product", "form-row", "structure", "object", "list-name"],
 )
 def test_string_for_a_list_in_algebra_file_exit_2(capsys, tmp_path, fields, message):
     # a string is iterable, so "10" used to read as the vector (1, 0) and verify

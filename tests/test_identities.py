@@ -473,6 +473,9 @@ def test_identity_json_round_trip():
         back = identity_from_json(blob)
         assert back.terms == ident.terms
         assert back.name == ident.name
+        # a null name is absent, and the identity stays hashable
+        back = identity_from_json({**blob, "name": None})
+        assert back.name is None and hash(back) == hash(identity_from_json({**blob, "name": None}))
 
 
 def test_identity_json_weights():
