@@ -615,7 +615,7 @@ def commutative_algebras(draw, max_dim=6):
     return StructureAlgebra(dim=n, structure=tuple(tuple(row) for row in structure))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_compiled_kernel_matches_loop(data):
     alg = data.draw(commutative_algebras())
@@ -630,7 +630,7 @@ def test_compiled_kernel_matches_loop(data):
 
 def test_kernel_with_one_long_output_sum():
     # e_i e_j = e_0 for all i, j: coordinate 0 sums 78 * 79 / 2 = 3081 pair
-    # terms, past the length of one sum that CPython 3.10-3.12 can compile
+    # terms, past the longest single sum CPython 3.11 compiles (2992 terms)
     n = 78
     e0 = tuple(F(int(k == 0)) for k in range(n))
     alg = StructureAlgebra(dim=n, structure=tuple(tuple(e0 for _ in range(n)) for _ in range(n)))
