@@ -24,7 +24,7 @@ from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
-from .identities import WeightDescriptor, WeightedIdentity, identity_peirce_poly
+from .identities import WeightDescriptor, WeightedIdentity, _json_object, identity_peirce_poly
 from .magma import Monomial, atom, fold
 from .peirce import peirce_poly, peirce_symbol
 from .poly import (
@@ -377,38 +377,27 @@ def char_poly_matrix(m: Matrix) -> Poly1:
     return Poly1({e: Fraction(c, d ** (n - e)) for e, c in enumerate(_faddeev_leverrier(a))})
 
 
-def _row_reduce(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form of m and its pivot columns, by exact Gauss-Jordan."""
+def null_space(m: Matrix) -> list[Vector]:
+    """Basis of the kernel, by exact Gauss-Jordan elimination."""
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
     a = [row[:] for row in m]
     pivots: list[int] = []
-    r = 0
     for col in range(n_cols):
+        r = len(pivots)
         pivot = next((i for i in range(r, n_rows) if a[i][col]), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
+        inv = 1 / Fraction(a[r][col])  # exact for an int matrix too
         a[r] = [v * inv for v in a[r]]
         for i in range(n_rows):
             if i != r and a[i][col]:
                 factor = a[i][col]
                 a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
         pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return a, pivots
-
-
-def null_space(m: Matrix) -> list[Vector]:
-    """Basis of the kernel, by exact Gaussian elimination."""
-    n_cols = len(m[0]) if m else 0
-    a, pivots = _row_reduce(m)
-    free = [c for c in range(n_cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivots):
@@ -680,36 +669,45 @@ def fusion_empirical(
     predicted,
     decomposition: PeirceDecomposition | None = None,
 ) -> VerificationReport:
-    """Project eigenbasis products and compare against a predicted fusion table."""
+    """Check each eigenbasis product xy against a predicted fusion table.
+
+    xy lies in the sum of the A_c(nu) for nu in S exactly when the product of
+    the (L_c - nu) over S kills it.  With c = cs/d and s = d * _den the kernel
+    at cs is s * L_c, so nu = p/q is applied as q * (s * L_c) - p * s, in ints.
+    A product that fails is tested again for each nu outside S, over the other
+    eigenvalues, to name its stray components.
+    """
     decomp = decomposition or eigen_decomposition(algebra, c)
     if not decomp.semisimple:
         raise ValueError("empirical fusion check needs a semisimple decomposition")
-    bases = decomp.eigenbases
-    columns = [v for lam in decomp.eigenvalues for v in bases[lam]]
-    column_eigenvalue = [lam for lam in decomp.eigenvalues for _ in bases[lam]]
+    spectrum = decomp.eigenvalues
+    (cs,), d = _cleared_vectors(algebra, c)
+    s = d * algebra._den
+
+    def vanishes(v: list[int], nus) -> bool:
+        for nu in nus:
+            v = [nu.denominator * a - nu.numerator * s * b for a, b in zip(algebra._product(cs, v), v)]
+        return not any(v)
+
+    bases = {lam: _cleared_vectors(algebra, *decomp.eigenbases[lam])[0] for lam in spectrum}
     failures = [
         f"eigenvalue {format_rational(lam)} of L_c is outside the predicted spectrum"
-        for lam in decomp.eigenvalues
+        for lam in spectrum
         if lam not in predicted.spectrum
     ]
-    known = [lam for lam in decomp.eigenvalues if lam in predicted.spectrum]
-    blocks = [(lam, mu) for lam in known for mu in known if mu >= lam]
-    products = [algebra.multiply(x, y) for lam, mu in blocks for x in bases[lam] for y in bases[mu]]
-    # One elimination of [eigenbasis | products] leaves every product's
-    # eigenbasis coordinates in the right-hand block.
-    n = algebra.dim
-    reduced, _ = _row_reduce([[v[i] for v in columns] + [p[i] for p in products] for i in range(n)])
-    col = n
-    for lam, mu in blocks:
+    known = [lam for lam in spectrum if lam in predicted.spectrum]
+    for lam, mu in ((lam, mu) for lam in known for mu in known if mu >= lam):
         allowed = predicted.allowed(lam, mu)
-        for _ in range(len(bases[lam]) * len(bases[mu])):
-            present = {column_eigenvalue[j] for j in range(n) if reduced[j][col]}
-            col += 1
-            extra = present - set(allowed)
-            if extra:
+        for x in bases[lam]:
+            for y in bases[mu]:
+                xy = algebra._product(x, y)
+                if vanishes(xy, [nu for nu in spectrum if nu in allowed]):
+                    continue
+                extra = [nu for nu in spectrum
+                         if nu not in allowed and not vanishes(xy, [o for o in spectrum if o != nu])]
                 failures.append(
                     f"A_c({lam}) * A_c({mu}) has components at "
-                    + ", ".join(format_rational(nu) for nu in sorted(extra))
+                    + ", ".join(format_rational(nu) for nu in extra)
                     + f" outside the allowed {sorted(allowed)}"
                 )
     return VerificationReport(not failures, "empirical fusion", tuple(failures))
@@ -898,8 +896,7 @@ def _rationals_from_json(value, field: str, depth: int) -> tuple:
 
 
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _json_object(obj)
     dim = obj["dim"]
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(dim, int) or isinstance(dim, bool):

@@ -60,8 +60,7 @@ def _read_identity(args) -> identities.WeightedIdentity:
     if args.identity:
         try:
             with open(args.identity) as fh:
-                payload = json.load(fh)
-            return identities.identity_from_json(payload)
+                return identities.identity_from_json(fh.read())
         except (
             identities.ZeroSumViolation,
             identities.EmptyIdentity,
@@ -229,10 +228,10 @@ def _load_algebra(args) -> algebras.StructureAlgebra:
             raise _CliError(exc.args[0], EXIT_PARSE_ERROR)
     try:
         with open(args.algebra) as fh:
-            payload = json.load(fh)
-        return algebras.algebra_from_json(payload)
+            return algebras.algebra_from_json(fh.read())
     except (
         OSError,
+        UnicodeDecodeError,
         json.JSONDecodeError,
         RecursionError,  # the JSON decoder recurses on nested brackets
         RationalSyntaxError,

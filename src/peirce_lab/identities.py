@@ -644,6 +644,12 @@ def _exponent_from_json(k) -> int:
     return k
 
 
+def _monomial_from_json(text, field: str) -> Monomial:
+    if not isinstance(text, str):
+        raise TypeError(f"{field} must be a JSON string, got {json.dumps(text)}")
+    return parse_monomial(text)
+
+
 def _weight_from_json(obj: Mapping) -> WeightDescriptor:
     kind = obj.get("kind", "constant")
     if kind == "constant":
@@ -651,7 +657,7 @@ def _weight_from_json(obj: Mapping) -> WeightDescriptor:
     if kind == "baric":
         return baric_weight(_exponent_from_json(obj["k"]))
     if kind == "bilinear":
-        return bilinear_weight(parse_monomial(obj["monomial"]))
+        return bilinear_weight(_monomial_from_json(obj["monomial"], "monomial"))
     if kind == "product":
         monomials = obj.get("monomials", [])
         # a JSON string is iterable, one character at a time
@@ -659,7 +665,7 @@ def _weight_from_json(obj: Mapping) -> WeightDescriptor:
             raise TypeError(f"monomials must be a JSON list, got {json.dumps(monomials)}")
         return WeightDescriptor(
             _exponent_from_json(obj.get("k", 0)),
-            tuple(sorted(parse_monomial(s) for s in monomials)),
+            tuple(sorted(_monomial_from_json(s, f"monomials[{j}]") for j, s in enumerate(monomials))),
         )
     raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -680,23 +686,41 @@ def identity_to_json(identity: WeightedIdentity) -> dict:
     return out
 
 
-def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
+_JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number"}
+
+
+def _json_object(obj: Mapping | str) -> Mapping:
+    """obj, decoded from JSON text once if it is a str; it must be an object.
+
+    The message names the kind of value found, never the value: a file may
+    be large.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, Mapping):
+        kind = "null" if obj is None else _JSON_KINDS.get(type(obj), f"a {type(obj).__name__}")
+        raise TypeError(f"expected a JSON object at the top level, got {kind}")
+    return obj
+
+
+def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
+    obj = _json_object(obj)
     raw, name = obj["terms"], obj.get("name")
     if not isinstance(raw, list):
         raise TypeError(f"terms must be a JSON list, got {json.dumps(raw)}")
     for i, t in enumerate(raw):
         if not isinstance(t, dict):
             raise TypeError(f"terms[{i}] must be a JSON object, got {json.dumps(t)}")
+        if not isinstance(t.get("weight", {}), dict):
+            raise TypeError(f"terms[{i}].weight must be a JSON object, got {json.dumps(t['weight'])}")
     if name is not None and not isinstance(name, str):
         raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
     terms = [
         IdentityTerm(
             parse_rational(t["coeff"]),
-            parse_monomial(t["monomial"]),
-            _weight_from_json(t.get("weight", {"kind": "constant"})),
+            _monomial_from_json(t["monomial"], f"terms[{i}].monomial"),
+            _weight_from_json(t.get("weight", {})),
         )
-        for t in raw
+        for i, t in enumerate(raw)
     ]
     return make_identity(terms, name=name)

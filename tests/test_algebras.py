@@ -1,5 +1,6 @@
 """Concrete algebras: builders, spectral analysis, linearization theorems."""
 
+import functools
 import itertools
 import json
 import math
@@ -44,7 +45,7 @@ from peirce_lab.identities import (
 )
 from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
 from peirce_lab.peirce import peirce_poly
-from peirce_lab.poly import Poly1
+from peirce_lab.poly import Poly1, format_rational
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -204,9 +205,11 @@ def test_fusion_empirical_names_eigenvalue_outside_predicted_spectrum():
     # L_c of E_00 in jordan_sym2 has eigenvalue 0, which the hsiang table lacks
     alg = jordan_sym(2)
     c = alg.idempotents[0]
-    report = fusion_empirical(alg, c, fusion_table(catalog("hsiang")), eigen_decomposition(alg, c))
+    d = eigen_decomposition(alg, c)
+    report = fusion_empirical(alg, c, fusion_table(catalog("hsiang")), d)
     assert not report.ok
     assert any(f.startswith("eigenvalue 0 ") for f in report.failures), report.failures
+    assert report == _fusion_by_elimination(alg, c, fusion_table(catalog("hsiang")), d)
 
 
 def test_fusion_empirical_reports_every_stray_component():
@@ -224,6 +227,152 @@ def test_fusion_empirical_reports_every_stray_component():
         "A_c(1/2) * A_c(1) has components at 1/2 outside the allowed []",
         "A_c(1) * A_c(1) has components at 1 outside the allowed []",
     )
+    assert report == _fusion_by_elimination(alg, c, nothing, eigen_decomposition(alg, c))
+
+
+def _row_reduce(m):
+    """Reduced row echelon form of m and its pivot columns, by exact Gauss-Jordan."""
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    a = [[F(v) for v in row] for row in m]
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][col]:
+                factor = a[i][col]
+                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return a, pivots
+
+
+def _fusion_by_elimination(alg, c, predicted, decomp):
+    """fusion_empirical by coordinates: one elimination of [eigenbasis |
+    products] leaves every product's eigenbasis coordinates in the right-hand
+    block, and a product's components are the eigenvalues of its nonzero ones."""
+    bases = decomp.eigenbases
+    columns = [v for lam in decomp.eigenvalues for v in bases[lam]]
+    column_eigenvalue = [lam for lam in decomp.eigenvalues for _ in bases[lam]]
+    failures = [
+        f"eigenvalue {format_rational(lam)} of L_c is outside the predicted spectrum"
+        for lam in decomp.eigenvalues
+        if lam not in predicted.spectrum
+    ]
+    known = [lam for lam in decomp.eigenvalues if lam in predicted.spectrum]
+    blocks = [(lam, mu) for lam in known for mu in known if mu >= lam]
+    products = [alg.multiply(x, y) for lam, mu in blocks for x in bases[lam] for y in bases[mu]]
+    n = alg.dim
+    reduced, _ = _row_reduce([[v[i] for v in columns] + [p[i] for p in products] for i in range(n)])
+    col = n
+    for lam, mu in blocks:
+        allowed = predicted.allowed(lam, mu)
+        for _ in range(len(bases[lam]) * len(bases[mu])):
+            present = {column_eigenvalue[j] for j in range(n) if reduced[j][col]}
+            col += 1
+            extra = present - set(allowed)
+            if extra:
+                failures.append(
+                    f"A_c({lam}) * A_c({mu}) has components at "
+                    + ", ".join(format_rational(nu) for nu in sorted(extra))
+                    + f" outside the allowed {sorted(allowed)}"
+                )
+    return algebras.VerificationReport(not failures, "empirical fusion", tuple(failures))
+
+
+_FUSION_ALGEBRAS = (*builder_names(), "jordan_sym4", "spin_factor8")
+
+
+@functools.cache
+def _decomposed(name, index):
+    """(algebra, idempotent, decomposition) for a builder or a larger algebra."""
+    alg = {"jordan_sym4": lambda: jordan_sym(4), "spin_factor8": lambda: spin_factor(8)}.get(
+        name, lambda: build_algebra(name)
+    )()
+    c = alg.idempotents[index]
+    return alg, c, eigen_decomposition(alg, c)
+
+
+def _idempotent_cases():
+    return [(name, i) for name in _FUSION_ALGEBRAS for i in range(len(_decomposed(name, 0)[0].idempotents))]
+
+
+@pytest.mark.parametrize("name, index", _idempotent_cases())
+def test_fusion_empirical_matches_elimination_on_catalog_tables(name, index):
+    alg, c, d = _decomposed(name, index)
+    assert d.semisimple
+    for ident in ("bernstein", "hsiang", "jordan_power_assoc", "pseudo_composition", "walcher"):
+        for mode in ("generic", "metrized_orthogonal"):
+            table = fusion_table(catalog(ident), mode=mode)
+            assert fusion_empirical(alg, c, table, d) == _fusion_by_elimination(alg, c, table, d), (ident, mode)
+
+
+@st.composite
+def fusion_cases(draw):
+    """A semisimple idempotent and a table over part of its spectrum, perhaps
+    with a value that is no eigenvalue; each allowed set is empty, full or a
+    random subset of the table's spectrum."""
+    name, index = draw(st.sampled_from(_idempotent_cases()))
+    eigenvalues = _decomposed(name, index)[2].eigenvalues
+    spectrum = [lam for lam in eigenvalues if draw(st.integers(0, 3))]  # a quarter are missed
+    if draw(st.booleans()):
+        spectrum.append(F(-1, 3))
+    spectrum.sort()
+    entries = {}
+    for i, lam in enumerate(spectrum):
+        for mu in spectrum[i:]:
+            kind = draw(st.sampled_from(("empty", "full", "subset")))
+            entries[lam, mu] = frozenset(
+                nu for nu in spectrum if kind == "full" or (kind == "subset" and draw(st.booleans()))
+            )
+    return name, index, FusionTable(tuple(spectrum), entries, "generic")
+
+
+_NONE_ALLOWED = FusionTable((F(0), HALF, F(1)), {(a, b): frozenset() for a in (F(0), HALF, F(1))
+                                                 for b in (F(0), HALF, F(1)) if a <= b}, "generic")
+
+
+@settings(max_examples=150, deadline=None)
+@given(fusion_cases())
+@example(("jordan_sym4", 0, fusion_table(catalog("jordan_power_assoc"))))
+@example(("jordan_sym4", 1, _NONE_ALLOWED))
+@example(("spin_factor8", 1, fusion_table(catalog("jordan_power_assoc"))))
+@example(("spin_factor8", 1, _NONE_ALLOWED))
+def test_fusion_empirical_matches_elimination(case):
+    name, index, table = case
+    alg, c, d = _decomposed(name, index)
+    assert fusion_empirical(alg, c, table, d) == _fusion_by_elimination(alg, c, table, d)
+
+
+def test_fusion_empirical_with_a_decomposition_neither_multiplies_nor_eliminates(monkeypatch):
+    alg, c, d = _decomposed("spin_factor8", 1)
+    table = fusion_table(catalog("hsiang"))
+    want = _fusion_by_elimination(alg, c, table, d)
+    assert not want.ok
+
+    def refuse(*args):
+        raise AssertionError("fusion_empirical called multiply or null_space")
+
+    monkeypatch.setattr(StructureAlgebra, "multiply", refuse)
+    monkeypatch.setattr(algebras, "null_space", refuse)
+    assert fusion_empirical(alg, c, table, d) == want
+
+
+def test_null_space_of_an_int_matrix_is_exact():
+    basis = algebras.null_space([[1, 2], [2, 4]])
+    assert basis == [(F(-2), F(1))]
+    # -2.0 == F(-2), so equality alone would pass with a float pivot inverse
+    assert all(type(v) is F for v in basis[0])
+    basis = algebras.null_space([[3, 1, 0], [0, 0, 2]])
+    assert basis == [(F(-1, 3), F(1), F(0))] and all(type(v) is F for v in basis[0])
 
 
 def test_spectrum_inclusion_negative_control():
@@ -536,6 +685,15 @@ def test_algebra_json_round_trip():
         blob["name"] = None
         back = algebra_from_json(blob)
         assert back.name is None and hash(back) == hash(algebra_from_json(blob))
+
+
+def test_algebra_from_json_decodes_text_once():
+    text = json.dumps(algebra_to_json(jordan_sym(2)))
+    assert algebra_from_json(text) == jordan_sym(2)
+    with pytest.raises(TypeError, match="^expected a JSON object at the top level, got a string$"):
+        algebra_from_json(json.dumps(text))
+    with pytest.raises(TypeError, match="^expected a JSON object at the top level, got an array$"):
+        algebra_from_json([algebra_to_json(jordan_sym(2))])
 
 
 def test_algebra_validation_rejects_noncommutative():

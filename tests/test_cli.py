@@ -399,7 +399,15 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
             EXIT_PARSE_ERROR,
             "cannot read identity file: zero denominator in '1/0'\n",
         ),
-        ([1, 2], EXIT_PARSE_ERROR, "cannot read identity file: "),
+        ([1, 2], EXIT_PARSE_ERROR, "cannot read identity file: expected a JSON object at the top level, got an array\n"),
+        # a file holding a JSON string of a document used to be decoded twice and read
+        (
+            json.dumps({"terms": [{"coeff": "1", "monomial": "z^2"}, {"coeff": "-1", "monomial": "z"}]}),
+            EXIT_PARSE_ERROR,
+            "cannot read identity file: expected a JSON object at the top level, got a string\n",
+        ),
+        (3, EXIT_PARSE_ERROR, "cannot read identity file: expected a JSON object at the top level, got a number\n"),
+        (None, EXIT_PARSE_ERROR, "cannot read identity file: expected a JSON object at the top level, got null\n"),
         (
             {
                 "terms": [
@@ -447,12 +455,28 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
             EXIT_PARSE_ERROR,
             'cannot read identity file: name must be a JSON string or null, got {"a": 1}\n',
         ),
+        # these used to end in "'int' object has no attribute 'get'" or "object of type 'int' has no len()"
+        *(
+            ({"terms": [term, {"coeff": "-1", "monomial": "z"}]}, EXIT_PARSE_ERROR, f"cannot read identity file: {message}\n")
+            for term, message in [
+                ({"coeff": "1", "monomial": "z^2", "weight": 3}, "terms[0].weight must be a JSON object, got 3"),
+                ({"coeff": "1", "monomial": "z^2", "weight": None}, "terms[0].weight must be a JSON object, got null"),
+                ({"coeff": "1", "monomial": 2}, "terms[0].monomial must be a JSON string, got 2"),
+                ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "bilinear", "monomial": 2}},
+                 "monomial must be a JSON string, got 2"),
+                ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "monomials": ["z", ["z"]]}},
+                 'monomials[1] must be a JSON string, got ["z"]'),
+            ]
+        ),
     ],
     ids=[
         "empty-terms",
         "bad-coefficient",
         "zero-denominator-coefficient",
         "top-level-list",
+        "double-encoded",
+        "top-level-number",
+        "top-level-null",
         "negative-baric-exponent",
         "fractional-baric-exponent",
         "string-baric-exponent",
@@ -462,6 +486,11 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "string-terms",
         "number-term",
         "object-name",
+        "number-weight",
+        "null-weight",
+        "number-monomial",
+        "number-bilinear-monomial",
+        "list-in-monomials",
     ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
@@ -546,8 +575,17 @@ def test_misshapen_algebra_file_exit_3(capsys, tmp_path, payload, catalog, messa
         # a list name used to load, and made the algebra unhashable
         ({"dim": 2, "structure": SQUARE, "idempotents": [["1", "0"]], "name": ["x"]},
          'name must be a JSON string or null, got ["x"]'),
+        # a file holding a JSON string of a document used to be decoded twice and verify
+        (json.dumps({"dim": 1, "structure": [[["1"]]], "idempotents": [["1"]]}),
+         "expected a JSON object at the top level, got a string"),
+        ([{"dim": 1}], "expected a JSON object at the top level, got an array"),
+        (1, "expected a JSON object at the top level, got a number"),
+        (None, "expected a JSON object at the top level, got null"),
     ],
-    ids=["idempotent", "weight", "product", "form-row", "structure", "object", "list-name"],
+    ids=[
+        "idempotent", "weight", "product", "form-row", "structure", "object", "list-name",
+        "double-encoded", "top-level-array", "top-level-number", "top-level-null",
+    ],
 )
 def test_string_for_a_list_in_algebra_file_exit_2(capsys, tmp_path, fields, message):
     # a string is iterable, so "10" used to read as the vector (1, 0) and verify
@@ -567,6 +605,16 @@ def test_non_integer_dim_in_algebra_file_exit_2(capsys, tmp_path, dim, got):
     code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
     assert code == EXIT_PARSE_ERROR
     assert err == f"error: cannot read algebra file: dim must be a JSON integer, got {got}\n"
+    assert out == ""
+
+
+def test_undecodable_algebra_file_exit_2(capsys, tmp_path):
+    # a UnicodeDecodeError is a ValueError, and used to read as an invalid algebra, exit 3
+    path = tmp_path / "alg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
+    assert code == EXIT_PARSE_ERROR
+    assert err.startswith("error: cannot read algebra file: ")
     assert out == ""
 
 

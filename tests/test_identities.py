@@ -1,6 +1,7 @@
 """Weighted identities: validation, spectra, symbols, fusion, catalog, products."""
 
 import inspect
+import json
 import random
 import re
 from fractions import Fraction
@@ -488,6 +489,15 @@ def test_identity_json_weights():
     )
     back = identity_from_json(identity_to_json(ident))
     assert back.terms == ident.terms
+
+
+def test_identity_from_json_decodes_text_once():
+    text = json.dumps(identity_to_json(catalog("hsiang")))
+    assert identity_from_json(text) == catalog("hsiang")
+    with pytest.raises(TypeError, match="^expected a JSON object at the top level, got a string$"):
+        identity_from_json(json.dumps(text))
+    with pytest.raises(TypeError, match="^expected a JSON object at the top level, got null$"):
+        identity_from_json("null")
 
 
 def test_identity_json_rejects_bad_sum():
