@@ -20,7 +20,7 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
@@ -443,11 +443,11 @@ def eigen_decomposition(algebra: StructureAlgebra, c: Sequence) -> PeirceDecompo
 # --- monomial evaluation and linearization ------------------------------------
 
 
-# One evaluator serves plain evaluation and both linearizations: Taylor-mode
-# differentiation over the monomial DAG.  A jet is a dict {exponent tuple:
-# vector}, the coefficients of a truncated polynomial in infinitesimals; the
-# leaf x + eps*y is {(0,): x, (1,): y}.  A product keeps only the exponents
-# within `caps`, so it computes modulo eps^(cap+1) in each infinitesimal.
+# One evaluator serves plain evaluation, both linearizations and the checks
+# built on them: Taylor-mode differentiation over the monomial DAG.  A jet is
+# the list of coefficients of a truncated polynomial in infinitesimals, in
+# the key order of _jet_schedule, with None for an absent (zero) one; the
+# leaf x + eps*y mod eps^2 is [x, y].
 #
 # Jets hold ints.  The leaf vectors are scaled by one common L to ints, and
 # the kernel returns D = algebra._den times each product, so every
@@ -459,30 +459,44 @@ def _jet_scale(algebra: StructureAlgebra, den: int, degree: int) -> int:
     return den**degree * algebra._den ** (degree - 1)
 
 
-def _jet_product(algebra: StructureAlgebra, a: dict, b: dict, caps: tuple[int, ...]) -> dict:
-    out: dict = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            if all(i <= cap for i, cap in zip(e, caps)):
-                v = algebra._product(va, vb)
-                out[e] = [s + t for s, t in zip(out[e], v)] if e in out else v
-    return out
+def _jet_schedule(groups: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Triples (i, j, k), one per split of key k into keys i + j: the product
+    of jets a and b is out[k] = sum of a[i] b[j].  Each group (n, cap) adds n
+    infinitesimals whose products of total order above cap vanish.  The keys
+    run row-major over the groups, each by total order: key 0 is 1, and a
+    group (n, 1) has its n infinitesimals at its places 1..n.
+    """
+    keys = [()]
+    for n, cap in groups:
+        part = [tuple(map(c.count, range(n)))
+                for t in range(cap + 1) for c in itertools.combinations_with_replacement(range(n), t)]
+        keys = [k + e for k in keys for e in part]
+    index = {k: i for i, k in enumerate(keys)}
+    return [(index[i], index[tuple(map(sub, k, i))], n)
+            for n, k in enumerate(keys) for i in itertools.product(*(range(e + 1) for e in k))]
 
 
-def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, caps: tuple[int, ...] = ()) -> dict:
-    """Jet of m, given memo[atom()] = the leaf jet.
+def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, schedule=((0, 0, 0),)) -> list:
+    """Jet of m, given memo[atom()] = the leaf jet, of the keys of `schedule`.
 
     `memo` maps subtrees to their jets; evaluations of several monomials at
     the same leaf may share it.
     """
-    return fold(m, memo, lambda node, a, b: _jet_product(algebra, a, b, caps))
+
+    def step(node, a, b):
+        out = [None] * len(a)
+        for i, j, k in schedule:
+            if a[i] is not None and b[j] is not None:
+                v = algebra._product(a[i], b[j])
+                out[k] = v if out[k] is None else [s + t for s, t in zip(out[k], v)]
+        return out
+
+    return fold(m, memo, step)
 
 
 def evaluate_monomial(algebra: StructureAlgebra, m: Monomial, x: Sequence) -> Vector:
     (xs,), den = _cleared_vectors(algebra, x)
-    value = _evaluate_jet(algebra, m, {atom(): {(): xs}})[()]
-    return _divided(value, _jet_scale(algebra, den, m.degree))
+    return _divided(_evaluate_jet(algebra, m, {atom(): [xs]})[0], _jet_scale(algebra, den, m.degree))
 
 
 def linearize(
@@ -494,8 +508,8 @@ def linearize(
     if not 0 <= k <= deg:
         raise ValueError(f"order k must be in 0..{deg}, got {k}")
     (xs, ys), den = _cleared_vectors(algebra, x, y)
-    jet = _evaluate_jet(algebra, m, {atom(): {(0,): xs, (1,): ys}}, (k,))
-    return _divided(jet[(k,)], _jet_scale(algebra, den, deg))
+    jet = _evaluate_jet(algebra, m, {atom(): ([xs, ys] + [None] * k)[: k + 1]}, _jet_schedule([(1, k)]))
+    return _divided(jet[k], _jet_scale(algebra, den, deg))
 
 
 def second_linearization(
@@ -504,28 +518,27 @@ def second_linearization(
     """Polarized D^2(m; c, x, y) = D^2(c, x+y) - D^2(c, x) - D^2(c, y),
     computed as the eps*delta coefficient of m(c + eps*x + delta*y)."""
     (cs, xs, ys), den = _cleared_vectors(algebra, c, x, y)
-    jet = _evaluate_jet(algebra, m, {atom(): {(0, 0): cs, (1, 0): xs, (0, 1): ys}}, (1, 1))
-    return _divided(jet.get((1, 1), [0] * algebra.dim), _jet_scale(algebra, den, m.degree))
+    jet = _evaluate_jet(algebra, m, {atom(): [cs, ys, xs, None]}, _jet_schedule([(1, 1), (1, 1)]))
+    return _divided(jet[3] or [0] * algebra.dim, _jet_scale(algebra, den, m.degree))
 
 
-def _operator_poly(algebra: StructureAlgebra, f: Poly1, c: Sequence, v: Sequence) -> Vector:
-    """f(L_c) v by a homogeneous Horner pass through the product kernel.
+def _operator_poly(algebra: StructureAlgebra, f: Poly1, cs: list[int], s: int, vectors: list) -> tuple[list, int]:
+    """f(L_c) applied to each int vector, over one common scale, by a
+    homogeneous Horner pass through the product kernel.
 
-    With c = cs/d, v = vs/e and s = d * _den, the kernel applied to cs is
-    A = s * L_c.  With f = (1/q) * sum a_k t^k of degree n, q * e * s^n *
-    f(L_c) v is sum a_k s^(n-k) A^k vs, all in ints; it is divided once at
-    the end.
+    With c = cs/d and s = d * _den, the kernel applied to cs is A = s * L_c.
+    With f = (1/q) * sum a_k t^k of degree n, q * s^n * f(L_c) vs is
+    sum a_k s^(n-k) A^k vs, all in ints; each is returned with q * s^n.
     """
-    (cs,), d = _cleared_vectors(algebra, c)
-    (vs,), e = _cleared_vectors(algebra, v)
     ints, q = _cleared_coeffs(f)
-    s = d * algebra._den
-    acc = [0] * algebra.dim
-    spow = 1
-    for a in reversed(ints):
-        acc = [w + a * spow * u for w, u in zip(algebra._product(cs, acc), vs)]
-        spow *= s
-    return _divided(acc, q * e * s ** max(f.degree, 0))  # the zero polynomial leaves acc zero
+    out = []
+    for vs in vectors:
+        acc, spow = [0] * algebra.dim, 1
+        for a in reversed(ints):
+            acc = [w + a * spow * u for w, u in zip(algebra._product(cs, acc), vs)]
+            spow *= s
+        out.append(acc)
+    return out, q * s ** max(f.degree, 0)  # the zero polynomial leaves every acc zero
 
 
 # --- verification reports -----------------------------------------------------
@@ -546,14 +559,17 @@ class VerificationReport(_Record):
 def verify_first_linearization(
     algebra: StructureAlgebra, c: Sequence, m: Monomial
 ) -> VerificationReport:
-    """Check D^1(m; c, .) == rho(m, L_c) column by column."""
-    rho = peirce_poly(m)
-    failures = []
-    for j in range(algebra.dim):
-        e_j = algebra.basis_vector(j)
-        if linearize(algebra, m, 1, c, e_j) != _operator_poly(algebra, rho, c, e_j):
-            failures.append(f"column {j}: D^1 != rho(L_c)")
-    return VerificationReport(not failures, f"first linearization of {m}", tuple(failures))
+    """Check D^1(m; c, e_j) == rho(m, L_c) e_j, each the eps_j coefficient of
+    m(c + sum_j eps_j e_j), with the two sides cross-multiplied in ints."""
+    n = algebra.dim
+    (cs,), den = _cleared_vectors(algebra, c)
+    units = [[den * (i == j) for i in range(n)] for j in range(n)]  # den * e_j
+    jet = _evaluate_jet(algebra, m, {atom(): [cs, *units]}, _jet_schedule([(n, 1)]))
+    rhs, scale = _operator_poly(algebra, peirce_poly(m), cs, den * algebra._den, units)
+    left, right = scale * den, _jet_scale(algebra, den, m.degree)
+    failures = tuple(f"column {j}: D^1 != rho(L_c)"
+                     for j in range(n) if [a * left for a in jet[j + 1]] != [b * right for b in rhs[j]])
+    return VerificationReport(not failures, f"first linearization of {m}", failures)
 
 
 def verify_second_linearization(
@@ -564,16 +580,26 @@ def verify_second_linearization(
     mu: Fraction,
     decomposition: PeirceDecomposition | None = None,
 ) -> VerificationReport:
-    """Check D^2(m; c, x, y) == symbol(m)(lam, mu, L_c)(xy) on eigenbasis pairs."""
+    """Check D^2(m; c, x, y) == symbol(m)(lam, mu, L_c)(xy) on eigenbasis
+    pairs, each D^2 the eps_p delta_q coefficient of m(c + sum_p eps_p x_p +
+    sum_q delta_q y_q), as verify_first_linearization compares."""
     decomp = decomposition or eigen_decomposition(algebra, c)
+    xs, ys = decomp.eigenbases.get(Fraction(lam), ()), decomp.eigenbases.get(Fraction(mu), ())
+    if not (xs and ys):
+        return VerificationReport(True, f"second linearization of {m}")
+    (cs, *vs), den = _cleared_vectors(algebra, c, *xs, *ys)
+    xs, ys, w = vs[: len(xs)], vs[len(xs) :], len(ys) + 1
+    leaf = [cs, *ys] + [v for x in xs for v in [x] + [None] * len(ys)]  # x_p at (p + 1) * w
+    jet = _evaluate_jet(algebra, m, {atom(): leaf}, _jet_schedule([(len(xs), 1), (len(ys), 1)]))
     sym_p = peirce_symbol(m).substitute("a", lam).substitute("b", mu).as_poly1("p")
-    failures = []
-    for x in decomp.eigenbases.get(Fraction(lam), ()):
-        for y in decomp.eigenbases.get(Fraction(mu), ()):
-            lhs = second_linearization(algebra, m, c, x, y)
-            if lhs != _operator_poly(algebra, sym_p, c, algebra.multiply(x, y)):
-                failures.append(f"pair in A_c({lam}) x A_c({mu}) fails for {m}")
-    return VerificationReport(not failures, f"second linearization of {m}", tuple(failures))
+    s = den * algebra._den
+    rhs, scale = _operator_poly(algebra, sym_p, cs, s, [algebra._product(x, y) for x in xs for y in ys])
+    # each xy is the kernel's s * den * (x y); eps_p delta_q is at (p + 1) * w + q + 1
+    left, right, zero = scale * s * den, _jet_scale(algebra, den, m.degree), [0] * algebra.dim
+    lhs = [v or zero for k, v in enumerate(jet[w:]) if k % w]
+    failures = tuple(f"pair in A_c({lam}) x A_c({mu}) fails for {m}"
+                     for u, v in zip(lhs, rhs) if [a * left for a in u] != [b * right for b in v])
+    return VerificationReport(not failures, f"second linearization of {m}", failures)
 
 
 def _weight_value(
@@ -585,9 +611,18 @@ def _weight_value(
         num *= algebra._omega_of(xs) ** w.baric_exp
         wden *= (algebra._omega_den * den) ** w.baric_exp
     for m in w.bilinear_args:
-        num *= algebra._b(xs, _evaluate_jet(algebra, m, memo)[()])
+        num *= algebra._b(xs, _evaluate_jet(algebra, m, memo)[0])
         wden *= algebra._form_den * den * _jet_scale(algebra, den, m.degree)
     return num, wden
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """randrange(n) as random.Random draws it: n.bit_length() bits, redrawn while >= n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def verify_identity(
@@ -599,26 +634,26 @@ def verify_identity(
     """Evaluate the identity at random rational vectors; all must vanish.
 
     Coordinate i of a trial vector is n_i / d_i with n_i in -9..9 and d_i in
-    1..4, drawn in that order; the vector is taken as ints xs = den * x with
-    den = lcm(d_i).
+    1..4, drawn in that order as random.Random(seed).randint draws them; the
+    vector is taken as ints xs = den * x with den = lcm(d_i).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    terms = [(Fraction(t.coeff), t.monomial, t.weight) for t in identity.terms]
     failures = []
     for trial in range(trials):
-        draws = [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(algebra.dim)]
+        draws = [(_below(bits, 19) - 9, _below(bits, 4) + 1) for _ in range(algebra.dim)]
         den = lcm(*(d for _, d in draws))
         xs = [n * (den // d) for n, d in draws]
-        memo = {atom(): {(): xs}}  # shared by every term and weight at this x
+        memo = {atom(): [xs]}  # shared by every term and weight at this x
         # Term t at x is num * value / tden with ints num, value and tden > 0;
         # P(x) is zero when the sum over the common denominator is.
         parts = []
-        for t in identity.terms:
-            coeff = Fraction(t.coeff)
-            num, wden = _weight_value(algebra, t.weight, xs, den, memo)
-            tden = coeff.denominator * wden * _jet_scale(algebra, den, t.monomial.degree)
-            parts.append((coeff.numerator * num, tden, _evaluate_jet(algebra, t.monomial, memo)[()]))
+        for coeff, m, w in terms:
+            num, wden = _weight_value(algebra, w, xs, den, memo) if w.baric_exp or w.bilinear_args else (1, 1)
+            tden = coeff.denominator * wden * _jet_scale(algebra, den, m.degree)
+            parts.append((coeff.numerator * num, tden, _evaluate_jet(algebra, m, memo)[0]))
         common = lcm(*(tden for _, tden, _ in parts))
         acc = [0] * algebra.dim
         for num, tden, value in parts:
@@ -708,7 +743,7 @@ def fusion_empirical(
                 failures.append(
                     f"A_c({lam}) * A_c({mu}) has components at "
                     + ", ".join(format_rational(nu) for nu in extra)
-                    + f" outside the allowed {sorted(allowed)}"
+                    + f" outside the allowed {{{', '.join(map(format_rational, sorted(allowed)))}}}"
                 )
     return VerificationReport(not failures, "empirical fusion", tuple(failures))
 
@@ -883,16 +918,18 @@ def algebra_to_json(algebra: StructureAlgebra) -> dict:
     return out
 
 
-def _rationals_from_json(value, field: str, depth: int) -> tuple:
+def _rationals_from_json(value, field: str, depth: int, memo: dict) -> tuple:
     """`depth` levels of nested JSON lists of rational literals, as tuples.
 
     A JSON string is iterable, so each level must be checked to be a list.
+    `memo` maps each string parsed so far to its value.
     """
     if not isinstance(value, list):
         raise TypeError(f"{field} must be a JSON list, got {json.dumps(value)}")
     if depth == 1:
-        return tuple(parse_rational(v) for v in value)
-    return tuple(_rationals_from_json(v, f"{field}[{i}]", depth - 1) for i, v in enumerate(value))
+        return tuple(memo[v] if isinstance(v, str) and v in memo else memo.setdefault(v, parse_rational(v))
+                     for v in value)
+    return tuple(_rationals_from_json(v, f"{field}[{i}]", depth - 1, memo) for i, v in enumerate(value))
 
 
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
@@ -905,12 +942,12 @@ def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     if name is not None and not isinstance(name, str):
         raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
     # null means absent; an empty list goes on to the length checks
-    form, weight = obj.get("bilinear_form"), obj.get("weight")
+    form, weight, memo = obj.get("bilinear_form"), obj.get("weight"), {}
     return StructureAlgebra(
         dim=dim,
-        structure=_rationals_from_json(obj["structure"], "structure", 3),
-        bilinear_form=None if form is None else _rationals_from_json(form, "bilinear_form", 2),
-        weight=None if weight is None else _rationals_from_json(weight, "weight", 1),
-        idempotents=_rationals_from_json(obj.get("idempotents", []), "idempotents", 2),
+        structure=_rationals_from_json(obj["structure"], "structure", 3, memo),
+        bilinear_form=None if form is None else _rationals_from_json(form, "bilinear_form", 2, memo),
+        weight=None if weight is None else _rationals_from_json(weight, "weight", 1, memo),
+        idempotents=_rationals_from_json(obj.get("idempotents", []), "idempotents", 2, memo),
         name=name,
     )

@@ -713,6 +713,8 @@ def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
             raise TypeError(f"terms[{i}] must be a JSON object, got {json.dumps(t)}")
         if not isinstance(t.get("weight", {}), dict):
             raise TypeError(f"terms[{i}].weight must be a JSON object, got {json.dumps(t['weight'])}")
+        if t.get("weight") and "kind" not in t["weight"]:  # {} alone is the constant weight
+            raise ValueError(f"terms[{i}].weight has no \"kind\", got {json.dumps(t['weight'])}")
     if name is not None and not isinstance(name, str):
         raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
     terms = [

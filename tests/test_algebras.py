@@ -43,8 +43,8 @@ from peirce_lab.identities import (
     fusion_table,
     make_identity,
 )
-from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
-from peirce_lab.peirce import peirce_poly
+from peirce_lab.magma import atom, enumerate_monomials, fold, parse_monomial, plenary_power, principal_power
+from peirce_lab.peirce import peirce_poly, peirce_symbol
 from peirce_lab.poly import Poly1, format_rational
 
 HALF = Fraction(1, 2)
@@ -221,11 +221,11 @@ def test_fusion_empirical_reports_every_stray_component():
     nothing = FusionTable(spectrum, {(a, b): frozenset() for a in spectrum for b in spectrum if a <= b}, "generic")
     report = fusion_empirical(alg, c, nothing, eigen_decomposition(alg, c))
     assert report.failures == (
-        "A_c(0) * A_c(0) has components at 0 outside the allowed []",
-        "A_c(0) * A_c(1/2) has components at 1/2 outside the allowed []",
-        "A_c(1/2) * A_c(1/2) has components at 0, 1 outside the allowed []",
-        "A_c(1/2) * A_c(1) has components at 1/2 outside the allowed []",
-        "A_c(1) * A_c(1) has components at 1 outside the allowed []",
+        "A_c(0) * A_c(0) has components at 0 outside the allowed {}",
+        "A_c(0) * A_c(1/2) has components at 1/2 outside the allowed {}",
+        "A_c(1/2) * A_c(1/2) has components at 0, 1 outside the allowed {}",
+        "A_c(1/2) * A_c(1) has components at 1/2 outside the allowed {}",
+        "A_c(1) * A_c(1) has components at 1 outside the allowed {}",
     )
     assert report == _fusion_by_elimination(alg, c, nothing, eigen_decomposition(alg, c))
 
@@ -283,7 +283,7 @@ def _fusion_by_elimination(alg, c, predicted, decomp):
                 failures.append(
                     f"A_c({lam}) * A_c({mu}) has components at "
                     + ", ".join(format_rational(nu) for nu in sorted(extra))
-                    + f" outside the allowed {sorted(allowed)}"
+                    + f" outside the allowed {{{', '.join(map(format_rational, sorted(allowed)))}}}"
                 )
     return algebras.VerificationReport(not failures, "empirical fusion", tuple(failures))
 
@@ -350,6 +350,13 @@ def test_fusion_empirical_matches_elimination(case):
     name, index, table = case
     alg, c, d = _decomposed(name, index)
     assert fusion_empirical(alg, c, table, d) == _fusion_by_elimination(alg, c, table, d)
+
+
+def test_fusion_empirical_renders_the_allowed_set_as_rationals():
+    # the set used to print as [Fraction(-1, 1), Fraction(-1, 2), Fraction(1, 1)]
+    alg, c, d = _decomposed("spin_factor8", 1)
+    report = fusion_empirical(alg, c, fusion_table(catalog("hsiang")), d)
+    assert report.failures[1] == "A_c(1/2) * A_c(1/2) has components at 0 outside the allowed {-1, -1/2, 1}"
 
 
 def test_fusion_empirical_with_a_decomposition_neither_multiplies_nor_eliminates(monkeypatch):
@@ -644,6 +651,125 @@ def test_deep_monomial_evaluates_without_recursion():
     assert linearize(alg, m, 1, c, c) == tuple(2000 * v for v in c)
 
 
+# --- the batched linearization checks against per-column and per-pair ones --
+#
+# verify_first_linearization and verify_second_linearization fold once over a
+# jet with one infinitesimal per column or eigenvector.  The oracles are the
+# checks that did one fold per column or pair over an exponent-dict jet.
+
+
+def _dict_jet(alg, m, leaf, caps):
+    """The jet of m at `leaf` as {exponent tuple: int vector}: each product of
+    coefficients goes through the kernel when its exponents are within caps."""
+
+    def step(node, a, b):
+        out = {}
+        for ea, va in a.items():
+            for eb, vb in b.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                if all(i <= cap for i, cap in zip(e, caps)):
+                    v = alg._product(va, vb)
+                    out[e] = [s + t for s, t in zip(out[e], v)] if e in out else v
+        return out
+
+    return fold(m, {atom(): leaf}, step)
+
+
+def _operator_poly(alg, f, c, v):
+    """f(L_c) v in Fractions, by algebras._operator_poly's Horner pass."""
+    (cs,), d = algebras._cleared_vectors(alg, c)
+    (vs,), e = algebras._cleared_vectors(alg, v)
+    (acc,), scale = algebras._operator_poly(alg, f, cs, d * alg._den, [vs])
+    return tuple(F(a, scale * e) for a in acc)
+
+
+def _first_linearization_by_columns(alg, c, m):
+    rho = peirce_poly(m)
+    failures = []
+    for j in range(alg.dim):
+        e_j = alg.basis_vector(j)
+        (cs, es), den = algebras._cleared_vectors(alg, c, e_j)
+        lhs = _dict_jet(alg, m, {(0,): cs, (1,): es}, (1,))[(1,)]
+        if algebras._divided(lhs, algebras._jet_scale(alg, den, m.degree)) != _operator_poly(alg, rho, c, e_j):
+            failures.append(f"column {j}: D^1 != rho(L_c)")
+    return algebras.VerificationReport(not failures, f"first linearization of {m}", tuple(failures))
+
+
+def _second_linearization_by_pairs(alg, c, m, lam, mu, decomp):
+    sym_p = peirce_symbol(m).substitute("a", lam).substitute("b", mu).as_poly1("p")
+    failures = []
+    for x in decomp.eigenbases.get(F(lam), ()):
+        for y in decomp.eigenbases.get(F(mu), ()):
+            (cs, xs, ys), den = algebras._cleared_vectors(alg, c, x, y)
+            lhs = _dict_jet(alg, m, {(0, 0): cs, (1, 0): xs, (0, 1): ys}, (1, 1)).get((1, 1), [0] * alg.dim)
+            if algebras._divided(lhs, algebras._jet_scale(alg, den, m.degree)) != _operator_poly(
+                alg, sym_p, c, alg.multiply(x, y)
+            ):
+                failures.append(f"pair in A_c({lam}) x A_c({mu}) fails for {m}")
+    return algebras.VerificationReport(not failures, f"second linearization of {m}", tuple(failures))
+
+
+def _perturbed(alg, i, j, k, delta):
+    """alg with the constant c_ijk = c_jik moved by delta, and no form."""
+    structure = [[list(prod) for prod in row] for row in alg.structure]
+    structure[i][j][k] += delta
+    if i != j:
+        structure[j][i][k] += delta
+    return StructureAlgebra(alg.dim, tuple(tuple(map(tuple, row)) for row in structure), name="perturbed")
+
+
+@st.composite
+def linearization_cases(draw):
+    """An idempotent with its decomposition, a monomial of degree at most 7
+    and lam, mu that may be no eigenvalue; the checks run at the idempotent,
+    at twice it, or on the algebra with one constant perturbed."""
+    name, index = draw(st.sampled_from(_idempotent_cases()))
+    alg, c, d = _decomposed(name, index)
+    m = draw(st.sampled_from(enumerate_monomials(draw(st.integers(1, 7)))))
+    lam, mu = (draw(st.sampled_from((*d.eigenvalues, F(-1, 3), F(2)))) for _ in range(2))
+    control = draw(st.sampled_from(("idempotent", "twice", "perturbed")))
+    if control == "twice":
+        c = tuple(2 * v for v in c)
+    elif control == "perturbed":
+        i, j, k = (draw(st.integers(0, alg.dim - 1)) for _ in range(3))
+        alg = _perturbed(alg, i, j, k, draw(st.sampled_from((F(-1), F(1, 3), F(2)))))
+    return alg, c, m, lam, mu, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(linearization_cases())
+@example((*_decomposed("jordan_sym4", 0)[:2], parse_monomial("z^7"), HALF, F(0), _decomposed("jordan_sym4", 0)[2]))
+@example((*_decomposed("spin_factor8", 1)[:2], parse_monomial("(z^2*z^2)*z^3"), HALF, HALF,
+          _decomposed("spin_factor8", 1)[2]))
+@example((_perturbed(_decomposed("spin_factor8", 1)[0], 1, 2, 0, F(1)), _decomposed("spin_factor8", 1)[1],
+          parse_monomial("z^4"), HALF, HALF, _decomposed("spin_factor8", 1)[2]))
+def test_batched_linearization_checks_match_per_column_and_per_pair(case):
+    alg, c, m, lam, mu, d = case
+    assert verify_first_linearization(alg, c, m) == _first_linearization_by_columns(alg, c, m)
+    assert verify_second_linearization(alg, c, m, lam, mu, d) == _second_linearization_by_pairs(alg, c, m, lam, mu, d)
+
+
+def test_second_linearization_check_kernel_calls(monkeypatch):
+    # jordan_sym3 at E_00 has a 2-dimensional A_c(1/2).  One fold over the 9
+    # keys 1, eps_p, delta_q and eps_p delta_q takes 17 products at z*z and 21
+    # at each of the six nodes above it; then 4 products xy and 4 Horner
+    # passes of 7.  One fold per pair took 4 * (55 + 1 + 7) = 252.
+    alg = jordan_sym(3)
+    c = alg.idempotents[0]
+    d = eigen_decomposition(alg, c)
+    calls = []
+    inner = alg._product
+    object.__setattr__(alg, "_product", lambda u, v: calls.append(1) or inner(u, v))
+
+    def refuse(*args):
+        raise AssertionError("verify_second_linearization called multiply or second_linearization")
+
+    monkeypatch.setattr(StructureAlgebra, "multiply", refuse)
+    monkeypatch.setattr(algebras, "second_linearization", refuse)
+    assert verify_second_linearization(alg, c, parse_monomial("z^8"), HALF, HALF, d).ok
+    assert 0 < len(calls) <= 175
+
+
 # --- weights on concrete algebras ---------------------------------------------
 
 
@@ -730,7 +856,7 @@ def test_poly_at_matrix():
     lv = alg.multiply(c, v)
     llv = alg.multiply(c, lv)
     want = tuple(2 * a - b + 3 * w for a, b, w in zip(llv, lv, v))
-    assert algebras._operator_poly(alg, 2 * t**2 - t + 3, c, v) == want
+    assert _operator_poly(alg, 2 * t**2 - t + 3, c, v) == want
 
 
 # --- integer kernels against their Fraction definitions -----------------------
@@ -972,7 +1098,7 @@ def test_poly_at_matrix_matches_fraction_horner(name, f, c, v):
     c, v = tuple(c[: alg.dim]), tuple(v[: alg.dim])
     op = _fraction_poly_at_matrix(f, alg.mult_operator(c))
     want = tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in op)
-    assert algebras._operator_poly(alg, f, c, v) == want
+    assert _operator_poly(alg, f, c, v) == want
 
 
 @settings(max_examples=120, deadline=None)
@@ -1101,6 +1227,16 @@ def test_verify_identity_trial_vectors_match_fraction_draw():
     report = verify_identity(alg, identity, trials=200, seed=3)
     assert 0 < len(report.failures) < 200
     assert report.failures == _fraction_identity_failures(alg, identity, 200, 3)
+
+
+def test_trial_draws_follow_the_randint_stream():
+    # verify_identity draws n_i and d_i from getrandbits by rejection, as
+    # randint(-9, 9) and randint(1, 4) do, so the trial vectors stay the same
+    for seed in range(200):
+        bits, rng = random.Random(seed).getrandbits, random.Random(seed)
+        for dim in range(1, 13):
+            got = [(algebras._below(bits, 19) - 9, algebras._below(bits, 4) + 1) for _ in range(dim)]
+            assert got == [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)], (seed, dim)
 
 
 # --- matrix-unit builders against their Fraction-matrix definitions -----------

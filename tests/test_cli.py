@@ -466,6 +466,8 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                  "monomial must be a JSON string, got 2"),
                 ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "monomials": ["z", ["z"]]}},
                  'monomials[1] must be a JSON string, got ["z"]'),
+                # this used to read as the constant weight
+                ({"coeff": "1", "monomial": "z^2", "weight": {"k": 2}}, 'terms[0].weight has no "kind", got {"k": 2}'),
             ]
         ),
     ],
@@ -491,6 +493,7 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "number-monomial",
         "number-bilinear-monomial",
         "list-in-monomials",
+        "weight-without-kind",
     ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):

@@ -491,6 +491,19 @@ def test_identity_json_weights():
     assert back.terms == ident.terms
 
 
+def test_identity_json_weight_needs_a_kind():
+    # bernstein's baric weight with its "kind" deleted used to read back as
+    # the constant weight, a different identity
+    doc = identity_to_json(catalog("bernstein"))
+    term = next(i for i, t in enumerate(doc["terms"]) if t["weight"]["kind"] == "baric")
+    del doc["terms"][term]["weight"]["kind"]
+    with pytest.raises(ValueError, match=rf'^terms\[{term}\]\.weight has no "kind", got \{{"k": 2\}}$'):
+        identity_from_json(doc)
+    # an empty object, like an absent weight, is the constant weight
+    doc["terms"][term]["weight"] = {}
+    assert all(t.weight == constant_weight() for t in identity_from_json(doc).terms)
+
+
 def test_identity_from_json_decodes_text_once():
     text = json.dumps(identity_to_json(catalog("hsiang")))
     assert identity_from_json(text) == catalog("hsiang")
