@@ -7,10 +7,10 @@ extracted as rational roots of the characteristic polynomial and
 eigenspaces come from exact null-space computation, so spectral membership
 is decided, never approximated.
 
-Products, monomial evaluation, the form check and characteristic
-polynomials run in Python ints: denominators are cleared once on the way
-in, every product and sum is an integer operation with no gcd, and each
-result is divided once on the way out.
+Products, monomial evaluation, the form check, characteristic polynomials
+and eigenspaces run in Python ints: denominators are cleared once on the way
+in, every product and sum is an integer operation, and each result is
+divided once on the way out.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Callable, Mapping, Sequence
 
@@ -72,10 +72,6 @@ class UnrealizableWeight(ValueError):
 
 def _vec(values: Sequence) -> Vector:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
-def _zero(dim: int) -> Vector:
-    return (Fraction(0),) * dim
 
 
 def _scaled(values: Sequence[Fraction], den: int) -> list[int]:
@@ -275,22 +271,28 @@ class StructureAlgebra(_Record):
         (xs, ys), den = _cleared_vectors(self, x, y)
         return _divided(self._product(xs, ys), den * den * self._den)
 
-    def mult_operator(self, c: Sequence) -> Matrix:
-        """L_c as an exact matrix (columns are c * e_j)."""
-        (cs,), den = _cleared_vectors(self, c)
+    def _operator_rows(self, cs: Sequence[int]) -> list[tuple[int, ...]]:
+        """The rows of s * L_c for c = cs / d and s = d * _den: column j is the
+        kernel's product of cs and e_j."""
         unit = [0] * self.dim
         cols = []
         for j in range(self.dim):
             unit[j] = 1
             cols.append(self._product(cs, unit))
             unit[j] = 0
-        s = den * self._den
-        shared = {v: Fraction(v, s) for v in {v for col in cols for v in col}}
-        return [[shared[col[k]] for col in cols] for k in range(self.dim)]
+        return list(zip(*cols))
+
+    def mult_operator(self, c: Sequence) -> Matrix:
+        """L_c as an exact matrix (columns are c * e_j)."""
+        (cs,), den = _cleared_vectors(self, c)
+        rows, s = self._operator_rows(cs), den * self._den
+        shared = {v: Fraction(v, s) for v in {v for row in rows for v in row}}
+        return [[shared[v] for v in row] for row in rows]
 
     def is_idempotent(self, c: Sequence) -> bool:
-        c = _vec(c)
-        return self.multiply(c, c) == c
+        # c = cs / d is idempotent when the kernel's d * s * c^2 is s * cs
+        (cs,), den = _cleared_vectors(self, c)
+        return self._product(cs, cs) == [den * self._den * v for v in cs]
 
     def _b(self, x: Sequence[int], y: Sequence[int]) -> int:
         """_form_den * b(x, y) for int vectors x and y."""
@@ -378,10 +380,18 @@ def char_poly_matrix(m: Matrix) -> Poly1:
 
 
 def null_space(m: Matrix) -> list[Vector]:
-    """Basis of the kernel, by exact Gauss-Jordan elimination."""
+    """Basis of the kernel, by fraction-free Gauss-Jordan elimination.
+
+    Each row is scaled to ints, which keeps the kernel; an int row is taken as
+    it is.  A pivot step replaces row i by pv * row_i - f * pivot_row and
+    divides it by the gcd of its entries, so entries stay small and each row
+    ends as its row of the reduced row echelon form times a nonzero int: the
+    basis read off is the one Gauss-Jordan over Fractions gives.
+    """
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    a = [row[:] for row in m]
+    a = [row if all(type(v) is int for v in row) else _scaled(row, lcm(*(v.denominator for v in row)))
+         for row in m]
     pivots: list[int] = []
     for col in range(n_cols):
         r = len(pivots)
@@ -389,19 +399,22 @@ def null_space(m: Matrix) -> list[Vector]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / Fraction(a[r][col])  # exact for an int matrix too
-        a[r] = [v * inv for v in a[r]]
+        prow = a[r]
+        pv = prow[col]
         for i in range(n_rows):
-            if i != r and a[i][col]:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
+            f = a[i][col]
+            if i != r and f:
+                row = [pv * v - f * w for v, w in zip(a[i], prow)]
+                g = gcd(*row)
+                a[i] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
     basis = []
     for fc in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
         v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -a[row_idx][fc]
+        for row, pc in zip(a, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -413,30 +426,37 @@ def char_poly(algebra: StructureAlgebra, c: Sequence) -> Poly1:
     return char_poly_matrix(algebra.mult_operator(c))
 
 
-def eigen_decomposition(algebra: StructureAlgebra, c: Sequence) -> PeirceDecomposition:
+def _peirce_operator(algebra: StructureAlgebra, c: Sequence) -> tuple[Vector, int, list, Poly1]:
+    """c, s, the int rows of A = s * L_c and chi(L_c), for a nonzero idempotent c."""
     c = _vec(c)
-    if not algebra.is_idempotent(c) or c == _zero(algebra.dim):
+    (cs,), den = _cleared_vectors(algebra, c)
+    s = den * algebra._den
+    if not any(cs) or algebra._product(cs, cs) != [s * v for v in cs]:
         raise ValueError("eigen decomposition requires a nonzero idempotent")
-    lc = algebra.mult_operator(c)
-    cp = char_poly_matrix(lc)
+    a = algebra._operator_rows(cs)
+    # det(tI - A) = s^n chi(L_c)(t / s): its t^e coefficient is s^(n-e) times that of chi(L_c)
+    n = algebra.dim
+    return c, s, a, Poly1({e: v / s ** (n - e) for (e,), v in char_poly_matrix(a).coeffs.items()})
+
+
+def eigen_decomposition(algebra: StructureAlgebra, c: Sequence) -> PeirceDecomposition:
+    c, s, a, cp = _peirce_operator(algebra, c)
     roots, residual = rational_roots(cp)
     eigenbases: dict[Fraction, tuple[Vector, ...]] = {}
-    geometric = 0
     for lam, _mult in roots:
-        shifted = [row[:] for row in lc]
-        for i in range(algebra.dim):
-            shifted[i][i] -= lam
-        basis = null_space(shifted)
-        eigenbases[lam] = tuple(basis)
-        geometric += len(basis)
-    semisimple = geometric == algebra.dim
+        # q * A - p * s * I = q * s * (L_c - lam) for lam = p/q, in ints
+        p, q = lam.numerator, lam.denominator
+        shifted = [[q * v for v in row] for row in a]
+        for i, row in enumerate(shifted):
+            row[i] -= p * s
+        eigenbases[lam] = tuple(null_space(shifted))
     return PeirceDecomposition(
         idempotent=c,
         char_poly=cp,
         eigenvalues=tuple(sorted(eigenbases)),
         eigenbases=eigenbases,
         residual=residual,
-        semisimple=semisimple,
+        semisimple=sum(map(len, eigenbases.values())) == algebra.dim,
     )
 
 
@@ -677,24 +697,27 @@ def spectrum_inclusion_check(
 
     The irrational eigenvalues are decided together: they are the roots of
     the residual of chi(L_c), so they are roots of rho exactly when the
-    square-free part of the residual divides rho.
+    square-free part of the residual divides rho.  Without a decomposition
+    only chi(L_c) is computed: the eigenvalues are its rational roots.
     """
     rho = identity_peirce_poly(identity)
     if rho.is_zero:
         raise ValueError("spectrum inclusion is vacuous for a degenerate identity")
-    decomp = decomposition or eigen_decomposition(algebra, c)
+    if decomposition is None:
+        roots, residual = rational_roots(_peirce_operator(algebra, c)[3])
+        eigenvalues = [lam for lam, _ in roots]
+    else:
+        eigenvalues, residual = decomposition.eigenvalues, decomposition.residual
     failures = []
-    for lam in decomp.eigenvalues:
+    for lam in eigenvalues:
         if lam != 1 and rho(lam) != 0:
             failures.append(f"eigenvalue {format_rational(lam)} is not a root of rho_c(P, t)")
-    if decomp.residual.degree >= 1:
-        ints, _ = _cleared_coeffs(decomp.residual)
+    if residual.degree >= 1:
+        ints, _ = _cleared_coeffs(residual)
         try:
             divide_exact(rho, Poly1(dict(enumerate(_square_free(ints)))))
         except ExactDivisionError:
-            failures.append(
-                f"L_c has non-rational spectral factor {decomp.residual.render()}"
-            )
+            failures.append(f"L_c has non-rational spectral factor {residual.render()}")
     return VerificationReport(not failures, "spectrum inclusion", tuple(failures))
 
 

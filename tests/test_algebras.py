@@ -382,6 +382,150 @@ def test_null_space_of_an_int_matrix_is_exact():
     assert basis == [(F(-1, 3), F(1), F(0))] and all(type(v) is F for v in basis[0])
 
 
+def _fraction_null_space(m):
+    """Kernel basis by Gauss-Jordan over Fractions: each free column of the
+    reduced row echelon form gives the vector with 1 there."""
+    reduced, pivots = _row_reduce(m)
+    n_cols = len(m[0]) if m else 0
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [F(0)] * n_cols
+        v[fc] = F(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Int or Fraction matrices from 1x1 to 8x10 of any rank, the zero matrix
+    included, with zero rows, negative entries and entries of up to 200 bits.
+    A matrix of rank r is a product of random r-column and r-row factors; a
+    Fraction one has each row divided by its own denominator."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    rank = draw(st.integers(0, min(n_rows, n_cols)))
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(-(2**200), 2**200)]))
+    left = [[draw(st.integers(-3, 3)) for _ in range(rank)] for _ in range(n_rows)]
+    right = [[draw(entries) for _ in range(n_cols)] for _ in range(rank)]
+    m = [[sum(row[k] * right[k][j] for k in range(rank)) for j in range(n_cols)] for row in left]
+    for i in draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows)):
+        m[i] = [0] * n_cols
+    if draw(st.booleans()):
+        m = [[F(v, draw(st.integers(1, 2**64))) for v in row] for row in m]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices())
+@example([[-2, 4, 1], [3, -6, 5]])  # a negative first pivot
+@example([[0, 0], [0, 0]])
+@example([[-(2**200) + 1, 2**199], [2**200 - 1, -(2**199)], [F(3, 2**64), F(-5, 7)]])
+def test_null_space_matches_fraction_gauss_jordan(m):
+    basis = algebras.null_space(m)
+    assert basis == _fraction_null_space(m)
+    assert all(type(v) is F for vec in basis for v in vec)
+
+
+def _fraction_eigen_decomposition(alg, c):
+    """eigen_decomposition over Fractions: chi of the matrix L_c, and each
+    eigenbasis by Gauss-Jordan on L_c - lam."""
+    lc = alg.mult_operator(c)
+    cp = char_poly_matrix(lc)
+    roots, residual = algebras.rational_roots(cp)
+    eigenbases = {}
+    for lam, _ in roots:
+        eigenbases[lam] = tuple(_fraction_null_space(
+            [[v - lam * (i == j) for j, v in enumerate(row)] for i, row in enumerate(lc)]))
+    return algebras.PeirceDecomposition(
+        idempotent=tuple(F(v) for v in c), char_poly=cp, eigenvalues=tuple(sorted(eigenbases)),
+        eigenbases=eigenbases, residual=residual,
+        semisimple=sum(len(b) for b in eigenbases.values()) == alg.dim,
+    )
+
+
+def _signed_permutation(alg, seed):
+    """alg in the basis s_i e_p(i) for a random permutation p and signs s."""
+    rng = random.Random(seed)
+    n = alg.dim
+    p = rng.sample(range(n), n)
+    s = [rng.choice((1, -1)) for _ in range(n)]
+    return StructureAlgebra(
+        dim=n,
+        structure=tuple(tuple(tuple(s[i] * s[j] * s[k] * alg.structure[p[i]][p[j]][p[k]] for k in range(n))
+                              for j in range(n)) for i in range(n)),
+        idempotents=tuple(tuple(s[k] * c[p[k]] for k in range(n)) for c in alg.idempotents),
+        name=f"{alg.name}_shuffled{seed}",
+    )
+
+
+def _one_idempotent_algebra(name, e_u1, e_u2):
+    """e, u1, u2 with e e = e, e u1 = e_u1, e u2 = e_u2 and u_i u_j = 0."""
+    z, o = F(0), F(1)
+    zero = (z, z, z)
+    return StructureAlgebra(
+        dim=3,
+        structure=(((o, z, z), e_u1, e_u2), (e_u1, zero, zero), (e_u2, zero, zero)),
+        idempotents=((o, z, z),),
+        name=name,
+    )
+
+
+# chi(L_e) = (t - 1)(t^2 - 2): e u1 = u2, e u2 = 2 u1
+_SQRT2_MODEL = _one_idempotent_algebra("sqrt2_model", (F(0), F(0), F(1)), (F(0), F(2), F(0)))
+# a Jordan block at 1/2: e u1 = u1/2 + u2, e u2 = u2/2
+_JORDAN_BLOCK_MODEL = _one_idempotent_algebra("jordan_block_model", (F(0), HALF, F(1)), (F(0), F(0), HALF))
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [build_algebra(name) for name in builder_names()]
+    + [jordan_sym(4), _signed_permutation(spin_factor(8), 1), _signed_permutation(spin_factor(8), 2),
+       _SQRT2_MODEL, _JORDAN_BLOCK_MODEL],
+    ids=lambda alg: alg.name,
+)
+def test_eigen_decomposition_matches_fraction_path(alg):
+    for c in alg.idempotents:
+        got, want = eigen_decomposition(alg, c), _fraction_eigen_decomposition(alg, c)
+        for field in algebras.PeirceDecomposition.__slots__:
+            assert getattr(got, field) == getattr(want, field), field
+        assert all(type(v) is F for basis in got.eigenbases.values() for vec in basis for v in vec)
+
+
+def test_eigen_decomposition_of_the_models():
+    t = Poly1.t()
+    d = eigen_decomposition(_SQRT2_MODEL, _SQRT2_MODEL.idempotents[0])
+    assert d.eigenvalues == (F(1),) and d.residual == t**2 - 2 and not d.semisimple
+    d = eigen_decomposition(_JORDAN_BLOCK_MODEL, _JORDAN_BLOCK_MODEL.idempotents[0])
+    assert d.char_poly == (t - 1) * (t - HALF) ** 2 and d.multiplicity(HALF) == 1 and not d.semisimple
+
+
+@pytest.mark.parametrize("alg, identity, ok", [
+    (hsiang_tracefree_sym3(), "hsiang", True),
+    (_SQRT2_MODEL, "hsiang", False),  # rho lacks t^2 - 2
+    (_SQRT2_MODEL, "principal_train", True),  # rho = (2t - 1)(t^2 - 2)
+    (jordan_sym(2), "hsiang", False),
+], ids=["hsiang", "sqrt2_hsiang", "sqrt2_train", "jordan_sym2_hsiang"])
+def test_spectrum_inclusion_reads_chi_only(monkeypatch, alg, identity, ok):
+    ident = catalog(identity, _TRAIN_WITH_SQRT2) if identity == "principal_train" else catalog(identity)
+    c = alg.idempotents[0]
+    want = spectrum_inclusion_check(alg, c, ident, eigen_decomposition(alg, c))
+    assert want.ok is ok
+
+    def refuse(*args):
+        raise AssertionError("spectrum_inclusion_check built an eigenspace")
+
+    monkeypatch.setattr(algebras, "null_space", refuse)
+    monkeypatch.setattr(algebras, "eigen_decomposition", refuse)
+    assert spectrum_inclusion_check(alg, c, ident) == want
+    if alg is _SQRT2_MODEL and not ok:
+        assert want.failures == ("L_c has non-rational spectral factor t^2 - 2",)
+    with pytest.raises(ValueError, match="requires a nonzero idempotent"):
+        spectrum_inclusion_check(alg, (F(0),) * alg.dim, ident)
+    with pytest.raises(ValueError, match="requires a nonzero idempotent"):
+        spectrum_inclusion_check(alg, tuple(2 * v for v in c), ident)
+
+
 def test_spectrum_inclusion_negative_control():
     # e0 idempotent, e0*e1 = (1/3) e1: eigenvalue 1/3 is not a Jordan root
     alg = StructureAlgebra(
