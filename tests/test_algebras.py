@@ -45,7 +45,7 @@ from peirce_lab.identities import (
 )
 from peirce_lab.magma import atom, enumerate_monomials, fold, parse_monomial, plenary_power, principal_power
 from peirce_lab.peirce import peirce_poly, peirce_symbol
-from peirce_lab.poly import Poly1, format_rational
+from peirce_lab.poly import Poly1, format_rational, rational_roots
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -432,7 +432,7 @@ def _fraction_eigen_decomposition(alg, c):
     eigenbasis by Gauss-Jordan on L_c - lam."""
     lc = alg.mult_operator(c)
     cp = char_poly_matrix(lc)
-    roots, residual = algebras.rational_roots(cp)
+    roots, residual = rational_roots(cp)
     eigenbases = {}
     for lam, _ in roots:
         eigenbases[lam] = tuple(_fraction_null_space(
