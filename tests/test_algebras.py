@@ -420,6 +420,7 @@ def kernel_matrices(draw):
 @given(kernel_matrices())
 @example([[-2, 4, 1], [3, -6, 5]])  # a negative first pivot
 @example([[0, 0], [0, 0]])
+@example([[1, F(-1, 2), 0], [F(2), 0, -3]])  # ints and Fractions in one row
 @example([[-(2**200) + 1, 2**199], [2**200 - 1, -(2**199)], [F(3, 2**64), F(-5, 7)]])
 def test_null_space_matches_fraction_gauss_jordan(m):
     basis = algebras.null_space(m)
