@@ -7,10 +7,10 @@ extracted as rational roots of the characteristic polynomial and
 eigenspaces come from exact null-space computation, so spectral membership
 is decided, never approximated.
 
-Products, monomial evaluation, the form check, characteristic polynomials
-and eigenspaces run in Python ints: denominators are cleared once on the way
-in, every product and sum is an integer operation, and each result is
-divided once on the way out.
+Products, monomial evaluation, the form check, characteristic polynomials,
+eigenspaces and the rho, Y and chi that the checks read run in Python ints:
+denominators are cleared once on the way in, every product and sum is an
+integer operation, and each result is divided once on the way out.
 """
 
 from __future__ import annotations
@@ -24,15 +24,19 @@ from operator import mul, sub
 from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
-from .identities import WeightDescriptor, WeightedIdentity, _json_object, identity_peirce_poly
+from .identities import WeightDescriptor, WeightedIdentity, _field, _integer_rho, _json_object
 from .magma import Monomial, atom, fold
-from .peirce import peirce_poly, peirce_symbol
+from .peirce import _rho_ints, _symbol_ints
 from .poly import (
     ExactDivisionError,
     Poly1,
     _cleared_coeffs,
+    _divide_dense,
+    _horner_hom,
+    _make,
+    _primitive,
     _square_free,
-    divide_exact,
+    _symbol_slices,
     format_rational,
     parse_rational,
     rational_roots,
@@ -355,7 +359,7 @@ def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
     """
     n = len(a)
     coeffs = [0] * n + [1]
-    mk = [row[:] for row in a]
+    mk = [list(row) for row in a]
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
@@ -368,15 +372,16 @@ def _faddeev_leverrier(a: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def char_poly_matrix(m: Matrix) -> Poly1:
-    """Characteristic polynomial by the Faddeev-LeVerrier trace recurrence.
+def _char_poly_ints(a: Sequence[Sequence[int]], d: int) -> Poly1:
+    """det(tI - A/d) for an int matrix A and an int d > 0 by Faddeev-LeVerrier on A:
+    det(tI - A/d) = d^-n det(d t I - A), so its t^e coefficient is that of A over d^(n-e)."""
+    n, coeffs = len(a), _faddeev_leverrier(a)
+    return _make(Poly1.VARS, {(e,): Fraction(c, d ** (n - e)) for e, c in enumerate(coeffs) if c})
 
-    It runs on the int matrix A = d*M: det(tI - M) = d^-n det(d t I - A), so
-    the t^e coefficient is that of A over d^(n-e).
-    """
-    n = len(m)
-    a, d = _cleared(m)
-    return Poly1({e: Fraction(c, d ** (n - e)) for e, c in enumerate(_faddeev_leverrier(a))})
+
+def char_poly_matrix(m: Matrix) -> Poly1:
+    """Characteristic polynomial by the Faddeev-LeVerrier trace recurrence."""
+    return _char_poly_ints(*_cleared(m))
 
 
 def null_space(m: Matrix) -> list[Vector]:
@@ -434,9 +439,7 @@ def _peirce_operator(algebra: StructureAlgebra, c: Sequence) -> tuple[Vector, in
     if not any(cs) or algebra._product(cs, cs) != [s * v for v in cs]:
         raise ValueError("eigen decomposition requires a nonzero idempotent")
     a = algebra._operator_rows(cs)
-    # det(tI - A) = s^n chi(L_c)(t / s): its t^e coefficient is s^(n-e) times that of chi(L_c)
-    n = algebra.dim
-    return c, s, a, Poly1({e: v / s ** (n - e) for (e,), v in char_poly_matrix(a).coeffs.items()})
+    return c, s, a, _char_poly_ints(a, s)
 
 
 def eigen_decomposition(algebra: StructureAlgebra, c: Sequence) -> PeirceDecomposition:
@@ -542,23 +545,23 @@ def second_linearization(
     return _divided(jet[3] or [0] * algebra.dim, _jet_scale(algebra, den, m.degree))
 
 
-def _operator_poly(algebra: StructureAlgebra, f: Poly1, cs: list[int], s: int, vectors: list) -> tuple[list, int]:
+def _operator_poly(algebra: StructureAlgebra, coeffs: list[int], cs: list[int], s: int,
+                   vectors: list) -> tuple[list, int]:
     """f(L_c) applied to each int vector, over one common scale, by a
     homogeneous Horner pass through the product kernel.
 
-    With c = cs/d and s = d * _den, the kernel applied to cs is A = s * L_c.
-    With f = (1/q) * sum a_k t^k of degree n, q * s^n * f(L_c) vs is
-    sum a_k s^(n-k) A^k vs, all in ints; each is returned with q * s^n.
+    f = sum coeffs[k] t^k, with n = len(coeffs) - 1.  With c = cs/d and
+    s = d * _den, the kernel applied to cs is A = s * L_c, and s^n * f(L_c) vs
+    is sum coeffs[k] s^(n-k) A^k vs, all in ints; each is returned with s^n.
     """
-    ints, q = _cleared_coeffs(f)
     out = []
     for vs in vectors:
         acc, spow = [0] * algebra.dim, 1
-        for a in reversed(ints):
+        for a in reversed(coeffs):
             acc = [w + a * spow * u for w, u in zip(algebra._product(cs, acc), vs)]
             spow *= s
         out.append(acc)
-    return out, q * s ** max(f.degree, 0)  # the zero polynomial leaves every acc zero
+    return out, s ** max(len(coeffs) - 1, 0)  # no coefficients leave every acc zero
 
 
 # --- verification reports -----------------------------------------------------
@@ -585,7 +588,9 @@ def verify_first_linearization(
     (cs,), den = _cleared_vectors(algebra, c)
     units = [[den * (i == j) for i in range(n)] for j in range(n)]  # den * e_j
     jet = _evaluate_jet(algebra, m, {atom(): [cs, *units]}, _jet_schedule([(n, 1)]))
-    rhs, scale = _operator_poly(algebra, peirce_poly(m), cs, den * algebra._den, units)
+    rho = _rho_ints(m, {})
+    rho = [rho.get(e, 0) for e in range(max(rho) + 1)]
+    rhs, scale = _operator_poly(algebra, rho, cs, den * algebra._den, units)
     left, right = scale * den, _jet_scale(algebra, den, m.degree)
     failures = tuple(f"column {j}: D^1 != rho(L_c)"
                      for j in range(n) if [a * left for a in jet[j + 1]] != [b * right for b in rhs[j]])
@@ -604,18 +609,22 @@ def verify_second_linearization(
     pairs, each D^2 the eps_p delta_q coefficient of m(c + sum_p eps_p x_p +
     sum_q delta_q y_q), as verify_first_linearization compares."""
     decomp = decomposition or eigen_decomposition(algebra, c)
-    xs, ys = decomp.eigenbases.get(Fraction(lam), ()), decomp.eigenbases.get(Fraction(mu), ())
+    lam, mu = Fraction(lam), Fraction(mu)
+    xs, ys = decomp.eigenbases.get(lam, ()), decomp.eigenbases.get(mu, ())
     if not (xs and ys):
         return VerificationReport(True, f"second linearization of {m}")
     (cs, *vs), den = _cleared_vectors(algebra, c, *xs, *ys)
     xs, ys, w = vs[: len(xs)], vs[len(xs) :], len(ys) + 1
     leaf = [cs, *ys] + [v for x in xs for v in [x] + [None] * len(ys)]  # x_p at (p + 1) * w
     jet = _evaluate_jet(algebra, m, {atom(): leaf}, _jet_schedule([(len(xs), 1), (len(ys), 1)]))
-    sym_p = peirce_symbol(m).substitute("a", lam).substitute("b", mu).as_poly1("p")
+    sym = _symbol_ints(m, {})
+    d = max((k[0] for k in sym), default=0)  # the symbol is symmetric in a and b
+    (sym_p,) = _symbol_slices(sym, d, lam, (mu,))  # (q_lam q_mu)^d * symbol(m)(lam, mu, p)
     s = den * algebra._den
     rhs, scale = _operator_poly(algebra, sym_p, cs, s, [algebra._product(x, y) for x in xs for y in ys])
     # each xy is the kernel's s * den * (x y); eps_p delta_q is at (p + 1) * w + q + 1
-    left, right, zero = scale * s * den, _jet_scale(algebra, den, m.degree), [0] * algebra.dim
+    left = scale * s * den * (lam.denominator * mu.denominator) ** d
+    right, zero = _jet_scale(algebra, den, m.degree), [0] * algebra.dim
     lhs = [v or zero for k, v in enumerate(jet[w:]) if k % w]
     failures = tuple(f"pair in A_c({lam}) x A_c({mu}) fails for {m}"
                      for u, v in zip(lhs, rhs) if [a * left for a in u] != [b * right for b in v])
@@ -700,8 +709,8 @@ def spectrum_inclusion_check(
     square-free part of the residual divides rho.  Without a decomposition
     only chi(L_c) is computed: the eigenvalues are its rational roots.
     """
-    rho = identity_peirce_poly(identity)
-    if rho.is_zero:
+    rho = _integer_rho(identity)[1]  # a positive multiple of rho
+    if not rho:
         raise ValueError("spectrum inclusion is vacuous for a degenerate identity")
     if decomposition is None:
         roots, residual = rational_roots(_peirce_operator(algebra, c)[3])
@@ -710,12 +719,11 @@ def spectrum_inclusion_check(
         eigenvalues, residual = decomposition.eigenvalues, decomposition.residual
     failures = []
     for lam in eigenvalues:
-        if lam != 1 and rho(lam) != 0:
+        if lam != 1 and _horner_hom(rho, lam.numerator, lam.denominator):
             failures.append(f"eigenvalue {format_rational(lam)} is not a root of rho_c(P, t)")
     if residual.degree >= 1:
-        ints, _ = _cleared_coeffs(residual)
-        try:
-            divide_exact(rho, Poly1(dict(enumerate(_square_free(ints)))))
+        try:  # a primitive divisor divides in Q[t] exactly when it divides in Z[t]
+            _divide_dense(rho, _primitive(_square_free(_cleared_coeffs(residual)[0])))
         except ExactDivisionError:
             failures.append(f"L_c has non-rational spectral factor {residual.render()}")
     return VerificationReport(not failures, "spectrum inclusion", tuple(failures))
@@ -957,7 +965,7 @@ def _rationals_from_json(value, field: str, depth: int, memo: dict) -> tuple:
 
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     obj = _json_object(obj)
-    dim = obj["dim"]
+    dim = _field(obj, "dim", "the top-level object")
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be a JSON integer, got {json.dumps(dim)}")
@@ -968,7 +976,7 @@ def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     form, weight, memo = obj.get("bilinear_form"), obj.get("weight"), {}
     return StructureAlgebra(
         dim=dim,
-        structure=_rationals_from_json(obj["structure"], "structure", 3, memo),
+        structure=_rationals_from_json(_field(obj, "structure", "the top-level object"), "structure", 3, memo),
         bilinear_form=None if form is None else _rationals_from_json(form, "bilinear_form", 2, memo),
         weight=None if weight is None else _rationals_from_json(weight, "weight", 1, memo),
         idempotents=_rationals_from_json(obj.get("idempotents", []), "idempotents", 2, memo),

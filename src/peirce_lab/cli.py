@@ -38,7 +38,10 @@ def _parse_params(text: str | None) -> dict:
         if "=" not in item:
             raise _CliError(f"bad --params entry {item!r}, expected k=v", EXIT_PARSE_ERROR)
         key, value = item.split("=", 1)
-        out[key.strip()] = value.split(":") if ":" in value else value
+        key = key.strip()
+        if key in out:
+            raise _CliError(f"duplicate --params key {key!r}", EXIT_PARSE_ERROR)
+        out[key] = value.split(":") if ":" in value else value
     return out
 
 

@@ -24,7 +24,7 @@ from .poly import (
     Poly3,
     _horner_hom,
     _make,
-    _symbol_zero_grid,
+    _symbol_slices,
     divide_exact,
     format_rational,
     parse_rational,
@@ -283,9 +283,11 @@ def _integer_sum(
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
-def _integer_rho(identity: WeightedIdentity) -> tuple[int, dict[int, int]]:
-    """(D, D * rho) with D * rho as {exponent of t: int}."""
-    return _integer_sum(identity, _rho_ints)
+def _integer_rho(identity: WeightedIdentity) -> tuple[int, list[int]]:
+    """(D, D * rho) with D * rho as dense int coefficients, lowest degree
+    first; the zero polynomial is []."""
+    den, ints = _integer_sum(identity, _rho_ints)
+    return den, [ints.get(e, 0) for e in range(max(ints, default=-1) + 1)]
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
@@ -298,7 +300,7 @@ def _integer_symbol(identity: WeightedIdentity) -> tuple[int, dict[tuple[int, in
 def identity_peirce_poly(identity: WeightedIdentity) -> Poly1:
     """rho_c(P, t) = sum coeff * rho(monomial, t)."""
     den, ints = _integer_rho(identity)
-    return _make(Poly1.VARS, {(e,): Fraction(c, den) for e, c in ints.items()})
+    return _make(Poly1.VARS, {(e,): Fraction(c, den) for e, c in enumerate(ints) if c})
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
@@ -313,12 +315,8 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
     rho = identity_peirce_poly(identity)
     if rho.is_zero:
         return SpectrumReport(rho, (), Poly1.zero(), degenerate=True)
-    if _zero_sum_holds(identity):
-        ints = _integer_rho(identity)[1]
-        if _horner_hom([ints.get(e, 0) for e in range(max(ints) + 1)], 1, 2):
-            raise InternalHalfRootMissing(
-                "rho(P, 1/2) != 0 for a validated identity; this is a bug"
-            )
+    if _zero_sum_holds(identity) and _horner_hom(_integer_rho(identity)[1], 1, 2):
+        raise InternalHalfRootMissing("rho(P, 1/2) != 0 for a validated identity; this is a bug")
     roots, residual = rational_roots(rho)
     return SpectrumReport(rho, tuple(roots), residual, degenerate=False)
 
@@ -336,8 +334,14 @@ def _zero_grid(identity: WeightedIdentity) -> tuple[tuple[Fraction, ...], tuple]
             f"non-rational spectral factor remains: {report.residual.render()}"
         )
     eigenvalues = tuple(sorted({r for r, _ in report.roots} | {Fraction(1)}))
-    grid = _symbol_zero_grid(_integer_symbol(identity)[1], eigenvalues)
-    return eigenvalues, tuple((pair, frozenset(zeros)) for pair, zeros in grid.items())
+    fracs = [(v.numerator, v.denominator) for v in eigenvalues]
+    y = _integer_symbol(identity)[1]
+    d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
+    return eigenvalues, tuple(
+        ((i, j), frozenset(k for k, (p, q) in enumerate(fracs) if not _horner_hom(at_ab, p, q)))
+        for i, lam in enumerate(eigenvalues)
+        for j, at_ab in enumerate(_symbol_slices(y, d, lam, eigenvalues[i:]), i)
+    )
 
 
 def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTable:
@@ -650,14 +654,14 @@ def _monomial_from_json(text, field: str) -> Monomial:
     return parse_monomial(text)
 
 
-def _weight_from_json(obj: Mapping) -> WeightDescriptor:
+def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
     kind = obj.get("kind", "constant")
     if kind == "constant":
         return constant_weight()
     if kind == "baric":
-        return baric_weight(_exponent_from_json(obj["k"]))
+        return baric_weight(_exponent_from_json(_field(obj, "k", field)))
     if kind == "bilinear":
-        return bilinear_weight(_monomial_from_json(obj["monomial"], "monomial"))
+        return bilinear_weight(_monomial_from_json(_field(obj, "monomial", field), "monomial"))
     if kind == "product":
         monomials = obj.get("monomials", [])
         # a JSON string is iterable, one character at a time
@@ -689,6 +693,17 @@ def identity_to_json(identity: WeightedIdentity) -> dict:
 _JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number"}
 
 
+class _MissingField(KeyError):  # a required field of a wire-format object is absent
+    __str__ = BaseException.__str__  # the message, without KeyError's quotes
+
+
+def _field(obj: Mapping, key: str, where: str):
+    """obj[key], or _MissingField naming the object and the key."""
+    if key not in obj:
+        raise _MissingField(f'{where} has no "{key}"')
+    return obj[key]
+
+
 def _json_object(obj: Mapping | str) -> Mapping:
     """obj, decoded from JSON text once if it is a str; it must be an object.
 
@@ -705,7 +720,7 @@ def _json_object(obj: Mapping | str) -> Mapping:
 
 def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
     obj = _json_object(obj)
-    raw, name = obj["terms"], obj.get("name")
+    raw, name = _field(obj, "terms", "the top-level object"), obj.get("name")
     if not isinstance(raw, list):
         raise TypeError(f"terms must be a JSON list, got {json.dumps(raw)}")
     for i, t in enumerate(raw):
@@ -719,9 +734,9 @@ def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
         raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
     terms = [
         IdentityTerm(
-            parse_rational(t["coeff"]),
-            _monomial_from_json(t["monomial"], f"terms[{i}].monomial"),
-            _weight_from_json(t.get("weight", {})),
+            parse_rational(_field(t, "coeff", f"terms[{i}]")),
+            _monomial_from_json(_field(t, "monomial", f"terms[{i}]"), f"terms[{i}].monomial"),
+            _weight_from_json(t.get("weight", {}), f"terms[{i}].weight"),
         )
         for i, t in enumerate(raw)
     ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, itemgetter, ne
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Poly",
@@ -117,10 +117,6 @@ class Poly:
     @classmethod
     def const(cls, c: Scalar) -> "Poly":
         return cls({(0,) * len(cls.VARS): c})
-
-    @classmethod
-    def term(cls, exp: int | Exponents, coeff: Scalar = 1) -> "Poly":
-        return cls({exp: coeff})
 
     @classmethod
     def var(cls, name: str) -> "Poly":
@@ -283,17 +279,6 @@ class Poly3(Poly):
     def from_poly1(cls, f: Poly1, name: str) -> "Poly3":
         return f.change_vars(cls.VARS, {"t": name})
 
-    def swap_ab(self) -> "Poly3":
-        return self.change_vars(self.vars, {"a": "b", "b": "a", "p": "p"})
-
-    def as_poly1(self, name: str) -> Poly1:
-        """Project onto a single variable; other exponents must be zero."""
-        return self.change_vars(Poly1.VARS, {name: "t"})
-
-    def div_linear(self, name: str, shift: "Poly3 | Scalar") -> "Poly3":
-        """Exact division by (name - shift) where shift does not involve name."""
-        return divide_exact(self, self.var(name) - shift, name)
-
 
 _CLASSES = {Poly1.VARS: Poly1, Poly3.VARS: Poly3}
 
@@ -354,36 +339,23 @@ def _horner_hom(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def _symbol_zero_grid(
-    y: Mapping[Exponents, int], values: Sequence[Fraction]
-) -> dict[tuple[int, int], set[int]]:
-    """{(i, j): {k : y(values[i], values[j], values[k]) == 0}} for i <= j.
+def _symbol_slices(y: Mapping[Exponents, int], d: int, lam: Fraction, mus: Iterable[Fraction]) -> Iterator[list]:
+    """(q_lam * q_mu)^d * y(lam, mu, p) for each mu in mus, as dense int
+    coefficients in p, lowest first; q_v is the denominator of v.
 
-    y is {(exponents of a, b, p): int}, any nonzero integer multiple of a
-    symbol, and the zeros are indices into `values`.  Each variable is
-    homogenized with the denominator of the value put in for it, so a is
-    substituted once per lam, b once per pair, and each nu is one integer
-    Horner pass.
+    y is {(exponents of a, b, p): int} with no exponent of a or b above d.
+    a is put in once, in one pass over the terms of y, and each mu is one
+    homogeneous Horner pass per power of p.
     """
-    fracs = [(v.numerator, v.denominator) for v in values]
-    da, db, dp = (max((k[i] for k in y), default=0) for i in range(3))
-    # dense a-coefficients of the b^eb * p^ep part of y
-    by_bp: dict[tuple[int, int], list[int]] = {}
+    p, q = lam.numerator, lam.denominator
+    powers = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d * lam^e
+    at_a: dict[int, list[int]] = {}  # dense b-coefficients of the p^ep part, a substituted
     for (ea, eb, ep), c in y.items():
-        by_bp.setdefault((eb, ep), [0] * (da + 1))[ea] = c
-    grid: dict[tuple[int, int], set[int]] = {}
-    for i, (pa, qa) in enumerate(fracs):
-        # dense b-coefficients of the p^ep part, a substituted
-        at_a: dict[int, list[int]] = {}
-        for (eb, ep), coeffs in by_bp.items():
-            at_a.setdefault(ep, [0] * (db + 1))[eb] = _horner_hom(coeffs, pa, qa)
-        for j in range(i, len(fracs)):
-            pb, qb = fracs[j]
-            at_ab = [0] * (dp + 1)
-            for ep, coeffs in at_a.items():
-                at_ab[ep] = _horner_hom(coeffs, pb, qb)
-            grid[(i, j)] = {k for k, (pn, qn) in enumerate(fracs) if not _horner_hom(at_ab, pn, qn)}
-    return grid
+        at_a.setdefault(ep, [0] * (d + 1))[eb] += c * powers[ea]
+    dense = [at_a.get(e) for e in range(max(at_a, default=0) + 1)]
+    for mu in mus:
+        p, q = mu.numerator, mu.denominator
+        yield [0 if coeffs is None else _horner_hom(coeffs, p, q) for coeffs in dense]
 
 
 # --- rational roots ----------------------------------------------------------

@@ -40,12 +40,23 @@ from peirce_lab.identities import (
     baric_weight,
     bilinear_weight,
     catalog,
+    catalog_names,
     fusion_table,
+    identity_peirce_poly,
     make_identity,
 )
 from peirce_lab.magma import atom, enumerate_monomials, fold, parse_monomial, plenary_power, principal_power
-from peirce_lab.peirce import peirce_poly, peirce_symbol
-from peirce_lab.poly import Poly1, format_rational, rational_roots
+from peirce_lab.peirce import _symbol_ints, peirce_poly, peirce_symbol
+from peirce_lab.poly import (
+    ExactDivisionError,
+    Poly1,
+    _cleared_coeffs,
+    _square_free,
+    _symbol_slices,
+    divide_exact,
+    format_rational,
+    rational_roots,
+)
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -586,6 +597,72 @@ def test_spectrum_inclusion_on_an_algebra_with_eigenvalues_plus_minus_sqrt2():
     assert report.failures == ("L_c has non-rational spectral factor t^2 - 2",)
 
 
+# spectrum_inclusion_check reads rho and the residual in ints.  The oracle is
+# the check in Fractions: rho(lam) per eigenvalue, and divide_exact of rho by
+# the square-free part of the residual.
+
+
+def _fraction_spectrum_inclusion(identity, eigenvalues, residual):
+    rho = identity_peirce_poly(identity)
+    failures = [f"eigenvalue {format_rational(lam)} is not a root of rho_c(P, t)"
+                for lam in eigenvalues if lam != 1 and rho(lam) != 0]
+    if residual.degree >= 1:
+        try:
+            divide_exact(rho, Poly1(dict(enumerate(_square_free(_cleared_coeffs(residual)[0])))))
+        except ExactDivisionError:
+            failures.append(f"L_c has non-rational spectral factor {residual.render()}")
+    return tuple(failures)
+
+
+_CATALOG_PARAMS = {
+    "principal_train": _TRAIN_WITH_SQRT2,
+    "plenary_train": {"gamma": [1, -3, 2]},
+    "nourigat_varro": {"a1": 1, "a2": 2, "b1": 1, "b2": 1, "b3": 1},
+}
+
+
+@pytest.mark.parametrize("alg", [build_algebra(name) for name in builder_names()] + [_SQRT2_MODEL],
+                         ids=lambda alg: alg.name)
+@pytest.mark.parametrize("name", catalog_names())
+def test_spectrum_inclusion_matches_fraction_oracle(alg, name):
+    ident = catalog(name, _CATALOG_PARAMS.get(name))
+    for c in alg.idempotents:
+        d = eigen_decomposition(alg, c)
+        if identity_peirce_poly(ident).is_zero:  # degenerate: no spectral data
+            with pytest.raises(ValueError, match="vacuous"):
+                spectrum_inclusion_check(alg, c, ident)
+            continue
+        want = _fraction_spectrum_inclusion(ident, d.eigenvalues, d.residual)
+        assert spectrum_inclusion_check(alg, c, ident, d).failures == want
+        assert spectrum_inclusion_check(alg, c, ident) == algebras.VerificationReport(
+            not want, "spectrum inclusion", want)
+
+
+@pytest.mark.parametrize("residual", ["2t^2 - 4", "(t^2 - 2)^2", "4(t^2 - 2)^2", "t^2 - 3"])
+@pytest.mark.parametrize("name", ["principal_train", "hsiang", "jordan_power_assoc"])
+def test_spectrum_inclusion_of_a_residual_matches_fraction_oracle(residual, name):
+    """A residual with content, with a repeated factor, or with a factor that
+    rho lacks; only the train's rho = (2t - 1)(t^2 - 2) has t^2 - 2."""
+    t = Poly1.t()
+    residual = {"2t^2 - 4": 2 * t**2 - 4, "(t^2 - 2)^2": (t**2 - 2) ** 2, "4(t^2 - 2)^2": 4 * (t**2 - 2) ** 2,
+                "t^2 - 3": t**2 - 3}[residual]
+    ident = catalog(name, _CATALOG_PARAMS.get(name))
+    eigenvalues = (F(-1), HALF, F(1))
+    decomposition = algebras.PeirceDecomposition(
+        idempotent=(F(1), F(0), F(0)),
+        char_poly=(t + 1) * (t - HALF) * (t - 1) * residual,
+        eigenvalues=eigenvalues,
+        eigenbases={lam: ((F(1), F(0), F(0)),) for lam in eigenvalues},
+        residual=residual,
+        semisimple=False,
+    )
+    alg = jordan_sym(2)
+    report = spectrum_inclusion_check(alg, alg.idempotents[0], ident, decomposition)
+    want = _fraction_spectrum_inclusion(ident, eigenvalues, residual)
+    assert report.failures == want
+    assert (name == "principal_train" and residual != t**2 - 3) is not any("non-rational" in f for f in want)
+
+
 # --- spectral machinery -------------------------------------------------------
 
 
@@ -821,11 +898,18 @@ def _dict_jet(alg, m, leaf, caps):
 
 
 def _operator_poly(alg, f, c, v):
-    """f(L_c) v in Fractions, by algebras._operator_poly's Horner pass."""
+    """f(L_c) v in Fractions, by algebras._operator_poly's Horner pass over
+    the cleared coefficients of the Poly1 f."""
     (cs,), d = algebras._cleared_vectors(alg, c)
     (vs,), e = algebras._cleared_vectors(alg, v)
-    (acc,), scale = algebras._operator_poly(alg, f, cs, d * alg._den, [vs])
-    return tuple(F(a, scale * e) for a in acc)
+    ints, q = _cleared_coeffs(f)
+    (acc,), scale = algebras._operator_poly(alg, ints, cs, d * alg._den, [vs])
+    return tuple(F(a, q * scale * e) for a in acc)
+
+
+def _fraction_symbol_slice(m, lam, mu):
+    """symbol(m)(lam, mu, t) by Fraction substitution into the Poly3."""
+    return peirce_symbol(m).substitute("a", lam).substitute("b", mu).change_vars(Poly1.VARS, {"p": "t"})
 
 
 def _first_linearization_by_columns(alg, c, m):
@@ -841,7 +925,7 @@ def _first_linearization_by_columns(alg, c, m):
 
 
 def _second_linearization_by_pairs(alg, c, m, lam, mu, decomp):
-    sym_p = peirce_symbol(m).substitute("a", lam).substitute("b", mu).as_poly1("p")
+    sym_p = _fraction_symbol_slice(m, lam, mu)
     failures = []
     for x in decomp.eigenbases.get(F(lam), ()):
         for y in decomp.eigenbases.get(F(mu), ()):
@@ -852,6 +936,32 @@ def _second_linearization_by_pairs(alg, c, m, lam, mu, decomp):
             ):
                 failures.append(f"pair in A_c({lam}) x A_c({mu}) fails for {m}")
     return algebras.VerificationReport(not failures, f"second linearization of {m}", tuple(failures))
+
+
+_SLICE_MONOMIALS = [m for d in range(1, 10) for m in enumerate_monomials(d)]
+_SLICE_VALUES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SLICE_MONOMIALS), _SLICE_VALUES, st.lists(_SLICE_VALUES, min_size=1, max_size=3))
+# each lam removes the top power of b: the slice is padded to the symbol's own degree
+@example(parse_monomial("z^[3]"), F(0), [HALF])
+@example(parse_monomial("z^3*z^3"), F(-1, 2), [F(0), F(3, 7)])
+@example(parse_monomial("z^3*z^[3]"), F(-1, 4), [F(-1, 4), F(1)])
+@example(parse_monomial("z"), F(2, 7), [F(1)])  # the zero symbol
+def test_symbol_slice_matches_fraction_substitution(m, lam, mus):
+    y = _symbol_ints(m, {})
+    d = max((k[0] for k in y), default=0)
+    for mu, ints in zip(mus, _symbol_slices(y, d, lam, mus), strict=True):
+        scale = (lam.denominator * mu.denominator) ** d
+        assert Poly1({e: F(c, scale) for e, c in enumerate(ints)}) == _fraction_symbol_slice(m, lam, mu)
+
+
+def test_symbol_slice_examples_remove_the_top_power_of_b():
+    for text, lam in (("z^[3]", F(0)), ("z^3*z^3", F(-1, 2)), ("z^3*z^[3]", F(-1, 4))):
+        sym = peirce_symbol(parse_monomial(text))
+        top = max(k[1] for k in sym.coeffs)
+        assert max(k[1] for k in sym.substitute("a", lam).coeffs) < top
 
 
 def _perturbed(alg, i, j, k, delta):

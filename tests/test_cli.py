@@ -349,6 +349,23 @@ def test_bad_catalog_parameters_exit_3(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # the last value used to win without a word, here with "needs rank >= 2"
+        ("gamma=1:-1,gamma=2", "duplicate --params key 'gamma'"),
+        ("gamma=1:-1, gamma =2", "duplicate --params key 'gamma'"),
+        ("gamma", "bad --params entry 'gamma', expected k=v"),
+    ],
+    ids=["repeated-key", "repeated-key-with-spaces", "no-equals-sign"],
+)
+def test_malformed_params_exit_2(capsys, params, message):
+    code, out, err = run(capsys, "spectrum", "--catalog", "principal_train", "--params", params)
+    assert code == EXIT_PARSE_ERROR
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_deep_principal_power_answers(capsys):
     # rho(z^n) = 2*t^(n-1) + t^(n-2) + ... + t; 3000 is past the default
     # recursion limit on every supported version, and nothing recurses
@@ -468,8 +485,15 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                  'monomials[1] must be a JSON string, got ["z"]'),
                 # this used to read as the constant weight
                 ({"coeff": "1", "monomial": "z^2", "weight": {"k": 2}}, 'terms[0].weight has no "kind", got {"k": 2}'),
+                # these used to end in the bare field name, as "'coeff'"
+                ({"monomial": "z^2"}, 'terms[0] has no "coeff"'),
+                ({"coeff": "1"}, 'terms[0] has no "monomial"'),
+                ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "baric"}}, 'terms[0].weight has no "k"'),
+                ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "bilinear"}},
+                 'terms[0].weight has no "monomial"'),
             ]
         ),
+        ({"name": "x"}, EXIT_PARSE_ERROR, 'cannot read identity file: the top-level object has no "terms"\n'),
     ],
     ids=[
         "empty-terms",
@@ -494,6 +518,11 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "number-bilinear-monomial",
         "list-in-monomials",
         "weight-without-kind",
+        "no-coeff",
+        "no-monomial",
+        "baric-weight-without-k",
+        "bilinear-weight-without-monomial",
+        "no-terms",
     ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
@@ -584,10 +613,13 @@ def test_misshapen_algebra_file_exit_3(capsys, tmp_path, payload, catalog, messa
         ([{"dim": 1}], "expected a JSON object at the top level, got an array"),
         (1, "expected a JSON object at the top level, got a number"),
         (None, "expected a JSON object at the top level, got null"),
+        # these used to end in the bare field name, as "'dim'"
+        ({"structure": [[["1"]]], "idempotents": [["1"]]}, 'the top-level object has no "dim"'),
+        ({"dim": 1, "idempotents": [["1"]]}, 'the top-level object has no "structure"'),
     ],
     ids=[
         "idempotent", "weight", "product", "form-row", "structure", "object", "list-name",
-        "double-encoded", "top-level-array", "top-level-number", "top-level-null",
+        "double-encoded", "top-level-array", "top-level-number", "top-level-null", "no-dim", "no-structure",
     ],
 )
 def test_string_for_a_list_in_algebra_file_exit_2(capsys, tmp_path, fields, message):

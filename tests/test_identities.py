@@ -643,7 +643,7 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     for r in (Fraction(-3), Fraction(-1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(3, 2)):
         f = f * (t - r)
     ident = catalog("principal_train", {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
-    counts = {"rational_roots": 0, "_symbol_zero_grid": 0}
+    counts = {"rational_roots": 0, "_symbol_slices": 0}
 
     def counted(name):
         original = getattr(identities, name)
@@ -655,14 +655,15 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
         monkeypatch.setattr(identities, name, wrapper)
 
     counted("rational_roots")
-    counted("_symbol_zero_grid")
+    counted("_symbol_slices")
     _clear_identity_caches()
     rho = identity_peirce_poly(ident)
     report = spectrum(ident)
     sym = identity_symbol(ident)
     generic = fusion_table(ident, mode="generic")
     metrized = fusion_table(ident, mode="metrized_orthogonal")
-    assert counts == {"rational_roots": 1, "_symbol_zero_grid": 1}
+    # the grid substitutes a once per eigenvalue: 7 slicings are one grid
+    assert counts == {"rational_roots": 1, "_symbol_slices": 7}
     assert len(report.roots) == 6 and report.peirce_poly is rho
     assert generic.spectrum == metrized.spectrum and len(generic.spectrum) == 7
     # the cached results are immutable

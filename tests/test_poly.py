@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from unittest import mock
 from math import lcm
 
 import pytest
@@ -21,7 +22,6 @@ from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
     Poly3,
-    _symbol_zero_grid,
     divide_exact,
     format_rational,
     parse_rational,
@@ -301,27 +301,22 @@ def _zeros_by_evaluation(y, values):
     }
 
 
-def _integer_form(y):
-    """The least integer multiple of y, as the {exponents: int} that
-    _symbol_zero_grid reads."""
-    den = lcm(*(c.denominator for c in y.coeffs.values()))
-    return {k: int(c * den) for k, c in y.coeffs.items()}
+def _zero_grid_by_value(ident, values):
+    """identities._zero_grid of ident with `values` (1 among them) planted as
+    the rational roots of rho, keyed and filled by the values."""
+    report = identities.SpectrumReport(Poly1.t(), tuple((v, 1) for v in values), Poly1.const(1), False)
+    with mock.patch.object(identities, "spectrum", lambda identity: report):
+        eigenvalues, grid = identities._zero_grid.__wrapped__(ident)  # uncached
+    assert eigenvalues == tuple(values)
+    return {(values[i], values[j]): {values[k] for k in zeros} for (i, j), zeros in grid}
 
 
-def _by_value(grid, values):
-    """An index grid of _symbol_zero_grid, keyed and filled by the values."""
-    return {
-        (values[i], values[j]): {values[k] for k in zeros} for (i, j), zeros in grid.items()
-    }
-
-
-def _index_grid_by_evaluation(y_ints, values):
-    """_symbol_zero_grid through the per-triple definition."""
+def _zero_grid_by_evaluation(ident):
+    """identities._zero_grid through the per-triple definition."""
+    values = tuple(sorted({r for r, _ in spectrum(ident).roots} | {Fraction(1)}))
     index = {v: k for k, v in enumerate(values)}
-    return {
-        (index[lam], index[mu]): {index[nu] for nu in zeros}
-        for (lam, mu), zeros in _zeros_by_evaluation(Poly3(y_ints), values).items()
-    }
+    zeros = _zeros_by_evaluation(identity_symbol(ident), values)
+    return values, tuple(((index[lam], index[mu]), frozenset(map(index.get, z))) for (lam, mu), z in zeros.items())
 
 
 _GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
@@ -347,16 +342,15 @@ def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
         assume(False)
     report = spectrum(ident)
     values = sorted(set(_ALWAYS + extra_values + [r for r, _ in report.roots]))
-    y = identity_symbol(ident)
-    grid = _symbol_zero_grid(_integer_form(y), values)
-    assert _by_value(grid, values) == _zeros_by_evaluation(y, values)
+    assert _zero_grid_by_value(ident, values) == _zeros_by_evaluation(identity_symbol(ident), values)
 
 
 def test_symbol_zero_grid_of_zero_symbol():
-    y = identity_symbol(make_identity([(1, atom())], require_zero_sum=False))
+    ident = make_identity([(1, atom())], require_zero_sum=False)
+    y = identity_symbol(ident)
     assert y.is_zero
     values = [Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
-    grid = _by_value(_symbol_zero_grid(_integer_form(y), values), values)
+    grid = _zero_grid_by_value(ident, values)
     assert grid == _zeros_by_evaluation(y, values)
     assert all(zeros == set(values) for zeros in grid.values())
 
@@ -378,15 +372,13 @@ def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
         return evaluate(self, *args)
 
     for mode in ("generic", "metrized_orthogonal"):
+        identities._zero_grid.cache_clear()  # each mode builds the grid
         monkeypatch.setattr(Poly3, "__call__", counted)
         table = fusion_table(ident, mode=mode)
         assert calls == []
-        # the grid is cached per identity: the reference must build its own
-        identities._zero_grid.cache_clear()
-        monkeypatch.setattr(identities, "_symbol_zero_grid", _index_grid_by_evaluation)
+        monkeypatch.setattr(identities, "_zero_grid", _zero_grid_by_evaluation)
         reference = fusion_table(ident, mode=mode)
         monkeypatch.undo()
-        identities._zero_grid.cache_clear()
         assert calls, "the reference evaluates Y per triple"
         assert len(table.spectrum) == 7
         assert table == reference
@@ -398,30 +390,22 @@ def test_poly3_basics():
     f = 4 * p + 8 * a * b
     assert f.render() == "4*p + 8*a*b"
     assert f(Fraction(1), Fraction(2), Fraction(3)) == 12 + 16
-    assert f.swap_ab() == f
+    swap = {"a": "b", "b": "a", "p": "p"}
+    assert f.change_vars(Poly3.VARS, swap) == f
     g = a**2 + b
-    assert g.swap_ab() == b**2 + a
+    assert g.change_vars(Poly3.VARS, swap) == b**2 + a
     assert Poly3.zero().render() == "0"
 
 
-def test_poly3_substitute_and_as_poly1():
+def test_poly3_substitute_and_change_vars():
     a, b, p = Poly3.var("a"), Poly3.var("b"), Poly3.var("p")
     f = p**2 + a * p + b
     g = f.substitute("a", Fraction(2)).substitute("b", Fraction(3))
-    h = g.as_poly1("p")
+    h = g.change_vars(Poly1.VARS, {"p": "t"})
     t = Poly1.t()
     assert h == t**2 + 2 * t + 3
     with pytest.raises(ValueError):
-        f.as_poly1("p")  # still depends on a, b
-
-
-def test_poly3_div_linear():
-    a, p = Poly3.var("a"), Poly3.var("p")
-    f = p**3 - a**3
-    q = f.div_linear("p", a)
-    assert q * (p - a) == f
-    with pytest.raises(ExactDivisionError):
-        (p**2 + 1).div_linear("p", a)
+        f.change_vars(Poly1.VARS, {"p": "t"})  # still depends on a, b
 
 
 def test_poly3_from_poly1_and_compose3():
@@ -453,13 +437,8 @@ def test_divide_exact_rejects_a_nonconstant_leading_coefficient(f, name, lead, d
 
 
 @given(poly1s(), st.sampled_from(Poly3.VARS))
-def test_from_poly1_then_as_poly1_round_trip(f, name):
-    assert Poly3.from_poly1(f, name).as_poly1(name) == f
-
-
-@given(poly3s())
-def test_swap_ab_is_an_involution(f):
-    assert f.swap_ab().swap_ab() == f
+def test_from_poly1_then_change_vars_round_trip(f, name):
+    assert Poly3.from_poly1(f, name).change_vars(Poly1.VARS, {name: "t"}) == f
 
 
 _TRAIN_GAMMA = {"gamma": ["1", "-7/6", "1/3", "-1/6"]}
