@@ -322,26 +322,53 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
-def _zero_grid(identity: WeightedIdentity) -> tuple[tuple[Fraction, ...], tuple]:
-    """The eigenvalues (the rational roots of rho, and 1) and the zeros of Y
-    on them, as ((i, j), {k : Y(lam_i, lam_j, lam_k) == 0}) pairs of indices
-    into the eigenvalues for i <= j; both fusion modes read this one grid."""
+def _zero_grid(identity: WeightedIdentity) -> tuple:
+    """What both fusion modes read, decided once per identity: (eigenvalues,
+    grid, one, half, simple, singletons), or (exception class, message) for an
+    identity without a table.  The eigenvalues are the rational roots of rho
+    and 1; grid holds ((i, j), {k : Y(lam_i, lam_j, lam_k) == 0}) for i <= j;
+    one, half and simple index 1, 1/2 (-1 if absent) and the simple roots.
+
+    Y is packed at the eigenvalues: each p^e of D*Y becomes P_e = sum_k num_k^e
+    den_k^(dp-e) 2^(w k), so slot k of the int that `_symbol_slices` gives for
+    (lam, mu) is den_k^dp (q_lam q_mu)^d Y(lam, mu, lam_k), at most sum |c|
+    M^(2d+dp) < 2^(w-1) in size, M the largest |num| or den.  With 2^(w-1)
+    added to each slot, slot k is zero exactly when its bytes read 00..0080.
+    """
     report = spectrum(identity)
     if report.degenerate:
-        raise DegenerateIdentity("degenerate identity has no fusion table")
+        return DegenerateIdentity, "degenerate identity has no fusion table"
     if report.residual.degree >= 1:
-        raise IrrationalSpectrum(
-            f"non-rational spectral factor remains: {report.residual.render()}"
-        )
-    eigenvalues = tuple(sorted({r for r, _ in report.roots} | {Fraction(1)}))
+        return IrrationalSpectrum, f"non-rational spectral factor remains: {report.residual.render()}"
+    roots, one = report.roots, sum(r.numerator < r.denominator for r, _ in report.roots)
+    if one == len(roots) or roots[one][0] != 1:  # the roots are sorted; 1 goes here
+        roots = roots[:one] + ((Fraction(1), 0),) + roots[one:]
+    eigenvalues = tuple(r for r, _ in roots)
     fracs = [(v.numerator, v.denominator) for v in eigenvalues]
     y = _integer_symbol(identity)[1]
     d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
-    return eigenvalues, tuple(
-        ((i, j), frozenset(k for k, (p, q) in enumerate(fracs) if not _horner_hom(at_ab, p, q)))
-        for i, lam in enumerate(eigenvalues)
-        for j, at_ab in enumerate(_symbol_slices(y, d, lam, eigenvalues[i:]), i)
-    )
+    dp = max((k[2] for k in y), default=0)
+    m, n = max(max(-p, p, q) for p, q in fracs), len(fracs)
+    nbytes = (sum(map(abs, y.values())) * m ** (2 * d + dp)).bit_length() // 8 + 1
+    w = 8 * nbytes
+    at_p = [sum(p**e * q ** (dp - e) << w * k for k, (p, q) in enumerate(fracs)) for e in range(dp + 1)]
+    packed: dict[tuple[int, int, int], int] = {}
+    for (ea, eb, ep), c in y.items():
+        packed[ea, eb, 0] = packed.get((ea, eb, 0), 0) + c * at_p[ep]
+    offset, zero = sum(1 << w * k + w - 1 for k in range(n)), bytes(nbytes - 1) + b"\x80"
+    grid = []
+    for i, lam in enumerate(eigenvalues):
+        for j, (v,) in enumerate(_symbol_slices(packed, d, lam, eigenvalues[i:]), i):
+            blob = (v + offset).to_bytes(n * nbytes, "little")
+            found, k = [], blob.find(zero)
+            while k >= 0:  # a match counts only on a slot boundary
+                if not k % nbytes:
+                    found.append(k // nbytes)
+                k = blob.find(zero, k - k % nbytes + nbytes)
+            grid.append(((i, j), frozenset(found)))
+    half = fracs.index((1, 2)) if (1, 2) in fracs else -1
+    simple = frozenset(k for k, (_, mult) in enumerate(roots) if mult == 1)
+    return eigenvalues, tuple(grid), one, half, simple, tuple(frozenset((v,)) for v in eigenvalues)
 
 
 def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTable:
@@ -356,14 +383,13 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
     """
     if mode not in ("generic", "metrized_orthogonal"):
         raise ValueError(f"unknown fusion mode {mode!r}")
-    eigenvalues, zeros = _zero_grid(identity)
-    one = eigenvalues.index(Fraction(1))
-    half = eigenvalues.index(Fraction(1, 2)) if Fraction(1, 2) in eigenvalues else -1
-    simple = {eigenvalues.index(r) for r, m in spectrum(identity).roots if m == 1}
+    grid = _zero_grid(identity)
+    if len(grid) == 2:  # no table: a fresh exception on every call
+        raise grid[0](grid[1])
+    eigenvalues, zeros, one, half, simple, singletons = grid
 
     # one frozenset of eigenvalues per distinct allowed set of indices, built
     # as a union of singletons, which reuses their stored hashes
-    singletons = [frozenset((v,)) for v in eigenvalues]
     as_values: dict[frozenset[int], frozenset[Fraction]] = {}
     entries: dict[tuple[Fraction, Fraction], frozenset[Fraction]] = {}
     for (i, j), y_zeros in zeros:
@@ -661,15 +687,15 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
     if kind == "baric":
         return baric_weight(_exponent_from_json(_field(obj, "k", field)))
     if kind == "bilinear":
-        return bilinear_weight(_monomial_from_json(_field(obj, "monomial", field), "monomial"))
+        return bilinear_weight(_monomial_from_json(_field(obj, "monomial", field), f"{field}.monomial"))
     if kind == "product":
         monomials = obj.get("monomials", [])
         # a JSON string is iterable, one character at a time
         if not isinstance(monomials, list):
-            raise TypeError(f"monomials must be a JSON list, got {json.dumps(monomials)}")
+            raise TypeError(f"{field}.monomials must be a JSON list, got {json.dumps(monomials)}")
         return WeightDescriptor(
             _exponent_from_json(obj.get("k", 0)),
-            tuple(sorted(_monomial_from_json(s, f"monomials[{j}]") for j, s in enumerate(monomials))),
+            tuple(sorted(_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials))),
         )
     raise ValueError(f"unknown weight kind {kind!r}")
 

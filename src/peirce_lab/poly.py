@@ -53,22 +53,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Scalar) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num, den = x.numerator, x.denominator  # an int is num/1
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _coeff_str(c: Fraction, var_part: str, first: bool) -> str:
-    sign = "-" if c < 0 else "+"
-    mag = abs(c)
-    if var_part and mag == 1:
-        body = var_part
-    elif var_part:
-        body = f"{format_rational(mag)}*{var_part}"
-    else:
-        body = format_rational(mag)
+    body = format_rational(c).lstrip("-")
+    if var_part:
+        body = var_part if body == "1" else f"{body}*{var_part}"
     if first:
-        return body if c > 0 else f"-{body}"
-    return f" {sign} {body}"
+        return body if c.numerator > 0 else f"-{body}"
+    return f" {'-' if c.numerator < 0 else '+'} {body}"
 
 
 def _make(vars: tuple[str, ...], coeffs: dict[Exponents, Fraction]) -> "Poly":
@@ -345,7 +340,8 @@ def _symbol_slices(y: Mapping[Exponents, int], d: int, lam: Fraction, mus: Itera
 
     y is {(exponents of a, b, p): int} with no exponent of a or b above d.
     a is put in once, in one pass over the terms of y, and each mu is one
-    homogeneous Horner pass per power of p.
+    homogeneous Horner pass per power of p; the fusion grid packs p at every
+    eigenvalue into the ints of y, so it has one power of p and one pass.
     """
     p, q = lam.numerator, lam.denominator
     powers = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d * lam^e

@@ -462,7 +462,7 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                 ]
             },
             EXIT_PARSE_ERROR,
-            'cannot read identity file: monomials must be a JSON list, got "z"',
+            'cannot read identity file: terms[0].weight.monomials must be a JSON list, got "z"\n',
         ),
         # these used to end in "string indices must be integers" or an unhashable name
         ({"terms": "abc"}, EXIT_PARSE_ERROR, 'cannot read identity file: terms must be a JSON list, got "abc"\n'),
@@ -480,9 +480,9 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                 ({"coeff": "1", "monomial": "z^2", "weight": None}, "terms[0].weight must be a JSON object, got null"),
                 ({"coeff": "1", "monomial": 2}, "terms[0].monomial must be a JSON string, got 2"),
                 ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "bilinear", "monomial": 2}},
-                 "monomial must be a JSON string, got 2"),
+                 "terms[0].weight.monomial must be a JSON string, got 2"),
                 ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "monomials": ["z", ["z"]]}},
-                 'monomials[1] must be a JSON string, got ["z"]'),
+                 'terms[0].weight.monomials[1] must be a JSON string, got ["z"]'),
                 # this used to read as the constant weight
                 ({"coeff": "1", "monomial": "z^2", "weight": {"k": 2}}, 'terms[0].weight has no "kind", got {"k": 2}'),
                 # these used to end in the bare field name, as "'coeff'"
@@ -494,6 +494,16 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
             ]
         ),
         ({"name": "x"}, EXIT_PARSE_ERROR, 'cannot read identity file: the top-level object has no "terms"\n'),
+        # a bad weight value on a later term names that term
+        *(
+            ({"terms": [{"coeff": "-1", "monomial": "z"}, {"coeff": "1", "monomial": "z^2", "weight": weight}]},
+             EXIT_PARSE_ERROR, f"cannot read identity file: terms[1].weight.{message}\n")
+            for weight, message in [
+                ({"kind": "bilinear", "monomial": 2}, "monomial must be a JSON string, got 2"),
+                ({"kind": "product", "monomials": ["z", 3]}, "monomials[1] must be a JSON string, got 3"),
+                ({"kind": "product", "monomials": "z"}, 'monomials must be a JSON list, got "z"'),
+            ]
+        ),
     ],
     ids=[
         "empty-terms",
@@ -523,6 +533,9 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "baric-weight-without-k",
         "bilinear-weight-without-monomial",
         "no-terms",
+        "number-bilinear-monomial-second-term",
+        "number-in-monomials-second-term",
+        "string-monomials-second-term",
     ],
 )
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):

@@ -42,7 +42,7 @@ from peirce_lab.magma import (
     product,
 )
 from peirce_lab.peirce import peirce_poly, peirce_symbol
-from peirce_lab.poly import Poly1, Poly3
+from peirce_lab.poly import Poly, Poly1, Poly3
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -667,9 +667,10 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     assert len(report.roots) == 6 and report.peirce_poly is rho
     assert generic.spectrum == metrized.spectrum and len(generic.spectrum) == 7
     # the cached results are immutable
-    eigenvalues, grid = identities._zero_grid(ident)
+    eigenvalues, grid, _, _, simple, singletons = identities._zero_grid(ident)
     assert isinstance(eigenvalues, tuple) and isinstance(grid, tuple)
     assert all(isinstance(zeros, frozenset) for _, zeros in grid)
+    assert isinstance(simple, frozenset) and isinstance(singletons, tuple)
     assert sym == _symbol_by_growing_sum(ident)
 
 
@@ -680,6 +681,31 @@ def test_degenerate_and_irrational_identities_raise_on_every_call():
             fusion_table(catalog("elduque_labra"), mode="metrized_orthogonal")
         with pytest.raises(identities.IrrationalSpectrum):
             fusion_table(catalog("principal_train", {"gamma": [1, -1, -2, 2]}))
+
+
+def test_refusal_is_decided_once_per_identity(monkeypatch):
+    """A refused identity raises a fresh exception of one class with one
+    message in both modes and on every call, and its residual is rendered
+    once per identity, not once per call."""
+    renders = []
+    render = Poly.render
+    monkeypatch.setattr(Poly, "render", lambda self: renders.append(self) or render(self))
+    for ident, cls, message, rendered in [
+        (catalog("elduque_labra"), DegenerateIdentity, "degenerate identity has no fusion table", 0),
+        (catalog("principal_train", {"gamma": [1, -1, -2, 2]}), identities.IrrationalSpectrum,
+         "non-rational spectral factor remains: 2*t^2 - 4", 1),
+    ]:
+        _clear_identity_caches()
+        renders.clear()
+        raised = []
+        for _ in range(3):
+            for mode in ("generic", "metrized_orthogonal"):
+                with pytest.raises(cls) as info:
+                    fusion_table(ident, mode=mode)
+                assert type(info.value) is cls and str(info.value) == message
+                raised.append(info.value)
+        assert len(renders) == rendered
+        assert len({id(exc) for exc in raised}) == len(raised)
 
 
 # --- fusion tables: the per-triple definition as the oracle ----------------------

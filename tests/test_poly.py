@@ -6,7 +6,7 @@ from unittest import mock
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from peirce_lab import identities
 from peirce_lab.identities import (
@@ -22,6 +22,8 @@ from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
     Poly3,
+    _horner_hom,
+    _symbol_slices,
     divide_exact,
     format_rational,
     parse_rational,
@@ -301,22 +303,42 @@ def _zeros_by_evaluation(y, values):
     }
 
 
-def _zero_grid_by_value(ident, values):
-    """identities._zero_grid of ident with `values` (1 among them) planted as
-    the rational roots of rho, keyed and filled by the values."""
+def _zero_grid_by_value(ident, values, y=None):
+    """identities._zero_grid of ident with `values` planted as the rational
+    roots of rho (1 joins them if absent) and, if given, the int dict y
+    planted as D*Y; keyed and filled by the values."""
     report = identities.SpectrumReport(Poly1.t(), tuple((v, 1) for v in values), Poly1.const(1), False)
-    with mock.patch.object(identities, "spectrum", lambda identity: report):
-        eigenvalues, grid = identities._zero_grid.__wrapped__(ident)  # uncached
-    assert eigenvalues == tuple(values)
-    return {(values[i], values[j]): {values[k] for k in zeros} for (i, j), zeros in grid}
+    with mock.patch.object(identities, "spectrum", lambda identity: report), mock.patch.object(
+        identities, "_integer_symbol", identities._integer_symbol if y is None else lambda identity: (1, y)
+    ):
+        eigenvalues, grid = identities._zero_grid.__wrapped__(ident)[:2]  # uncached
+    assert eigenvalues == tuple(sorted(set(values) | {Fraction(1)}))
+    return {(eigenvalues[i], eigenvalues[j]): {eigenvalues[k] for k in zeros} for (i, j), zeros in grid}
+
+
+def _dense_zero_grid(y, values):
+    """The zero grid as it was built before the p-axis was packed: dense
+    slices in p per mu from `_symbol_slices`, then one Horner pass per nu."""
+    d = max((k[0] for k in y), default=0)
+    fracs = [(v.numerator, v.denominator) for v in values]
+    return {
+        (lam, values[j]): {values[k] for k, (p, q) in enumerate(fracs) if not _horner_hom(at_ab, p, q)}
+        for i, lam in enumerate(values)
+        for j, at_ab in enumerate(_symbol_slices(y, d, lam, values[i:]), i)
+    }
 
 
 def _zero_grid_by_evaluation(ident):
-    """identities._zero_grid through the per-triple definition."""
-    values = tuple(sorted({r for r, _ in spectrum(ident).roots} | {Fraction(1)}))
+    """identities._zero_grid through the per-triple definition, with the
+    indices the fusion rules read found by value."""
+    report = spectrum(ident)
+    values = tuple(sorted({r for r, _ in report.roots} | {Fraction(1)}))
     index = {v: k for k, v in enumerate(values)}
     zeros = _zeros_by_evaluation(identity_symbol(ident), values)
-    return values, tuple(((index[lam], index[mu]), frozenset(map(index.get, z))) for (lam, mu), z in zeros.items())
+    grid = tuple(((index[lam], index[mu]), frozenset(map(index.get, z))) for (lam, mu), z in zeros.items())
+    simple = frozenset(index[r] for r, m in report.roots if m == 1)
+    singletons = tuple(frozenset((v,)) for v in values)
+    return values, grid, index[Fraction(1)], index.get(Fraction(1, 2), -1), simple, singletons
 
 
 _GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
@@ -353,6 +375,59 @@ def test_symbol_zero_grid_of_zero_symbol():
     grid = _zero_grid_by_value(ident, values)
     assert grid == _zeros_by_evaluation(y, values)
     assert all(zeros == set(values) for zeros in grid.values())
+
+
+def _symmetric_symbols(coefficients):
+    """Int dicts {(a, b, p): c} symmetric in a and b, as D*Y is."""
+    term = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4), coefficients)
+
+    def symmetric(terms):
+        y = {}
+        for a, b, e, c in terms:
+            y[a, b, e] = y[b, a, e] = c
+        return {k: c for k, c in y.items() if c}
+
+    return st.lists(term, max_size=6).map(symmetric)
+
+
+_BIG = 2**64
+_PLANTED = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 2)]),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _symmetric_symbols(st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))),
+    st.lists(_PLANTED, max_size=5, unique=True),
+)
+# the zero symbol: every slot of every pair is zero
+@example({}, [Fraction(-3, 2), Fraction(0), Fraction(1, 2)])
+# a single eigenvalue, 1
+@example({(1, 1, 2): -(2**200), (0, 0, 1): 3}, [])
+# one term at the size bound: slot 0, at lam = mu = nu = -2^64, needs the whole
+# slot, and slot 1, at nu = 0, is zero beside it
+@example({(2, 2, 3): 2**200}, [Fraction(-_BIG), Fraction(0)])
+# two-byte slots that all read 80 00, so the zero pattern 00 80 is found only
+# across slot boundaries
+@example({(0, 0, 0): 0x80 - 0x8000}, [Fraction(-1), Fraction(0)])
+# D*Y of an identity with coefficients past 2^200
+@example(
+    identities._integer_symbol(make_identity(
+        [(2**200 + 1, _GRID_MONOMIALS[-1]), (Fraction(-(2**199), 3), _GRID_MONOMIALS[5])], require_zero_sum=False,
+    ))[1],
+    [Fraction(2**64 - 1, 2**64 + 1), Fraction(-_BIG), Fraction(0), Fraction(1, 2)],
+)
+def test_packed_zero_grid_matches_dense_grid_and_evaluation(y, values):
+    """The packed grid, the dense grid it replaced and the per-triple
+    definition agree on planted symbols and eigenvalues: 0, 1 and +-1/2,
+    numerators and denominators up to 2^64, coefficients up to 2^200."""
+    values = sorted(set(values) | {Fraction(1)})
+    want = _zeros_by_evaluation(Poly3(y), values)
+    assert _dense_zero_grid(y, values) == want
+    assert _zero_grid_by_value(make_identity([(1, atom())], require_zero_sum=False), values, y) == want
 
 
 def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
