@@ -667,10 +667,10 @@ def _weight_to_json(w: WeightDescriptor) -> dict:
     }
 
 
-def _exponent_from_json(k) -> int:
+def _exponent_from_json(k, field: str) -> int:
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"baric exponent must be a JSON integer, got {json.dumps(k)}")
+        raise ValueError(f"{field} must be a JSON integer, got {json.dumps(k)}")
     return k
 
 
@@ -685,7 +685,7 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
     if kind == "constant":
         return constant_weight()
     if kind == "baric":
-        return baric_weight(_exponent_from_json(_field(obj, "k", field)))
+        return baric_weight(_exponent_from_json(_field(obj, "k", field), f"{field}.k"))
     if kind == "bilinear":
         return bilinear_weight(_monomial_from_json(_field(obj, "monomial", field), f"{field}.monomial"))
     if kind == "product":
@@ -694,10 +694,10 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
         if not isinstance(monomials, list):
             raise TypeError(f"{field}.monomials must be a JSON list, got {json.dumps(monomials)}")
         return WeightDescriptor(
-            _exponent_from_json(obj.get("k", 0)),
+            _exponent_from_json(obj.get("k", 0), f"{field}.k"),
             tuple(sorted(_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials))),
         )
-    raise ValueError(f"unknown weight kind {kind!r}")
+    raise ValueError(f"{field}.kind: unknown weight kind {kind!r}")
 
 
 def identity_to_json(identity: WeightedIdentity) -> dict:

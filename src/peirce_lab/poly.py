@@ -11,9 +11,10 @@ exact division: long division in one variable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, itemgetter, ne
-from itertools import accumulate, chain
+from functools import reduce
+from math import gcd, isqrt, lcm
+from operator import add, itemgetter
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -401,10 +402,14 @@ def _divide_dense(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _derivative(a: list[int]) -> list[int]:
+    return [e * c for e, c in enumerate(a)][1:]
+
+
 def _square_free(f: list[int]) -> list[int]:
     """f / gcd(f, f') for f of degree >= 1: f with every repeated factor
     taken once, by a primitive pseudo-remainder sequence."""
-    a, b = f, _primitive([e * c for e, c in enumerate(f)][1:])
+    a, b = f, _primitive(_derivative(f))
     while len(b) > 1:
         r = _pseudo_remainder(a, b)
         if not r:
@@ -413,127 +418,79 @@ def _square_free(f: list[int]) -> list[int]:
     return f
 
 
-def _taylor_shift(a: list[int]) -> list[int]:
-    """The coefficients of a(x + 1): n running sums over the reversed list."""
-    b = a[::-1]
-    for m in range(len(b), 1, -1):
-        b[:m] = accumulate(b[:m])
-    return b[::-1]
+def _lift(g: list[int], x: int, p: int, lead: int, bound: int) -> int | None:
+    """The k with |k| <= bound and g(k / lead) = 0 for which k / lead is x
+    mod p, if there is one; x is a simple root of g mod p and p ∤ lead.
 
-
-def _sign_changes(a: list[int]) -> int:
-    signs = [c > 0 for c in a if c]
-    return sum(map(ne, signs, signs[1:]))
-
-
-def _floor_shift(x: int, j: int) -> int:
-    """floor(x / 2^j); j may be negative."""
-    return x >> j if j >= 0 else x << -j
-
-
-def _dyadic(num: int, j: int) -> Fraction:
-    """num / 2^j; j may be negative."""
-    return Fraction(num, 1 << j) if j >= 0 else Fraction(num << -j)
-
-
-def _sign_at(f: list[int], num: int, j: int) -> int:
-    """The sign of f(num / 2^j); j may be negative."""
-    v = _horner_hom(f, num, 1 << j) if j >= 0 else _horner_hom(f, num << -j, 1)
-    return (v > 0) - (v < 0)
-
-
-# An interval with at most this many points of the grid (1/L) Z is decided by
-# testing them all: a test is one Horner pass, cheaper than a bisection step.
-_GRID_TESTS = 16
-
-
-def _grid_roots(f: list[int], a: int, j: int, most: int) -> list[Fraction] | None:
-    """The rational roots of f in (a / 2^j, (a + 1) / 2^j) if that interval
-    holds at most `most` points of the grid (1/L) Z, L = |lc(f)|; else None.
-
-    A rational root p/q of f has q | L, so it is such a point k/L, and
-    `_horner_hom` tests each exactly.
+    Newton steps x -> x - g(x) / g'(x) mod m, squaring m each time, lift x
+    to the one p-adic root of g above it.  Once m > 2 * bound, lead * x mod
+    m read between -m/2 and m/2 is k.
     """
-    lead = abs(f[-1])
-    lo = _floor_shift(lead * a, j) + 1  # the least k with k/L > a / 2^j
-    hi = -_floor_shift(-lead * (a + 1), j) - 1  # the greatest k with k/L < (a + 1) / 2^j
-    if hi - lo >= most:
-        return None
-    return [Fraction(k, lead) for k in range(lo, hi + 1) if not _horner_hom(f, k, lead)]
+    m = p
+    while m <= 2 * bound:
+        v = w = 0  # g(x) and g'(x), by one Horner pass
+        for c in reversed(g):
+            w = w * x + v
+            v = v * x + c
+        x = (x - v * pow(w, -1, m)) % (m * m)
+        m *= m
+    k = lead * x % m
+    k = k - m if 2 * k > m else k
+    return k if abs(k) <= bound and not _horner_hom(g, k, lead) else None
 
 
-def _snap(f: list[int], s: int, a: int, j: int) -> Fraction | None:
-    """The root of f in (a / 2^j, (a + 1) / 2^j), an interval that holds
-    exactly one root, a simple one, if that root is rational; else None.
+def _lifted_roots(f: list[int]) -> list[Fraction]:
+    """The distinct rational roots of f, in increasing order, where f(0) != 0
+    and lc(f) = L > 0.
 
-    s is the sign of f just right of a.  The interval is halved by sign tests
-    until it holds at most one grid point of `_grid_roots`.
+    Loos's p-adic method (SIAM J. Comput. 12(2), 1983).  A rational root has
+    a denominator dividing L, so it is k/L with |k| <= K = L + max |a_i| by
+    Cauchy's bound, and it has an image mod every prime p ∤ L.  Such primes
+    are tried from 11 up, with no last one, and f mod p is evaluated at
+    0..p-1.  A root r of multiplicity m mod p has f^(m)(r) != 0, so it is a
+    simple root of f^(m-1), and by Hensel's lemma a rational root of f above
+    r is the one root of f^(m-1) above it (`_lift`).  A simple root lifts to
+    at most one rational root.  A repeated root counts only if it lifts to a
+    root of f of multiplicity m, which then stands for all m roots of f
+    above r; otherwise the next prime is tried.  After two such primes f is
+    replaced once by its square-free part, whose roots are simple mod every
+    prime but the finitely many that divide its discriminant, so the search
+    ends.
     """
+    lead, bound = f[-1], f[-1] + max(map(abs, f[:-1]))
+    ders = [f, _derivative(f)]  # f and its derivatives, as far as needed
+    failed, p = 0, 9
     while True:
-        a, j = 2 * a, j + 1
-        mid = _sign_at(f, a + 1, j)
-        if not mid:
-            return _dyadic(a + 1, j)
-        if mid == s:
-            a += 1
-        roots = _grid_roots(f, a, j, 1)
-        if roots is not None:
-            return roots[0] if roots else None
-
-
-def _positive_rational_roots(f: list[int]) -> list[Fraction]:
-    """The distinct positive rational roots of f, where f(0) != 0.
-
-    Every positive root is below B = 2^e, the least power of two at or above
-    Fujiwara's bound 2 max (|a_i| / |lc|)^(1/(n-i)) over the coefficients a_i
-    of sign opposite to the leading one.  Descartes bisection (Collins &
-    Akritas) runs on p(x) = f(B x) over (0, 1).  The sign changes of p bound
-    its roots in (0, oo), and those of (x + 1)^n p(1 / (x + 1)) its roots in
-    (0, 1), both up to an even number; a half is 2^n p(x / 2) or its shift
-    by 1.  An interval is dropped once `_grid_roots` decides it, so no
-    interval gets narrower than about 1/L and repeated roots need no
-    square-free part; one that isolates a root goes to `_snap`.
-    """
-    n, lead = len(f) - 1, abs(f[-1])
-    opposite = [(n - i, abs(c)) for i, c in enumerate(f) if c * f[-1] < 0]
-    if not opposite:
-        return []
-
-    def bounds(e: int) -> bool:  # every (|a_i| / |lc|)^(1/d) <= 2^(e-1)
-        return all(c << max((1 - e) * d, 0) <= lead << max((e - 1) * d, 0) for d, c in opposite)
-
-    e = 1 + max(-((lead.bit_length() - c.bit_length() - 1) // d) for d, c in opposite)
-    while bounds(e - 1):
-        e -= 1
-    roots: list[Fraction] = []
-    # p is a positive multiple of f(B x) moved onto (0, 1) from (c / 2^j, (c + 1) / 2^j),
-    # and p(0) != 0
-    stack = [([c << (e * i if e >= 0 else -e * (n - i)) for i, c in enumerate(f)], 0, -e)]
-    while stack:
-        p, c, j = stack.pop()
-        grid = _grid_roots(f, c, j, _GRID_TESTS)
-        if grid is not None:
-            roots += grid
+        p += 2
+        if not lead % p or not all(p % d for d in range(3, isqrt(p) + 1, 2)):
             continue
-        changes = _sign_changes(p)
-        if changes == 1:  # one root in (0, oo); in (0, 1) if p(0), p(1) differ
-            changes = int(p[0] * sum(p) < 0)
-        elif changes > 1:
-            changes = _sign_changes(_taylor_shift(p[::-1]))
-        if changes == 1:
-            root = _snap(f, 1 if p[0] > 0 else -1, c, j)
-            if root:
-                roots.append(root)
-        elif changes > 1:
-            m = len(p) - 1
-            left = [a << (m - i) for i, a in enumerate(p)]
-            right = _taylor_shift(left)
-            if not right[0]:
-                roots.append(_dyadic(2 * c + 1, j + 1))
-                while not right[0]:
-                    del right[0]
-            stack += ((right, 2 * c + 1, j + 1), (left, 2 * c, j + 1))
-    return roots
+        fp = [c % p for c in reversed(f)]
+        roots = []  # (m, r): r a root of multiplicity m mod p
+        for r in range(p):
+            acc = 0
+            for c in fp:
+                acc = acc * r + c
+            if not acc % p:
+                m = 1
+                while m < len(f) and not _horner_hom(ders[m], r, 1) % p:
+                    m += 1
+                    if m == len(ders):
+                        ders.append(_derivative(ders[-1]))
+                roots.append((m, r))
+        found = []
+        for m, r in sorted(roots, reverse=True):  # repeated roots first: they may reject p
+            k = None if m == len(f) else _lift(ders[m - 1], r, p, lead, bound)
+            if k is not None and all(not _horner_hom(d, k, lead) for d in ders[: m - 1]):
+                found.append(k)
+            elif m > 1:
+                break
+        else:
+            return [Fraction(k, lead) for k in sorted(found)]
+        failed += 1
+        if failed == 2:
+            f = _primitive(_square_free(f))
+            lead, bound = f[-1], f[-1] + max(map(abs, f[:-1]))
+            ders = [f, _derivative(f)]
 
 
 def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
@@ -541,31 +498,26 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
 
     The residual times the product of the (t - r)^m factors reproduces f.
     No coefficient is factored.  The roots of the primitive integer
-    coefficients F of f are found on either side of 0 by
-    `_positive_rational_roots` and tested exactly by `_horner_hom`; each
-    root r = p/q is divided out of F as q*t - p, as often as it divides, and
-    the residual is built once, from the content of f, the q^m and the
-    quotient.
+    coefficients F of f are found by `_lifted_roots` and tested exactly by
+    `_horner_hom`; each root r = p/q is divided out of F as q*t - p, as often
+    as it divides, and the residual is built once, from the content of f, the
+    q^m and the quotient.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
     roots: list[tuple[Fraction, int]] = []
     ints, den = _cleared_coeffs(f)
     k = next(e for e, c in enumerate(ints) if c)
-    if k > 0:
-        roots.append((Fraction(0), k))
     num = gcd(*ints)  # f = (num / den) * rest * t^k
     rest = [c // num for c in ints[k:]]
-    for s in (1, -1):
-        side = rest if s > 0 else [-c if e % 2 else c for e, c in enumerate(rest)]
-        for r in _positive_rational_roots(side):
-            r = r if s > 0 else -r
-            p, q = r.numerator, r.denominator
-            m = 0
-            while not _horner_hom(rest, p, q):
-                rest = _divide_dense(rest, [-p, q])
-                m += 1
-            num *= q**m
-            roots.append((r, m))
-    roots.sort(key=itemgetter(0))
+    for r in _lifted_roots(_primitive(rest)) if len(rest) > 1 else ():
+        p, q = r.numerator, r.denominator
+        m = 0
+        while not _horner_hom(rest, p, q):
+            rest = _divide_dense(rest, [-p, q])
+            m += 1
+        num *= q**m
+        roots.append((r, m))
+    if k:
+        roots.insert(sum(r < 0 for r, _ in roots), (Fraction(0), k))
     return roots, _make(f.vars, {(e,): Fraction(num * c, den) for e, c in enumerate(rest) if c})

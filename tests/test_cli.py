@@ -444,7 +444,7 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                     ]
                 },
                 EXIT_PARSE_ERROR,
-                f"cannot read identity file: baric exponent must be a JSON integer, got {got}",
+                f"cannot read identity file: terms[0].weight.k must be a JSON integer, got {got}\n",
             )
             for weight, got in [
                 ({"kind": "baric", "k": 1.5}, "1.5"),
@@ -494,6 +494,11 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
             ]
         ),
         ({"name": "x"}, EXIT_PARSE_ERROR, 'cannot read identity file: the top-level object has no "terms"\n'),
+        (
+            {"terms": [{"coeff": "1", "monomial": "z^2", "weight": {"kind": "x"}}, {"coeff": "-1", "monomial": "z"}]},
+            EXIT_PARSE_ERROR,
+            "cannot read identity file: terms[0].weight.kind: unknown weight kind 'x'\n",
+        ),
         # a bad weight value on a later term names that term
         *(
             ({"terms": [{"coeff": "-1", "monomial": "z"}, {"coeff": "1", "monomial": "z^2", "weight": weight}]},
@@ -533,6 +538,7 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "baric-weight-without-k",
         "bilinear-weight-without-monomial",
         "no-terms",
+        "unknown-weight-kind",
         "number-bilinear-monomial-second-term",
         "number-in-monomials-second-term",
         "string-monomials-second-term",

@@ -2,8 +2,10 @@
 
 import time
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
-from math import lcm
+from math import gcd, lcm, prod
+from operator import itemgetter, ne
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,10 +20,13 @@ from peirce_lab.identities import (
     spectrum,
 )
 from peirce_lab.magma import atom, enumerate_monomials
+from peirce_lab import poly
 from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
     Poly3,
+    _cleared_coeffs,
+    _divide_dense,
     _horner_hom,
     _symbol_slices,
     divide_exact,
@@ -224,6 +229,221 @@ def test_rational_roots_of_planted_roots_times_a_cofactor(planted, cofactor):
     assert rational_roots(f) == (sorted(mult.items()), residual)
 
 
+# --- the Descartes bisection that rational_roots used before p-adic lifting,
+# kept as an oracle
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """The coefficients of a(x + 1): n running sums over the reversed list."""
+    b = a[::-1]
+    for m in range(len(b), 1, -1):
+        b[:m] = accumulate(b[:m])
+    return b[::-1]
+
+
+def _sign_changes(a: list[int]) -> int:
+    signs = [c > 0 for c in a if c]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _floor_shift(x: int, j: int) -> int:
+    """floor(x / 2^j); j may be negative."""
+    return x >> j if j >= 0 else x << -j
+
+
+def _dyadic(num: int, j: int) -> Fraction:
+    """num / 2^j; j may be negative."""
+    return Fraction(num, 1 << j) if j >= 0 else Fraction(num << -j)
+
+
+def _sign_at(f: list[int], num: int, j: int) -> int:
+    """The sign of f(num / 2^j); j may be negative."""
+    v = _horner_hom(f, num, 1 << j) if j >= 0 else _horner_hom(f, num << -j, 1)
+    return (v > 0) - (v < 0)
+
+
+# An interval with at most this many points of the grid (1/L) Z is decided by
+# testing them all: a test is one Horner pass, cheaper than a bisection step.
+_GRID_TESTS = 16
+
+
+def _grid_roots(f: list[int], a: int, j: int, most: int) -> list[Fraction] | None:
+    """The rational roots of f in (a / 2^j, (a + 1) / 2^j) if that interval
+    holds at most `most` points of the grid (1/L) Z, L = |lc(f)|; else None.
+
+    A rational root p/q of f has q | L, so it is such a point k/L, and
+    `_horner_hom` tests each exactly.
+    """
+    lead = abs(f[-1])
+    lo = _floor_shift(lead * a, j) + 1  # the least k with k/L > a / 2^j
+    hi = -_floor_shift(-lead * (a + 1), j) - 1  # the greatest k with k/L < (a + 1) / 2^j
+    if hi - lo >= most:
+        return None
+    return [Fraction(k, lead) for k in range(lo, hi + 1) if not _horner_hom(f, k, lead)]
+
+
+def _snap(f: list[int], s: int, a: int, j: int) -> Fraction | None:
+    """The root of f in (a / 2^j, (a + 1) / 2^j), an interval that holds
+    exactly one root, a simple one, if that root is rational; else None.
+
+    s is the sign of f just right of a.  The interval is halved by sign tests
+    until it holds at most one grid point of `_grid_roots`.
+    """
+    while True:
+        a, j = 2 * a, j + 1
+        mid = _sign_at(f, a + 1, j)
+        if not mid:
+            return _dyadic(a + 1, j)
+        if mid == s:
+            a += 1
+        roots = _grid_roots(f, a, j, 1)
+        if roots is not None:
+            return roots[0] if roots else None
+
+
+def _positive_rational_roots(f: list[int]) -> list[Fraction]:
+    """The distinct positive rational roots of f, where f(0) != 0.
+
+    Every positive root is below B = 2^e, the least power of two at or above
+    Fujiwara's bound 2 max (|a_i| / |lc|)^(1/(n-i)) over the coefficients a_i
+    of sign opposite to the leading one.  Descartes bisection (Collins &
+    Akritas) runs on p(x) = f(B x) over (0, 1).  The sign changes of p bound
+    its roots in (0, oo), and those of (x + 1)^n p(1 / (x + 1)) its roots in
+    (0, 1), both up to an even number; a half is 2^n p(x / 2) or its shift
+    by 1.  An interval is dropped once `_grid_roots` decides it, so no
+    interval gets narrower than about 1/L and repeated roots need no
+    square-free part; one that isolates a root goes to `_snap`.
+    """
+    n, lead = len(f) - 1, abs(f[-1])
+    opposite = [(n - i, abs(c)) for i, c in enumerate(f) if c * f[-1] < 0]
+    if not opposite:
+        return []
+
+    def bounds(e: int) -> bool:  # every (|a_i| / |lc|)^(1/d) <= 2^(e-1)
+        return all(c << max((1 - e) * d, 0) <= lead << max((e - 1) * d, 0) for d, c in opposite)
+
+    e = 1 + max(-((lead.bit_length() - c.bit_length() - 1) // d) for d, c in opposite)
+    while bounds(e - 1):
+        e -= 1
+    roots: list[Fraction] = []
+    # p is a positive multiple of f(B x) moved onto (0, 1) from (c / 2^j, (c + 1) / 2^j),
+    # and p(0) != 0
+    stack = [([c << (e * i if e >= 0 else -e * (n - i)) for i, c in enumerate(f)], 0, -e)]
+    while stack:
+        p, c, j = stack.pop()
+        grid = _grid_roots(f, c, j, _GRID_TESTS)
+        if grid is not None:
+            roots += grid
+            continue
+        changes = _sign_changes(p)
+        if changes == 1:  # one root in (0, oo); in (0, 1) if p(0), p(1) differ
+            changes = int(p[0] * sum(p) < 0)
+        elif changes > 1:
+            changes = _sign_changes(_taylor_shift(p[::-1]))
+        if changes == 1:
+            root = _snap(f, 1 if p[0] > 0 else -1, c, j)
+            if root:
+                roots.append(root)
+        elif changes > 1:
+            m = len(p) - 1
+            left = [a << (m - i) for i, a in enumerate(p)]
+            right = _taylor_shift(left)
+            if not right[0]:
+                roots.append(_dyadic(2 * c + 1, j + 1))
+                while not right[0]:
+                    del right[0]
+            stack += ((right, 2 * c + 1, j + 1), (left, 2 * c, j + 1))
+    return roots
+
+
+def _rational_roots_by_bisection(f):
+    """rational_roots with the positive roots of F(t) and of F(-t) found by
+    `_positive_rational_roots`, deflated the same way."""
+    roots = []
+    ints, den = _cleared_coeffs(f)
+    k = next(e for e, c in enumerate(ints) if c)
+    if k > 0:
+        roots.append((Fraction(0), k))
+    num = gcd(*ints)
+    rest = [c // num for c in ints[k:]]
+    for s in (1, -1):
+        side = rest if s > 0 else [-c if e % 2 else c for e, c in enumerate(rest)]
+        for r in _positive_rational_roots(side):
+            r = r if s > 0 else -r
+            p, q = r.numerator, r.denominator
+            m = 0
+            while not _horner_hom(rest, p, q):
+                rest = _divide_dense(rest, [-p, q])
+                m += 1
+            num *= q**m
+            roots.append((r, m))
+    roots.sort(key=itemgetter(0))
+    return roots, Poly1({e: Fraction(num * c, den) for e, c in enumerate(rest) if c})
+
+
+def _primorial(n):
+    """The product of the primes below n."""
+    return prod(p for p in range(2, n) if all(p % d for d in range(2, p)))
+
+
+_PRIMORIAL_100 = _primorial(100)
+
+
+@st.composite
+def root_finding_inputs(draw):
+    """t^z * prod (q t - p)^m * h with h an integer cofactor: roots at 0,
+    repeated roots, planted roots k/L and (k + 1)/L side by side, 200-bit
+    coefficients, and a leading coefficient divisible by every prime below
+    100."""
+    t = Poly1.t()
+    f = t ** draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.one_of(st.integers(1, 12), st.integers(1, 2**40), st.just(_PRIMORIAL_100)))
+        p = draw(st.one_of(st.integers(-3 * q, 3 * q), st.integers(-(2**200), 2**200)))
+        f = f * (q * t - p) ** draw(st.integers(1, 3))
+        if draw(st.booleans()):  # a neighbour on the same grid (1/q) Z
+            f = f * (q * t - p - 1)
+    coefficient = st.one_of(st.integers(-20, 20), st.integers(-(2**200), 2**200))
+    cofactor = draw(st.lists(coefficient, min_size=1, max_size=4).filter(lambda c: c[-1]))
+    if draw(st.booleans()):
+        cofactor[-1] *= _PRIMORIAL_100
+    return f * Poly1(dict(enumerate(cofactor))) * draw(small_rationals.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_finding_inputs())
+@example((Poly1.t() - 1) ** 3 * (Poly1.t() - 144) * (Poly1.t() ** 2 - 2))
+@example(_PRIMORIAL_100 * Poly1.t() ** 3 - 1)
+def test_rational_roots_match_descartes_bisection(f):
+    """p-adic lifting finds what Descartes bisection finds, and what the
+    rational root theorem finds where its divisor lists stay small."""
+    found = rational_roots(f)
+    assert found == _rational_roots_by_bisection(f)
+    ints, _ = _cleared_coeffs(f)
+    low = next(c for c in ints if c)
+    if abs(low) <= 5000 and abs(ints[-1]) <= 5000:
+        assert found == _roots_by_fraction_evaluation(f)
+
+
+def test_square_free_switch_only_after_two_failed_primes():
+    """A repeated rational root is lifted as a simple root of a derivative at
+    the first prime; f is made square-free only when two primes in a row
+    fail, here because 1 and 144 = 1 + 11 * 13 meet mod 11 and mod 13."""
+    t = Poly1.t()
+    with mock.patch.object(poly, "_square_free", wraps=poly._square_free) as square_free:
+        assert rational_roots((3 * t - 2) ** 3 * (t**2 - 2)) == ([(Fraction(2, 3), 3)], 27 * (t**2 - 2))
+        assert square_free.call_count == 0
+        assert rational_roots((t - 1) ** 3 * (t - 144) * (t**2 - 2)) == (
+            [(Fraction(1), 3), (Fraction(144), 1)],
+            t**2 - 2,
+        )
+        assert square_free.call_count == 1
+
+
+_PRIMORIAL_1000 = _primorial(1000)
+_ODD_PRIMORIAL_48 = _primorial(48) // 2  # 3 * 5 * 7 * ... * 47
+
+
 _P61 = 2**61 - 1
 _SEMIPRIME = 1000000007 * 998244353
 _LCM40 = lcm(*range(1, 41))
@@ -281,6 +501,32 @@ def _adversarial_cases():
             Fraction(3, 5) * (1000003 * t - 2) * (1000003 * t + 7) ** 2 * (t - 1) * (t**2 - 5),
             [(Fraction(-7, 1000003), 2), (Fraction(2, 1000003), 1), (Fraction(1), 1)],
             Fraction(3, 5) * 1000003**3 * (t**2 - 5),
+        ),
+        # every prime below 1000 divides the leading coefficient, so the
+        # first prime the lifting may use is 1009
+        (
+            (_PRIMORIAL_1000 * t - 1) * (t + 2) * (t**2 + 1),
+            [(Fraction(-2), 1), (Fraction(1, _PRIMORIAL_1000), 1)],
+            _PRIMORIAL_1000 * (t**2 + 1),
+        ),
+        # square-free, but 1 and 1 + 3 * 5 * ... * 47 meet mod every prime
+        # from 3 to 47
+        (
+            (t - 1) * (t - 1 - _ODD_PRIMORIAL_48) * (t**2 + 1),
+            [(Fraction(1), 1), (Fraction(1 + _ODD_PRIMORIAL_48), 1)],
+            t**2 + 1,
+        ),
+        # a cube: its root is a simple root of f'' mod every prime but 2, 3 and 7
+        (
+            (3 * t - 2) ** 3 * (t**2 - 2),
+            [(Fraction(2, 3), 3)],
+            27 * (t**2 - 2),
+        ),
+        # a cube whose root meets 144 mod 11 and mod 13: the square-free switch
+        (
+            (t - 1) ** 3 * (t - 144) * (t**2 - 2),
+            [(Fraction(1), 3), (Fraction(144), 1)],
+            t**2 - 2,
         ),
     ]
 
