@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, ne
 
 import pytest
@@ -383,7 +383,7 @@ def _rational_roots_by_bisection(f):
 
 def _primorial(n):
     """The product of the primes below n."""
-    return prod(p for p in range(2, n) if all(p % d for d in range(2, p)))
+    return prod(p for p in range(2, n) if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 _PRIMORIAL_100 = _primorial(100)
@@ -427,11 +427,16 @@ def test_rational_roots_match_descartes_bisection(f):
 
 def test_square_free_switch_only_after_two_failed_primes():
     """A repeated rational root is lifted as a simple root of a derivative at
-    the first prime; f is made square-free only when two primes in a row
-    fail, here because 1 and 144 = 1 + 11 * 13 meet mod 11 and mod 13."""
+    the first prime; f is made square-free only when two primes fail, here
+    because 1 and 144 = 1 + 11 * 13 meet mod 11 and mod 13, and not when
+    only 1 and 12 meet mod 11."""
     t = Poly1.t()
     with mock.patch.object(poly, "_square_free", wraps=poly._square_free) as square_free:
         assert rational_roots((3 * t - 2) ** 3 * (t**2 - 2)) == ([(Fraction(2, 3), 3)], 27 * (t**2 - 2))
+        assert rational_roots((t - 1) ** 2 * (t - 12) * (t**2 + 1)) == (
+            [(Fraction(1), 2), (Fraction(12), 1)],
+            t**2 + 1,
+        )
         assert square_free.call_count == 0
         assert rational_roots((t - 1) ** 3 * (t - 144) * (t**2 - 2)) == (
             [(Fraction(1), 3), (Fraction(144), 1)],
@@ -521,6 +526,14 @@ def _adversarial_cases():
             (3 * t - 2) ** 3 * (t**2 - 2),
             [(Fraction(2, 3), 3)],
             27 * (t**2 - 2),
+        ),
+        # one of 2, 3 and 6 is a square mod every prime above 3, so the
+        # squared quadratics have a repeated root mod every prime that may be
+        # used, and only the square-free part ends the search
+        (
+            (3 * t - 1) * ((t**2 - 2) * (t**2 - 3) * (t**2 - 6)) ** 2,
+            [(Fraction(1, 3), 1)],
+            3 * ((t**2 - 2) * (t**2 - 3) * (t**2 - 6)) ** 2,
         ),
         # a cube whose root meets 144 mod 11 and mod 13: the square-free switch
         (
