@@ -447,15 +447,16 @@ def _lifted_roots(f: list[int]) -> list[Fraction]:
     a denominator dividing L, so it is k/L with |k| <= K = L + max |a_i| by
     Cauchy's bound, and it has an image mod every prime p ∤ L.  Such primes
     are tried from 11 up, with no last one, and f mod p is evaluated at
-    0..p-1.  A root r of multiplicity m mod p has f^(m)(r) != 0, so it is a
-    simple root of f^(m-1), and by Hensel's lemma a rational root of f above
-    r is the one root of f^(m-1) above it (`_lift`).  A simple root lifts to
-    at most one rational root.  A repeated root counts only if it lifts to a
-    root of f of multiplicity m, which then stands for all m roots of f
-    above r; otherwise the next prime is tried.  After two such primes f is
-    replaced once by its square-free part, whose roots are simple mod every
-    prime but the finitely many that divide its discriminant, so the search
-    ends.
+    0..p-1.  For a root r take the least m with f^(m)(r) != 0 mod p (r's
+    multiplicity mod p, when that is below p): r is a simple root of
+    f^(m-1), and by Hensel's lemma a rational root of f above r of
+    multiplicity >= m is the one root of f^(m-1) above it (`_lift`).  A
+    simple root lifts to at most one rational root.  A repeated root counts
+    only if it lifts to a root of f of multiplicity m, which then stands for
+    all m roots of f above r; otherwise the next prime is tried.  After two
+    such primes f is replaced once by its square-free part, whose roots are
+    simple mod every prime but the finitely many that divide its
+    discriminant, so the search ends.
     """
     lead, bound = f[-1], f[-1] + max(map(abs, f[:-1]))
     ders = [f, _derivative(f)]  # f and its derivatives, as far as needed
