@@ -19,12 +19,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
-from .identities import WeightDescriptor, WeightedIdentity, _field, _integer_rho, _json_object
+from .identities import WeightedIdentity, _field, _integer_rho, _json_object
 from .magma import Monomial, atom, fold
 from .peirce import _rho_ints, _symbol_ints
 from .poly import (
@@ -631,20 +631,6 @@ def verify_second_linearization(
     return VerificationReport(not failures, f"second linearization of {m}", failures)
 
 
-def _weight_value(
-    algebra: StructureAlgebra, w: WeightDescriptor, xs: list[int], den: int, memo: dict
-) -> tuple[int, int]:
-    """w at x = xs / den as an int numerator and a positive int denominator."""
-    num, wden = 1, 1
-    if w.baric_exp:
-        num *= algebra._omega_of(xs) ** w.baric_exp
-        wden *= (algebra._omega_den * den) ** w.baric_exp
-    for m in w.bilinear_args:
-        num *= algebra._b(xs, _evaluate_jet(algebra, m, memo)[0])
-        wden *= algebra._form_den * den * _jet_scale(algebra, den, m.degree)
-    return num, wden
-
-
 def _below(bits: Callable[[int], int], n: int) -> int:
     """randrange(n) as random.Random draws it: n.bit_length() bits, redrawn while >= n."""
     k = n.bit_length()
@@ -652,6 +638,11 @@ def _below(bits: Callable[[int], int], n: int) -> int:
     while r >= n:
         r = bits(k)
     return r
+
+
+# Trials per block of verify_identity.  A block's vectors are evaluated
+# together, so its memory is O(block * nodes * dim) for any number of trials.
+_TRIAL_BLOCK = 64
 
 
 def verify_identity(
@@ -664,32 +655,45 @@ def verify_identity(
 
     Coordinate i of a trial vector is n_i / d_i with n_i in -9..9 and d_i in
     1..4, drawn in that order as random.Random(seed).randint draws them; the
-    vector is taken as ints xs = den * x with den = lcm(d_i).
+    vector is taken as ints xs = 12 * x, 12 = lcm(1..4).  The trials run in
+    blocks of _TRIAL_BLOCK: one fold per monomial evaluates it at every
+    vector of a block, and each trial's P(x) is then summed in ints.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     bits = random.Random(seed).getrandbits
-    terms = [(Fraction(t.coeff), t.monomial, t.weight) for t in identity.terms]
+    product = algebra._product
+
+    def step(node, a, b):
+        return list(map(product, a, b))
+
+    # Term t at x is coeff.numerator * num(x) * value(x) / scale_t, with num(x)
+    # the int numerator of its weight and value(x) the fold of its monomial at
+    # xs.  No scale depends on x, so each term's factor over their lcm is
+    # computed once per call.
+    scales = [Fraction(t.coeff).denominator * _jet_scale(algebra, 12, t.monomial.degree)
+              * (algebra._omega_den * 12) ** t.weight.baric_exp
+              * prod(algebra._form_den * 12 * _jet_scale(algebra, 12, m.degree) for m in t.weight.bilinear_args)
+              for t in identity.terms]
+    common = lcm(*scales)
+    terms = [(Fraction(t.coeff).numerator * (common // tden), t.monomial, t.weight)
+             for t, tden in zip(identity.terms, scales)]
     failures = []
-    for trial in range(trials):
-        draws = [(_below(bits, 19) - 9, _below(bits, 4) + 1) for _ in range(algebra.dim)]
-        den = lcm(*(d for _, d in draws))
-        xs = [n * (den // d) for n, d in draws]
-        memo = {atom(): [xs]}  # shared by every term and weight at this x
-        # Term t at x is num * value / tden with ints num, value and tden > 0;
-        # P(x) is zero when the sum over the common denominator is.
-        parts = []
-        for coeff, m, w in terms:
-            num, wden = _weight_value(algebra, w, xs, den, memo) if w.baric_exp or w.bilinear_args else (1, 1)
-            tden = coeff.denominator * wden * _jet_scale(algebra, den, m.degree)
-            parts.append((coeff.numerator * num, tden, _evaluate_jet(algebra, m, memo)[0]))
-        common = lcm(*(tden for _, tden, _ in parts))
-        acc = [0] * algebra.dim
-        for num, tden, value in parts:
-            s = num * (common // tden)
-            acc = [a + s * v for a, v in zip(acc, value)]
-        if any(acc):
-            failures.append(f"trial {trial}: P(x) != 0")
+    for start in range(0, trials, _TRIAL_BLOCK):
+        # n_i, then d_i: the operands of * are evaluated left to right
+        block = [[(_below(bits, 19) - 9) * (12 // (_below(bits, 4) + 1)) for _ in range(algebra.dim)]
+                 for _ in range(min(_TRIAL_BLOCK, trials - start))]
+        memo = {atom(): block}  # shared by every term and weight of the block
+        accs = [[0] * algebra.dim for _ in block]
+        for factor, m, w in terms:
+            nums = [factor] * len(block)
+            if w.baric_exp:
+                nums = [n * algebra._omega_of(x) ** w.baric_exp for n, x in zip(nums, block)]
+            for arg in w.bilinear_args:
+                nums = [n * algebra._b(x, y) for n, x, y in zip(nums, block, fold(arg, memo, step))]
+            accs = [[a + n * v for a, v in zip(acc, value)]
+                    for acc, n, value in zip(accs, nums, fold(m, memo, step))]
+        failures += [f"trial {start + i}: P(x) != 0" for i, acc in enumerate(accs) if any(acc)]
     return VerificationReport(
         not failures, f"identity {identity.name or '<anon>'} on {algebra.name or '<anon>'}",
         tuple(failures),

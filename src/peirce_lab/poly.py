@@ -473,7 +473,8 @@ def _lifted_roots(f: list[int]) -> list[Fraction]:
                 acc = acc * r + c
             if not acc % p:
                 m = 1
-                while m < len(f) and not _horner_hom(ders[m], r, 1) % p:
+                # f^(m)(r) mod p by Horner, reduced at every step
+                while m < len(f) and not reduce(lambda acc, c: (acc * r + c) % p, reversed(ders[m]), 0):
                     m += 1
                     if m == len(ders):
                         ders.append(_derivative(ders[-1]))
@@ -499,10 +500,10 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
 
     The residual times the product of the (t - r)^m factors reproduces f.
     No coefficient is factored.  The roots of the primitive integer
-    coefficients F of f are found by `_lifted_roots` and tested exactly by
-    `_horner_hom`; each root r = p/q is divided out of F as q*t - p, as often
-    as it divides, and the residual is built once, from the content of f, the
-    q^m and the quotient.
+    coefficients F of f are found by `_lifted_roots`, which proves each one
+    exact; each root r = p/q is divided out of F as q*t - p once, then as
+    often as `_horner_hom` finds that it divides, and the residual is built
+    once, from the content of f, the q^m and the quotient.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has no well-defined root set")
@@ -513,7 +514,7 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
     rest = [c // num for c in ints[k:]]
     for r in _lifted_roots(_primitive(rest)) if len(rest) > 1 else ():
         p, q = r.numerator, r.denominator
-        m = 0
+        rest, m = _divide_dense(rest, [-p, q]), 1  # _lifted_roots proved r a root
         while not _horner_hom(rest, p, q):
             rest = _divide_dense(rest, [-p, q])
             m += 1

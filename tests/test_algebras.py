@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from peirce_lab.algebras import (
 )
 from peirce_lab.identities import (
     FusionTable,
+    WeightDescriptor,
     baric_weight,
     bilinear_weight,
     catalog,
@@ -1437,9 +1439,10 @@ def test_verify_identity_matches_fraction_sum(name, identity):
     assert report.failures == _fraction_identity_failures(alg, catalog(identity), 8, 5)
 
 
-def test_verify_identity_weights_match_fraction_sum():
-    # Weights with denominators, on identities that hold only when every
-    # weight is scaled right, and on identities that fail.
+def _scaled_weight_cases():
+    """(algebra, identity, holds): weights with denominators, on identities
+    that hold only when every weight is scaled right, and on identities that
+    fail."""
     z = atom()
     base = spin_factor(2)
     spin = StructureAlgebra(
@@ -1463,8 +1466,11 @@ def test_verify_identity_weights_match_fraction_sum():
         require_zero_sum=False,
     )
     cases = [(spin, cubic, True), (line, line_identity, True)]
-    cases += [(alg, catalog(name), False) for alg in (spin, line) for name in ("bernstein", "walcher")]
-    for alg, identity, holds in cases:
+    return cases + [(alg, catalog(name), False) for alg in (spin, line) for name in ("bernstein", "walcher")]
+
+
+def test_verify_identity_weights_match_fraction_sum():
+    for alg, identity, holds in _scaled_weight_cases():
         report = verify_identity(alg, identity, trials=6, seed=2)
         assert report.ok == holds, identity
         assert report.failures == _fraction_identity_failures(alg, identity, 6, 2), identity
@@ -1492,6 +1498,85 @@ def test_trial_draws_follow_the_randint_stream():
         for dim in range(1, 13):
             got = [(algebras._below(bits, 19) - 9, algebras._below(bits, 4) + 1) for _ in range(dim)]
             assert got == [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)], (seed, dim)
+
+
+# verify_identity evaluates its trials in blocks of _TRIAL_BLOCK vectors;
+# these trial counts cross every block boundary.
+_BLOCK = algebras._TRIAL_BLOCK
+_BLOCK_TRIALS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+_LOW_MONOMIALS = [m for d in range(1, 4) for m in enumerate_monomials(d)]
+
+
+@st.composite
+def weighted_algebras(draw):
+    """A built-in algebra, or a random commutative one of dim 1-4 with
+    fractional constants and a weight, and perhaps an associating form."""
+    if draw(st.booleans()):
+        return build_algebra(draw(st.sampled_from(builder_names())))
+    if draw(st.booleans()):
+        alg = draw(commutative_algebras(max_dim=4))
+        return StructureAlgebra(dim=alg.dim, structure=alg.structure,
+                                weight=tuple(draw(small_fractions) for _ in range(alg.dim)))
+    n = draw(st.integers(1, 4))
+    # c_ijk = t_ijk / b_k with t symmetric in i, j and k: then b(e_i e_j, e_k)
+    # = t_ijk, so the diagonal form b is associating
+    b = [draw(st.builds(F, st.integers(1, 4), st.integers(1, 5))) for _ in range(n)]
+    t = {key: draw(small_fractions) for key in itertools.combinations_with_replacement(range(n), 3)}
+    structure = tuple(tuple(tuple(t[tuple(sorted((i, j, k)))] / b[k] for k in range(n)) for j in range(n))
+                      for i in range(n))
+    form = tuple(tuple(b[i] if i == j else F(0) for j in range(n)) for i in range(n))
+    weight = tuple(draw(small_fractions) for _ in range(n))
+    return StructureAlgebra(dim=n, structure=structure, bilinear_form=form, weight=weight)
+
+
+@st.composite
+def realizable_identities(draw, alg):
+    """A catalog identity, or random terms of degree at most 4 with baric
+    weights when alg has a weight and bilinear ones when it has a form."""
+    named = [name for name in ("bernstein", "hsiang", "jordan_power_assoc", "pseudo_composition", "walcher")
+             if all((alg.weight is not None or not t.weight.baric_exp)
+                    and (alg.bilinear_form is not None or not t.weight.bilinear_args)
+                    for t in catalog(name).terms)]
+    if draw(st.booleans()):
+        return catalog(draw(st.sampled_from(named)))
+    baric = st.integers(0, 2) if alg.weight is not None else st.just(0)
+    args = st.lists(st.sampled_from(_LOW_MONOMIALS), max_size=2 if alg.bilinear_form is not None else 0)
+    weights = st.builds(lambda k, ms: WeightDescriptor(k, tuple(sorted(ms))), baric, args)
+    monomials = st.sampled_from([m for d in range(1, 5) for m in enumerate_monomials(d)])
+    coeffs = st.builds(F, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(coeffs, monomials, weights), min_size=1, max_size=4,
+                          unique_by=lambda term: (term[1], term[2])))
+    return make_identity(terms, require_zero_sum=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blocked_trials_match_fraction_sum(data):
+    # Failure lines, with their global trial indices, against the Fraction
+    # oracle that draws and sums one trial at a time.
+    if data.draw(st.booleans()):
+        alg, identity, _ = data.draw(st.sampled_from(_scaled_weight_cases()))
+    else:
+        alg = data.draw(weighted_algebras())
+        identity = data.draw(realizable_identities(alg))
+    trials, seed = data.draw(st.sampled_from(_BLOCK_TRIALS)), data.draw(st.integers(0, 2**32))
+    report = verify_identity(alg, identity, trials=trials, seed=seed)
+    assert report.failures == _fraction_identity_failures(alg, identity, trials, seed)
+    assert report.ok == (not report.failures)
+
+
+def test_verify_identity_memory_stays_within_one_block():
+    # trials run in blocks, so 5000 trials take at most twice the memory of one block
+    alg, identity = hsiang_tracefree_sym3(), catalog("hsiang")
+    peaks = []
+    for trials in (_BLOCK, 5000):
+        tracemalloc.start()
+        try:
+            assert verify_identity(alg, identity, trials=trials, seed=1).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 # --- matrix-unit builders against their Fraction-matrix definitions -----------
