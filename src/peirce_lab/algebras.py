@@ -331,12 +331,8 @@ class PeirceDecomposition(_Record):
         residual: Poly1,
         semisimple: bool,
     ):
-        _set(self, "idempotent", idempotent)
-        _set(self, "char_poly", char_poly)
-        _set(self, "eigenvalues", eigenvalues)
-        _set(self, "eigenbases", eigenbases)
-        _set(self, "residual", residual)
-        _set(self, "semisimple", semisimple)
+        for slot, value in zip(self.__slots__, (idempotent, char_poly, eigenvalues, eigenbases, residual, semisimple)):
+            _set(self, slot, value)
 
     def multiplicity(self, lam: Fraction) -> int:
         return len(self.eigenbases.get(lam, ()))
@@ -428,7 +424,8 @@ def null_space(m: Matrix) -> list[Vector]:
 
 
 def char_poly(algebra: StructureAlgebra, c: Sequence) -> Poly1:
-    return char_poly_matrix(algebra.mult_operator(c))
+    (cs,), den = _cleared_vectors(algebra, c)
+    return _char_poly_ints(algebra._operator_rows(cs), den * algebra._den)
 
 
 def _peirce_operator(algebra: StructureAlgebra, c: Sequence) -> tuple[Vector, int, list, Poly1]:
@@ -470,7 +467,9 @@ def eigen_decomposition(algebra: StructureAlgebra, c: Sequence) -> PeirceDecompo
 # built on them: Taylor-mode differentiation over the monomial DAG.  A jet is
 # the list of coefficients of a truncated polynomial in infinitesimals, in
 # the key order of _jet_schedule, with None for an absent (zero) one; the
-# leaf x + eps*y mod eps^2 is [x, y].
+# leaf x + eps*y mod eps^2 is [x, y].  A list of vectors that do not
+# interact, as verify_identity's trials, is a jet on the diagonal schedule
+# (t, t, t).
 #
 # Jets hold ints.  The leaf vectors are scaled by one common L to ints, and
 # the kernel returns D = algebra._den times each product, so every
@@ -499,7 +498,7 @@ def _jet_schedule(groups: Sequence[tuple[int, int]]) -> list[tuple[int, int, int
             for n, k in enumerate(keys) for i in itertools.product(*(range(e + 1) for e in k))]
 
 
-def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, schedule=((0, 0, 0),)) -> list:
+def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, schedule) -> list:
     """Jet of m, given memo[atom()] = the leaf jet, of the keys of `schedule`.
 
     `memo` maps subtrees to their jets; evaluations of several monomials at
@@ -518,8 +517,7 @@ def _evaluate_jet(algebra: StructureAlgebra, m: Monomial, memo: dict, schedule=(
 
 
 def evaluate_monomial(algebra: StructureAlgebra, m: Monomial, x: Sequence) -> Vector:
-    (xs,), den = _cleared_vectors(algebra, x)
-    return _divided(_evaluate_jet(algebra, m, {atom(): [xs]})[0], _jet_scale(algebra, den, m.degree))
+    return linearize(algebra, m, 0, x, x)  # D^0(m; x, y) = m(x)
 
 
 def linearize(
@@ -553,15 +551,28 @@ def _operator_poly(algebra: StructureAlgebra, coeffs: list[int], cs: list[int], 
     f = sum coeffs[k] t^k, with n = len(coeffs) - 1.  With c = cs/d and
     s = d * _den, the kernel applied to cs is A = s * L_c, and s^n * f(L_c) vs
     is sum coeffs[k] s^(n-k) A^k vs, all in ints; each is returned with s^n.
+    The pass starts at coeffs[n] * vs, so it makes n kernel calls per vector.
     """
+    if not coeffs:  # the zero polynomial
+        return [[0] * algebra.dim for _ in vectors], 1
+    *low, top = coeffs
+    steps = [a * s ** (n + 1) for n, a in enumerate(reversed(low))]
     out = []
     for vs in vectors:
-        acc, spow = [0] * algebra.dim, 1
-        for a in reversed(coeffs):
-            acc = [w + a * spow * u for w, u in zip(algebra._product(cs, acc), vs)]
-            spow *= s
+        acc = [top * u for u in vs]
+        for a in steps:
+            acc = [w + a * u for w, u in zip(algebra._product(cs, acc), vs)]
         out.append(acc)
-    return out, s ** max(len(coeffs) - 1, 0)  # no coefficients leave every acc zero
+    return out, s ** len(low)
+
+
+def _roots_poly(nus: Sequence[Fraction]) -> list[int]:
+    """Int coefficients, lowest first, of the product of q * t - p over nu = p/q."""
+    coeffs = [1]
+    for nu in nus:
+        p, q = nu.numerator, nu.denominator
+        coeffs = [q * b - p * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
 
 
 # --- verification reports -----------------------------------------------------
@@ -631,13 +642,20 @@ def verify_second_linearization(
     return VerificationReport(not failures, f"second linearization of {m}", failures)
 
 
-def _below(bits: Callable[[int], int], n: int) -> int:
-    """randrange(n) as random.Random draws it: n.bit_length() bits, redrawn while >= n."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
+def _trial_block(bits: Callable[[int], int], dim: int, size: int) -> list[list[int]]:
+    """`size` trial vectors as ints 12 * x, x_i = n_i / d_i, with n_i in -9..9
+    and d_i in 1..4 drawn in that order as random.Random.randint draws them:
+    randrange(19) takes 5 bits and randrange(4) 3, each redrawn while too large."""
+    xs = []
+    for _ in range(size * dim):
+        n = bits(5)
+        while n >= 19:
+            n = bits(5)
+        d = bits(3)
+        while d >= 4:
+            d = bits(3)
+        xs.append((n - 9) * (12, 6, 4, 3)[d])  # 12 // d_i
+    return [xs[t : t + dim] for t in range(0, size * dim, dim)]
 
 
 # Trials per block of verify_identity.  A block's vectors are evaluated
@@ -656,19 +674,16 @@ def verify_identity(
     Coordinate i of a trial vector is n_i / d_i with n_i in -9..9 and d_i in
     1..4, drawn in that order as random.Random(seed).randint draws them; the
     vector is taken as ints xs = 12 * x, 12 = lcm(1..4).  The trials run in
-    blocks of _TRIAL_BLOCK: one fold per monomial evaluates it at every
-    vector of a block, and each trial's P(x) is then summed in ints.
+    blocks of _TRIAL_BLOCK: one jet evaluation per monomial, on the diagonal
+    schedule, evaluates it at every vector of a block, and each trial's P(x)
+    is then summed in ints.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     bits = random.Random(seed).getrandbits
-    product = algebra._product
-
-    def step(node, a, b):
-        return list(map(product, a, b))
 
     # Term t at x is coeff.numerator * num(x) * value(x) / scale_t, with num(x)
-    # the int numerator of its weight and value(x) the fold of its monomial at
+    # the int numerator of its weight and value(x) its monomial's jet at
     # xs.  No scale depends on x, so each term's factor over their lcm is
     # computed once per call.
     scales = [Fraction(t.coeff).denominator * _jet_scale(algebra, 12, t.monomial.degree)
@@ -680,9 +695,8 @@ def verify_identity(
              for t, tden in zip(identity.terms, scales)]
     failures = []
     for start in range(0, trials, _TRIAL_BLOCK):
-        # n_i, then d_i: the operands of * are evaluated left to right
-        block = [[(_below(bits, 19) - 9) * (12 // (_below(bits, 4) + 1)) for _ in range(algebra.dim)]
-                 for _ in range(min(_TRIAL_BLOCK, trials - start))]
+        block = _trial_block(bits, algebra.dim, min(_TRIAL_BLOCK, trials - start))
+        schedule = [(t, t, t) for t in range(len(block))]  # the trials do not interact
         memo = {atom(): block}  # shared by every term and weight of the block
         accs = [[0] * algebra.dim for _ in block]
         for factor, m, w in terms:
@@ -690,9 +704,10 @@ def verify_identity(
             if w.baric_exp:
                 nums = [n * algebra._omega_of(x) ** w.baric_exp for n, x in zip(nums, block)]
             for arg in w.bilinear_args:
-                nums = [n * algebra._b(x, y) for n, x, y in zip(nums, block, fold(arg, memo, step))]
+                nums = [n * algebra._b(x, y)
+                        for n, x, y in zip(nums, block, _evaluate_jet(algebra, arg, memo, schedule))]
             accs = [[a + n * v for a, v in zip(acc, value)]
-                    for acc, n, value in zip(accs, nums, fold(m, memo, step))]
+                    for acc, n, value in zip(accs, nums, _evaluate_jet(algebra, m, memo, schedule))]
         failures += [f"trial {start + i}: P(x) != 0" for i, acc in enumerate(accs) if any(acc)]
     return VerificationReport(
         not failures, f"identity {identity.name or '<anon>'} on {algebra.name or '<anon>'}",
@@ -742,10 +757,11 @@ def fusion_empirical(
     """Check each eigenbasis product xy against a predicted fusion table.
 
     xy lies in the sum of the A_c(nu) for nu in S exactly when the product of
-    the (L_c - nu) over S kills it.  With c = cs/d and s = d * _den the kernel
-    at cs is s * L_c, so nu = p/q is applied as q * (s * L_c) - p * s, in ints.
-    A product that fails is tested again for each nu outside S, over the other
-    eigenvalues, to name its stray components.
+    the (L_c - nu) over S kills it, that is when the product of the q * L_c - p
+    over nu = p/q in S does; _operator_poly applies it to all of an eigenvalue
+    pair's products in one call.  The products that fail are tested again for
+    each nu outside S, over the other eigenvalues, to name their stray
+    components.
     """
     decomp = decomposition or eigen_decomposition(algebra, c)
     if not decomp.semisimple:
@@ -753,12 +769,6 @@ def fusion_empirical(
     spectrum = decomp.eigenvalues
     (cs,), d = _cleared_vectors(algebra, c)
     s = d * algebra._den
-
-    def vanishes(v: list[int], nus) -> bool:
-        for nu in nus:
-            v = [nu.denominator * a - nu.numerator * s * b for a, b in zip(algebra._product(cs, v), v)]
-        return not any(v)
-
     bases = {lam: _cleared_vectors(algebra, *decomp.eigenbases[lam])[0] for lam in spectrum}
     failures = [
         f"eigenvalue {format_rational(lam)} of L_c is outside the predicted spectrum"
@@ -768,18 +778,19 @@ def fusion_empirical(
     known = [lam for lam in spectrum if lam in predicted.spectrum]
     for lam, mu in ((lam, mu) for lam in known for mu in known if mu >= lam):
         allowed = predicted.allowed(lam, mu)
-        for x in bases[lam]:
-            for y in bases[mu]:
-                xy = algebra._product(x, y)
-                if vanishes(xy, [nu for nu in spectrum if nu in allowed]):
-                    continue
-                extra = [nu for nu in spectrum
-                         if nu not in allowed and not vanishes(xy, [o for o in spectrum if o != nu])]
-                failures.append(
-                    f"A_c({lam}) * A_c({mu}) has components at "
-                    + ", ".join(format_rational(nu) for nu in extra)
-                    + f" outside the allowed {{{', '.join(map(format_rational, sorted(allowed)))}}}"
-                )
+        products = [algebra._product(x, y) for x in bases[lam] for y in bases[mu]]
+        left = _operator_poly(algebra, _roots_poly([nu for nu in spectrum if nu in allowed]), cs, s, products)[0]
+        stray = [xy for xy, v in zip(products, left) if any(v)]
+        extras = [[] for _ in stray]
+        for nu in spectrum:
+            if stray and nu not in allowed:
+                others = _roots_poly([o for o in spectrum if o != nu])
+                for extra, v in zip(extras, _operator_poly(algebra, others, cs, s, stray)[0]):
+                    if any(v):
+                        extra.append(nu)
+        shown = ", ".join(map(format_rational, sorted(allowed)))
+        failures += [f"A_c({lam}) * A_c({mu}) has components at {', '.join(map(format_rational, extra))}"
+                     f" outside the allowed {{{shown}}}" for extra in extras]
     return VerificationReport(not failures, "empirical fusion", tuple(failures))
 
 
@@ -871,30 +882,14 @@ def spin_factor(d: int) -> StructureAlgebra:
     if d < 2:
         raise ValueError("spin_factor needs d >= 2")
     dim = d + 1
-    structure = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            out = [Fraction(0)] * dim
-            if i == 0 and j == 0:
-                out[0] = Fraction(1)
-            elif i == 0:
-                out[j] = Fraction(1)
-            elif j == 0:
-                out[i] = Fraction(1)
-            elif i == j:
-                out[0] = Fraction(1)
-            structure[i][j] = tuple(out)
-    form = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    e0 = tuple(Fraction(1 if i == 0 else 0) for i in range(dim))
-    # (1 + u)/... idempotents besides the unit: c = (1/2)(e0 + e1)
+    e = tuple(tuple(Fraction(int(i == k)) for i in range(dim)) for k in range(dim))
+    # e_0 is the unit, and e_i e_j = delta_ij e_0 for i, j >= 1
+    structure = tuple(tuple(e[i + j] if not (i and j) else e[0] if i == j else (Fraction(0),) * dim
+                            for j in range(dim)) for i in range(dim))
+    # besides the unit, the idempotent c = (e_0 + e_1)/2
     c = tuple(Fraction(1, 2) if i in (0, 1) else Fraction(0) for i in range(dim))
-    return StructureAlgebra(
-        dim=dim,
-        structure=tuple(tuple(row) for row in structure),
-        bilinear_form=tuple(tuple(row) for row in form),
-        idempotents=(e0, c),
-        name=f"spin_factor{d}",
-    )
+    return StructureAlgebra(dim=dim, structure=structure, bilinear_form=e, idempotents=(e[0], c),
+                            name=f"spin_factor{d}")
 
 
 def hsiang_tracefree_sym3() -> StructureAlgebra:

@@ -2,8 +2,9 @@
 
 Commands: poly, spectrum, symbol, fusion, enumerate, verify, catalog list.
 Exit codes: 0 success / all verifications pass, 1 a verification failed,
-2 parse error (monomial text, JSON files, --trials below 1), 3 validation
-error (zero-sum violation, degenerate identity, bad parameters).
+2 parse error (monomial text, JSON files, --trials below 1, --params
+without --catalog), 3 validation error (zero-sum violation, degenerate
+identity, bad parameters).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def _read_identity(args) -> identities.WeightedIdentity:
             "--catalog NAME, or --identity FILE",
             EXIT_PARSE_ERROR,
         )
+    if args.params is not None and not args.catalog:
+        raise _CliError("--params needs --catalog", EXIT_PARSE_ERROR)
     if args.catalog:
         try:
             return identities.catalog(args.catalog, _parse_params(args.params))

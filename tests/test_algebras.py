@@ -10,7 +10,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from peirce_lab import algebras
 from peirce_lab.algebras import (
@@ -363,6 +363,73 @@ def test_fusion_empirical_matches_elimination(case):
     name, index, table = case
     alg, c, d = _decomposed(name, index)
     assert fusion_empirical(alg, c, table, d) == _fusion_by_elimination(alg, c, table, d)
+
+
+def _fusion_by_factors(alg, c, predicted, decomp):
+    """fusion_empirical's failures one product xy at a time, with the (L_c - nu)
+    applied one factor at a time as q * (s * L_c) - p * s through the kernel:
+    the loop that the one Horner pass per eigenvalue pair replaced."""
+    (cs,), d = algebras._cleared_vectors(alg, c)
+    s = d * alg._den
+
+    def vanishes(v, nus):
+        for nu in nus:
+            v = [nu.denominator * a - nu.numerator * s * b for a, b in zip(alg._product(cs, v), v)]
+        return not any(v)
+
+    spectrum = decomp.eigenvalues
+    bases = {lam: algebras._cleared_vectors(alg, *decomp.eigenbases[lam])[0] for lam in spectrum}
+    failures = [f"eigenvalue {format_rational(lam)} of L_c is outside the predicted spectrum"
+                for lam in spectrum if lam not in predicted.spectrum]
+    known = [lam for lam in spectrum if lam in predicted.spectrum]
+    for lam, mu in ((lam, mu) for lam in known for mu in known if mu >= lam):
+        allowed = predicted.allowed(lam, mu)
+        for x in bases[lam]:
+            for y in bases[mu]:
+                xy = alg._product(x, y)
+                if vanishes(xy, [nu for nu in spectrum if nu in allowed]):
+                    continue
+                extra = [nu for nu in spectrum
+                         if nu not in allowed and not vanishes(xy, [o for o in spectrum if o != nu])]
+                failures.append(
+                    f"A_c({lam}) * A_c({mu}) has components at "
+                    + ", ".join(format_rational(nu) for nu in extra)
+                    + f" outside the allowed {{{', '.join(map(format_rational, sorted(allowed)))}}}"
+                )
+    return tuple(failures)
+
+
+_FUSION_IDENTITIES = ("bernstein", "hsiang", "jordan_power_assoc", "pseudo_composition", "walcher")
+
+
+def _narrowed(table, rnd):
+    """table with one allowed eigenvalue other than 1 dropped from each entry
+    that has one, so that products get stray components."""
+    entries = {}
+    for key, allowed in table.entries.items():
+        rest = sorted(nu for nu in allowed if nu != 1)
+        entries[key] = allowed - {rnd.choice(rest)} if rest else allowed
+    return FusionTable(table.spectrum, entries, table.mode)
+
+
+@pytest.mark.parametrize("name, index", _idempotent_cases())
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_FUSION_IDENTITIES), st.booleans(), st.randoms(use_true_random=False))
+@example("hsiang", True, random.Random(0))
+def test_fusion_empirical_failures_match_the_factor_loop(name, index, ident, narrow, rnd):
+    alg, c, d = _decomposed(name, index)
+    table = fusion_table(catalog(ident))
+    if narrow:
+        table = _narrowed(table, rnd)
+    assert fusion_empirical(alg, c, table, d).failures == _fusion_by_factors(alg, c, table, d)
+
+
+def test_narrowed_tables_name_stray_components():
+    alg, c, d = _decomposed("spin_factor8", 1)
+    table = _narrowed(fusion_table(catalog("jordan_power_assoc")), random.Random(0))
+    failures = fusion_empirical(alg, c, table, d).failures
+    assert any("has components at" in line for line in failures)
+    assert failures == _fusion_by_factors(alg, c, table, d)
 
 
 def test_fusion_empirical_renders_the_allowed_set_as_rationals():
@@ -1010,7 +1077,8 @@ def test_second_linearization_check_kernel_calls(monkeypatch):
     # jordan_sym3 at E_00 has a 2-dimensional A_c(1/2).  One fold over the 9
     # keys 1, eps_p, delta_q and eps_p delta_q takes 17 products at z*z and 21
     # at each of the six nodes above it; then 4 products xy and 4 Horner
-    # passes of 7.  One fold per pair took 4 * (55 + 1 + 7) = 252.
+    # passes of 6, one per degree of the slice.  One fold per pair took
+    # 4 * (55 + 1 + 7) = 252.
     alg = jordan_sym(3)
     c = alg.idempotents[0]
     d = eigen_decomposition(alg, c)
@@ -1024,7 +1092,7 @@ def test_second_linearization_check_kernel_calls(monkeypatch):
     monkeypatch.setattr(StructureAlgebra, "multiply", refuse)
     monkeypatch.setattr(algebras, "second_linearization", refuse)
     assert verify_second_linearization(alg, c, parse_monomial("z^8"), HALF, HALF, d).ok
-    assert 0 < len(calls) <= 175
+    assert 0 < len(calls) <= 171
 
 
 # --- weights on concrete algebras ---------------------------------------------
@@ -1358,6 +1426,38 @@ def test_poly_at_matrix_matches_fraction_horner(name, f, c, v):
     assert _operator_poly(alg, f, c, v) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(builder_names()), st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 3))
+@example("hsiang_sym3", [5], 3)  # a constant
+@example("jordan_sym2", [], 2)  # the zero polynomial
+def test_operator_poly_makes_one_kernel_call_per_degree(name, coeffs, count):
+    # the Horner pass starts at the leading coefficient: n calls per vector
+    alg = build_algebra(name)
+    calls = []
+    inner = alg._product
+    object.__setattr__(alg, "_product", lambda u, v: calls.append(1) or inner(u, v))
+    (cs,), d = algebras._cleared_vectors(alg, alg.idempotents[0])
+    vectors = [[k - i for i in range(alg.dim)] for k in range(count)]
+    out, scale = algebras._operator_poly(alg, coeffs, cs, d * alg._den, vectors)
+    assert len(calls) == max(len(coeffs) - 1, 0) * count
+    assert scale == (d * alg._den) ** max(len(coeffs) - 1, 0) and len(out) == count
+    if not coeffs:
+        assert out == [[0] * alg.dim] * count
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_char_poly_matches_the_fraction_operator(data):
+    # char_poly reads the kernel's int rows; char_poly_matrix clears L_c again
+    if data.draw(st.booleans()):
+        alg = build_algebra(data.draw(st.sampled_from(builder_names())))
+    else:
+        alg = data.draw(commutative_algebras(max_dim=4))
+    c = tuple(data.draw(st.lists(small_fractions, min_size=alg.dim, max_size=alg.dim)))
+    assume(any(v.denominator > 1 for v in c) and not alg.is_idempotent(c))
+    assert char_poly(alg, c) == char_poly_matrix(alg.mult_operator(c))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_form_check_matches_per_triple_definition(data):
@@ -1491,13 +1591,17 @@ def test_verify_identity_trial_vectors_match_fraction_draw():
 
 
 def test_trial_draws_follow_the_randint_stream():
-    # verify_identity draws n_i and d_i from getrandbits by rejection, as
-    # randint(-9, 9) and randint(1, 4) do, so the trial vectors stay the same
+    # verify_identity draws n_i and d_i from getrandbits by fixed-width
+    # rejection, as randint(-9, 9) and randint(1, 4) do, so the trial vectors
+    # 12 * n_i / d_i and the rest of the stream stay the same
     for seed in range(200):
         bits, rng = random.Random(seed).getrandbits, random.Random(seed)
         for dim in range(1, 13):
-            got = [(algebras._below(bits, 19) - 9, algebras._below(bits, 4) + 1) for _ in range(dim)]
-            assert got == [(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)], (seed, dim)
+            got = algebras._trial_block(bits, dim, 2)
+            # n_i, then d_i: the operands of * are evaluated left to right
+            assert got == [[rng.randint(-9, 9) * (12 // rng.randint(1, 4)) for _ in range(dim)]
+                           for _ in range(2)], (seed, dim)
+        assert bits(32) == rng.getrandbits(32), seed
 
 
 # verify_identity evaluates its trials in blocks of _TRIAL_BLOCK vectors;

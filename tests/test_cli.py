@@ -366,6 +366,23 @@ def test_malformed_params_exit_2(capsys, params, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # `poly --params gamma=1 "z^2"` used to print rho = 2*t and exit 0
+    ["poly", "--params", "gamma=1", "z^2"],
+    ["spectrum", "--identity", "{file}", "--params", "gamma=1"],
+    ["verify", "--builder", "jordan_sym2", "--identity", "{file}", "--params", "gamma=1"],
+], ids=["poly", "spectrum-identity", "verify-identity"])
+def test_params_without_catalog_exit_2(capsys, tmp_path, argv):
+    from peirce_lab.identities import catalog
+
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps(identity_to_json(catalog("jordan_power_assoc"))))
+    code, out, err = run(capsys, *(arg.format(file=path) for arg in argv))
+    assert code == EXIT_PARSE_ERROR
+    assert err == "error: --params needs --catalog\n"
+    assert out == ""
+
+
 def test_deep_principal_power_answers(capsys):
     # rho(z^n) = 2*t^(n-1) + t^(n-2) + ... + t; 3000 is past the default
     # recursion limit on every supported version, and nothing recurses
