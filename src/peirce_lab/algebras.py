@@ -24,9 +24,9 @@ from operator import mul, sub
 from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
-from .identities import WeightedIdentity, _field, _integer_rho, _json_object
+from .identities import DegenerateIdentity, WeightedIdentity, _field, _json_object, identity_peirce_poly
 from .magma import Monomial, atom, fold
-from .peirce import _rho_ints, _symbol_ints
+from .peirce import peirce_poly, peirce_symbol
 from .poly import (
     ExactDivisionError,
     Poly1,
@@ -372,7 +372,7 @@ def _char_poly_ints(a: Sequence[Sequence[int]], d: int) -> Poly1:
     """det(tI - A/d) for an int matrix A and an int d > 0 by Faddeev-LeVerrier on A:
     det(tI - A/d) = d^-n det(d t I - A), so its t^e coefficient is that of A over d^(n-e)."""
     n, coeffs = len(a), _faddeev_leverrier(a)
-    return _make(Poly1.VARS, {(e,): Fraction(c, d ** (n - e)) for e, c in enumerate(coeffs) if c})
+    return _make(Poly1.VARS, {(e,): c * d**e for e, c in enumerate(coeffs) if c}, d**n)
 
 
 def char_poly_matrix(m: Matrix) -> Poly1:
@@ -599,8 +599,7 @@ def verify_first_linearization(
     (cs,), den = _cleared_vectors(algebra, c)
     units = [[den * (i == j) for i in range(n)] for j in range(n)]  # den * e_j
     jet = _evaluate_jet(algebra, m, {atom(): [cs, *units]}, _jet_schedule([(n, 1)]))
-    rho = _rho_ints(m, {})
-    rho = [rho.get(e, 0) for e in range(max(rho) + 1)]
+    rho = _cleared_coeffs(peirce_poly(m))[0]
     rhs, scale = _operator_poly(algebra, rho, cs, den * algebra._den, units)
     left, right = scale * den, _jet_scale(algebra, den, m.degree)
     failures = tuple(f"column {j}: D^1 != rho(L_c)"
@@ -628,7 +627,7 @@ def verify_second_linearization(
     xs, ys, w = vs[: len(xs)], vs[len(xs) :], len(ys) + 1
     leaf = [cs, *ys] + [v for x in xs for v in [x] + [None] * len(ys)]  # x_p at (p + 1) * w
     jet = _evaluate_jet(algebra, m, {atom(): leaf}, _jet_schedule([(len(xs), 1), (len(ys), 1)]))
-    sym = _symbol_ints(m, {})
+    sym = peirce_symbol(m)._ints
     d = max((k[0] for k in sym), default=0)  # the symbol is symmetric in a and b
     (sym_p,) = _symbol_slices(sym, d, lam, (mu,))  # (q_lam q_mu)^d * symbol(m)(lam, mu, p)
     s = den * algebra._den
@@ -728,9 +727,9 @@ def spectrum_inclusion_check(
     square-free part of the residual divides rho.  Without a decomposition
     only chi(L_c) is computed: the eigenvalues are its rational roots.
     """
-    rho = _integer_rho(identity)[1]  # a positive multiple of rho
+    rho = _cleared_coeffs(identity_peirce_poly(identity))[0]  # a positive multiple of rho
     if not rho:
-        raise ValueError("spectrum inclusion is vacuous for a degenerate identity")
+        raise DegenerateIdentity("spectrum inclusion is vacuous for a degenerate identity")
     if decomposition is None:
         roots, residual = rational_roots(_peirce_operator(algebra, c)[3])
         eigenvalues = [lam for lam, _ in roots]

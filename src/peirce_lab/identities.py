@@ -22,6 +22,7 @@ from .peirce import _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints
 from .poly import (
     Poly1,
     Poly3,
+    _cleared_coeffs,
     _horner_hom,
     _make,
     _symbol_slices,
@@ -261,10 +262,6 @@ def make_identity(
     return WeightedIdentity(out, name)
 
 
-def _zero_sum_holds(identity: WeightedIdentity) -> bool:
-    return sum(t.coeff for t in identity.terms) == 0
-
-
 def _integer_sum(
     identity: WeightedIdentity, ints: Callable[[Monomial, dict], dict]
 ) -> tuple[int, dict]:
@@ -283,31 +280,17 @@ def _integer_sum(
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
-def _integer_rho(identity: WeightedIdentity) -> tuple[int, list[int]]:
-    """(D, D * rho) with D * rho as dense int coefficients, lowest degree
-    first; the zero polynomial is []."""
-    den, ints = _integer_sum(identity, _rho_ints)
-    return den, [ints.get(e, 0) for e in range(max(ints, default=-1) + 1)]
-
-
-@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
-def _integer_symbol(identity: WeightedIdentity) -> tuple[int, dict[tuple[int, int, int], int]]:
-    """(D, D * Y) with D * Y as {(exponents of a, b, p): int}."""
-    return _integer_sum(identity, _symbol_ints)
-
-
-@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def identity_peirce_poly(identity: WeightedIdentity) -> Poly1:
     """rho_c(P, t) = sum coeff * rho(monomial, t)."""
-    den, ints = _integer_rho(identity)
-    return _make(Poly1.VARS, {(e,): Fraction(c, den) for e, c in enumerate(ints) if c})
+    den, ints = _integer_sum(identity, _rho_ints)
+    return _make(Poly1.VARS, {(e,): c for e, c in ints.items()}, den)
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def identity_symbol(identity: WeightedIdentity) -> Poly3:
     """Y(a, b, p) = sum coeff * symbol(monomial)."""
-    den, ints = _integer_symbol(identity)
-    return _make(Poly3.VARS, {k: Fraction(c, den) for k, c in ints.items()})
+    den, ints = _integer_sum(identity, _symbol_ints)
+    return _make(Poly3.VARS, ints, den)
 
 
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
@@ -315,7 +298,7 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
     rho = identity_peirce_poly(identity)
     if rho.is_zero:
         return SpectrumReport(rho, (), Poly1.zero(), degenerate=True)
-    if _zero_sum_holds(identity) and _horner_hom(_integer_rho(identity)[1], 1, 2):
+    if sum(t.coeff for t in identity.terms) == 0 and _horner_hom(_cleared_coeffs(rho)[0], 1, 2):
         raise InternalHalfRootMissing("rho(P, 1/2) != 0 for a validated identity; this is a bug")
     roots, residual = rational_roots(rho)
     return SpectrumReport(rho, tuple(roots), residual, degenerate=False)
@@ -345,7 +328,7 @@ def _zero_grid(identity: WeightedIdentity) -> tuple:
         roots = roots[:one] + ((Fraction(1), 0),) + roots[one:]
     eigenvalues = tuple(r for r, _ in roots)
     fracs = [(v.numerator, v.denominator) for v in eigenvalues]
-    y = _integer_symbol(identity)[1]
+    y = identity_symbol(identity)._ints  # D*Y, D the stored denominator
     d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
     dp = max((k[2] for k in y), default=0)
     m, n = max(max(-p, p, q) for p, q in fracs), len(fracs)
@@ -445,6 +428,10 @@ def _number(family: str, name: str, value, whole=None) -> Fraction:
     """Fraction(value), or a CatalogParameterError naming the family and the
     parameter and showing `whole`, the list that value comes from, if any."""
     kind, shown = ("a number", value) if whole is None else ("a list of numbers", whole)
+    if isinstance(value, (float, bool)):  # Fraction(0.1) is 3602879701896397/2^55, and True is 1
+        where = "" if whole is None else f" in {whole!r}"
+        raise CatalogParameterError(f"{family} parameter {name} takes an int, a Fraction or text, "
+                                    f"not the {type(value).__name__} {value!r}{where}")
     try:
         return Fraction(value)
     except (TypeError, ValueError):

@@ -83,12 +83,12 @@ def _symbol_ints(m: Monomial, memo: dict) -> dict[tuple[int, int, int], int]:
 
 def peirce_poly(m: Monomial) -> Poly1:
     """rho(m, t): 1 on the generator, t*(rho(left) + rho(right)) on products."""
-    return _make(Poly1.VARS, {(e,): Fraction(c) for e, c in _rho_ints(m, {}).items()})
+    return _make(Poly1.VARS, {(e,): c for e, c in _rho_ints(m, {}).items()})
 
 
 def peirce_symbol(m: Monomial) -> Poly3:
     """The trivariate symbol in (a, b, p); symmetric under a <-> b."""
-    return _make(Poly3.VARS, {k: Fraction(c) for k, c in _symbol_ints(m, {}).items()})
+    return _make(Poly3.VARS, _symbol_ints(m, {}))
 
 
 def principal_peirce_closed(n: int) -> Poly1:

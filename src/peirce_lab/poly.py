@@ -1,11 +1,11 @@
 """Exact sparse polynomials over the rationals.
 
-`Poly` is a polynomial in the commuting variables `vars`, stored as
-`coeffs: {exponent tuple: Fraction}`, so every operation is exact.  No
-stored coefficient is ever zero.  `Poly1` (the variable t, for Peirce
-polynomials) and `Poly3` (the variables a, b, p, for Peirce symbols) are
-constructors of `Poly` that fix the variables.  `divide_exact` is the one
-exact division: long division in one variable.
+`Poly` is a polynomial in the commuting variables `vars`, stored as nonzero
+ints `_ints: {exponent tuple: int}` over one denominator `_den > 0` that
+shares no factor with all of them; `coeffs` is a new Fraction dict on each
+read.  `Poly1` (t, for Peirce polynomials) and `Poly3` (a, b, p, for Peirce
+symbols) are constructors of `Poly` that fix the variables.  `divide_exact`
+is the one exact division: long division in one variable.
 """
 
 from __future__ import annotations
@@ -67,21 +67,24 @@ def _coeff_str(c: Fraction, var_part: str, first: bool) -> str:
     return f" {'-' if c.numerator < 0 else '+'} {body}"
 
 
-def _make(vars: tuple[str, ...], coeffs: dict[Exponents, Fraction]) -> "Poly":
-    """The polynomial with trusted coeffs (exponent tuples to nonzero
-    Fractions); a Poly1 or a Poly3 when `vars` are theirs."""
+def _make(vars: tuple[str, ...], ints: dict[Exponents, int], den: int = 1) -> "Poly":
+    """sum ints[k] * x^k / den for trusted nonzero ints and den > 0, their
+    common factor divided out; a Poly1 or a Poly3 when `vars` are theirs."""
+    g = gcd(den, *ints.values())
+    if g > 1:
+        ints, den = {k: c // g for k, c in ints.items()}, den // g
     out = object.__new__(_CLASSES.get(vars, Poly))
-    out.vars = vars
-    out.coeffs = coeffs
+    out.vars, out._ints, out._den = vars, ints, den
     return out
 
 
-def _collect(vars: tuple[str, ...], terms: Iterable[tuple[Exponents, Fraction]]) -> "Poly":
-    """The sum of the (exponents, Fraction) terms; like terms are added."""
-    out: dict[Exponents, Fraction] = {}
+def _collect(vars: tuple[str, ...], terms: Iterable[tuple[Exponents, Scalar]], den: int = 1) -> "Poly":
+    """The sum of the (exponents, int or Fraction) terms over den, in ints."""
+    out: dict[Exponents, Scalar] = {}
     for k, c in terms:
         out[k] = out[k] + c if k in out else c
-    return _make(vars, {k: c for k, c in out.items() if c})
+    d = lcm(*(c.denominator for c in out.values()))
+    return _make(vars, {k: c.numerator * (d // c.denominator) for k, c in out.items() if c}, den * d)
 
 
 class Poly:
@@ -92,19 +95,19 @@ class Poly:
     classmethods below build polynomials in them.
     """
 
-    __slots__ = ("vars", "coeffs")
+    __slots__ = ("vars", "_ints", "_den")
     VARS: tuple[str, ...] = ()
 
     def __init__(self, coeffs: Mapping | None = None, vars: Sequence[str] | None = None):
-        self.vars = self.VARS if vars is None else tuple(vars)
-        self.coeffs: dict[Exponents, Fraction] = {}
+        vars = self.VARS if vars is None else tuple(vars)
+        terms: dict[Exponents, Fraction] = {}
         for e, c in (coeffs or {}).items():
             key = (e,) if isinstance(e, int) else tuple(e)
-            if len(key) != len(self.vars):
-                raise ValueError(f"exponents {e!r} do not match the variables {self.vars}")
-            c = Fraction(c)
-            if c:
-                self.coeffs[key] = c
+            if len(key) != len(vars):
+                raise ValueError(f"exponents {e!r} do not match the variables {vars}")
+            terms[key] = Fraction(c)
+        p = _collect(vars, terms.items())
+        self.vars, self._ints, self._den = vars, p._ints, p._den
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -134,35 +137,45 @@ class Poly:
             return other
         if not isinstance(other, (int, Fraction)):
             raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
-        return _make(self.vars, {(0,) * len(self.vars): Fraction(other)} if other else {})
+        return _make(self.vars, {(0,) * len(self.vars): other.numerator} if other else {}, other.denominator)
+
+    @property
+    def coeffs(self) -> dict[Exponents, Fraction]:
+        """{exponents: nonzero Fraction}, a new dict on each read."""
+        return {k: Fraction(c, self._den) for k, c in self._ints.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     @property
     def degree(self) -> int:
         """Total degree, with the convention deg 0 = -1."""
-        return max(map(sum, self.coeffs), default=-1)
+        return max(map(sum, self._ints), default=-1)
 
     def coeff(self, exp: int | Exponents) -> Fraction:
-        return self.coeffs.get(exp if isinstance(exp, tuple) else (exp,), Fraction(0))
+        return Fraction(self._ints.get(exp if isinstance(exp, tuple) else (exp,), 0), self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return getattr(other, "vars", self.vars) == self.vars and self._coerce(other).coeffs == self.coeffs
+        other = self._coerce(other) if getattr(other, "vars", self.vars) == self.vars else None
+        return other is not None and other._den == self._den and other._ints == self._ints
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.coeffs.items())))
+        return hash((self.vars, self._den, frozenset(self._ints.items())))
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        return _collect(self.vars, chain(self.coeffs.items(), self._coerce(other).coeffs.items()))
+        other = self._coerce(other)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        terms = chain(((k, a * c) for k, c in self._ints.items()), ((k, b * c) for k, c in other._ints.items()))
+        return _collect(self.vars, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _make(self.vars, {k: -c for k, c in self.coeffs.items()})
+        return _make(self.vars, {k: -c for k, c in self._ints.items()}, self._den)
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         return self + -self._coerce(other)
@@ -172,11 +185,13 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return _make(self.vars, {k: c * other for k, c in self.coeffs.items()} if other else {})
-        other = self._coerce(other).coeffs.items()
+            ints = {k: c * other.numerator for k, c in self._ints.items()} if other else {}
+            return _make(self.vars, ints, self._den * other.denominator)
+        other = self._coerce(other)
         return _collect(
             self.vars,
-            ((tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in self.coeffs.items() for k2, c2 in other),
+            ((tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in self._ints.items() for k2, c2 in other._ints.items()),
+            self._den * other._den,
         )
 
     __rmul__ = __mul__
@@ -199,28 +214,26 @@ class Poly:
             raise TypeError(f"expected {len(self.vars)} arguments, got {len(args)}")
         args = [x if isinstance(x, Poly) else Fraction(x) for x in args]
         acc = next((x * 0 for x in args if isinstance(x, Poly)), Fraction(0))
-        for k, c in self.coeffs.items():
+        for k, c in self._ints.items():
             for x, e in zip(args, k):
                 if e:
                     c = c * x**e
             acc = acc + c
-        return acc
+        return acc * Fraction(1, self._den)
 
     def substitute(self, name: str, value: Scalar) -> "Poly":
         """Partial evaluation of one variable; the variables stay the same."""
         i = self._index(name)
         value = Fraction(value)
         return _collect(
-            self.vars, ((k[:i] + (0,) + k[i + 1 :], c * value ** k[i]) for k, c in self.coeffs.items())
+            self.vars, ((k[:i] + (0,) + k[i + 1 :], c * value ** k[i]) for k, c in self._ints.items()), self._den
         )
 
     def derivative(self, name: str | None = None) -> "Poly":
         """Partial derivative; `name` may be left out with one variable."""
         i = self._index(name)
-        return _make(
-            self.vars,
-            {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self.coeffs.items() if k[i]},
-        )
+        ints = {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self._ints.items() if k[i]}
+        return _make(self.vars, ints, self._den)
 
     def change_vars(self, vars: Sequence[str], names: Mapping[str, str]) -> "Poly":
         """The same polynomial with each variable v renamed to names[v], as a
@@ -237,7 +250,7 @@ class Poly:
                     key[where[v]] += e
             return tuple(key)
 
-        return _collect(vars, ((renamed(k), c) for k, c in self.coeffs.items()))
+        return _collect(vars, ((renamed(k), c) for k, c in self._ints.items()), self._den)
 
     def render(self) -> str:
         """Terms by descending exponent of the last variable, then of the
@@ -245,9 +258,9 @@ class Poly:
         if self.is_zero:
             return "0"
         parts = []
-        for i, k in enumerate(sorted(self.coeffs, key=lambda k: k[-1:] + k[:-1], reverse=True)):
+        for i, k in enumerate(sorted(self._ints, key=lambda k: k[-1:] + k[:-1], reverse=True)):
             var = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, k) if e)
-            parts.append(_coeff_str(self.coeffs[k], var, first=(i == 0)))
+            parts.append(_coeff_str(Fraction(self._ints[k], self._den), var, first=(i == 0)))
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -290,11 +303,12 @@ def divide_exact(f: Poly, g: Poly, name: str = "t") -> Poly:
         raise ZeroDivisionError("division by the zero polynomial")
     i = f._index(name)
     by_degree = itemgetter(i)
-    lead = max(g.coeffs, key=by_degree)
-    if sum(lead) != lead[i] or sum(k[i] == lead[i] for k in g.coeffs) > 1:
+    terms = g.coeffs  # each read of .coeffs builds a new dict
+    lead = max(terms, key=by_degree)
+    if sum(lead) != lead[i] or sum(k[i] == lead[i] for k in terms) > 1:
         raise ValueError(f"the leading coefficient of the divisor in {name!r} is not a constant")
-    glead = g.coeffs[lead]
-    rem = dict(f.coeffs)
+    glead = terms[lead]
+    rem = f.coeffs
     out: dict[Exponents, Fraction] = {}
     while rem:
         top = max(rem, key=by_degree)
@@ -302,24 +316,23 @@ def divide_exact(f: Poly, g: Poly, name: str = "t") -> Poly:
             raise ExactDivisionError("nonzero remainder in exact division")
         shift = top[:i] + (top[i] - lead[i],) + top[i + 1 :]
         c = out[shift] = rem[top] / glead
-        for gk, gc in g.coeffs.items():
+        for gk, gc in terms.items():
             k = tuple(map(add, shift, gk))
             s = rem.get(k, 0) - c * gc
             if s:
                 rem[k] = s
             else:
                 del rem[k]
-    return _make(f.vars, out)
+    return _collect(f.vars, out.items())
 
 
 def _cleared_coeffs(f: Poly1) -> tuple[list[int], int]:
     """Dense integer coefficients of f, lowest degree first, and the least
-    den > 0 with f = (1/den) * sum ints[e] * t^e."""
-    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    den > 0 with f = (1/den) * sum ints[e] * t^e: the stored ones."""
     out = [0] * (f.degree + 1)
-    for (e,), c in f.coeffs.items():
-        out[e] = c.numerator * (den // c.denominator)
-    return out, den
+    for (e,), c in f._ints.items():
+        out[e] = c
+    return out, f._den
 
 
 def _horner_hom(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -522,4 +535,4 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
         roots.append((r, m))
     if k:
         roots.insert(sum(r < 0 for r, _ in roots), (Fraction(0), k))
-    return roots, _make(f.vars, {(e,): Fraction(num * c, den) for e, c in enumerate(rest) if c})
+    return roots, _make(f.vars, {(e,): num * c for e, c in enumerate(rest) if c}, den)

@@ -37,6 +37,7 @@ from peirce_lab.algebras import (
     verify_second_linearization,
 )
 from peirce_lab.identities import (
+    DegenerateIdentity,
     FusionTable,
     WeightDescriptor,
     baric_weight,
@@ -698,7 +699,7 @@ def test_spectrum_inclusion_matches_fraction_oracle(alg, name):
     for c in alg.idempotents:
         d = eigen_decomposition(alg, c)
         if identity_peirce_poly(ident).is_zero:  # degenerate: no spectral data
-            with pytest.raises(ValueError, match="vacuous"):
+            with pytest.raises(DegenerateIdentity, match="^spectrum inclusion is vacuous for a degenerate identity$"):
                 spectrum_inclusion_check(alg, c, ident)
             continue
         want = _fraction_spectrum_inclusion(ident, d.eigenvalues, d.residual)

@@ -291,6 +291,22 @@ def test_unrealizable_weight_exit_3(capsys):
     assert out == ""
 
 
+def test_degenerate_identity_skips_the_spectral_checks(capsys, tmp_path):
+    # the line with e*e = e and w(e) = 1 satisfies elduque_labra, whose rho is 0
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"dim": 1, "structure": [[["1"]]], "weight": ["1"], "idempotents": [["1"]]}))
+    code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "elduque_labra")
+    assert (code, err) == (0, "")
+    assert out == (
+        "[PASS] idempotent\n"
+        "[PASS] identity holds\n"
+        "spectrum inclusion skipped: spectrum inclusion is vacuous for a degenerate identity\n"
+        "eigenvalue 1  multiplicity 1\n"
+        "fusion check skipped: degenerate identity has no fusion table\n"
+        "verdict: pass\n"
+    )
+
+
 def test_zero_idempotent_exit_3(capsys, tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"dim": 1, "structure": [[["1"]]], "idempotents": [["0"]]}))

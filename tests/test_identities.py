@@ -457,11 +457,29 @@ def test_train_constraint_validation():
         ("principal_train", {"gamma": "1:-3:2"}, "principal_train parameter gamma must be a list of numbers, got ['1:-3:2']"),
         ("principal_train", {"gamma": ["1", "x"]}, "principal_train parameter gamma must be a list of numbers, got ['1', 'x']"),
         ("walcher", {"a_c": "x"}, "walcher parameter a_c must be a number, got 'x'"),
+        ("walcher", {"a_c": 0.1}, "walcher parameter a_c takes an int, a Fraction or text, not the float 0.1"),
+        ("walcher", {"a_c": "1/2", "b_c": 0.5},
+         "walcher parameter b_c takes an int, a Fraction or text, not the float 0.5"),
+        ("walcher", {"a_c": True}, "walcher parameter a_c takes an int, a Fraction or text, not the bool True"),
+        ("principal_train", {"gamma": [1, True, -2]},
+         "principal_train parameter gamma takes an int, a Fraction or text, not the bool True in [1, True, -2]"),
+        ("plenary_train", {"gamma": [1.0, -1.0]},
+         "plenary_train parameter gamma takes an int, a Fraction or text, not the float 1.0 in [1.0, -1.0]"),
+        ("nourigat_varro", {"a1": 1, "a2": 1, "b1": 1, "b2": False, "b3": 1},
+         "nourigat_varro parameter b2 takes an int, a Fraction or text, not the bool False"),
     ],
 )
 def test_catalog_checks_parameters_against_the_family(name, params, message):
     with pytest.raises(CatalogParameterError, match="^" + re.escape(message)):
         catalog(name, params)
+
+
+def test_catalog_reads_text_ints_and_fractions_exactly():
+    want = catalog("walcher", {"a_c": Fraction(1, 10)})
+    assert catalog("walcher", {"a_c": "1/10"}) == want == catalog("walcher", {"a_c": "0.1"})
+    assert catalog("principal_train", {"gamma": [1, "-3", Fraction(2)]}) == catalog(
+        "principal_train", {"gamma": ["1", "-3", "2"]}
+    )
 
 
 # --- JSON round trip ----------------------------------------------------------
@@ -527,8 +545,6 @@ def _clear_identity_caches():
         identity_peirce_poly,
         identity_symbol,
         spectrum,
-        identities._integer_rho,
-        identities._integer_symbol,
         identities._zero_grid,
     ):
         fn.cache_clear()
@@ -625,12 +641,11 @@ def test_terms_of_an_identity_share_one_memo(monkeypatch):
     product nodes z^2, z^3, z^4 and z^2*z^2 is folded once per identity."""
     ident = make_identity([(1, principal_power(4)), (-1, plenary_power(3))])
     nodes = {principal_power(d) for d in (2, 3, 4)} | {plenary_power(3)}
-    for name, integer_form in (("_rho_step", identities._integer_rho),
-                               ("_symbol_step", identities._integer_symbol)):
+    for name, form in (("_rho_step", identity_peirce_poly), ("_symbol_step", identity_symbol)):
         step, calls = getattr(peirce, name), []
         monkeypatch.setattr(peirce, name, lambda m, l, r: calls.append(m) or step(m, l, r))
         _clear_identity_caches()
-        integer_form(ident)
+        form(ident)
         assert len(calls) == len(set(calls)) and set(calls) == nodes
         monkeypatch.undo()
 

@@ -1,16 +1,19 @@
 """Exact polynomial arithmetic: ring axioms, division, rational roots."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
 from math import gcd, isqrt, lcm, prod
-from operator import itemgetter, ne
+from operator import add, itemgetter, ne
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from peirce_lab import identities
+from peirce_lab.algebras import build_algebra, eigen_decomposition
 from peirce_lab.identities import (
     catalog,
     fusion_table,
@@ -565,10 +568,10 @@ def _zeros_by_evaluation(y, values):
 def _zero_grid_by_value(ident, values, y=None):
     """identities._zero_grid of ident with `values` planted as the rational
     roots of rho (1 joins them if absent) and, if given, the int dict y
-    planted as D*Y; keyed and filled by the values."""
+    planted as Y; keyed and filled by the values."""
     report = identities.SpectrumReport(Poly1.t(), tuple((v, 1) for v in values), Poly1.const(1), False)
     with mock.patch.object(identities, "spectrum", lambda identity: report), mock.patch.object(
-        identities, "_integer_symbol", identities._integer_symbol if y is None else lambda identity: (1, y)
+        identities, "identity_symbol", identity_symbol if y is None else lambda identity: Poly3(y)
     ):
         eigenvalues, grid = identities._zero_grid.__wrapped__(ident)[:2]  # uncached
     assert eigenvalues == tuple(sorted(set(values) | {Fraction(1)}))
@@ -674,9 +677,9 @@ _PLANTED = st.one_of(
 @example({(0, 0, 0): 0x80 - 0x8000}, [Fraction(-1), Fraction(0)])
 # D*Y of an identity with coefficients past 2^200
 @example(
-    identities._integer_symbol(make_identity(
+    identity_symbol(make_identity(
         [(2**200 + 1, _GRID_MONOMIALS[-1]), (Fraction(-(2**199), 3), _GRID_MONOMIALS[5])], require_zero_sum=False,
-    ))[1],
+    ))._ints,
     [Fraction(2**64 - 1, 2**64 + 1), Fraction(-_BIG), Fraction(0), Fraction(1, 2)],
 )
 def test_packed_zero_grid_matches_dense_grid_and_evaluation(y, values):
@@ -802,3 +805,264 @@ def test_catalog_rho_and_symbol_render(name, params, rho, y):
     ident = catalog(name, params)
     assert identity_peirce_poly(ident).render() == rho
     assert identity_symbol(ident).render() == y
+
+
+# --- the integer form, against the Fraction-dict arithmetic it replaced --------
+
+
+class _FractionPoly:
+    """Poly as it was when it stored {exponents: Fraction}: its arithmetic,
+    kept as the oracle for the integer form."""
+
+    def __init__(self, vars, coeffs):
+        self.vars = tuple(vars)
+        self.coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+
+    def _lift(self, other):
+        if isinstance(other, _FractionPoly):
+            return other
+        return _FractionPoly(self.vars, {(0,) * len(self.vars): other})
+
+    def _collect(self, terms, vars=None):
+        out = {}
+        for k, c in terms:
+            out[k] = out.get(k, 0) + c
+        return _FractionPoly(vars or self.vars, out)
+
+    def __add__(self, other):
+        return self._collect([*self.coeffs.items(), *self._lift(other).coeffs.items()])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionPoly(self.vars, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _FractionPoly):
+            return _FractionPoly(self.vars, {k: c * other for k, c in self.coeffs.items()})
+        return self._collect(
+            (tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in self.coeffs.items() for k2, c2 in other.coeffs.items()
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = self._lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, *args):
+        acc = next((x * 0 for x in args if isinstance(x, _FractionPoly)), Fraction(0))
+        for k, c in self.coeffs.items():
+            for x, e in zip(args, k):
+                if e:
+                    c = c * x**e
+            acc = acc + c
+        return acc
+
+    def substitute(self, name, value):
+        i = self.vars.index(name)
+        return self._collect((k[:i] + (0,) + k[i + 1 :], c * Fraction(value) ** k[i]) for k, c in self.coeffs.items())
+
+    def derivative(self, name):
+        i = self.vars.index(name)
+        return _FractionPoly(
+            self.vars, {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self.coeffs.items() if k[i]}
+        )
+
+    def change_vars(self, vars, names):
+        vars = tuple(vars)
+
+        def renamed(k):
+            key = [0] * len(vars)
+            for v, e in zip(self.vars, k):
+                if e:
+                    key[vars.index(names[v])] += e
+            return tuple(key)
+
+        return self._collect(((renamed(k), c) for k, c in self.coeffs.items()), vars)
+
+    def render(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for i, k in enumerate(sorted(self.coeffs, key=lambda k: k[-1:] + k[:-1], reverse=True)):
+            var = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, k) if e)
+            parts.append(poly._coeff_str(self.coeffs[k], var, first=(i == 0)))
+        return "".join(parts)
+
+
+def _divide_exact_by_fractions(f, g, name):
+    i = f.vars.index(name)
+    lead = max(g.coeffs, key=itemgetter(i))
+    rem, out = dict(f.coeffs), {}
+    while rem:
+        top = max(rem, key=itemgetter(i))
+        if top[i] < lead[i]:
+            raise ExactDivisionError("nonzero remainder in exact division")
+        shift = top[:i] + (top[i] - lead[i],) + top[i + 1 :]
+        c = out[shift] = rem[top] / g.coeffs[lead]
+        for gk, gc in g.coeffs.items():
+            k = tuple(map(add, shift, gk))
+            rem[k] = rem.get(k, 0) - c * gc
+            if not rem[k]:
+                del rem[k]
+    return _FractionPoly(f.vars, out)
+
+
+def _agree(new, old):
+    """new, from Poly, is old, from the oracle, in its canonical integer form."""
+    if not isinstance(new, poly.Poly):
+        assert type(new) is Fraction and new == old
+        return
+    assert type(new) is poly._CLASSES.get(new.vars, poly.Poly)
+    assert new.vars == old.vars and new.coeffs == old.coeffs and new.render() == old.render()
+    assert new._den > 0 and all(new._ints.values()) and gcd(new._den, *new._ints.values()) == 1
+    assert all(type(c) is int for c in new._ints.values())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+_BIG_RATIONALS = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
+)
+# factors of the denominators above, so that a product or a derivative has a
+# content that shares a factor with its denominator
+_SCALARS = st.one_of(st.integers(-12, 12), _BIG_RATIONALS)
+
+
+def _fraction_dicts(nvars, max_exp):
+    return st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * nvars), _BIG_RATIONALS, max_size=4)
+
+
+@st.composite
+def _pairs(draw, nvars, max_exp):
+    """(f, g) as Fraction dicts; g is often -f, or -f on some terms, so that
+    sums cancel to zero in whole or in part."""
+    f = draw(_fraction_dicts(nvars, max_exp))
+    negated = {k: -c for k, c in f.items() if draw(st.booleans())}
+    g = draw(st.one_of(
+        _fraction_dicts(nvars, max_exp),
+        st.just({k: -c for k, c in f.items()}),
+        _fraction_dicts(nvars, max_exp).map(lambda h: {**h, **negated}),
+    ))
+    return f, g
+
+
+@pytest.mark.parametrize("cls, max_exp", [(Poly1, 6), (Poly3, 2)], ids=["Poly1", "Poly3"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_form_agrees_with_fraction_arithmetic(cls, max_exp, data):
+    n = len(cls.VARS)
+    fd, gd = data.draw(_pairs(n, max_exp))
+    f, g, fo, go = cls(fd), cls(gd), _FractionPoly(cls.VARS, fd), _FractionPoly(cls.VARS, gd)
+    s, s2 = data.draw(_SCALARS), data.draw(_SCALARS)
+    name = data.draw(st.sampled_from(cls.VARS))
+    k = data.draw(st.integers(0, 3))
+    _agree(f, fo)
+    for new, old in [
+        (f + g, fo + go), (f - g, fo - go), (g - f, go - fo), (f * g, fo * go), (-f, -fo),
+        (f * s, fo * s), (s * f, s * fo), (f + s, fo + s), (s - f, s - fo), (f - f, fo - fo),
+        (f**k, fo**k),
+        (f.substitute(name, s), fo.substitute(name, s)),
+        (f.derivative(name), fo.derivative(name)),
+        (f(*[s] * n), fo(*[s] * n)),
+        (f(g, *[s] * (n - 1)), fo(go, *[s] * (n - 1))),
+    ]:
+        _agree(new, old)
+    if cls is Poly1:
+        _agree(f.change_vars(Poly3.VARS, {"t": "b"}), fo.change_vars(Poly3.VARS, {"t": "b"}))
+        if not g.is_zero:
+            _agree(divide_exact(f * g, g), _divide_exact_by_fractions(fo * go, go, "t"))
+            want = _outcome(_divide_exact_by_fractions, fo, go, "t")
+            got = _outcome(divide_exact, f, g)
+            if isinstance(got, type):
+                assert got is want
+            else:
+                _agree(got, want)
+    else:
+        merge = {"a": "x", "b": "x", "p": "y"}
+        _agree(f.change_vars(("x", "y"), merge), fo.change_vars(("x", "y"), merge))
+        at_p = f.substitute("a", s).substitute("b", s2)
+        _agree(at_p.change_vars(Poly1.VARS, {"p": "t"}),
+               fo.substitute("a", s).substitute("b", s2).change_vars(Poly1.VARS, {"p": "t"}))
+        i = Poly3.VARS.index(name)
+        lead = data.draw(_BIG_RATIONALS.filter(bool))
+        rest = {k: c for k, c in gd.items() if k[i] < 2}
+        divisor = {tuple(2 * (v == name) for v in Poly3.VARS): lead, **rest}
+        do = _FractionPoly(Poly3.VARS, divisor)
+        _agree(divide_exact(f * Poly3(divisor), Poly3(divisor), name), _divide_exact_by_fractions(fo * do, do, name))
+
+
+def test_equal_polynomials_built_by_different_paths_are_stored_alike():
+    t = Poly1.t()
+    half = [
+        Poly1({0: Fraction(2, 4)}),
+        poly._make(Poly1.VARS, {(0,): 3}, 6),
+        Poly1.const(Fraction(1, 2)),
+        (t + Fraction(1, 2)) - t,  # a sum that cancels
+        (t**2 * Fraction(1, 4)).derivative() - t * Fraction(1, 2) + Fraction(1, 2),
+        divide_exact(t * 3 + Fraction(3, 2), t * 6 + 3) * 3 - 1,
+    ]
+    for f in half:
+        assert (f._ints, f._den) == ({(0,): 1}, 2)
+        assert f == half[0] == Fraction(1, 2) and hash(f) == hash(half[0])
+    zero = [Poly1.zero(), t - t, poly._make(Poly1.VARS, {}, 6), Poly1({3: 0}), half[0] * 0]
+    for f in zero:
+        assert (f._ints, f._den) == ({}, 1) and f == 0 and hash(f) == hash(Poly1.zero())
+    assert len({*half, *zero}) == 2
+    assert Poly1({0: 1}) != Poly3({(0, 0, 0): 1}) and Poly1({1: 1}) != 1
+
+
+def test_coeffs_is_a_new_fraction_dict_on_every_read():
+    f = Poly3({(1, 0, 0): Fraction(1, 2), (0, 0, 2): 3})
+    view = f.coeffs
+    assert view == {(1, 0, 0): Fraction(1, 2), (0, 0, 2): Fraction(3)}
+    assert all(type(c) is Fraction for c in view.values())
+    assert f.coeffs is not view
+    view.clear()
+    assert f.coeffs == {(1, 0, 0): Fraction(1, 2), (0, 0, 2): Fraction(3)}
+    with pytest.raises(AttributeError):
+        f.coeffs = {}
+    assert not any(isinstance(getattr(f, slot), Fraction) for slot in poly.Poly.__slots__)
+
+
+def test_mutating_a_coeffs_view_leaves_the_cached_results_unchanged():
+    ident = catalog("hsiang")
+    rho = "8*t^3 + 8*t^2 - 2*t - 2"
+    y = "8*p^2 + 8*a*p + 8*b*p + 4*p + 8*a^2 + 8*a*b + 4*a + 8*b^2 + 4*b - 6"
+    for read in (identity_peirce_poly, lambda i: spectrum(i).peirce_poly, identity_symbol):
+        read(ident).coeffs.clear()
+    assert identity_peirce_poly(ident).render() == spectrum(ident).peirce_poly.render() == rho
+    assert identity_symbol(catalog("hsiang")).render() == y
+    assert [r for r, _ in spectrum(catalog("hsiang")).roots] == [-1, Fraction(-1, 2), Fraction(1, 2)]
+
+
+def test_polynomials_and_the_records_that_hold_them_survive_pickle_and_copy():
+    alg = build_algebra("hsiang_sym3")
+    values = [
+        Poly1({0: Fraction(-1, 6), 5: 2**200 + 1}),
+        Poly3({(1, 2, 0): Fraction(3, 4)}),
+        Poly1.zero(),
+        poly.Poly({(1, 1): Fraction(1, 3)}, vars=("x", "y")),
+        spectrum(catalog("principal_train", {"gamma": ["1", "-1", "-2", "2"]})),
+        eigen_decomposition(alg, alg.idempotents[0]),
+    ]
+    for value in values:
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
+            if isinstance(value, poly.Poly):
+                assert hash(clone) == hash(value) and (clone._ints, clone._den) == (value._ints, value._den)
