@@ -18,15 +18,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import _Record, _set
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
-from .peirce import _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints
+from .peirce import _divided_difference, _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints
 from .poly import (
     Poly1,
     Poly3,
+    RationalSyntaxError,
     _cleared_coeffs,
     _horner_hom,
     _make,
+    _refuse_exponent,
     _symbol_slices,
-    divide_exact,
     format_rational,
     parse_rational,
     rational_roots,
@@ -433,7 +434,9 @@ def _number(family: str, name: str, value, whole=None) -> Fraction:
         raise CatalogParameterError(f"{family} parameter {name} takes an int, a Fraction or text, "
                                     f"not the {type(value).__name__} {value!r}{where}")
     try:
-        return Fraction(value)
+        return Fraction(_refuse_exponent(value) if isinstance(value, str) else value)
+    except RationalSyntaxError:
+        raise CatalogParameterError(f"{family} parameter {name} takes no exponent notation, got {shown!r}") from None
     except (TypeError, ValueError):
         raise CatalogParameterError(
             f"{family} parameter {name} must be {kind}, got {shown!r}"
@@ -626,9 +629,8 @@ def train_closed_forms(family: str, gamma: Sequence) -> tuple[Poly1, Poly3]:
     gamma = _validate_train_gammas(gamma, family)
     n = len(gamma)
     if family == "principal_train":
-        numerator = Poly1({k - 1: gamma[n - k] for k in range(1, n + 1)})
-        train_poly = divide_exact(numerator, Poly1({1: 1, 0: -1}))
-        rho = Poly1({1: 2, 0: -1}) * train_poly
+        numerator = Poly1({k - 1: gamma[n - k] for k in range(1, n + 1)})  # zero at 1: the gammas sum to 0
+        rho = Poly1({1: 2, 0: -1}) * _divided_difference(numerator, 1, Poly1.t())  # times the train polynomial
         return rho, _principal_symbol(rho)
     if family == "plenary_train":
         rho = Poly1({k - 1: gamma[n - k] * 2 ** (k - 1) for k in range(1, n + 1)})

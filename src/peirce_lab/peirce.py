@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .magma import Monomial, atom, fold
-from .poly import Poly1, Poly3, _make, divide_exact
+from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _make
 
 __all__ = [
     "peirce_poly",
@@ -91,12 +91,24 @@ def peirce_symbol(m: Monomial) -> Poly3:
     return _make(Poly3.VARS, _symbol_ints(m, {}))
 
 
+def _divided_difference(f: Poly1, x: Fraction | Poly3, p: Poly) -> Poly:
+    """(f(p) - f(x)) / (p - x) for x a value or a polynomial in a and b, in the
+    variable p: Poly3.var("p") or Poly1.t().  Synthetic division, dividing
+    nothing: sum b_i * p^i with b_(n-1) = f_n and b_(i-1) = x * b_i + f_i."""
+    ints, den = _cleared_coeffs(f)
+    out, b = p * 0, 0
+    for c in reversed(ints[1:]):  # b_(n-1), ..., b_0, summed in p by Horner
+        b = b * x + c
+        out = out * p + b
+    return out * Fraction(1, den)
+
+
 def principal_peirce_closed(n: int) -> Poly1:
-    """rho(z^n, q) = (2q^n - q^(n-1) - q)/(q - 1), as an exact quotient."""
+    """rho(z^n, q) = (2q^n - q^(n-1) - q)/(q - 1): the numerator vanishes at 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    numerator = Poly1({n: 2, n - 1: -1}) + Poly1({1: -1})
-    return divide_exact(numerator, Poly1({1: 1, 0: -1}))
+    t = Poly1.t()
+    return _divided_difference(2 * t**n - t ** (n - 1) - t, 1, t)
 
 
 def plenary_peirce_closed(n: int) -> Poly1:
@@ -106,30 +118,17 @@ def plenary_peirce_closed(n: int) -> Poly1:
     return Poly1({n - 1: 2 ** (n - 1)})
 
 
-def _divided_difference(f: Poly1, x: str | Fraction | Poly3) -> Poly3:
-    """(f(p) - f(x)) / (p - x), for x the name of a variable, a value or a
-    polynomial in a and b."""
-    if isinstance(x, str):
-        fx, x = Poly3.from_poly1(f, x), Poly3.var(x)
-    else:
-        fx = f(x)
-    return divide_exact(Poly3.from_poly1(f, "p") - fx, Poly3.var("p") - x, "p")
-
-
 def _principal_symbol(rho: Poly1) -> Poly3:
     """Delta(rho; a) + Delta(rho; b) - Delta(rho; 1/2): the symbol of a sum
     of principal powers with Peirce polynomial rho."""
-    return (
-        _divided_difference(rho, "a")
-        + _divided_difference(rho, "b")
-        - _divided_difference(rho, Fraction(1, 2))
-    )
+    a, b, p = map(Poly3.var, Poly3.VARS)
+    return sum(_divided_difference(rho, x, p) for x in (a, b)) - _divided_difference(rho, Fraction(1, 2), p)
 
 
 def _plenary_symbol(rho: Poly1) -> Poly3:
     """Delta(rho; 2ab): the symbol of a sum of plenary powers with Peirce
     polynomial rho."""
-    return _divided_difference(rho, Poly3.var("a") * Poly3.var("b") * 2)
+    return _divided_difference(rho, Poly3.var("a") * Poly3.var("b") * 2, Poly3.var("p"))
 
 
 def principal_symbol_closed(n: int) -> Poly3:
@@ -144,7 +143,7 @@ def plenary_symbol_closed(n: int) -> Poly3:
 
 def half_specialization(m: Monomial) -> Poly3:
     """(rho(m, p) - rho(m, a)) / (p - a); equals the symbol at b = 1/2."""
-    return _divided_difference(peirce_poly(m), "a")
+    return _divided_difference(peirce_poly(m), Poly3.var("a"), Poly3.var("p"))
 
 
 def total_peirce_value(m: Monomial, leaf_values: Sequence[Fraction], q: Fraction) -> Fraction:

@@ -4,16 +4,16 @@
 ints `_ints: {exponent tuple: int}` over one denominator `_den > 0` that
 shares no factor with all of them; `coeffs` is a new Fraction dict on each
 read.  `Poly1` (t, for Peirce polynomials) and `Poly3` (a, b, p, for Peirce
-symbols) are constructors of `Poly` that fix the variables.  `divide_exact`
-is the one exact division: long division in one variable.
+symbols) are constructors of `Poly` that fix the variables.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
-from operator import add, itemgetter
+from operator import add
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -23,7 +23,6 @@ __all__ = [
     "Poly3",
     "ExactDivisionError",
     "RationalSyntaxError",
-    "divide_exact",
     "rational_roots",
     "parse_rational",
     "format_rational",
@@ -38,7 +37,14 @@ class ExactDivisionError(ArithmeticError):
 
 
 class RationalSyntaxError(ValueError):
-    """Text that is not a rational number, or one with a zero denominator."""
+    """Text that is not a rational number, has a zero denominator or is in exponent notation."""
+
+
+def _refuse_exponent(text: str) -> str:
+    """text, unless Fraction would read it in exponent notation: "1e50000000" has 166 million bits."""
+    if re.fullmatch(r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.\d*(?:_\d+)*)?e[-+]?\d+(?:_\d+)*\s*", text, re.I):
+        raise RationalSyntaxError(f"exponent notation in {text!r}")
+    return text
 
 
 def parse_rational(text: str) -> Fraction:
@@ -46,7 +52,7 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise RationalSyntaxError(f"expected a rational number as a string, got {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(_refuse_exponent(text).strip())
     except ValueError as exc:
         raise RationalSyntaxError(str(exc)) from None
     except ZeroDivisionError:
@@ -100,13 +106,13 @@ class Poly:
 
     def __init__(self, coeffs: Mapping | None = None, vars: Sequence[str] | None = None):
         vars = self.VARS if vars is None else tuple(vars)
-        terms: dict[Exponents, Fraction] = {}
+        terms = []
         for e, c in (coeffs or {}).items():
             key = (e,) if isinstance(e, int) else tuple(e)
             if len(key) != len(vars):
                 raise ValueError(f"exponents {e!r} do not match the variables {vars}")
-            terms[key] = Fraction(c)
-        p = _collect(vars, terms.items())
+            terms.append((key, Fraction(c)))
+        p = _collect(vars, terms)  # sums the terms of equal keys, e.g. 2 and (2,)
         self.vars, self._ints, self._den = vars, p._ints, p._den
 
     @classmethod
@@ -290,40 +296,6 @@ class Poly3(Poly):
 
 
 _CLASSES = {Poly1.VARS: Poly1, Poly3.VARS: Poly3}
-
-
-def divide_exact(f: Poly, g: Poly, name: str = "t") -> Poly:
-    """Quotient f/g when g divides f exactly, by long division in `name`.
-
-    The leading coefficient of g in `name` must be a constant, so the
-    remainder is unique; a nonzero one raises ExactDivisionError.
-    """
-    g = f._coerce(g)
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    i = f._index(name)
-    by_degree = itemgetter(i)
-    terms = g.coeffs  # each read of .coeffs builds a new dict
-    lead = max(terms, key=by_degree)
-    if sum(lead) != lead[i] or sum(k[i] == lead[i] for k in terms) > 1:
-        raise ValueError(f"the leading coefficient of the divisor in {name!r} is not a constant")
-    glead = terms[lead]
-    rem = f.coeffs
-    out: dict[Exponents, Fraction] = {}
-    while rem:
-        top = max(rem, key=by_degree)
-        if top[i] < lead[i]:
-            raise ExactDivisionError("nonzero remainder in exact division")
-        shift = top[:i] + (top[i] - lead[i],) + top[i + 1 :]
-        c = out[shift] = rem[top] / glead
-        for gk, gc in terms.items():
-            k = tuple(map(add, shift, gk))
-            s = rem.get(k, 0) - c * gc
-            if s:
-                rem[k] = s
-            else:
-                del rem[k]
-    return _collect(f.vars, out.items())
 
 
 def _cleared_coeffs(f: Poly1) -> tuple[list[int], int]:

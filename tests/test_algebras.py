@@ -56,10 +56,10 @@ from peirce_lab.poly import (
     _cleared_coeffs,
     _square_free,
     _symbol_slices,
-    divide_exact,
     format_rational,
     rational_roots,
 )
+from test_poly import _divide_exact_by_fractions
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -668,8 +668,8 @@ def test_spectrum_inclusion_on_an_algebra_with_eigenvalues_plus_minus_sqrt2():
 
 
 # spectrum_inclusion_check reads rho and the residual in ints.  The oracle is
-# the check in Fractions: rho(lam) per eigenvalue, and divide_exact of rho by
-# the square-free part of the residual.
+# the check in Fractions: rho(lam) per eigenvalue, and long division in
+# Fractions of rho by the square-free part of the residual.
 
 
 def _fraction_spectrum_inclusion(identity, eigenvalues, residual):
@@ -678,7 +678,7 @@ def _fraction_spectrum_inclusion(identity, eigenvalues, residual):
                 for lam in eigenvalues if lam != 1 and rho(lam) != 0]
     if residual.degree >= 1:
         try:
-            divide_exact(rho, Poly1(dict(enumerate(_square_free(_cleared_coeffs(residual)[0])))))
+            _divide_exact_by_fractions(rho, Poly1(dict(enumerate(_square_free(_cleared_coeffs(residual)[0])))), "t")
         except ExactDivisionError:
             failures.append(f"L_c has non-rational spectral factor {residual.render()}")
     return tuple(failures)

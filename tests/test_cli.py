@@ -352,10 +352,19 @@ def test_verify_rejects_trials_below_one(capsys, trials):
             ["--catalog", "walcher", "--params", "a_c=x"],
             "walcher parameter a_c must be a number, got 'x'",
         ),
+        # Fraction would read the literal as an integer of 166 million bits
+        (
+            ["--catalog", "walcher", "--params", "a_c=1e50000000"],
+            "walcher parameter a_c takes no exponent notation, got '1e50000000'",
+        ),
+        (
+            ["--catalog", "principal_train", "--params", "gamma=1:-1e50000000"],
+            "principal_train parameter gamma takes no exponent notation, got ['1', '-1e50000000']",
+        ),
     ],
     ids=[
         "missing", "unknown", "list-for-a-number", "zero-denominator-in-list", "zero-denominator",
-        "not-a-number-in-list", "not-a-number",
+        "not-a-number-in-list", "not-a-number", "exponent-notation", "exponent-notation-in-list",
     ],
 )
 def test_bad_catalog_parameters_exit_3(capsys, argv, message):
@@ -448,6 +457,11 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
             {"terms": [{"coeff": "1/0", "monomial": "z^2"}, {"coeff": "-1", "monomial": "z"}]},
             EXIT_PARSE_ERROR,
             "cannot read identity file: zero denominator in '1/0'\n",
+        ),
+        (
+            {"terms": [{"coeff": "1e50000000", "monomial": "z^2"}, {"coeff": "-1", "monomial": "z"}]},
+            EXIT_PARSE_ERROR,
+            "cannot read identity file: exponent notation in '1e50000000'\n",
         ),
         ([1, 2], EXIT_PARSE_ERROR, "cannot read identity file: expected a JSON object at the top level, got an array\n"),
         # a file holding a JSON string of a document used to be decoded twice and read
@@ -547,6 +561,7 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "empty-terms",
         "bad-coefficient",
         "zero-denominator-coefficient",
+        "exponent-notation-coefficient",
         "top-level-list",
         "double-encoded",
         "top-level-number",
@@ -592,8 +607,14 @@ def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
         ("1/0", "zero denominator in '1/0'"),
         ("x", "Invalid literal for Fraction: 'x'"),
         (1, "expected a rational number as a string, got 1"),
+        ("1e50000000", "exponent notation in '1e50000000'"),
+        # not exponent notation as Fraction reads it, so Fraction's message stays
+        ("1e", "Invalid literal for Fraction: '1e'"),
+        ("e5", "Invalid literal for Fraction: 'e5'"),
+        ("1/2e5", "Invalid literal for Fraction: '1/2e5'"),
     ],
-    ids=["zero-denominator", "not-a-number", "json-number"],
+    ids=["zero-denominator", "not-a-number", "json-number", "exponent-notation", "bare-e", "no-mantissa",
+         "exponent-on-a-quotient"],
 )
 def test_unreadable_number_in_algebra_file_exit_2(capsys, tmp_path, value, message):
     path = tmp_path / "alg.json"

@@ -426,11 +426,8 @@ def test_principal_train_factorization():
     rho, _ = train_closed_forms("principal_train", gamma)
     assert rho(HALF) == 0
     t = Poly1.t()
-    from peirce_lab.poly import divide_exact
-
-    train = divide_exact(rho, 2 * t - 1)
     # T(t) = (t^2 - 3t + 2)/(t - 1) = t - 2
-    assert train == t - 2
+    assert (2 * t - 1) * (t - 2) == rho
 
 
 def test_train_constraint_validation():

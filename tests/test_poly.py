@@ -24,15 +24,16 @@ from peirce_lab.identities import (
 )
 from peirce_lab.magma import atom, enumerate_monomials
 from peirce_lab import poly
+from peirce_lab.peirce import _divided_difference
 from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
     Poly3,
+    RationalSyntaxError,
     _cleared_coeffs,
     _divide_dense,
     _horner_hom,
     _symbol_slices,
-    divide_exact,
     format_rational,
     parse_rational,
     rational_roots,
@@ -52,24 +53,29 @@ def poly3s(max_exp=2):
     return st.dictionaries(exponents, rationals, max_size=4).map(Poly3)
 
 
-@st.composite
-def constant_led_divisors(draw):
-    """(name, g): g = c * name^d + lower terms in name, c a nonzero constant,
-    e.g. p - h(a, b)."""
-    name = draw(st.sampled_from(Poly3.VARS))
-    i = Poly3.VARS.index(name)
-    d = draw(st.integers(min_value=1, max_value=2))
-    rest = draw(poly3s())
-    rest = Poly3({k: c for k, c in rest.coeffs.items() if k[i] < d})
-    return name, Poly3.var(name) ** d * draw(rationals.filter(bool)) + rest
-
-
 def test_rational_round_trip():
-    for s, v in [("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("0", Fraction(0))]:
+    for s, v in [("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("0", Fraction(0)), ("0.1", Fraction(1, 10))]:
         assert parse_rational(s) == v
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
     assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+
+
+@pytest.mark.parametrize("text", ["1e50000000", "1E50000000", " -2.5e+50000000 ", ".5e-50000000", "1_0e5_0000000"])
+def test_parse_rational_refuses_exponent_notation_before_fraction_reads_it(text):
+    # Fraction(text) would build an integer of about 166 million bits
+    start = time.perf_counter()
+    with pytest.raises(RationalSyntaxError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == f"exponent notation in {text!r}"
+    assert time.perf_counter() - start < 1
+
+
+def test_poly_sums_the_terms_of_keys_that_name_one_exponent():
+    # 2 and (2,) are both t^2: the later one used to replace the earlier
+    t = Poly1.t()
+    assert Poly1({2: 1, (2,): 3}) == 4 * t**2
+    assert Poly1({(0,): 5, 0: -5, 1: 1}) == t
 
 
 def test_poly1_basics():
@@ -107,23 +113,6 @@ def test_poly1_ring_axioms(f, g, h):
 def test_poly1_evaluation_homomorphism(f, g, x):
     assert (f + g)(x) == f(x) + g(x)
     assert (f * g)(x) == f(x) * g(x)
-
-
-def test_divide_exact():
-    t = Poly1.t()
-    f = (t - 1) * (2 * t + 3)
-    assert divide_exact(f, t - 1) == 2 * t + 3
-    with pytest.raises(ExactDivisionError):
-        divide_exact(t**2 + 1, t - 1)
-    with pytest.raises(ZeroDivisionError):
-        divide_exact(t, Poly1.zero())
-
-
-@given(poly1s(), poly1s())
-def test_divide_exact_inverts_multiplication(f, g):
-    if g.is_zero:
-        return
-    assert divide_exact(f * g, g) == f
 
 
 def test_rational_roots_examples():
@@ -183,7 +172,7 @@ def _roots_by_fraction_evaluation(f):
             roots.append((r, m))
     residual = f
     for r, m in roots:
-        residual = divide_exact(residual, Poly1({1: 1, 0: -r}) ** m)
+        residual = Poly1(_divide_exact_by_fractions(residual, Poly1({1: 1, 0: -r}) ** m, "t").coeffs)
     return roots, residual
 
 
@@ -759,20 +748,6 @@ def test_poly3_evaluation_consistent(f, x, y, z):
     assert g(x, y, z) == f(y)
 
 
-@given(poly3s(), constant_led_divisors())
-def test_divide_exact_inverts_multiplication_in_three_variables(f, divisor):
-    name, g = divisor
-    assert divide_exact(f * g, g, name) == f
-
-
-@given(poly3s(), st.sampled_from(Poly3.VARS), poly3s(), st.integers(min_value=1, max_value=2))
-def test_divide_exact_rejects_a_nonconstant_leading_coefficient(f, name, lead, d):
-    lead = lead.substitute(name, 1)
-    assume(lead.degree >= 1)
-    with pytest.raises(ValueError):
-        divide_exact(f, lead * Poly3.var(name) ** d + 1, name)
-
-
 @given(poly1s(), st.sampled_from(Poly3.VARS))
 def test_from_poly1_then_change_vars_round_trip(f, name):
     assert Poly3.from_poly1(f, name).change_vars(Poly1.VARS, {name: "t"}) == f
@@ -928,13 +903,6 @@ def _agree(new, old):
     assert all(type(c) is int for c in new._ints.values())
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ArithmeticError as exc:
-        return type(exc)
-
-
 _BIG_RATIONALS = st.one_of(
     st.fractions(min_value=-6, max_value=6, max_denominator=12),
     st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)),
@@ -985,26 +953,43 @@ def test_integer_form_agrees_with_fraction_arithmetic(cls, max_exp, data):
         _agree(new, old)
     if cls is Poly1:
         _agree(f.change_vars(Poly3.VARS, {"t": "b"}), fo.change_vars(Poly3.VARS, {"t": "b"}))
-        if not g.is_zero:
-            _agree(divide_exact(f * g, g), _divide_exact_by_fractions(fo * go, go, "t"))
-            want = _outcome(_divide_exact_by_fractions, fo, go, "t")
-            got = _outcome(divide_exact, f, g)
-            if isinstance(got, type):
-                assert got is want
-            else:
-                _agree(got, want)
     else:
         merge = {"a": "x", "b": "x", "p": "y"}
         _agree(f.change_vars(("x", "y"), merge), fo.change_vars(("x", "y"), merge))
         at_p = f.substitute("a", s).substitute("b", s2)
         _agree(at_p.change_vars(Poly1.VARS, {"p": "t"}),
                fo.substitute("a", s).substitute("b", s2).change_vars(Poly1.VARS, {"p": "t"}))
-        i = Poly3.VARS.index(name)
-        lead = data.draw(_BIG_RATIONALS.filter(bool))
-        rest = {k: c for k, c in gd.items() if k[i] < 2}
-        divisor = {tuple(2 * (v == name) for v in Poly3.VARS): lead, **rest}
-        do = _FractionPoly(Poly3.VARS, divisor)
-        _agree(divide_exact(f * Poly3(divisor), Poly3(divisor), name), _divide_exact_by_fractions(fo * do, do, name))
+
+
+def _divided_difference_by_fractions(fd, x):
+    """(f(p) - f(x)) / (p - x) as defined, for f = sum fd[e] * t^e: Fraction
+    arithmetic and long division in p."""
+    f = _FractionPoly(Poly1.VARS, {(e,): c for e, c in fd.items()})
+    p = _FractionPoly(Poly3.VARS, {(0, 0, 1): 1})
+    return _divide_exact_by_fractions(f(p) - f(x), p - x, "p")
+
+
+# x as {exponents of (a, b, p): coefficient} for a polynomial, else a value
+_POINTS = st.one_of(
+    st.sampled_from([{(1, 0, 0): 1}, {(0, 1, 0): 1}, Fraction(1, 2), {(1, 1, 0): 2}]),  # a, b, 1/2, 2ab
+    _BIG_RATIONALS,
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)), _BIG_RATIONALS, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 8), _BIG_RATIONALS, max_size=9), _POINTS)
+def test_divided_difference_agrees_with_its_definition(fd, x):
+    f = Poly1(fd)
+    if isinstance(x, dict):
+        got = _divided_difference(f, Poly3(x), Poly3.var("p"))
+        x = _FractionPoly(Poly3.VARS, x)
+    else:
+        got = _divided_difference(f, x, Poly3.var("p"))
+    want = _divided_difference_by_fractions(fd, x)
+    _agree(got, want)
+    if not isinstance(x, _FractionPoly):
+        _agree(_divided_difference(f, x, Poly1.t()), want.change_vars(Poly1.VARS, {"p": "t"}))
 
 
 def test_equal_polynomials_built_by_different_paths_are_stored_alike():
@@ -1015,7 +1000,6 @@ def test_equal_polynomials_built_by_different_paths_are_stored_alike():
         Poly1.const(Fraction(1, 2)),
         (t + Fraction(1, 2)) - t,  # a sum that cancels
         (t**2 * Fraction(1, 4)).derivative() - t * Fraction(1, 2) + Fraction(1, 2),
-        divide_exact(t * 3 + Fraction(3, 2), t * 6 + 3) * 3 - 1,
     ]
     for f in half:
         assert (f._ints, f._den) == ({(0,): 1}, 2)
