@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul, sub
-from typing import Callable, Mapping, Sequence
 
 from ._record import _Record, _set
 from .identities import DegenerateIdentity, WeightedIdentity, _field, _json_object, identity_peirce_poly
@@ -75,7 +75,9 @@ class UnrealizableWeight(ValueError):
 
 
 def _vec(values: Sequence) -> Vector:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """values as Fractions, text read by parse_rational, which refuses exponent notation."""
+    return tuple(v if type(v) is Fraction else parse_rational(v) if isinstance(v, str) else Fraction(v)
+                 for v in values)
 
 
 def _scaled(values: Sequence[Fraction], den: int) -> list[int]:
@@ -289,9 +291,8 @@ class StructureAlgebra(_Record):
     def mult_operator(self, c: Sequence) -> Matrix:
         """L_c as an exact matrix (columns are c * e_j)."""
         (cs,), den = _cleared_vectors(self, c)
-        rows, s = self._operator_rows(cs), den * self._den
-        shared = {v: Fraction(v, s) for v in {v for row in rows for v in row}}
-        return [[shared[v] for v in row] for row in rows]
+        s = den * self._den
+        return [[Fraction(v, s) for v in row] for row in self._operator_rows(cs)]
 
     def is_idempotent(self, c: Sequence) -> bool:
         # c = cs / d is idempotent when the kernel's d * s * c^2 is s * cs
@@ -375,24 +376,17 @@ def _char_poly_ints(a: Sequence[Sequence[int]], d: int) -> Poly1:
     return _make(Poly1.VARS, {(e,): c * d**e for e, c in enumerate(coeffs) if c}, d**n)
 
 
-def char_poly_matrix(m: Matrix) -> Poly1:
-    """Characteristic polynomial by the Faddeev-LeVerrier trace recurrence."""
-    return _char_poly_ints(*_cleared(m))
+def null_space(m: Sequence[Sequence[int]]) -> list[Vector]:
+    """Basis of the kernel of an int matrix, by fraction-free Gauss-Jordan elimination.
 
-
-def null_space(m: Matrix) -> list[Vector]:
-    """Basis of the kernel, by fraction-free Gauss-Jordan elimination.
-
-    Each row is scaled to ints, which keeps the kernel; an int row is taken as
-    it is.  A pivot step replaces row i by pv * row_i - f * pivot_row and
-    divides it by the gcd of its entries, so entries stay small and each row
-    ends as its row of the reduced row echelon form times a nonzero int: the
-    basis read off is the one Gauss-Jordan over Fractions gives.
+    A pivot step replaces row i by pv * row_i - f * pivot_row and divides it
+    by the gcd of its entries, so entries stay small and each row ends as its
+    row of the reduced row echelon form times a nonzero int: the basis read
+    off is the one Gauss-Jordan over Fractions gives.
     """
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    a = [row if all(type(v) is int for v in row) else _scaled(row, lcm(*(v.denominator for v in row)))
-         for row in m]
+    a = list(m)
     pivots: list[int] = []
     for col in range(n_cols):
         r = len(pivots)
@@ -641,21 +635,9 @@ def verify_second_linearization(
     return VerificationReport(not failures, f"second linearization of {m}", failures)
 
 
-def _trial_block(bits: Callable[[int], int], dim: int, size: int) -> list[list[int]]:
-    """`size` trial vectors as ints 12 * x, x_i = n_i / d_i, with n_i in -9..9
-    and d_i in 1..4 drawn in that order as random.Random.randint draws them:
-    randrange(19) takes 5 bits and randrange(4) 3, each redrawn while too large."""
-    xs = []
-    for _ in range(size * dim):
-        n = bits(5)
-        while n >= 19:
-            n = bits(5)
-        d = bits(3)
-        while d >= 4:
-            d = bits(3)
-        xs.append((n - 9) * (12, 6, 4, 3)[d])  # 12 // d_i
-    return [xs[t : t + dim] for t in range(0, size * dim, dim)]
-
+# A trial coordinate x = n / d, n in -9..9 and d in 1..4, as the int 12 * x:
+# one entry per pair (n, d), so a uniform choice draws n and d uniformly.
+_TRIAL_VALUES = tuple(n * (12 // d) for n in range(-9, 10) for d in range(1, 5))
 
 # Trials per block of verify_identity.  A block's vectors are evaluated
 # together, so its memory is O(block * nodes * dim) for any number of trials.
@@ -670,16 +652,16 @@ def verify_identity(
 ) -> VerificationReport:
     """Evaluate the identity at random rational vectors; all must vanish.
 
-    Coordinate i of a trial vector is n_i / d_i with n_i in -9..9 and d_i in
-    1..4, drawn in that order as random.Random(seed).randint draws them; the
-    vector is taken as ints xs = 12 * x, 12 = lcm(1..4).  The trials run in
-    blocks of _TRIAL_BLOCK: one jet evaluation per monomial, on the diagonal
-    schedule, evaluates it at every vector of a block, and each trial's P(x)
-    is then summed in ints.
+    Coordinate i of a trial vector is n_i / d_i, the pair (n_i, d_i) drawn
+    uniformly from -9..9 x 1..4 by random.Random(seed).choices over
+    _TRIAL_VALUES; the vector is taken as ints xs = 12 * x, 12 = lcm(1..4).
+    The trials run in blocks of _TRIAL_BLOCK, each drawn by one choices call:
+    one jet evaluation per monomial, on the diagonal schedule, evaluates it at
+    every vector of a block, and each trial's P(x) is then summed in ints.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    bits = random.Random(seed).getrandbits
+    draw, dim = random.Random(seed).choices, algebra.dim
 
     # Term t at x is coeff.numerator * num(x) * value(x) / scale_t, with num(x)
     # the int numerator of its weight and value(x) its monomial's jet at
@@ -694,10 +676,11 @@ def verify_identity(
              for t, tden in zip(identity.terms, scales)]
     failures = []
     for start in range(0, trials, _TRIAL_BLOCK):
-        block = _trial_block(bits, algebra.dim, min(_TRIAL_BLOCK, trials - start))
+        xs = draw(_TRIAL_VALUES, k=min(_TRIAL_BLOCK, trials - start) * dim)
+        block = [xs[t : t + dim] for t in range(0, len(xs), dim)]
         schedule = [(t, t, t) for t in range(len(block))]  # the trials do not interact
         memo = {atom(): block}  # shared by every term and weight of the block
-        accs = [[0] * algebra.dim for _ in block]
+        accs = [[0] * dim for _ in block]
         for factor, m, w in terms:
             nums = [factor] * len(block)
             if w.baric_exp:

@@ -315,8 +315,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.what != "list":
-        raise _CliError(f"unknown catalog action {args.what!r}", EXIT_PARSE_ERROR)
     names, builders = identities.catalog_names(), algebras.builder_names()
     payload = {"command": "catalog list", "identities": names, "builders": builders}
     lines = ["identities:"]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
 
 from ._record import _Record, _set
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
@@ -238,16 +238,18 @@ def make_identity(
 
     `require_zero_sum=False` builds a formal sum that cannot hold on any
     algebra with a nonzero idempotent; it is only useful as an input to the
-    product law and to negative tests.
+    product law and to negative tests.  A coefficient given as text is read
+    by parse_rational, which refuses exponent notation.
     """
     merged: dict[tuple[Monomial, WeightDescriptor], Fraction] = {}
     for t in terms:
         if not isinstance(t, IdentityTerm):
             coeff, monomial = t[0], t[1]
             weight = t[2] if len(t) > 2 else constant_weight()
-            t = IdentityTerm(Fraction(coeff), monomial, weight)
+            t = IdentityTerm(coeff, monomial, weight)
+        coeff = parse_rational(t.coeff) if isinstance(t.coeff, str) else Fraction(t.coeff)
         key = (t.monomial, t.weight)
-        merged[key] = merged.get(key, Fraction(0)) + Fraction(t.coeff)
+        merged[key] = merged.get(key, Fraction(0)) + coeff
     out = tuple(
         IdentityTerm(c, m, w)
         for (m, w), c in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1]))

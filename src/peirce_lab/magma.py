@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
-from typing import Callable, TypeVar
+from collections.abc import Callable
 
 __all__ = [
     "Monomial",
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_DEGREE = 14
-T = TypeVar("T")
 
 
 class MonomialSyntaxError(ValueError):
@@ -138,7 +137,7 @@ def plenary_power(n: int) -> Monomial:
     return out
 
 
-def fold(m: Monomial, memo: dict[Monomial, T], step: Callable[[Monomial, T, T], T]) -> T:
+def fold(m: Monomial, memo: dict, step: Callable[[Monomial, object, object], object]) -> object:
     """memo[m], setting memo[node] = step(node, memo[node.left], memo[node.right])
     once for every subtree missing from memo, children first.
 

@@ -19,8 +19,8 @@ over one denominator, with one memo for all of them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .magma import Monomial, atom, fold
 from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _make

@@ -10,12 +10,12 @@ symbols) are constructors of `Poly` that fix the variables.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import add
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Poly",
@@ -28,7 +28,7 @@ __all__ = [
     "format_rational",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 Exponents = tuple[int, ...]
 
 
@@ -289,10 +289,6 @@ class Poly3(Poly):
 
     __slots__ = ()
     VARS = ("a", "b", "p")
-
-    @classmethod
-    def from_poly1(cls, f: Poly1, name: str) -> "Poly3":
-        return f.change_vars(cls.VARS, {"t": name})
 
 
 _CLASSES = {Poly1.VARS: Poly1, Poly3.VARS: Poly3}

@@ -21,7 +21,6 @@ from peirce_lab.algebras import (
     build_algebra,
     builder_names,
     char_poly,
-    char_poly_matrix,
     dimension_constraints_check,
     eigen_decomposition,
     evaluate_monomial,
@@ -53,6 +52,7 @@ from peirce_lab.peirce import _symbol_ints, peirce_poly, peirce_symbol
 from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
+    RationalSyntaxError,
     _cleared_coeffs,
     _square_free,
     _symbol_slices,
@@ -504,7 +504,8 @@ def kernel_matrices(draw):
 @example([[1, F(-1, 2), 0], [F(2), 0, -3]])  # ints and Fractions in one row
 @example([[-(2**200) + 1, 2**199], [2**200 - 1, -(2**199)], [F(3, 2**64), F(-5, 7)]])
 def test_null_space_matches_fraction_gauss_jordan(m):
-    basis = algebras.null_space(m)
+    # null_space takes int rows; scaling each row keeps the kernel
+    basis = algebras.null_space([algebras._scaled(row, math.lcm(*(v.denominator for v in row))) for row in m])
     assert basis == _fraction_null_space(m)
     assert all(type(v) is F for vec in basis for v in vec)
 
@@ -513,7 +514,7 @@ def _fraction_eigen_decomposition(alg, c):
     """eigen_decomposition over Fractions: chi of the matrix L_c, and each
     eigenbasis by Gauss-Jordan on L_c - lam."""
     lc = alg.mult_operator(c)
-    cp = char_poly_matrix(lc)
+    cp = _char_poly_of(lc)
     roots, residual = rational_roots(cp)
     eigenbases = {}
     for lam, _ in roots:
@@ -1148,6 +1149,34 @@ def test_algebra_from_json_decodes_text_once():
         algebra_from_json([algebra_to_json(jordan_sym(2))])
 
 
+def _line_algebra(**entries):
+    """e^2 = e with form 1 and weight 1 on one basis vector, entries given as text."""
+    fields = {"structure": ((("1",),),), "bilinear_form": (("1",),), "weight": ("1",), "idempotents": (("1",),)}
+    return StructureAlgebra(dim=1, **{**fields, **entries})
+
+
+def test_structure_algebra_reads_text_entries():
+    alg = _line_algebra(structure=((("1/2",),),), weight=(" -3/4 ",))
+    assert alg.structure == (((F(1, 2),),),) and alg.weight == (F(-3, 4),)
+    assert alg.multiply(("2",), ("1/3",)) == (F(1, 3),)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("structure", ((("1e50000000",),),)),
+    ("bilinear_form", (("1e50000000",),)),
+    ("weight", ("1e50000000",)),
+    ("idempotents", (("1e50000000",),)),
+])
+def test_structure_algebra_refuses_exponent_notation(field, value):
+    # Fraction("1e50000000") would build an integer of 166 million bits
+    start = time.perf_counter()
+    with pytest.raises(RationalSyntaxError, match="exponent notation"):
+        _line_algebra(**{field: value})
+    with pytest.raises(RationalSyntaxError, match="exponent notation"):
+        _line_algebra().multiply(("1e50000000",), ("1",))
+    assert time.perf_counter() - start < 1
+
+
 def test_algebra_validation_rejects_noncommutative():
     with pytest.raises(ValueError):
         StructureAlgebra(
@@ -1276,6 +1305,11 @@ def _fraction_mat_mul(m1, m2):
     return [[sum((m1[i][k] * m2[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
 
 
+def _char_poly_of(m):
+    """chi of a rational matrix by the library's Faddeev-LeVerrier on its cleared ints."""
+    return algebras._char_poly_ints(*algebras._cleared(m))
+
+
 def _fraction_char_poly(m):
     """Faddeev-LeVerrier in Fractions."""
     n = len(m)
@@ -1346,9 +1380,14 @@ def _fraction_jet(alg, m, leaf, caps=()):
     return memo[m]
 
 
+# verify_identity's trial coordinates as pairs (n, d), in the order of
+# algebras._TRIAL_VALUES: choices over either draws the same indices.
+_TRIAL_PAIRS = [(n, d) for n in range(-9, 10) for d in range(1, 5)]
+
+
 def _random_vector(dim, rng):
-    """verify_identity's trial vector, drawn as Fractions."""
-    return tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
+    """verify_identity's trial vector, drawn as Fractions one trial at a time."""
+    return tuple(F(n, d) for n, d in rng.choices(_TRIAL_PAIRS, k=dim))
 
 
 def _fraction_identity_failures(alg, identity, trials, seed):
@@ -1393,7 +1432,7 @@ def _symmetric(draw, n, entries=small_fractions):
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices())
 def test_char_poly_matches_fraction_faddeev_leverrier(m):
-    assert char_poly_matrix(m) == _fraction_char_poly(m)
+    assert _char_poly_of(m) == _fraction_char_poly(m)
 
 
 def test_integer_faddeev_leverrier_refuses_a_non_integral_matrix():
@@ -1449,14 +1488,14 @@ def test_operator_poly_makes_one_kernel_call_per_degree(name, coeffs, count):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_char_poly_matches_the_fraction_operator(data):
-    # char_poly reads the kernel's int rows; char_poly_matrix clears L_c again
+    # char_poly reads the kernel's int rows; _char_poly_of clears L_c again
     if data.draw(st.booleans()):
         alg = build_algebra(data.draw(st.sampled_from(builder_names())))
     else:
         alg = data.draw(commutative_algebras(max_dim=4))
     c = tuple(data.draw(st.lists(small_fractions, min_size=alg.dim, max_size=alg.dim)))
     assume(any(v.denominator > 1 for v in c) and not alg.is_idempotent(c))
-    assert char_poly(alg, c) == char_poly_matrix(alg.mult_operator(c))
+    assert char_poly(alg, c) == _char_poly_of(alg.mult_operator(c))
 
 
 @settings(max_examples=120, deadline=None)
@@ -1589,20 +1628,6 @@ def test_verify_identity_trial_vectors_match_fraction_draw():
     report = verify_identity(alg, identity, trials=200, seed=3)
     assert 0 < len(report.failures) < 200
     assert report.failures == _fraction_identity_failures(alg, identity, 200, 3)
-
-
-def test_trial_draws_follow_the_randint_stream():
-    # verify_identity draws n_i and d_i from getrandbits by fixed-width
-    # rejection, as randint(-9, 9) and randint(1, 4) do, so the trial vectors
-    # 12 * n_i / d_i and the rest of the stream stay the same
-    for seed in range(200):
-        bits, rng = random.Random(seed).getrandbits, random.Random(seed)
-        for dim in range(1, 13):
-            got = algebras._trial_block(bits, dim, 2)
-            # n_i, then d_i: the operands of * are evaluated left to right
-            assert got == [[rng.randint(-9, 9) * (12 // rng.randint(1, 4)) for _ in range(dim)]
-                           for _ in range(2)], (seed, dim)
-        assert bits(32) == rng.getrandbits(32), seed
 
 
 # verify_identity evaluates its trials in blocks of _TRIAL_BLOCK vectors;

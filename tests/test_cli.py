@@ -1,6 +1,8 @@
 """Command-line interface: output, JSON schema, exit-code contract."""
 
+import ast
 import json
+import pathlib
 import time
 
 import jsonschema
@@ -180,6 +182,34 @@ def test_verify_negative_control(capsys):
     code, payload = run_json(capsys, "verify", "--builder", "jordan_sym2", "--catalog", "hsiang")
     assert code == EXIT_VERIFY_FAILED
     assert payload["pass"] is False
+
+
+def _benchmark_readme():
+    """README of perfbench/workloads.py, read as a literal: (argv, exit code,
+    stdout) with stdout a string, or for a failing verify the first two lines
+    and the last."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    value = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "README")
+    return ast.literal_eval(value)
+
+
+_README = _benchmark_readme()
+
+
+@pytest.mark.parametrize("argv, want_code, want", _README, ids=[" ".join(argv) for argv, _, _ in _README])
+def test_benchmark_readme_commands_print_their_goldens(capsys, monkeypatch, argv, want_code, want):
+    # the cli workload's goldens, in process, as the benchmark compares them
+    monkeypatch.delenv("PEIRCE_LAB_MAX_DEGREE", raising=False)
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    if isinstance(want, str):
+        assert out == want
+    else:  # the failure lines between carry trial indices
+        lines = out.splitlines()
+        assert lines[:2] == list(want[:2]) and lines[-1] == want[2]
+        assert all(line.startswith("    ") for line in lines[2:-1])
 
 
 def test_parse_error_exit_2(capsys):

@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ from peirce_lab.magma import (
     product,
 )
 from peirce_lab.peirce import peirce_poly, peirce_symbol
-from peirce_lab.poly import Poly, Poly1, Poly3
+from peirce_lab.poly import Poly, Poly1, Poly3, RationalSyntaxError
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -56,6 +57,24 @@ def test_zero_sum_enforced():
         make_identity([(1, principal_power(2)), (-2, atom())])
     ident = make_identity([(1, principal_power(2)), (-1, atom())])
     assert len(ident.terms) == 2
+
+
+def test_make_identity_reads_text_coefficients():
+    ident = make_identity([("1/2", principal_power(2)), (" -1/2 ", atom())])
+    assert [t.coeff for t in ident.terms] == [Fraction(-1, 2), Fraction(1, 2)]
+    with pytest.raises(RationalSyntaxError):
+        make_identity([("1/0", principal_power(2)), (-1, atom())])
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1e50000000"])
+def test_make_identity_refuses_exponent_notation(text):
+    # Fraction(text) would build an integer of millions of bits, or hang
+    start = time.perf_counter()
+    with pytest.raises(RationalSyntaxError, match="exponent notation"):
+        make_identity([(text, principal_power(2)), ("-" + text, atom())])
+    with pytest.raises(RationalSyntaxError, match="exponent notation"):
+        make_identity([IdentityTerm(text, principal_power(2)), IdentityTerm(-1, atom())])
+    assert time.perf_counter() - start < 1
 
 
 def test_empty_rejected():

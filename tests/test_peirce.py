@@ -197,9 +197,8 @@ def _symbol_oracle(m, memo, rho_memo):
             memo[m] = Poly3.zero()
         else:
             left, right = m.left, m.right
-            cross = Poly3.from_poly1(_rho_oracle(left, rho_memo), "a") * Poly3.from_poly1(
-                _rho_oracle(right, rho_memo), "b"
-            )
+            rho_left, rho_right = _rho_oracle(left, rho_memo), _rho_oracle(right, rho_memo)
+            cross = rho_left.change_vars(Poly3.VARS, {"t": "a"}) * rho_right.change_vars(Poly3.VARS, {"t": "b"})
             memo[m] = (
                 Poly3.var("p") * (_symbol_oracle(left, memo, rho_memo) + _symbol_oracle(right, memo, rho_memo))
                 + cross

@@ -734,12 +734,12 @@ def test_poly3_substitute_and_change_vars():
         f.change_vars(Poly1.VARS, {"p": "t"})  # still depends on a, b
 
 
-def test_poly3_from_poly1_and_compose3():
+def test_poly3_change_vars_and_compose3():
     t = Poly1.t()
     f = 2 * t**2 - t + 3
     a = Poly3.var("a")
     assert f(a) == 2 * a**2 - a + 3
-    assert Poly3.from_poly1(f, "p") == f(Poly3.var("p"))
+    assert f.change_vars(Poly3.VARS, {"t": "p"}) == f(Poly3.var("p"))
 
 
 @given(poly1s(max_degree=3), rationals, rationals, rationals)
@@ -749,8 +749,8 @@ def test_poly3_evaluation_consistent(f, x, y, z):
 
 
 @given(poly1s(), st.sampled_from(Poly3.VARS))
-def test_from_poly1_then_change_vars_round_trip(f, name):
-    assert Poly3.from_poly1(f, name).change_vars(Poly1.VARS, {name: "t"}) == f
+def test_change_vars_round_trip_through_poly3(f, name):
+    assert f.change_vars(Poly3.VARS, {"t": name}).change_vars(Poly1.VARS, {name: "t"}) == f
 
 
 _TRAIN_GAMMA = {"gamma": ["1", "-7/6", "1/3", "-1/6"]}

@@ -184,3 +184,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     cli = modules("import peirce_lab.cli; " + show)
     assert "peirce_lab.cli" in cli
     assert {"dataclasses", "inspect"} & (cli - bare) == set()
+
+
+def test_import_does_not_load_typing():
+    # annotations name collections.abc types, so the package needs no typing at run time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peirce_lab.__file__)))
+    subprocess.run([sys.executable, "-S", "-c", "import peirce_lab.cli, sys; assert 'typing' not in sys.modules"],
+                   env=env, check=True)
