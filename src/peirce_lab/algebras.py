@@ -35,6 +35,7 @@ from .poly import (
     _horner_hom,
     _make,
     _primitive,
+    _rational,
     _square_free,
     _symbol_slices,
     format_rational,
@@ -76,8 +77,7 @@ class UnrealizableWeight(ValueError):
 
 def _vec(values: Sequence) -> Vector:
     """values as Fractions, text read by parse_rational, which refuses exponent notation."""
-    return tuple(v if type(v) is Fraction else parse_rational(v) if isinstance(v, str) else Fraction(v)
-                 for v in values)
+    return tuple(v if type(v) is Fraction else _rational(v) for v in values)
 
 
 def _scaled(values: Sequence[Fraction], den: int) -> list[int]:

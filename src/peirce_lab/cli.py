@@ -79,9 +79,7 @@ def _read_identity(args) -> identities.WeightedIdentity:
             raise _CliError(f"cannot read identity file: {exc}", EXIT_PARSE_ERROR)
     # bare monomial: treat as the formal identity 1 * m, no zero-sum demand
     m = _parse_monomial_arg(args.source)
-    return identities.WeightedIdentity(
-        (identities.IdentityTerm(Fraction(1), m),), name=None
-    )
+    return identities.WeightedIdentity((identities.IdentityTerm(Fraction(1), m),), name=None)
 
 
 def _parse_monomial_arg(text: str) -> magma.Monomial:

@@ -26,6 +26,7 @@ from .poly import (
     _cleared_coeffs,
     _horner_hom,
     _make,
+    _rational,
     _refuse_exponent,
     _symbol_slices,
     format_rational,
@@ -247,9 +248,8 @@ def make_identity(
             coeff, monomial = t[0], t[1]
             weight = t[2] if len(t) > 2 else constant_weight()
             t = IdentityTerm(coeff, monomial, weight)
-        coeff = parse_rational(t.coeff) if isinstance(t.coeff, str) else Fraction(t.coeff)
         key = (t.monomial, t.weight)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
+        merged[key] = merged.get(key, Fraction(0)) + _rational(t.coeff)
     out = tuple(
         IdentityTerm(c, m, w)
         for (m, w), c in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1]))

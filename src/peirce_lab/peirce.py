@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .magma import Monomial, atom, fold
-from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _make
+from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _collect, _make, _rational
 
 __all__ = [
     "peirce_poly",
@@ -96,11 +96,12 @@ def _divided_difference(f: Poly1, x: Fraction | Poly3, p: Poly) -> Poly:
     variable p: Poly3.var("p") or Poly1.t().  Synthetic division, dividing
     nothing: sum b_i * p^i with b_(n-1) = f_n and b_(i-1) = x * b_i + f_i."""
     ints, den = _cleared_coeffs(f)
-    out, b = p * 0, 0
-    for c in reversed(ints[1:]):  # b_(n-1), ..., b_0, summed in p by Horner
-        b = b * x + c
-        out = out * p + b
-    return out * Fraction(1, den)
+    (unit,) = p._ints  # the exponents of p
+    terms, b = [], p * 0
+    for i in reversed(range(len(ints) - 1)):  # b_(n-1), ..., b_0; the b_i * p^i summed once
+        b = b * x + ints[i + 1]
+        terms += [(tuple(e + i * u for e, u in zip(k, unit)), c) for k, c in b.coeffs.items()]
+    return _collect(p.vars, terms, den)
 
 
 def principal_peirce_closed(n: int) -> Poly1:
@@ -150,5 +151,5 @@ def total_peirce_value(m: Monomial, leaf_values: Sequence[Fraction], q: Fraction
     """Symmetrized Peirce operator value: (deg-1)! * sum(leaves) * rho(m, q)."""
     if len(leaf_values) != m.degree:
         raise ValueError(f"expected {m.degree} leaf values, got {len(leaf_values)}")
-    total = sum((Fraction(v) for v in leaf_values), Fraction(0))
+    total = sum(map(_rational, leaf_values), Fraction(0))
     return math.factorial(m.degree - 1) * total * peirce_poly(m)(q)

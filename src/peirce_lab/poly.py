@@ -59,6 +59,11 @@ def parse_rational(text: str) -> Fraction:
         raise RationalSyntaxError(f"zero denominator in {text!r}") from None
 
 
+def _rational(v: "str | Scalar") -> Fraction:
+    """v as a Fraction, text read by parse_rational, which refuses exponent notation."""
+    return parse_rational(v) if isinstance(v, str) else Fraction(v)
+
+
 def format_rational(x: Scalar) -> str:
     num, den = x.numerator, x.denominator  # an int is num/1
     return str(num) if den == 1 else f"{num}/{den}"
@@ -111,7 +116,7 @@ class Poly:
             key = (e,) if isinstance(e, int) else tuple(e)
             if len(key) != len(vars):
                 raise ValueError(f"exponents {e!r} do not match the variables {vars}")
-            terms.append((key, Fraction(c)))
+            terms.append((key, _rational(c)))
         p = _collect(vars, terms)  # sums the terms of equal keys, e.g. 2 and (2,)
         self.vars, self._ints, self._den = vars, p._ints, p._den
 
@@ -169,6 +174,8 @@ class Poly:
         return other is not None and other._den == self._den and other._ints == self._ints
 
     def __hash__(self) -> int:
+        if self.degree < 1:  # a constant equals its value, so it hashes as that value
+            return hash(Fraction(sum(self._ints.values()), self._den))
         return hash((self.vars, self._den, frozenset(self._ints.items())))
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
@@ -218,7 +225,7 @@ class Poly:
         """
         if len(args) != len(self.vars):
             raise TypeError(f"expected {len(self.vars)} arguments, got {len(args)}")
-        args = [x if isinstance(x, Poly) else Fraction(x) for x in args]
+        args = [x if isinstance(x, Poly) else _rational(x) for x in args]
         acc = next((x * 0 for x in args if isinstance(x, Poly)), Fraction(0))
         for k, c in self._ints.items():
             for x, e in zip(args, k):
@@ -230,7 +237,7 @@ class Poly:
     def substitute(self, name: str, value: Scalar) -> "Poly":
         """Partial evaluation of one variable; the variables stay the same."""
         i = self._index(name)
-        value = Fraction(value)
+        value = _rational(value)
         return _collect(
             self.vars, ((k[:i] + (0,) + k[i + 1 :], c * value ** k[i]) for k, c in self._ints.items()), self._den
         )

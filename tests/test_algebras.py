@@ -1270,6 +1270,7 @@ def test_compiled_kernel_matches_loop(data):
 def test_kernel_with_one_long_output_sum():
     # e_i e_j = e_0 for all i, j: coordinate 0 sums 78 * 79 / 2 = 3081 pair
     # terms, past the longest single sum CPython 3.11 compiles (2992 terms)
+    start = time.perf_counter()
     n = 78
     e0 = tuple(F(int(k == 0)) for k in range(n))
     alg = StructureAlgebra(dim=n, structure=tuple(tuple(e0 for _ in range(n)) for _ in range(n)))
@@ -1278,17 +1279,23 @@ def test_kernel_with_one_long_output_sum():
     got = alg.multiply(x, y)
     assert got == _dense_product(alg, x, y)
     assert got[0] == sum(x) * sum(y) and not any(got[1:])
+    x = tuple(range(n))
+    assert alg.multiply(x, x) == (sum(x) ** 2,) + (0,) * (n - 1)
+    assert time.perf_counter() - start < 20
 
 
 def test_kernel_with_a_constant_past_the_str_limit():
     # str() refuses an int of more than 4300 digits, so the kernel source
     # must never print a constant
+    start = time.perf_counter()
     big = F(10**4400 + 7, 3)
     zero = F(0)
     alg = StructureAlgebra(dim=2, structure=(((big, F(1)), (F(-1), zero)), ((F(-1), zero), (zero, big))))
     assert alg._den == 3 and alg._terms[0][0][0][1].bit_length() > 14_000
     x, y = (F(2, 3), F(-5)), (F(7), F(1, 4))
     assert alg.multiply(x, y) == _dense_product(alg, x, y)
+    assert StructureAlgebra(dim=1, structure=(((big,),),)).multiply((2,), (5,)) == (10 * big,)
+    assert time.perf_counter() - start < 20
 
 
 def test_mult_operator_columns_are_products():
@@ -1800,3 +1807,4 @@ def test_jordan_sym10_builds_fast():
     d = eigen_decomposition(alg, alg.idempotents[0])
     assert {lam: d.multiplicity(lam) for lam in d.eigenvalues} == {F(0): 45, HALF: 9, F(1): 1}
     assert elapsed < 5, elapsed
+    assert time.perf_counter() - start < 20

@@ -2,12 +2,18 @@
 
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
+import peirce_lab
+from peirce_lab.algebras import algebra_to_json, jordan_sym
 from peirce_lab.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -212,6 +218,14 @@ def test_benchmark_readme_commands_print_their_goldens(capsys, monkeypatch, argv
         assert all(line.startswith("    ") for line in lines[2:-1])
 
 
+def test_readme_python_example_prints_what_its_comment_says(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("\n## Example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.rsplit(")  # ", 1)[1] for line in example.splitlines() if line.startswith("print(") and ")  # " in line]
+    exec(compile(example, "README.md", "exec"), {})
+    assert want and capsys.readouterr().out.splitlines() == want
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "poly", "z^^")
     assert code == EXIT_PARSE_ERROR
@@ -269,7 +283,7 @@ def test_verify_decomposes_l_c_once(capsys, monkeypatch):
 
 
 def test_algebra_file_round_trip_via_cli(capsys, tmp_path):
-    from peirce_lab.algebras import algebra_to_json, hsiang_tracefree_sym3
+    from peirce_lab.algebras import hsiang_tracefree_sym3, spin_factor
 
     path = tmp_path / "hsiang.json"
     path.write_text(json.dumps(algebra_to_json(hsiang_tracefree_sym3())))
@@ -278,6 +292,11 @@ def test_algebra_file_round_trip_via_cli(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert payload["pass"] is True
+    path = tmp_path / "spin8.json"
+    path.write_text(json.dumps(algebra_to_json(spin_factor(8))))
+    code, out, _ = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc", "--idempotent", "1")
+    assert code == EXIT_OK
+    assert {"eigenvalue 1/2  multiplicity 7", "verdict: pass"} <= set(out.splitlines())
 
 
 def test_identity_file_input(capsys, tmp_path):
@@ -398,7 +417,9 @@ def test_verify_rejects_trials_below_one(capsys, trials):
     ],
 )
 def test_bad_catalog_parameters_exit_3(capsys, argv, message):
+    start = time.perf_counter()
     code, out, err = run(capsys, "spectrum", *argv)
+    assert time.perf_counter() - start < 10
     assert code == EXIT_VALIDATION_ERROR
     assert err == f"error: {message}\n"
     assert out == ""
@@ -442,7 +463,9 @@ def test_deep_principal_power_answers(capsys):
     # rho(z^n) = 2*t^(n-1) + t^(n-2) + ... + t; 3000 is past the default
     # recursion limit on every supported version, and nothing recurses
     for n in (2000, 3000):
+        start = time.perf_counter()
         code, out, err = run(capsys, "poly", f"z^{n}")
+        assert time.perf_counter() - start < 20
         assert code == EXIT_OK
         assert out.startswith(f"rho = 2*t^{n - 1} + t^{n - 2} + ")
         assert err == ""
@@ -560,6 +583,10 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
                  "terms[0].weight.monomial must be a JSON string, got 2"),
                 ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "monomials": ["z", ["z"]]}},
                  'terms[0].weight.monomials[1] must be a JSON string, got ["z"]'),
+                ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "monomials": ["z", 3]}},
+                 "terms[0].weight.monomials[1] must be a JSON string, got 3"),
+                ({"coeff": "1", "monomial": "z^2", "weight": {"kind": "product", "monomials": "z"}},
+                 'terms[0].weight.monomials must be a JSON list, got "z"'),
                 # this used to read as the constant weight
                 ({"coeff": "1", "monomial": "z^2", "weight": {"k": 2}}, 'terms[0].weight has no "kind", got {"k": 2}'),
                 # these used to end in the bare field name, as "'coeff'"
@@ -610,6 +637,8 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
         "number-monomial",
         "number-bilinear-monomial",
         "list-in-monomials",
+        "number-in-monomials",
+        "string-monomials-without-k",
         "weight-without-kind",
         "no-coeff",
         "no-monomial",
@@ -625,7 +654,9 @@ def test_deep_plenary_power_is_fast(capsys, argv, expected):
 def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(payload))
+    start = time.perf_counter()
     got, out, err = run(capsys, "poly", "--identity", str(path))
+    assert time.perf_counter() - start < 10
     assert got == code
     assert err.startswith(f"error: {message}")
     assert out == ""
@@ -649,7 +680,9 @@ def test_bad_identity_file_exit_codes(capsys, tmp_path, payload, code, message):
 def test_unreadable_number_in_algebra_file_exit_2(capsys, tmp_path, value, message):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"dim": 1, "structure": [[[value]]], "idempotents": [["1"]]}))
+    start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc")
+    assert time.perf_counter() - start < 10
     assert code == EXIT_PARSE_ERROR
     assert err == f"error: cannot read algebra file: {message}\n"
     assert out == ""
@@ -789,12 +822,17 @@ def test_deep_identity_file_round_trips(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(identity_to_json(identity)))
     assert path.read_text().count("(") == 395
+    start = time.perf_counter()
     code, out, err = run(capsys, "--json", "poly", "--identity", str(path))
     assert code == EXIT_OK
     assert err == ""
     payload = json.loads(out)
     assert payload["input"] == str(identity)
     assert payload["rho"] == identity_peirce_poly(identity).render()
+    code, out, err = run(capsys, "poly", "--identity", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "roots: 0 (x397), 1/2, 1" in out.splitlines()
+    assert time.perf_counter() - start < 20
 
 
 @pytest.mark.parametrize(
@@ -819,3 +857,77 @@ def test_unknown_name_message_has_no_stray_quotes(capsys, argv, message):
     assert code == EXIT_PARSE_ERROR
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+_CLI = ("-m", "peirce_lab.cli")
+_ODD_PRIMES = [p for p in range(3, 50) if all(p % d for d in range(2, p))]
+
+
+def _planted_train(roots):
+    """--params of the principal train (t - 1) * prod (t - r), leading coefficient first."""
+    gamma = [Fraction(1), Fraction(-1)]
+    for r in roots:
+        gamma = [a - b * r for a, b in zip(gamma + [0], [0] + gamma)]
+    return "gamma=" + ":".join(map(str, gamma))
+
+
+_TEN_ROOTS = "gamma=1:-3/4:-479/36:539/48:53713/1296:-4723/108:-5347/216:40949/1296:649/144:-539/72:-1/4:1/2"
+# roots (2^61 - 1)/3, -(2^61 - 1)/5 and 1/3
+_BIG_ROOTS = ("gamma=1:-4611686018427387922/15:-3190147189883798088512776518874483916/9:"
+              "21267647932558653943402482872348573702/45:-5316911983139663487003542222693990401/45")
+_LINEARIZATIONS = (
+    "from peirce_lab.algebras import eigen_decomposition, jordan_sym, verify_first_linearization, "
+    "verify_second_linearization; from peirce_lab.magma import parse_monomial; a = jordan_sym(6); "
+    "c = a.idempotents[0]; d = eigen_decomposition(a, c); m = parse_monomial('z^8'); "
+    "print(verify_first_linearization(a, c, m).ok, "
+    "all(verify_second_linearization(a, c, m, x, y, d).ok for x in d.eigenvalues for y in d.eigenvalues))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, timeout, code, want",
+    [
+        ([*_CLI, "spectrum", "--catalog", "principal_train", "--params",
+          "gamma=1:-1:-2305843009213693951:2305843009213693951"], 20, EXIT_OK,
+         ["root 1/2  multiplicity 1", "non-rational factor: 2*t^2 - 4611686018427387902"]),
+        # planted roots 1/p: every odd prime below 50 divides the leading coefficient
+        ([*_CLI, "spectrum", "--catalog", "principal_train", "--params",
+          _planted_train(Fraction(1, p) for p in _ODD_PRIMES)], 20, EXIT_OK,
+         ["root 1/47  multiplicity 1", "root 1/2  multiplicity 1"]),
+        ([*_CLI, "verify", "--builder", "jordan_sym3", "--catalog", "jordan_power_assoc", "--trials", "5000"],
+         60, EXIT_OK, ["verdict: pass"]),
+        ([*_CLI, "verify", "--algebra", "jordan4.json", "--catalog", "jordan_power_assoc"], 20, EXIT_OK,
+         ["[PASS] empirical fusion within generic table", "eigenvalue 1/2  multiplicity 3", "verdict: pass"]),
+        ([*_CLI, "verify", "--algebra", "jordan6.json", "--catalog", "jordan_power_assoc"], 20, EXIT_OK,
+         ["eigenvalue 0  multiplicity 15", "eigenvalue 1/2  multiplicity 5", "verdict: pass"]),
+        (["-c", _LINEARIZATIONS], 20, EXIT_OK, "True True\n"),
+        ([*_CLI, "fusion", "--catalog", "principal_train", "--params", _TEN_ROOTS], 20, EXIT_OK,
+         ["spectrum: -3, -2, -2/3, -1/2, -1/3, 1/3, 1/2, 2/3, 3/4, 1, 3/2, 3"]),
+        ([*_CLI, "fusion", "--catalog", "principal_train", "--params", _TEN_ROOTS, "--mode", "metrized"], 20,
+         EXIT_OK, ["-1/2 * 3/4 = {-3, -2, -2/3, -1/3, 1/3, 2/3, 3/2, 3}"]),
+        ([*_CLI, "fusion", "--catalog", "principal_train", "--params", _BIG_ROOTS, "--mode", "metrized"], 20,
+         EXIT_OK, ["spectrum: -2305843009213693951/5, 1/3, 1/2, 1, 2305843009213693951/3"]),
+        ([*_CLI, "fusion", "--catalog", "principal_train", "--params", "gamma=1:-1:-2:2"], 20,
+         EXIT_VALIDATION_ERROR, ["error: non-rational spectral factor remains: 2*t^2 - 4"]),
+    ],
+    ids=[
+        "spectrum-61-bit-train", "spectrum-odd-primes-train", "verify-5000-trials", "verify-jordan-sym4-file",
+        "verify-jordan-sym6-file", "linearizations-of-z8-on-jordan-sym6", "fusion-10-root-train",
+        "fusion-10-root-train-metrized", "fusion-61-bit-train-metrized", "fusion-irrational-refusal",
+    ],
+)
+def test_hard_inputs_answer_within_their_time_limit(tmp_path, argv, timeout, code, want):
+    # in a subprocess, so that a hang fails the case instead of stalling the suite
+    for n in (4, 6):
+        if f"jordan{n}.json" in argv:
+            (tmp_path / f"jordan{n}.json").write_text(json.dumps(algebra_to_json(jordan_sym(n))))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peirce_lab.__file__)))
+    env.pop("PEIRCE_LAB_MAX_DEGREE", None)
+    done = subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=timeout)
+    assert done.returncode == code
+    out = done.stdout if code == EXIT_OK else done.stderr
+    if isinstance(want, str):  # the whole output
+        assert out == want
+    else:  # lines among others
+        assert set(want) <= set(out.splitlines())

@@ -24,7 +24,7 @@ from peirce_lab.identities import (
 )
 from peirce_lab.magma import atom, enumerate_monomials
 from peirce_lab import poly
-from peirce_lab.peirce import _divided_difference
+from peirce_lab.peirce import _divided_difference, total_peirce_value
 from peirce_lab.poly import (
     ExactDivisionError,
     Poly1,
@@ -63,12 +63,16 @@ def test_rational_round_trip():
 
 @pytest.mark.parametrize("text", ["1e50000000", "1E50000000", " -2.5e+50000000 ", ".5e-50000000", "1_0e5_0000000"])
 def test_parse_rational_refuses_exponent_notation_before_fraction_reads_it(text):
-    # Fraction(text) would build an integer of about 166 million bits
-    start = time.perf_counter()
-    with pytest.raises(RationalSyntaxError) as exc:
-        parse_rational(text)
-    assert str(exc.value) == f"exponent notation in {text!r}"
-    assert time.perf_counter() - start < 1
+    # Fraction(text) would build an integer of about 166 million bits; the
+    # entry points that take number text read it through parse_rational
+    t = Poly1.t()
+    for read in (parse_rational, lambda s: Poly1({0: s}), t, lambda s: t.substitute("t", s),
+                 lambda s: total_peirce_value(atom(), [s], 1)):
+        start = time.perf_counter()
+        with pytest.raises(RationalSyntaxError) as exc:
+            read(text)
+        assert str(exc.value) == f"exponent notation in {text!r}"
+        assert time.perf_counter() - start < 1
 
 
 def test_poly_sums_the_terms_of_keys_that_name_one_exponent():
@@ -1009,6 +1013,14 @@ def test_equal_polynomials_built_by_different_paths_are_stored_alike():
         assert (f._ints, f._den) == ({}, 1) and f == 0 and hash(f) == hash(Poly1.zero())
     assert len({*half, *zero}) == 2
     assert Poly1({0: 1}) != Poly3({(0, 0, 0): 1}) and Poly1({1: 1}) != 1
+
+
+@pytest.mark.parametrize("value", [0, 2, Fraction(-1, 2), 2**100])
+def test_a_constant_hashes_as_the_number_it_equals(value):
+    # equal objects hash alike: {Poly1.const(2), 2} used to have two elements
+    for f in (Poly1.const(value), Poly3.const(value)):
+        assert f == value and hash(f) == hash(value)
+        assert len({f, value}) == 1
 
 
 def test_coeffs_is_a_new_fraction_dict_on_every_read():

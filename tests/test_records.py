@@ -169,25 +169,12 @@ def test_structure_algebra_is_an_immutable_hashable_record():
     assert alg != oracle
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # compared with a bare interpreter, so that a module a site hook loads
-    # does not count against the package
+def test_import_loads_none_of_dataclasses_inspect_and_typing():
+    # under -S no site hook runs, so a host's .pth file cannot load these
+    # first; annotations name collections.abc types, so no typing at run time
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peirce_lab.__file__)))
-    show = "import sys; print(*sorted(sys.modules))"
-
-    def modules(code):
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        return set(out.split())
-
-    bare = modules(show)
-    cli = modules("import peirce_lab.cli; " + show)
-    assert "peirce_lab.cli" in cli
-    assert {"dataclasses", "inspect"} & (cli - bare) == set()
-
-
-def test_import_does_not_load_typing():
-    # annotations name collections.abc types, so the package needs no typing at run time
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peirce_lab.__file__)))
-    subprocess.run([sys.executable, "-S", "-c", "import peirce_lab.cli, sys; assert 'typing' not in sys.modules"],
-                   env=env, check=True)
+    code = "import peirce_lab.cli, sys; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, capture_output=True, text=True)
+    modules = set(out.stdout.split())
+    assert "peirce_lab.cli" in modules
+    assert {"dataclasses", "inspect", "typing"} & modules == set()
