@@ -169,12 +169,20 @@ def test_structure_algebra_is_an_immutable_hashable_record():
     assert alg != oracle
 
 
-def test_import_loads_none_of_dataclasses_inspect_and_typing():
-    # under -S no site hook runs, so a host's .pth file cannot load these
-    # first; annotations name collections.abc types, so no typing at run time
+def _modules_after_importing_cli():
+    # under -S no site hook runs, so a host's .pth file cannot load a module first
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peirce_lab.__file__)))
     code = "import peirce_lab.cli, sys; print(*sorted(sys.modules))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, capture_output=True, text=True)
     modules = set(out.stdout.split())
     assert "peirce_lab.cli" in modules
-    assert {"dataclasses", "inspect", "typing"} & modules == set()
+    return modules
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert {"dataclasses", "inspect"} & _modules_after_importing_cli() == set()
+
+
+def test_import_does_not_load_typing():
+    # annotations name collections.abc types, so the package needs no typing at run time
+    assert "typing" not in _modules_after_importing_cli()
