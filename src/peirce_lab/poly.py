@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import reduce
 from math import gcd, isqrt, lcm
 from operator import add
 from itertools import chain
@@ -21,7 +20,6 @@ __all__ = [
     "Poly",
     "Poly1",
     "Poly3",
-    "ExactDivisionError",
     "RationalSyntaxError",
     "rational_roots",
     "parse_rational",
@@ -30,10 +28,6 @@ __all__ = [
 
 Scalar = int | Fraction
 Exponents = tuple[int, ...]
-
-
-class ExactDivisionError(ArithmeticError):
-    """A division expected to be exact left a nonzero remainder."""
 
 
 class RationalSyntaxError(ValueError):
@@ -170,8 +164,10 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        other = self._coerce(other) if getattr(other, "vars", self.vars) == self.vars else None
-        return other is not None and other._den == self._den and other._ints == self._ints
+        if getattr(other, "vars", self.vars) != self.vars:  # constants equal their values, whatever the variables
+            return other.degree < 1 and self == Fraction(sum(other._ints.values()), other._den)
+        other = self._coerce(other)
+        return other._den == self._den and other._ints == self._ints
 
     def __hash__(self) -> int:
         if self.degree < 1:  # a constant equals its value, so it hashes as that value
@@ -372,22 +368,20 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _divide_dense(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a/b when b divides a in Z[t], else ExactDivisionError."""
+def _divide_dense(a: list[int], b: list[int]) -> list[int] | None:
+    """The quotient a/b when b divides a in Z[t], else None."""
     rem = a[:]
     db, lead = len(b) - 1, b[-1]
     out = [0] * max(len(a) - db, 0)
     for i in reversed(range(len(out))):
         c, r = divmod(rem[i + db], lead)
         if r:
-            raise ExactDivisionError("nonzero remainder in exact division")
+            return None
         if c:
             out[i] = c
             for j in range(db):
                 rem[i + j] -= c * b[j]
-    if any(rem[:db]):
-        raise ExactDivisionError("nonzero remainder in exact division")
-    return out
+    return None if any(rem[:db]) else out
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -406,13 +400,13 @@ def _square_free(f: list[int]) -> list[int]:
     return f
 
 
-def _lift(g: list[int], x: int, p: int, lead: int, bound: int) -> int | None:
-    """The k with |k| <= bound and g(k / lead) = 0 for which k / lead is x
-    mod p, if there is one; x is a simple root of g mod p and p ∤ lead.
+def _lift(g: list[int], x: int, p: int, bound: int) -> int | None:
+    """The k with |k| <= bound and g(k / L) = 0 for which k / L is x mod p,
+    if there is one; L = lc(g), x is a simple root of g mod p and p ∤ L.
 
     Newton steps x -> x - g(x) / g'(x) mod m, squaring m each time, lift x
-    to the one p-adic root of g above it.  Once m > 2 * bound, lead * x mod
-    m read between -m/2 and m/2 is k.
+    to the one p-adic root of g above it.  Once m > 2 * bound, L * x mod m
+    read between -m/2 and m/2 is k.
     """
     m = p
     while m <= 2 * bound:
@@ -422,9 +416,9 @@ def _lift(g: list[int], x: int, p: int, lead: int, bound: int) -> int | None:
             v = v * x + c
         x = (x - v * pow(w, -1, m)) % (m * m)
         m *= m
-    k = lead * x % m
+    k = g[-1] * x % m
     k = k - m if 2 * k > m else k
-    return k if abs(k) <= bound and not _horner_hom(g, k, lead) else None
+    return k if abs(k) <= bound and not _horner_hom(g, k, g[-1]) else None
 
 
 def _lifted_roots(f: list[int]) -> list[Fraction]:
@@ -435,52 +429,33 @@ def _lifted_roots(f: list[int]) -> list[Fraction]:
     a denominator dividing L, so it is k/L with |k| <= K = L + max |a_i| by
     Cauchy's bound, and it has an image mod every prime p ∤ L.  Such primes
     are tried from 11 up, with no last one, and f mod p is evaluated at
-    0..p-1.  For a root r take the least m with f^(m)(r) != 0 mod p (r's
-    multiplicity mod p, when that is below p): r is a simple root of
-    f^(m-1), and by Hensel's lemma a rational root of f above r of
-    multiplicity >= m is the one root of f^(m-1) above it (`_lift`).  A
-    simple root lifts to at most one rational root.  A repeated root counts
-    only if it lifts to a root of f of multiplicity m, which then stands for
-    all m roots of f above r; otherwise the next prime is tried.  After two
-    such primes f is replaced once by its square-free part, whose roots are
-    simple mod every prime but the finitely many that divide its
-    discriminant, so the search ends.
+    0..p-1.  If every root r mod p is simple, f'(r) != 0 mod p, Hensel's
+    lemma gives r exactly one lift, so `_lift` finds every rational root,
+    each above its own r.  At the first prime with a repeated root f is
+    replaced once by its square-free part, which has a repeated root mod p
+    only for the finitely many p that divide its discriminant, so the
+    search ends.
     """
-    lead, bound = f[-1], f[-1] + max(map(abs, f[:-1]))
-    ders = [f, _derivative(f)]  # f and its derivatives, as far as needed
-    failed, p = 0, 9
+    square_free, p = False, 9
     while True:
         p += 2
-        if not lead % p or not all(p % d for d in range(3, isqrt(p) + 1, 2)):
+        if not f[-1] % p or not all(p % d for d in range(3, isqrt(p) + 1, 2)):
             continue
         fp = [c % p for c in reversed(f)]
-        roots = []  # (m, r): r a root of multiplicity m mod p
+        roots = []
         for r in range(p):
             acc = 0
             for c in fp:
                 acc = acc * r + c
             if not acc % p:
-                m = 1
-                # f^(m)(r) mod p by Horner, reduced at every step
-                while m < len(f) and not reduce(lambda acc, c: (acc * r + c) % p, reversed(ders[m]), 0):
-                    m += 1
-                    if m == len(ders):
-                        ders.append(_derivative(ders[-1]))
-                roots.append((m, r))
-        found = []
-        for m, r in sorted(roots, reverse=True):  # repeated roots first: they may reject p
-            k = None if m == len(f) else _lift(ders[m - 1], r, p, lead, bound)
-            if k is not None and all(not _horner_hom(d, k, lead) for d in ders[: m - 1]):
-                found.append(k)
-            elif m > 1:
-                break
-        else:
-            return [Fraction(k, lead) for k in sorted(found)]
-        failed += 1
-        if failed == 2:
-            f = _primitive(_square_free(f))
-            lead, bound = f[-1], f[-1] + max(map(abs, f[:-1]))
-            ders = [f, _derivative(f)]
+                roots.append(r)
+        df = _derivative(f)
+        if all(_horner_hom(df, r, 1) % p for r in roots):
+            bound = f[-1] + max(map(abs, f[:-1]))
+            found = (_lift(f, r, p, bound) for r in roots)
+            return sorted(Fraction(k, f[-1]) for k in found if k is not None)
+        if not square_free:
+            f, square_free = _primitive(_square_free(f)), True
 
 
 def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:

@@ -50,7 +50,6 @@ from peirce_lab.identities import (
 from peirce_lab.magma import atom, enumerate_monomials, fold, parse_monomial, plenary_power, principal_power
 from peirce_lab.peirce import _symbol_ints, peirce_poly, peirce_symbol
 from peirce_lab.poly import (
-    ExactDivisionError,
     Poly1,
     RationalSyntaxError,
     _cleared_coeffs,
@@ -59,7 +58,7 @@ from peirce_lab.poly import (
     format_rational,
     rational_roots,
 )
-from test_poly import _divide_exact_by_fractions
+from test_poly import InexactDivision, _divide_exact_by_fractions
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -680,7 +679,7 @@ def _fraction_spectrum_inclusion(identity, eigenvalues, residual):
     if residual.degree >= 1:
         try:
             _divide_exact_by_fractions(rho, Poly1(dict(enumerate(_square_free(_cleared_coeffs(residual)[0])))), "t")
-        except ExactDivisionError:
+        except InexactDivision:
             failures.append(f"L_c has non-rational spectral factor {residual.render()}")
     return tuple(failures)
 

@@ -883,6 +883,14 @@ _LINEARIZATIONS = (
     "all(verify_second_linearization(a, c, m, x, y, d).ok for x in d.eigenvalues for y in d.eigenvalues))"
 )
 
+# one of 2, 3 and 6 is a square mod every prime above 3, so the squared
+# quadratics have a repeated root mod every prime that the root finder may
+# use, and only its switch to the square-free part ends the search
+_SQUARED_QUADRATICS = (
+    "from peirce_lab.poly import Poly1, rational_roots; t = Poly1.t(); h = (t**2 - 2) * (t**2 - 3) * (t**2 - 6); "
+    "roots, residual = rational_roots((3 * t - 1) * h**2); print(roots, residual == 3 * h**2)"
+)
+
 
 @pytest.mark.parametrize(
     "argv, timeout, code, want",
@@ -901,6 +909,7 @@ _LINEARIZATIONS = (
         ([*_CLI, "verify", "--algebra", "jordan6.json", "--catalog", "jordan_power_assoc"], 20, EXIT_OK,
          ["eigenvalue 0  multiplicity 15", "eigenvalue 1/2  multiplicity 5", "verdict: pass"]),
         (["-c", _LINEARIZATIONS], 20, EXIT_OK, "True True\n"),
+        (["-c", _SQUARED_QUADRATICS], 20, EXIT_OK, "[(Fraction(1, 3), 1)] True\n"),
         ([*_CLI, "fusion", "--catalog", "principal_train", "--params", _TEN_ROOTS], 20, EXIT_OK,
          ["spectrum: -3, -2, -2/3, -1/2, -1/3, 1/3, 1/2, 2/3, 3/4, 1, 3/2, 3"]),
         ([*_CLI, "fusion", "--catalog", "principal_train", "--params", _TEN_ROOTS, "--mode", "metrized"], 20,
@@ -912,8 +921,9 @@ _LINEARIZATIONS = (
     ],
     ids=[
         "spectrum-61-bit-train", "spectrum-odd-primes-train", "verify-5000-trials", "verify-jordan-sym4-file",
-        "verify-jordan-sym6-file", "linearizations-of-z8-on-jordan-sym6", "fusion-10-root-train",
-        "fusion-10-root-train-metrized", "fusion-61-bit-train-metrized", "fusion-irrational-refusal",
+        "verify-jordan-sym6-file", "linearizations-of-z8-on-jordan-sym6", "roots-of-squared-quadratics",
+        "fusion-10-root-train", "fusion-10-root-train-metrized", "fusion-61-bit-train-metrized",
+        "fusion-irrational-refusal",
     ],
 )
 def test_hard_inputs_answer_within_their_time_limit(tmp_path, argv, timeout, code, want):

@@ -26,7 +26,6 @@ from peirce_lab.magma import atom, enumerate_monomials
 from peirce_lab import poly
 from peirce_lab.peirce import _divided_difference, total_peirce_value
 from peirce_lab.poly import (
-    ExactDivisionError,
     Poly1,
     Poly3,
     RationalSyntaxError,
@@ -421,24 +420,43 @@ def test_rational_roots_match_descartes_bisection(f):
         assert found == _roots_by_fraction_evaluation(f)
 
 
-def test_square_free_switch_only_after_two_failed_primes():
-    """A repeated rational root is lifted as a simple root of a derivative at
-    the first prime; f is made square-free only when two primes fail, here
-    because 1 and 144 = 1 + 11 * 13 meet mod 11 and mod 13, and not when
-    only 1 and 12 meet mod 11."""
+def test_square_free_part_only_after_a_root_repeats_mod_p():
+    """Roots simple mod 11 are lifted on f itself; the first prime with a
+    repeated root replaces f by its square-free part, once per call, here
+    for a cube and for 1 and 144 = 1 + 11 * 13, which meet mod 11 and 13."""
     t = Poly1.t()
     with mock.patch.object(poly, "_square_free", wraps=poly._square_free) as square_free:
-        assert rational_roots((3 * t - 2) ** 3 * (t**2 - 2)) == ([(Fraction(2, 3), 3)], 27 * (t**2 - 2))
-        assert rational_roots((t - 1) ** 2 * (t - 12) * (t**2 + 1)) == (
-            [(Fraction(1), 2), (Fraction(12), 1)],
-            t**2 + 1,
-        )
+        assert rational_roots((t - 1) * (t - 2) * (t**2 + 1)) == ([(Fraction(1), 1), (Fraction(2), 1)], t**2 + 1)
         assert square_free.call_count == 0
-        assert rational_roots((t - 1) ** 3 * (t - 144) * (t**2 - 2)) == (
-            [(Fraction(1), 3), (Fraction(144), 1)],
-            t**2 - 2,
-        )
-        assert square_free.call_count == 1
+        for f, want in [
+            ((3 * t - 2) ** 3 * (t**2 - 2), ([(Fraction(2, 3), 3)], 27 * (t**2 - 2))),
+            ((t - 1) ** 2 * (t - 12) * (t**2 + 1), ([(Fraction(1), 2), (Fraction(12), 1)], t**2 + 1)),
+            ((t - 1) ** 3 * (t - 144) * (t**2 - 2), ([(Fraction(1), 3), (Fraction(144), 1)], t**2 - 2)),
+            ((t - 1) * (t - 144) * (t**2 - 2), ([(Fraction(1), 1), (Fraction(144), 1)], t**2 - 2)),
+        ]:
+            square_free.reset_mock()
+            assert rational_roots(f) == want
+            assert square_free.call_count == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-20, 20).filter(bool), min_size=1, max_size=3, unique=True),  # 0 is split off first
+    st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+    st.sampled_from([Poly1.const(1), Poly1.t() ** 2 + 1, Poly1.t() ** 2 - 2, 3 * Poly1.t() ** 3 - 5]),
+    small_rationals.filter(bool),
+)
+def test_rational_roots_where_distinct_roots_meet_mod_11_and_13(roots, steps, cofactor, scale):
+    """Square-free products whose distinct roots k and k + 143 j meet mod 11
+    and mod 13: the first two primes each see a repeated root."""
+    t = Poly1.t()
+    f = cofactor * scale
+    for k in roots:
+        for j in (0, *steps):
+            f = f * (t - k - 143 * j)
+    with mock.patch.object(poly, "_square_free", wraps=poly._square_free) as square_free:
+        assert rational_roots(f) == _rational_roots_by_bisection(f)
+    assert square_free.call_count == 1
 
 
 _PRIMORIAL_1000 = _primorial(1000)
@@ -517,21 +535,13 @@ def _adversarial_cases():
             [(Fraction(1), 1), (Fraction(1 + _ODD_PRIMORIAL_48), 1)],
             t**2 + 1,
         ),
-        # a cube: its root is a simple root of f'' mod every prime but 2, 3 and 7
+        # a cube: its root repeats mod every prime
         (
             (3 * t - 2) ** 3 * (t**2 - 2),
             [(Fraction(2, 3), 3)],
             27 * (t**2 - 2),
         ),
-        # one of 2, 3 and 6 is a square mod every prime above 3, so the
-        # squared quadratics have a repeated root mod every prime that may be
-        # used, and only the square-free part ends the search
-        (
-            (3 * t - 1) * ((t**2 - 2) * (t**2 - 3) * (t**2 - 6)) ** 2,
-            [(Fraction(1, 3), 1)],
-            3 * ((t**2 - 2) * (t**2 - 3) * (t**2 - 6)) ** 2,
-        ),
-        # a cube whose root meets 144 mod 11 and mod 13: the square-free switch
+        # a cube whose root meets 144 mod 11 and mod 13
         (
             (t - 1) ** 3 * (t - 144) * (t**2 - 2),
             [(Fraction(1), 3), (Fraction(144), 1)],
@@ -878,6 +888,10 @@ class _FractionPoly:
         return "".join(parts)
 
 
+class InexactDivision(ArithmeticError):
+    """Long division left a nonzero remainder."""
+
+
 def _divide_exact_by_fractions(f, g, name):
     i = f.vars.index(name)
     lead = max(g.coeffs, key=itemgetter(i))
@@ -885,7 +899,7 @@ def _divide_exact_by_fractions(f, g, name):
     while rem:
         top = max(rem, key=itemgetter(i))
         if top[i] < lead[i]:
-            raise ExactDivisionError("nonzero remainder in exact division")
+            raise InexactDivision(f"{g} does not divide {f}")
         shift = top[:i] + (top[i] - lead[i],) + top[i + 1 :]
         c = out[shift] = rem[top] / g.coeffs[lead]
         for gk, gc in g.coeffs.items():
@@ -1012,15 +1026,20 @@ def test_equal_polynomials_built_by_different_paths_are_stored_alike():
     for f in zero:
         assert (f._ints, f._den) == ({}, 1) and f == 0 and hash(f) == hash(Poly1.zero())
     assert len({*half, *zero}) == 2
-    assert Poly1({0: 1}) != Poly3({(0, 0, 0): 1}) and Poly1({1: 1}) != 1
+    assert Poly1({1: 1}) != Poly3({(1, 0, 0): 1}) and Poly1({1: 1}) != 1
 
 
 @pytest.mark.parametrize("value", [0, 2, Fraction(-1, 2), 2**100])
 def test_a_constant_hashes_as_the_number_it_equals(value):
-    # equal objects hash alike: {Poly1.const(2), 2} used to have two elements
-    for f in (Poly1.const(value), Poly3.const(value)):
+    # equal objects hash alike: {Poly1.const(2), 2} used to have two elements;
+    # and constants equal each other whatever their variables, so that == stays
+    # transitive: {2, Poly1.const(2), Poly3.const(2)} had two elements in one order
+    consts = [Poly1.const(value), Poly3.const(value), poly.Poly({(): value}, ()), poly.Poly({(0, 0): value}, "xy")]
+    for f in consts:
         assert f == value and hash(f) == hash(value)
         assert len({f, value}) == 1
+        assert all(f == g for g in consts) and f != Poly1.t() + value and f != Poly3.var("a") + value
+    assert len({value, *consts}) == len({*consts, value}) == 1
 
 
 def test_coeffs_is_a_new_fraction_dict_on_every_read():
