@@ -121,7 +121,7 @@ def _fusion_payload(table: identities.FusionTable) -> dict:
             {
                 "lam": format_rational(lam),
                 "mu": format_rational(mu),
-                "allowed": sorted(format_rational(v) for v in table.entries[(lam, mu)]),
+                "allowed": [format_rational(v) for v in sorted(table.entries[(lam, mu)])],
             }
             for (lam, mu) in sorted(table.entries)
         ],

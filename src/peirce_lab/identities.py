@@ -230,6 +230,48 @@ class FusionTable(_Record):
         return self.entries[key]
 
 
+class _FusionEntries(Mapping):
+    """The entries of a computed FusionTable: a read-only mapping from
+    (lam_i, lam_j), i <= j, to the allowed set, stored by position.
+
+    sets holds the allowed sets in grid order (row i, then j >= i), which is
+    also the order of iteration, and index maps each eigenvalue to its
+    position, so building the entries hashes no key and a lookup hashes only
+    the caller's lam and mu.  It reads as the dict of the same pairs would:
+    ==, repr, len, in, get and KeyError (a reversed pair, a value that is not
+    an eigenvalue, a key that is not a pair); assignment raises TypeError.
+    """
+
+    __slots__ = ("_eigenvalues", "_index", "_sets")
+
+    def __init__(self, eigenvalues: tuple[Fraction, ...], index: dict, sets: tuple):
+        self._eigenvalues = eigenvalues
+        self._index = index
+        self._sets = sets
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2:
+            i, j = self._index.get(key[0], -1), self._index.get(key[1], -1)
+            if 0 <= i <= j:  # row i starts at i*n - i*(i-1)/2 and holds j >= i
+                return self._sets[i * (2 * len(self._eigenvalues) - i - 1) // 2 + j]
+        else:
+            hash(key)  # an unhashable key raises TypeError, as in a dict
+        raise KeyError(key)
+
+    def __iter__(self):
+        ev = self._eigenvalues
+        return ((lam, mu) for i, lam in enumerate(ev) for mu in ev[i:])
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self, self._sets)))
+
+    def __reduce__(self):
+        return self.__class__, (self._eigenvalues, self._index, self._sets)
+
+
 def make_identity(
     terms: Iterable[IdentityTerm | tuple],
     name: str | None = None,
@@ -310,10 +352,12 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
 def _zero_grid(identity: WeightedIdentity) -> tuple:
     """What both fusion modes read, decided once per identity: (eigenvalues,
-    grid, one, half, simple, singletons), or (exception class, message) for an
-    identity without a table.  The eigenvalues are the rational roots of rho
-    and 1; grid holds ((i, j), {k : Y(lam_i, lam_j, lam_k) == 0}) for i <= j;
-    one, half and simple index 1, 1/2 (-1 if absent) and the simple roots.
+    grid, one, half, simple, singletons, index), or (exception class, message)
+    for an identity without a table.  The eigenvalues are the rational roots of
+    rho and 1; grid holds ((i, j), {k : Y(lam_i, lam_j, lam_k) == 0}) for
+    i <= j; one, half and simple index 1, 1/2 (-1 if absent) and the simple
+    roots; index maps each eigenvalue to its position, and every table of the
+    identity shares it without writing to it.
 
     Y is packed at the eigenvalues: each p^e of D*Y becomes P_e = sum_k num_k^e
     den_k^(dp-e) 2^(w k), so slot k of the int that `_symbol_slices` gives for
@@ -354,7 +398,11 @@ def _zero_grid(identity: WeightedIdentity) -> tuple:
             grid.append(((i, j), frozenset(found)))
     half = fracs.index((1, 2)) if (1, 2) in fracs else -1
     simple = frozenset(k for k, (_, mult) in enumerate(roots) if mult == 1)
-    return eigenvalues, tuple(grid), one, half, simple, tuple(frozenset((v,)) for v in eigenvalues)
+    singletons = tuple(frozenset((v,)) for v in eigenvalues)
+    index: dict[Fraction, int] = {}
+    for k, v in enumerate(singletons):  # a dict built from a set reuses its stored hashes
+        index.update(dict.fromkeys(v, k))
+    return eigenvalues, tuple(grid), one, half, simple, singletons, index
 
 
 def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTable:
@@ -372,12 +420,12 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
     grid = _zero_grid(identity)
     if len(grid) == 2:  # no table: a fresh exception on every call
         raise grid[0](grid[1])
-    eigenvalues, zeros, one, half, simple, singletons = grid
+    eigenvalues, zeros, one, half, simple, singletons, index = grid
 
     # one frozenset of eigenvalues per distinct allowed set of indices, built
     # as a union of singletons, which reuses their stored hashes
     as_values: dict[frozenset[int], frozenset[Fraction]] = {}
-    entries: dict[tuple[Fraction, Fraction], frozenset[Fraction]] = {}
+    sets: list[frozenset[Fraction]] = []
     for (i, j), y_zeros in zeros:
         if mode == "generic":
             allowed = y_zeros | {one, i, j}
@@ -394,7 +442,7 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
         values = as_values.get(allowed)
         if values is None:
             values = as_values[allowed] = frozenset().union(*map(singletons.__getitem__, allowed))
-        entries[(eigenvalues[i], eigenvalues[j])] = values
+        sets.append(values)
 
     refinements = ()
     if mode == "metrized_orthogonal":
@@ -402,7 +450,7 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
             "b-orthogonal Peirce components",
             "first-order weight terms vanish off A_c(1)",
         )
-    return FusionTable(eigenvalues, entries, mode, refinements)
+    return FusionTable(eigenvalues, _FusionEntries(eigenvalues, index, tuple(sets)), mode, refinements)
 
 
 def multiply_identities(p1: WeightedIdentity, p2: WeightedIdentity) -> WeightedIdentity:

@@ -147,6 +147,41 @@ def test_fusion_metrized_table(capsys):
     assert "1/2 * 1/2 = {-1, -1/2, 1}" in out
 
 
+# every catalog family with a rational spectrum, with parameters where it needs them
+_RATIONAL_FAMILIES = [
+    ["--catalog", "bernstein"],
+    ["--catalog", "hsiang"],
+    ["--catalog", "jordan_power_assoc"],
+    ["--catalog", "pseudo_composition"],
+    ["--catalog", "walcher"],
+    ["--catalog", "nourigat_varro", "--params", "a1=1,a2=1,b1=1,b2=1,b3=0"],
+    ["--catalog", "principal_train", "--params", "gamma=1:-2:-1:2"],
+    ["--catalog", "plenary_train", "--params", "gamma=1:-2:-1:2"],
+]
+
+
+@pytest.mark.parametrize("mode", ["generic", "metrized"])
+@pytest.mark.parametrize("family", _RATIONAL_FAMILIES, ids=lambda argv: argv[1])
+def test_fusion_json_lists_allowed_sets_in_the_text_order(capsys, family, mode):
+    """Both outputs list each allowed set in increasing numeric order, so
+    `0 * 1/2 = {1/2, 1}` is ["1/2", "1"] in JSON, not the string order."""
+    code, out, _ = run(capsys, "fusion", *family, "--mode", mode)
+    assert code == EXIT_OK
+    text = {}
+    for line in out.splitlines():
+        if " * " in line:
+            pair, body = line.split(" = ")
+            text[pair] = body.strip("{}").split(", ") if body != "{}" else []
+    code, payload = run_json(capsys, "fusion", *family, "--mode", mode)
+    assert code == EXIT_OK
+    entries = payload["fusion"]["entries"]
+    assert {f"{e['lam']} * {e['mu']}": e["allowed"] for e in entries} == text
+    for e in entries:
+        assert e["allowed"] == sorted(e["allowed"], key=Fraction)
+    if family == ["--catalog", "jordan_power_assoc"] and mode == "generic":
+        assert {"lam": "0", "mu": "1/2", "allowed": ["1/2", "1"]} in entries
+
+
 def test_fusion_degenerate_exit_3(capsys):
     code, _, err = run(capsys, "fusion", "--catalog", "elduque_labra")
     assert code == EXIT_VALIDATION_ERROR

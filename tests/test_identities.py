@@ -1,10 +1,13 @@
 """Weighted identities: validation, spectra, symbols, fusion, catalog, products."""
 
+import copy
 import inspect
 import json
+import pickle
 import random
 import re
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -697,11 +700,14 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     assert counts == {"rational_roots": 1, "_symbol_slices": 7}
     assert len(report.roots) == 6 and report.peirce_poly is rho
     assert generic.spectrum == metrized.spectrum and len(generic.spectrum) == 7
-    # the cached results are immutable
-    eigenvalues, grid, _, _, simple, singletons = identities._zero_grid(ident)
+    # the cached results are immutable, but for the position index, which
+    # both tables share and neither writes to
+    eigenvalues, grid, _, _, simple, singletons, index = identities._zero_grid(ident)
     assert isinstance(eigenvalues, tuple) and isinstance(grid, tuple)
     assert all(isinstance(zeros, frozenset) for _, zeros in grid)
     assert isinstance(simple, frozenset) and isinstance(singletons, tuple)
+    assert index == {v: k for k, v in enumerate(eigenvalues)}
+    assert generic.entries._index is index and metrized.entries._index is index
     assert sym == _symbol_by_growing_sum(ident)
 
 
@@ -833,3 +839,100 @@ def test_fusion_table_matches_the_per_triple_definition(ident, scale):
     assume(not report.degenerate and report.residual.degree < 1)
     for mode in ("generic", "metrized_orthogonal"):
         assert fusion_table(ident, mode=mode) == _fusion_by_definition(ident, mode)
+
+
+def _entries_by_dict(identity, mode):
+    """The entries as a dict keyed by (lam, mu), built by the loop that
+    fusion_table ran before its entries were stored by position."""
+    eigenvalues, zeros, one, half, simple, singletons, _ = identities._zero_grid(identity)
+    as_values = {}
+    entries = {}
+    for (i, j), y_zeros in zeros:
+        if mode == "generic":
+            allowed = y_zeros | {one, i, j}
+            if j == half and i in simple:
+                allowed -= {i}
+            if i == half and j in simple:
+                allowed -= {j}
+        elif one in (i, j):
+            allowed = frozenset((j if i == one else i,))
+        elif i == j:
+            allowed = y_zeros | {one}
+        else:
+            allowed = y_zeros
+        values = as_values.get(allowed)
+        if values is None:
+            values = as_values[allowed] = frozenset().union(*map(singletons.__getitem__, allowed))
+        entries[(eigenvalues[i], eigenvalues[j])] = values
+    return entries
+
+
+_NOT_KEYS = [(Fraction(7, 11), ONE), (ONE, Fraction(7, 11)), (0.1, 0.1), (ONE,), (ONE, ONE, ONE), ONE, "ab", None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIONAL_SPECTRUM_IDENTITIES, st.sampled_from(["generic", "metrized_orthogonal"]))
+def test_position_keyed_entries_read_as_the_dict(ident, mode):
+    assume(ident is not None)
+    report = spectrum(ident)
+    assume(not report.degenerate and report.residual.degree < 1)
+    entries, want = fusion_table(ident, mode=mode).entries, _entries_by_dict(ident, mode)
+    assert type(entries) is not dict and isinstance(entries, Mapping)
+    assert entries == want and want == entries and not entries != want
+    assert list(entries) == list(want) and list(entries.items()) == list(want.items())
+    assert list(entries.values()) == list(want.values())
+    assert repr(entries) == repr(want) and len(entries) == len(want)
+    for lam, mu in want:
+        assert (lam, mu) in entries and entries.get((lam, mu)) is entries[lam, mu]
+        if mu.denominator in (1, 2):  # an int or a float equal to an eigenvalue finds it
+            assert entries[lam, float(mu)] == want[lam, float(mu)]
+        if lam != mu:
+            reversed_pair = (mu, lam)
+            assert reversed_pair not in entries and entries.get(reversed_pair, "-") == "-"
+            with pytest.raises(KeyError) as info:
+                entries[reversed_pair]
+            assert info.value.args == (reversed_pair,)
+    for key in _NOT_KEYS:
+        assert (key in entries) is (key in want) is False
+        with pytest.raises(KeyError):
+            entries[key]
+    for unhashable in ([ONE, ONE], ([ONE], ONE)):
+        with pytest.raises(TypeError):
+            entries[unhashable]
+        with pytest.raises(TypeError):
+            want[unhashable]
+    with pytest.raises(TypeError):
+        hash(entries)
+    with pytest.raises(TypeError):
+        entries[next(iter(want))] = frozenset()
+    # a copied frozenset may list its elements in another order, so each copy
+    # is compared with the same copy of the dict
+    for copier in (copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+        copied, copied_want = copier(entries), copier(want)
+        assert type(copied) is type(entries) and copied == want
+        assert list(copied) == list(want) and repr(copied) == repr(copied_want)
+    table = fusion_table(ident, mode=mode)
+    assert pickle.loads(pickle.dumps(table)) == table == FusionTable(table.spectrum, want, mode, table.refinements_applied)
+    for lam, mu in want:
+        assert table.allowed(mu, lam) is table.allowed(lam, mu) is table.entries[lam, mu]
+
+
+def test_building_a_table_hashes_no_fraction(monkeypatch):
+    """Once the grid of an identity is cached, neither mode hashes a Fraction;
+    a lookup hashes only the two values asked for."""
+    ident = _planted_train("principal_train", [Fraction(-3), Fraction(-1, 3), Fraction(2, 5), Fraction(3, 2)])
+    _clear_identity_caches()
+    fusion_table(ident)
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    tables = [fusion_table(ident, mode=mode) for mode in ("generic", "metrized_orthogonal")]
+    assert calls == []
+    key = (Fraction(-1, 3), Fraction(3, 2))
+    assert tables[0].entries[key] == tables[0].allowed(*key)
+    assert calls == [*key, *key]

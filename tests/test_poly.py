@@ -603,7 +603,7 @@ def _zero_grid_by_evaluation(ident):
     grid = tuple(((index[lam], index[mu]), frozenset(map(index.get, z))) for (lam, mu), z in zeros.items())
     simple = frozenset(index[r] for r, m in report.roots if m == 1)
     singletons = tuple(frozenset((v,)) for v in values)
-    return values, grid, index[Fraction(1)], index.get(Fraction(1, 2), -1), simple, singletons
+    return values, grid, index[Fraction(1)], index.get(Fraction(1, 2), -1), simple, singletons, index
 
 
 _GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
