@@ -2,79 +2,13 @@
 fusion tables of commutative nonassociative algebra identities, with
 cross-validation on concrete finite-dimensional algebras."""
 
-from .magma import (
-    MAX_ENUMERATION_DEGREE,
-    Monomial,
-    MonomialSyntaxError,
-    atom,
-    enumerate_monomials,
-    format_monomial,
-    parse_monomial,
-    plenary_power,
-    power,
-    principal_power,
-    product,
-)
-from .poly import Poly1, Poly3, rational_roots
-from .peirce import (
-    half_specialization,
-    peirce_poly,
-    peirce_symbol,
-    plenary_peirce_closed,
-    plenary_symbol_closed,
-    principal_peirce_closed,
-    principal_symbol_closed,
-    total_peirce_value,
-)
-from .identities import (
-    CatalogParameterError,
-    DegenerateIdentity,
-    EmptyIdentity,
-    FusionTable,
-    IdentityTerm,
-    InvalidWeight,
-    IrrationalSpectrum,
-    SpectrumReport,
-    WeightDescriptor,
-    WeightedIdentity,
-    ZeroSumViolation,
-    baric_weight,
-    bilinear_weight,
-    catalog,
-    catalog_names,
-    constant_weight,
-    fusion_table,
-    identity_from_json,
-    identity_peirce_poly,
-    identity_symbol,
-    identity_to_json,
-    make_identity,
-    multiply_identities,
-    spectrum,
-    train_closed_forms,
-)
-from .algebras import (
-    PeirceDecomposition,
-    StructureAlgebra,
-    UnrealizableWeight,
-    algebra_from_json,
-    algebra_to_json,
-    build_algebra,
-    builder_names,
-    char_poly,
-    dimension_constraints_check,
-    eigen_decomposition,
-    evaluate_monomial,
-    fusion_empirical,
-    hsiang_tracefree_sym3,
-    jordan_sym,
-    linearize,
-    second_linearization,
-    spectrum_inclusion_check,
-    spin_factor,
-    verify_first_linearization,
-    verify_identity,
-    verify_second_linearization,
-)
+# Each module's __all__ is its one list of public names; the package exports their union.
+from . import algebras, identities, magma, peirce, poly
+from .magma import *
+from .poly import *
+from .peirce import *
+from .identities import *
+from .algebras import *
 
+__all__ = [*magma.__all__, *poly.__all__, *peirce.__all__, *identities.__all__, *algebras.__all__]
 __version__ = "1.0.0"

@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 from operator import mul, sub
 
 from ._record import _Record, _set
-from .identities import DegenerateIdentity, WeightedIdentity, _field, _json_object, identity_peirce_poly
+from .identities import DegenerateIdentity, WeightedIdentity, _field, _json_name, _json_object, identity_peirce_poly
 from .magma import Monomial, atom, fold
 from .peirce import peirce_poly, peirce_symbol
 from .poly import (
@@ -45,12 +45,14 @@ from .poly import (
 __all__ = [
     "StructureAlgebra",
     "PeirceDecomposition",
+    "VerificationReport",
     "UnrealizableWeight",
     "jordan_sym",
     "spin_factor",
     "hsiang_tracefree_sym3",
     "builder_names",
     "build_algebra",
+    "null_space",
     "char_poly",
     "eigen_decomposition",
     "evaluate_monomial",
@@ -947,9 +949,7 @@ def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise TypeError(f"dim must be a JSON integer, got {json.dumps(dim)}")
-    name = obj.get("name", "")
-    if name is not None and not isinstance(name, str):
-        raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
+    name = _json_name(obj, "")
     # null means absent; an empty list goes on to the length checks
     form, weight, memo = obj.get("bilinear_form"), obj.get("weight"), {}
     return StructureAlgebra(

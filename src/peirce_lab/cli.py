@@ -23,6 +23,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 
+# What a command returns: its text lines, its --json payload and its exit code.
+Report = tuple[list[str], dict, int]
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -93,114 +96,82 @@ def _is_bare_monomial(args) -> bool:
     return getattr(args, "source", None) is not None and not args.catalog and not args.identity
 
 
-def _emit(args, text_lines: list[str], payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _spectrum_payload(report: identities.SpectrumReport) -> dict:
     return {
         "peirce_poly": report.peirce_poly.render(),
         "degenerate": report.degenerate,
-        "roots": [
-            {"root": format_rational(r), "multiplicity": m} for r, m in report.roots
-        ],
+        "roots": [{"root": format_rational(r), "multiplicity": m} for r, m in report.roots],
         "residual": report.residual.render(),
     }
 
 
 def _fusion_payload(table: identities.FusionTable) -> dict:
+    """The table with the entries and every set in increasing order; cmd_fusion prints these rows."""
     return {
         "mode": table.mode,
         "spectrum": [format_rational(v) for v in table.spectrum],
         "preconditions": list(table.refinements_applied),
         "entries": [
-            {
-                "lam": format_rational(lam),
-                "mu": format_rational(mu),
-                "allowed": [format_rational(v) for v in sorted(table.entries[(lam, mu)])],
-            }
+            {"lam": format_rational(lam), "mu": format_rational(mu),
+             "allowed": [format_rational(v) for v in sorted(table.entries[(lam, mu)])]}
             for (lam, mu) in sorted(table.entries)
         ],
     }
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args) -> Report:
     identity = _read_identity(args)
     rho = identities.identity_peirce_poly(identity)
     lines = [f"rho = {rho.render()}"]
     payload = {"command": "poly", "input": str(identity), "rho": rho.render()}
     if not _is_bare_monomial(args):
-        report = identities.spectrum(identity)
-        payload["spectrum"] = _spectrum_payload(report)
-        if report.degenerate:
+        spec = payload["spectrum"] = _spectrum_payload(identities.spectrum(identity))
+        if spec["degenerate"]:
             lines.append("degenerate: true")
         else:
-            lines.append(
-                "roots: "
-                + ", ".join(
-                    f"{format_rational(r)} (x{m})" if m > 1 else format_rational(r)
-                    for r, m in report.roots
-                )
-            )
-    _emit(args, lines, payload)
-    return EXIT_OK
+            lines.append("roots: " + ", ".join(
+                f"{r['root']} (x{r['multiplicity']})" if r["multiplicity"] > 1 else r["root"]
+                for r in spec["roots"]
+            ))
+    return lines, payload, EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> Report:
     identity = _read_identity(args)
     report = identities.spectrum(identity)
-    lines = [f"rho = {report.peirce_poly.render()}"]
-    if report.degenerate:
+    spec = _spectrum_payload(report)
+    lines = [f"rho = {spec['peirce_poly']}"]
+    if spec["degenerate"]:
         lines.append("degenerate: true")
     else:
-        for root, mult in report.roots:
-            lines.append(f"root {format_rational(root)}  multiplicity {mult}")
+        lines.extend(f"root {r['root']}  multiplicity {r['multiplicity']}" for r in spec["roots"])
         if report.residual.degree >= 1:
-            lines.append(f"non-rational factor: {report.residual.render()}")
-    payload = {
-        "command": "spectrum",
-        "input": str(identity),
-        "spectrum": _spectrum_payload(report),
-    }
-    _emit(args, lines, payload)
-    return EXIT_OK
+            lines.append(f"non-rational factor: {spec['residual']}")
+    return lines, {"command": "spectrum", "input": str(identity), "spectrum": spec}, EXIT_OK
 
 
-def cmd_symbol(args) -> int:
+def cmd_symbol(args) -> Report:
     identity = _read_identity(args)
-    sym = identities.identity_symbol(identity)
+    sym = identities.identity_symbol(identity).render()
     label = "D" if _is_bare_monomial(args) else "Y"
-    lines = [f"{label} = {sym.render()}"]
-    payload = {"command": "symbol", "input": str(identity), "symbol": sym.render()}
-    _emit(args, lines, payload)
-    return EXIT_OK
+    return [f"{label} = {sym}"], {"command": "symbol", "input": str(identity), "symbol": sym}, EXIT_OK
 
 
-def cmd_fusion(args) -> int:
+def cmd_fusion(args) -> Report:
     identity = _read_identity(args)
     mode = "metrized_orthogonal" if args.mode == "metrized" else "generic"
     try:
-        table = identities.fusion_table(identity, mode=mode)
+        fusion = _fusion_payload(identities.fusion_table(identity, mode=mode))
     except (identities.DegenerateIdentity, identities.IrrationalSpectrum) as exc:
         raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
-    lines = [f"mode: {table.mode}"]
-    for pre in table.refinements_applied:
-        lines.append(f"precondition: {pre}")
-    lines.append("spectrum: " + ", ".join(format_rational(v) for v in table.spectrum))
-    for (lam, mu) in sorted(table.entries):
-        allowed = sorted(table.entries[(lam, mu)])
-        body = "{" + ", ".join(format_rational(v) for v in allowed) + "}"
-        lines.append(f"{format_rational(lam)} * {format_rational(mu)} = {body}")
-    payload = {"command": "fusion", "input": str(identity), "fusion": _fusion_payload(table)}
-    _emit(args, lines, payload)
-    return EXIT_OK
+    lines = [f"mode: {fusion['mode']}"]
+    lines.extend(f"precondition: {pre}" for pre in fusion["preconditions"])
+    lines.append("spectrum: " + ", ".join(fusion["spectrum"]))
+    lines.extend(f"{e['lam']} * {e['mu']} = {{{', '.join(e['allowed'])}}}" for e in fusion["entries"])
+    return lines, {"command": "fusion", "input": str(identity), "fusion": fusion}, EXIT_OK
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> Report:
     max_degree = magma.MAX_ENUMERATION_DEGREE
     env = os.environ.get("PEIRCE_LAB_MAX_DEGREE")
     if env:
@@ -217,8 +188,7 @@ def cmd_enumerate(args) -> int:
     texts = [magma.format_monomial(m) for m in monomials]
     lines = texts + [f"count: {len(texts)}"]
     payload = {"command": "enumerate", "degree": args.degree, "count": len(texts), "monomials": texts}
-    _emit(args, lines, payload)
-    return EXIT_OK
+    return lines, payload, EXIT_OK
 
 
 def _load_algebra(args) -> algebras.StructureAlgebra:
@@ -247,7 +217,7 @@ def _load_algebra(args) -> algebras.StructureAlgebra:
         raise _CliError(f"invalid algebra: {exc}", EXIT_VALIDATION_ERROR)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     if args.trials < 1:
         raise _CliError(f"--trials must be at least 1, got {args.trials}", EXIT_PARSE_ERROR)
     algebra = _load_algebra(args)
@@ -261,66 +231,69 @@ def cmd_verify(args) -> int:
     c = algebra.idempotents[args.idempotent]
     if not any(c):
         raise _CliError(f"idempotent {args.idempotent} is the zero vector", EXIT_VALIDATION_ERROR)
-    checks: list[tuple[str, bool, list[str]]] = []
 
     ok_idem = algebra.is_idempotent(c)
-    checks.append(("idempotent", ok_idem, [] if ok_idem else ["c*c != c"]))
+    checks = [{"name": "idempotent", "ok": ok_idem, "failures": [] if ok_idem else ["c*c != c"]}]
 
     try:
         id_report = algebras.verify_identity(algebra, identity, trials=args.trials)
     except algebras.UnrealizableWeight as exc:
         raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
-    checks.append(("identity holds", id_report.ok, list(id_report.failures)))
+    checks.append({"name": "identity holds", "ok": id_report.ok, "failures": list(id_report.failures)})
 
-    spectrum_lines: list[str] = []
+    eigenvalues: list[dict] = []
+    notes: list[str] = []
+    fusion_notes_from = 0  # the text prints a skipped fusion check after the eigenvalues
     if ok_idem and id_report.ok:
         decomp = algebras.eigen_decomposition(algebra, c)
         try:
             sp = algebras.spectrum_inclusion_check(algebra, c, identity, decomp)
-            checks.append(("spectrum inclusion", sp.ok, list(sp.failures)))
+            checks.append({"name": "spectrum inclusion", "ok": sp.ok, "failures": list(sp.failures)})
         except ValueError as exc:  # DegenerateIdentity included
-            spectrum_lines.append(f"spectrum inclusion skipped: {exc}")
-        for lam in decomp.eigenvalues:
-            spectrum_lines.append(
-                f"eigenvalue {format_rational(lam)}  multiplicity {decomp.multiplicity(lam)}"
-            )
+            notes.append(f"spectrum inclusion skipped: {exc}")
+        eigenvalues = [
+            {"eigenvalue": format_rational(lam), "multiplicity": decomp.multiplicity(lam)}
+            for lam in decomp.eigenvalues
+        ]
+        fusion_notes_from = len(notes)
         try:
             table = identities.fusion_table(identity, mode="generic")
             fu = algebras.fusion_empirical(algebra, c, table, decomp)
-            checks.append(("empirical fusion within generic table", fu.ok, list(fu.failures)))
+            checks.append({"name": "empirical fusion within generic table", "ok": fu.ok,
+                           "failures": list(fu.failures)})
         except ValueError as exc:  # DegenerateIdentity included
-            spectrum_lines.append(f"fusion check skipped: {exc}")
+            notes.append(f"fusion check skipped: {exc}")
 
-    all_ok = all(ok for _, ok, _ in checks)
+    all_ok = all(row["ok"] for row in checks)
     lines = []
-    for name, ok, failures in checks:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}")
-        lines.extend(f"    {f}" for f in failures[:5])
-    lines.extend(spectrum_lines)
+    for row in checks:
+        lines.append(f"[{'PASS' if row['ok'] else 'FAIL'}] {row['name']}")
+        lines.extend(f"    {f}" for f in row["failures"][:5])
+    lines.extend(notes[:fusion_notes_from])
+    lines.extend(f"eigenvalue {e['eigenvalue']}  multiplicity {e['multiplicity']}" for e in eigenvalues)
+    lines.extend(notes[fusion_notes_from:])
     lines.append("verdict: " + ("pass" if all_ok else "fail"))
     payload = {
         "command": "verify",
         "algebra": algebra.name or args.algebra,
         "identity": str(identity),
         "idempotent": args.idempotent,
-        "checks": [
-            {"name": name, "ok": ok, "failures": failures} for name, ok, failures in checks
-        ],
+        "checks": checks,
+        "eigenvalues": eigenvalues,
+        "notes": notes,
         "pass": all_ok,
     }
-    _emit(args, lines, payload)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return lines, payload, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> Report:
     names, builders = identities.catalog_names(), algebras.builder_names()
     payload = {"command": "catalog list", "identities": names, "builders": builders}
     lines = ["identities:"]
     lines.extend(f"  {n}" for n in names)
     lines.append("builders:")
     lines.extend(f"  {n}" for n in builders)
-    _emit(args, lines, payload)
-    return EXIT_OK
+    return lines, payload, EXIT_OK
 
 
 def _add_identity_source(parser, positional: bool = True) -> None:
@@ -377,13 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and print its report: the text lines, or the payload under --json."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        lines, payload, code = args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

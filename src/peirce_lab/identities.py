@@ -769,6 +769,14 @@ def _field(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+def _json_name(obj: Mapping, default: str | None = None) -> str | None:
+    """obj["name"], or default if it is absent; a name must be a string or null."""
+    name = obj.get("name", default)
+    if name is not None and not isinstance(name, str):
+        raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
+    return name
+
+
 def _json_object(obj: Mapping | str) -> Mapping:
     """obj, decoded from JSON text once if it is a str; it must be an object.
 
@@ -785,7 +793,7 @@ def _json_object(obj: Mapping | str) -> Mapping:
 
 def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
     obj = _json_object(obj)
-    raw, name = _field(obj, "terms", "the top-level object"), obj.get("name")
+    raw = _field(obj, "terms", "the top-level object")
     if not isinstance(raw, list):
         raise TypeError(f"terms must be a JSON list, got {json.dumps(raw)}")
     for i, t in enumerate(raw):
@@ -795,8 +803,7 @@ def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
             raise TypeError(f"terms[{i}].weight must be a JSON object, got {json.dumps(t['weight'])}")
         if t.get("weight") and "kind" not in t["weight"]:  # {} alone is the constant weight
             raise ValueError(f"terms[{i}].weight has no \"kind\", got {json.dumps(t['weight'])}")
-    if name is not None and not isinstance(name, str):
-        raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
+    name = _json_name(obj)
     terms = [
         IdentityTerm(
             parse_rational(_field(t, "coeff", f"terms[{i}]")),

@@ -55,6 +55,8 @@ def parse_rational(text: str) -> Fraction:
 
 def _rational(v: "str | Scalar") -> Fraction:
     """v as a Fraction, text read by parse_rational, which refuses exponent notation."""
+    if isinstance(v, (float, bool)):  # Fraction(0.1) is 3602879701896397/2^55, and True is 1
+        raise TypeError(f"expected an int, a Fraction or text, not the {type(v).__name__} {v!r}")
     return parse_rational(v) if isinstance(v, str) else Fraction(v)
 
 

@@ -169,6 +169,14 @@ def test_hsiang_dimension_constraints():
     assert report.ok, report.failures
 
 
+def test_dimension_constraints_name_each_failure():
+    # jordan_sym3 at E_00 has the spectrum {0, 1/2, 1}: no -1 or -1/2 components
+    alg = jordan_sym(3)
+    report = dimension_constraints_check(eigen_decomposition(alg, alg.idempotents[0]))
+    assert not report.ok
+    assert report.failures == ("n3 = 2 but 2*n1 + n2 - 2 = -2", "dim = 6 but 3*n1 + 2*n2 - 1 = -1")
+
+
 def test_hsiang_identity_random_vectors():
     alg = hsiang_tracefree_sym3()
     report = verify_identity(alg, catalog("hsiang"), trials=50, seed=3)
@@ -305,17 +313,25 @@ _FUSION_ALGEBRAS = (*builder_names(), "jordan_sym4", "spin_factor8")
 
 
 @functools.cache
-def _decomposed(name, index):
-    """(algebra, idempotent, decomposition) for a builder or a larger algebra."""
-    alg = {"jordan_sym4": lambda: jordan_sym(4), "spin_factor8": lambda: spin_factor(8)}.get(
+def _built(name):
+    """A builder's algebra or a larger one; building finds no roots."""
+    return {"jordan_sym4": lambda: jordan_sym(4), "spin_factor8": lambda: spin_factor(8)}.get(
         name, lambda: build_algebra(name)
     )()
+
+
+@functools.cache
+def _decomposed(name, index):
+    """(algebra, idempotent, decomposition) for a builder or a larger algebra."""
+    alg = _built(name)
     c = alg.idempotents[index]
     return alg, c, eigen_decomposition(alg, c)
 
 
 def _idempotent_cases():
-    return [(name, i) for name in _FUSION_ALGEBRAS for i in range(len(_decomposed(name, 0)[0].idempotents))]
+    """(name, index) of every idempotent, counted on the built algebras, so
+    collecting the tests that use it runs no root finder."""
+    return [(name, i) for name in _FUSION_ALGEBRAS for i in range(len(_built(name).idempotents))]
 
 
 @pytest.mark.parametrize("name, index", _idempotent_cases())
@@ -353,16 +369,28 @@ _NONE_ALLOWED = FusionTable((F(0), HALF, F(1)), {(a, b): frozenset() for a in (F
                                                  for b in (F(0), HALF, F(1)) if a <= b}, "generic")
 
 
-@settings(max_examples=150, deadline=None)
-@given(fusion_cases())
-@example(("jordan_sym4", 0, fusion_table(catalog("jordan_power_assoc"))))
-@example(("jordan_sym4", 1, _NONE_ALLOWED))
-@example(("spin_factor8", 1, fusion_table(catalog("jordan_power_assoc"))))
-@example(("spin_factor8", 1, _NONE_ALLOWED))
-def test_fusion_empirical_matches_elimination(case):
-    name, index, table = case
+def _assert_fusion_empirical_matches_elimination(name, index, table):
     alg, c, d = _decomposed(name, index)
     assert fusion_empirical(alg, c, table, d) == _fusion_by_elimination(alg, c, table, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fusion_cases())
+def test_fusion_empirical_matches_elimination(case):
+    _assert_fusion_empirical_matches_elimination(*case)
+
+
+# The larger algebras against the Jordan table, built when the test runs, and
+# against a table that allows nothing.
+@pytest.mark.parametrize("name, index, ident", [
+    ("jordan_sym4", 0, "jordan_power_assoc"),
+    ("jordan_sym4", 1, None),
+    ("spin_factor8", 1, "jordan_power_assoc"),
+    ("spin_factor8", 1, None),
+])
+def test_fusion_empirical_matches_elimination_on_the_larger_algebras(name, index, ident):
+    table = _NONE_ALLOWED if ident is None else fusion_table(catalog(ident))
+    _assert_fusion_empirical_matches_elimination(name, index, table)
 
 
 def _fusion_by_factors(alg, c, predicted, decomp):
@@ -557,6 +585,12 @@ def _one_idempotent_algebra(name, e_u1, e_u2):
 _SQRT2_MODEL = _one_idempotent_algebra("sqrt2_model", (F(0), F(0), F(1)), (F(0), F(2), F(0)))
 # a Jordan block at 1/2: e u1 = u1/2 + u2, e u2 = u2/2
 _JORDAN_BLOCK_MODEL = _one_idempotent_algebra("jordan_block_model", (F(0), HALF, F(1)), (F(0), F(0), HALF))
+
+
+def test_fusion_empirical_refuses_a_decomposition_that_is_not_semisimple():
+    c = _JORDAN_BLOCK_MODEL.idempotents[0]
+    with pytest.raises(ValueError, match="^empirical fusion check needs a semisimple decomposition$"):
+        fusion_empirical(_JORDAN_BLOCK_MODEL, c, fusion_table(catalog("jordan_power_assoc")))
 
 
 @pytest.mark.parametrize(
@@ -1061,17 +1095,29 @@ def linearization_cases(draw):
     return alg, c, m, lam, mu, d
 
 
-@settings(max_examples=120, deadline=None)
-@given(linearization_cases())
-@example((*_decomposed("jordan_sym4", 0)[:2], parse_monomial("z^7"), HALF, F(0), _decomposed("jordan_sym4", 0)[2]))
-@example((*_decomposed("spin_factor8", 1)[:2], parse_monomial("(z^2*z^2)*z^3"), HALF, HALF,
-          _decomposed("spin_factor8", 1)[2]))
-@example((_perturbed(_decomposed("spin_factor8", 1)[0], 1, 2, 0, F(1)), _decomposed("spin_factor8", 1)[1],
-          parse_monomial("z^4"), HALF, HALF, _decomposed("spin_factor8", 1)[2]))
-def test_batched_linearization_checks_match_per_column_and_per_pair(case):
-    alg, c, m, lam, mu, d = case
+def _assert_batched_linearization_checks_match(alg, c, m, lam, mu, d):
     assert verify_first_linearization(alg, c, m) == _first_linearization_by_columns(alg, c, m)
     assert verify_second_linearization(alg, c, m, lam, mu, d) == _second_linearization_by_pairs(alg, c, m, lam, mu, d)
+
+
+@settings(max_examples=120, deadline=None)
+@given(linearization_cases())
+def test_batched_linearization_checks_match_per_column_and_per_pair(case):
+    _assert_batched_linearization_checks_match(*case)
+
+
+# The larger algebras, decomposed when the test runs rather than when the
+# module is collected; the last case perturbs one structure constant.
+@pytest.mark.parametrize("name, index, text, lam, mu, perturbation", [
+    ("jordan_sym4", 0, "z^7", HALF, F(0), None),
+    ("spin_factor8", 1, "(z^2*z^2)*z^3", HALF, HALF, None),
+    ("spin_factor8", 1, "z^4", HALF, HALF, (1, 2, 0, F(1))),
+])
+def test_batched_linearization_checks_match_on_the_larger_algebras(name, index, text, lam, mu, perturbation):
+    alg, c, d = _decomposed(name, index)
+    if perturbation:
+        alg = _perturbed(alg, *perturbation)
+    _assert_batched_linearization_checks_match(alg, c, parse_monomial(text), lam, mu, d)
 
 
 def test_second_linearization_check_kernel_calls(monkeypatch):
@@ -1152,6 +1198,13 @@ def _line_algebra(**entries):
     """e^2 = e with form 1 and weight 1 on one basis vector, entries given as text."""
     fields = {"structure": ((("1",),),), "bilinear_form": (("1",),), "weight": ("1",), "idempotents": (("1",),)}
     return StructureAlgebra(dim=1, **{**fields, **entries})
+
+
+def test_algebra_json_round_trip_keeps_the_weight():
+    alg = _line_algebra(weight=("-3/4",))
+    blob = algebra_to_json(alg)
+    assert blob["weight"] == ["-3/4"]
+    assert algebra_from_json(json.dumps(blob)) == alg
 
 
 def test_structure_algebra_reads_text_entries():

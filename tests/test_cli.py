@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import peirce_lab
-from peirce_lab.algebras import algebra_to_json, jordan_sym
+from peirce_lab.algebras import StructureAlgebra, algebra_to_json, jordan_sym
 from peirce_lab.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -72,6 +72,18 @@ REPORT_SCHEMA = {
                 "required": ["name", "ok", "failures"],
             },
         },
+        "eigenvalues": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["eigenvalue", "multiplicity"],
+                "properties": {
+                    "eigenvalue": {"type": "string", "pattern": r"^-?\d+(/\d+)?$"},
+                    "multiplicity": {"type": "integer", "minimum": 1},
+                },
+            },
+        },
+        "notes": {"type": "array", "items": {"type": "string"}},
         "pass": {"type": "boolean"},
     },
 }
@@ -332,6 +344,41 @@ def test_algebra_file_round_trip_via_cli(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--algebra", str(path), "--catalog", "jordan_power_assoc", "--idempotent", "1")
     assert code == EXIT_OK
     assert {"eigenvalue 1/2  multiplicity 7", "verdict: pass"} <= set(out.splitlines())
+
+
+def test_weighted_algebra_file_round_trip_via_cli(capsys, tmp_path):
+    # the line e*e = e with w(e) = 1 satisfies Bernstein's baric identity
+    alg = StructureAlgebra(dim=1, structure=(((Fraction(1),),),), weight=(Fraction(1),), idempotents=((Fraction(1),),))
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(algebra_to_json(alg)))
+    assert json.loads(path.read_text())["weight"] == ["1"]
+    code, payload = run_json(capsys, "verify", "--algebra", str(path), "--catalog", "bernstein")
+    assert code == EXIT_OK and payload["pass"] is True
+    assert payload["eigenvalues"] == [{"eigenvalue": "1", "multiplicity": 1}]
+
+
+def test_verify_json_carries_the_eigenvalues_and_notes_of_the_text(capsys, tmp_path):
+    # F holds on every power-associative algebra and its rho is 0, so both
+    # spectral checks are skipped; --json used to look like a plain pass
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(identity_to_json(make_identity([
+        (1, parse_monomial("z*(z*z^[3])")), (-1, parse_monomial("z*(z^2*z^3)")),
+        (-1, parse_monomial("z^2*z^4")), (1, parse_monomial("z^2*z^[3]")),
+    ]))))
+    argv = ("verify", "--builder", "jordan_sym3", "--identity", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    notes = [line for line in out.splitlines() if " skipped: " in line]
+    assert notes == [
+        "spectrum inclusion skipped: spectrum inclusion is vacuous for a degenerate identity",
+        "fusion check skipped: degenerate identity has no fusion table",
+    ]
+    code, payload = run_json(capsys, *argv)
+    assert code == EXIT_OK and payload["pass"] is True
+    assert payload["notes"] == notes
+    assert [f"eigenvalue {e['eigenvalue']}  multiplicity {e['multiplicity']}" for e in payload["eigenvalues"]] == [
+        line for line in out.splitlines() if line.startswith("eigenvalue ")
+    ] == ["eigenvalue 0  multiplicity 3", "eigenvalue 1/2  multiplicity 2", "eigenvalue 1  multiplicity 1"]
 
 
 def test_identity_file_input(capsys, tmp_path):

@@ -20,6 +20,7 @@ from peirce_lab.identities import (
     EmptyIdentity,
     FusionTable,
     IdentityTerm,
+    WeightDescriptor,
     WeightedIdentity,
     ZeroSumViolation,
     baric_weight,
@@ -526,6 +527,19 @@ def test_identity_json_weights():
     )
     back = identity_from_json(identity_to_json(ident))
     assert back.terms == ident.terms
+
+
+def test_identity_json_product_weight_round_trip():
+    # omega(z) * b(z, z) and b(z, z) * b(z, z^2) are products, written with "k" and "monomials"
+    z = atom()
+    weights = (WeightDescriptor(1, (z,)), WeightDescriptor(0, (z, principal_power(2))))
+    ident = make_identity([(1, principal_power(2), weights[0]), (-1, z, weights[0]), (2, z, weights[1]),
+                           (-2, principal_power(3), weights[1])])
+    blob = identity_to_json(ident)
+    written = [t["weight"] for t in blob["terms"]]
+    assert written.count({"kind": "product", "k": 1, "monomials": ["z"]}) == 2
+    assert written.count({"kind": "product", "k": 0, "monomials": ["z", "z^2"]}) == 2
+    assert identity_from_json(json.dumps(blob)) == ident
 
 
 def test_identity_json_weight_needs_a_kind():

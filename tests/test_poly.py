@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from peirce_lab import identities
-from peirce_lab.algebras import build_algebra, eigen_decomposition
+from peirce_lab.algebras import StructureAlgebra, build_algebra, eigen_decomposition
 from peirce_lab.identities import (
     catalog,
     fusion_table,
@@ -22,7 +22,7 @@ from peirce_lab.identities import (
     make_identity,
     spectrum,
 )
-from peirce_lab.magma import atom, enumerate_monomials
+from peirce_lab.magma import atom, enumerate_monomials, principal_power
 from peirce_lab import poly
 from peirce_lab.peirce import _divided_difference, total_peirce_value
 from peirce_lab.poly import (
@@ -72,6 +72,25 @@ def test_parse_rational_refuses_exponent_notation_before_fraction_reads_it(text)
             read(text)
         assert str(exc.value) == f"exponent notation in {text!r}"
         assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("value, kind", [(0.1, "float"), (True, "bool")])
+def test_number_entry_points_refuse_floats_and_bools(value, kind):
+    # Fraction(0.1) is 3602879701896397/2^55 and Fraction(True) is 1; the
+    # catalog refuses both, and so does every other entry point that reads a number
+    t = Poly1.t()
+    reads = {
+        "make_identity": lambda v: make_identity([(v, principal_power(2)), (-1, atom())]),
+        "StructureAlgebra": lambda v: StructureAlgebra(1, (((v,),),)),
+        "Poly": lambda v: Poly1({1: v}),
+        "Poly.__call__": t,
+        "substitute": lambda v: t.substitute("t", v),
+        "total_peirce_value": lambda v: total_peirce_value(atom(), [v], 1),
+    }
+    for name, read in reads.items():
+        with pytest.raises(TypeError) as exc:
+            read(value)
+        assert str(exc.value) == f"expected an int, a Fraction or text, not the {kind} {value!r}", name
 
 
 def test_poly_sums_the_terms_of_keys_that_name_one_exponent():
