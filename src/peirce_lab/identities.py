@@ -14,7 +14,9 @@ import functools
 import json
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import mul
 
 from ._record import _Record, _set
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
@@ -28,7 +30,6 @@ from .poly import (
     _make,
     _rational,
     _refuse_exponent,
-    _symbol_slices,
     format_rational,
     parse_rational,
     rational_roots,
@@ -166,7 +167,8 @@ class IdentityTerm(_Record):
         monomial: Monomial,
         weight: WeightDescriptor = WeightDescriptor(),  # immutable, so one is shared
     ):
-        _set(self, "coeff", coeff)
+        # text is read by parse_rational; a float or a bool raises TypeError
+        _set(self, "coeff", coeff if isinstance(coeff, Fraction) else _rational(coeff))
         _set(self, "monomial", monomial)
         _set(self, "weight", weight)
 
@@ -291,7 +293,7 @@ def make_identity(
             weight = t[2] if len(t) > 2 else constant_weight()
             t = IdentityTerm(coeff, monomial, weight)
         key = (t.monomial, t.weight)
-        merged[key] = merged.get(key, Fraction(0)) + _rational(t.coeff)
+        merged[key] = merged.get(key, Fraction(0)) + t.coeff
     out = tuple(
         IdentityTerm(c, m, w)
         for (m, w), c in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1]))
@@ -359,11 +361,15 @@ def _zero_grid(identity: WeightedIdentity) -> tuple:
     roots; index maps each eigenvalue to its position, and every table of the
     identity shares it without writing to it.
 
-    Y is packed at the eigenvalues: each p^e of D*Y becomes P_e = sum_k num_k^e
-    den_k^(dp-e) 2^(w k), so slot k of the int that `_symbol_slices` gives for
-    (lam, mu) is den_k^dp (q_lam q_mu)^d Y(lam, mu, lam_k), at most sum |c|
-    M^(2d+dp) < 2^(w-1) in size, M the largest |num| or den.  With 2^(w-1)
-    added to each slot, slot k is zero exactly when its bytes read 00..0080.
+    Y is packed at the eigenvalues in b and p at once: each a^e of D*Y becomes
+    one int with slot (j, k), w bits at bit w*(n*j + k), holding
+    q_j^d q_k^dp times the a^e coefficient at (lam_j, lam_k).  One homogeneous
+    Horner pass in a at lam_i then gives row i, slot (j, k) holding
+    (q_i q_j)^d q_k^dp Y(lam_i, lam_j, lam_k), at most sum |c| M^(2d+dp) <
+    2^(w-1) in size, M the largest |num| or den.  With 2^(w-1) added to each
+    slot and XORed back, a slot is zero exactly when Y is; its w bits are ORed
+    into its lowest one, and the row's lowest bits are read as one byte per
+    slot.
     """
     report = spectrum(identity)
     if report.degenerate:
@@ -381,28 +387,36 @@ def _zero_grid(identity: WeightedIdentity) -> tuple:
     m, n = max(max(-p, p, q) for p, q in fracs), len(fracs)
     nbytes = (sum(map(abs, y.values())) * m ** (2 * d + dp)).bit_length() // 8 + 1
     w = 8 * nbytes
+    at_b = [sum(p**e * q ** (d - e) << w * n * j for j, (p, q) in enumerate(fracs)) for e in range(d + 1)]
     at_p = [sum(p**e * q ** (dp - e) << w * k for k, (p, q) in enumerate(fracs)) for e in range(dp + 1)]
-    packed: dict[tuple[int, int, int], int] = {}
+    by_ab = [[0] * (d + 1) for _ in range(d + 1)]
     for (ea, eb, ep), c in y.items():
-        packed[ea, eb, 0] = packed.get((ea, eb, 0), 0) + c * at_p[ep]
-    offset, zero = sum(1 << w * k + w - 1 for k in range(n)), bytes(nbytes - 1) + b"\x80"
-    grid = []
-    for i, lam in enumerate(eigenvalues):
-        for j, (v,) in enumerate(_symbol_slices(packed, d, lam, eigenvalues[i:]), i):
-            blob = (v + offset).to_bytes(n * nbytes, "little")
-            found, k = [], blob.find(zero)
-            while k >= 0:  # a match counts only on a slot boundary
-                if not k % nbytes:
-                    found.append(k // nbytes)
-                k = blob.find(zero, k - k % nbytes + nbytes)
-            grid.append(((i, j), frozenset(found)))
+        by_ab[ea][eb] += c * at_p[ep]
+    packed = [sum(map(mul, row, at_b)) for row in by_ab]  # one int per power of a
+    low = ((1 << w * n * n) - 1) // ((1 << w) - 1)  # the lowest bit of every slot
+    offset = low << w - 1
+    smear, span = [], 1  # shifts that OR bits 0..w-1 of a slot into bit 0, and no further
+    while span < w:
+        smear.append(min(span, w - span))
+        span += smear[-1]
+    flags = []  # a byte per slot of j >= i, row by row: 1 where Y is 0
+    for i, (p, q) in enumerate(fracs):
+        start = w * n * i  # the slots of j >= i
+        v = ((_horner_hom(packed, p, q) + offset) ^ offset) >> start  # a slot is 0 where Y is
+        for s in smear:
+            v |= v >> s
+        flags.append((~v & low >> start).to_bytes((n - i) * n * nbytes, "little")[::nbytes])
+    flags = b"".join(flags)
+    rows = [flags[k : k + n] for k in range(0, len(flags), n)]  # one per pair, in grid order
+    as_set = {row: frozenset(compress(range(n), row)) for row in set(rows)}
+    grid = tuple(zip(((i, j) for i in range(n) for j in range(i, n)), map(as_set.__getitem__, rows)))
     half = fracs.index((1, 2)) if (1, 2) in fracs else -1
     simple = frozenset(k for k, (_, mult) in enumerate(roots) if mult == 1)
     singletons = tuple(frozenset((v,)) for v in eigenvalues)
     index: dict[Fraction, int] = {}
     for k, v in enumerate(singletons):  # a dict built from a set reuses its stored hashes
         index.update(dict.fromkeys(v, k))
-    return eigenvalues, tuple(grid), one, half, simple, singletons, index
+    return eigenvalues, grid, one, half, simple, singletons, index
 
 
 def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTable:

@@ -53,10 +53,14 @@ def parse_rational(text: str) -> Fraction:
         raise RationalSyntaxError(f"zero denominator in {text!r}") from None
 
 
+def _not_a_number(v: float | bool) -> TypeError:
+    return TypeError(f"expected an int, a Fraction or text, not the {type(v).__name__} {v!r}")
+
+
 def _rational(v: "str | Scalar") -> Fraction:
     """v as a Fraction, text read by parse_rational, which refuses exponent notation."""
     if isinstance(v, (float, bool)):  # Fraction(0.1) is 3602879701896397/2^55, and True is 1
-        raise TypeError(f"expected an int, a Fraction or text, not the {type(v).__name__} {v!r}")
+        raise _not_a_number(v)
     return parse_rational(v) if isinstance(v, str) else Fraction(v)
 
 
@@ -144,6 +148,8 @@ class Poly:
             return other
         if not isinstance(other, (int, Fraction)):
             raise TypeError(f"cannot combine a polynomial with {type(other).__name__}")
+        if isinstance(other, bool):  # True is not read as 1
+            raise _not_a_number(other)
         return _make(self.vars, {(0,) * len(self.vars): other.numerator} if other else {}, other.denominator)
 
     @property
@@ -164,12 +170,13 @@ class Poly:
         return Fraction(self._ints.get(exp if isinstance(exp, tuple) else (exp,), 0), self._den)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Poly, int, Fraction)):
-            return NotImplemented
-        if getattr(other, "vars", self.vars) != self.vars:  # constants equal their values, whatever the variables
-            return other.degree < 1 and self == Fraction(sum(other._ints.values()), other._den)
-        other = self._coerce(other)
-        return other._den == self._den and other._ints == self._ints
+        if isinstance(other, Poly):
+            if other.vars != self.vars:  # constants equal their values, whatever the variables
+                return other.degree < 1 and self == Fraction(sum(other._ints.values()), other._den)
+            return other._den == self._den and other._ints == self._ints
+        if isinstance(other, (int, Fraction)):  # True equals 1 here, as it equals Fraction(1)
+            return self.degree < 1 and sum(self._ints.values()) == other * self._den
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self.degree < 1:  # a constant equals its value, so it hashes as that value
@@ -195,6 +202,8 @@ class Poly:
         return -self + other
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
+        if isinstance(other, bool):
+            raise _not_a_number(other)
         if isinstance(other, (int, Fraction)):
             ints = {k: c * other.numerator for k, c in self._ints.items()} if other else {}
             return _make(self.vars, ints, self._den * other.denominator)
@@ -327,8 +336,7 @@ def _symbol_slices(y: Mapping[Exponents, int], d: int, lam: Fraction, mus: Itera
 
     y is {(exponents of a, b, p): int} with no exponent of a or b above d.
     a is put in once, in one pass over the terms of y, and each mu is one
-    homogeneous Horner pass per power of p; the fusion grid packs p at every
-    eigenvalue into the ints of y, so it has one power of p and one pass.
+    homogeneous Horner pass per power of p.
     """
     p, q = lam.numerator, lam.denominator
     powers = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d * lam^e
@@ -455,7 +463,7 @@ def _lifted_roots(f: list[int]) -> list[Fraction]:
         if all(_horner_hom(df, r, 1) % p for r in roots):
             bound = f[-1] + max(map(abs, f[:-1]))
             found = (_lift(f, r, p, bound) for r in roots)
-            return sorted(Fraction(k, f[-1]) for k in found if k is not None)
+            return [Fraction(k, f[-1]) for k in sorted(k for k in found if k is not None)]  # as k sorts, L > 0
         if not square_free:
             f, square_free = _primitive(_square_free(f)), True
 
@@ -486,5 +494,5 @@ def rational_roots(f: Poly1) -> tuple[list[tuple[Fraction, int]], Poly1]:
         num *= q**m
         roots.append((r, m))
     if k:
-        roots.insert(sum(r < 0 for r, _ in roots), (Fraction(0), k))
+        roots.insert(sum(r.numerator < 0 for r, _ in roots), (Fraction(0), k))
     return roots, _make(f.vars, {(e,): num * c for e, c in enumerate(rest) if c}, den)

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import sys
 import time
 from collections.abc import Mapping
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from peirce_lab import identities, peirce
+from peirce_lab import identities, peirce, poly
 from peirce_lab.identities import (
     CatalogParameterError,
     DegenerateIdentity,
@@ -685,33 +686,33 @@ def test_terms_of_an_identity_share_one_memo(monkeypatch):
 
 def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     """rho, the spectrum, Y and both fusion tables of one identity solve rho
-    once and build the zero grid of Y once."""
+    once and build the zero grid of Y once, without slicing Y per pair."""
     t = Poly1.t()
     f = t - 1
     for r in (Fraction(-3), Fraction(-1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(3, 2)):
         f = f * (t - r)
     ident = catalog("principal_train", {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
-    counts = {"rational_roots": 0, "_symbol_slices": 0}
+    solves, slicings = [], []
+    solve = identities.rational_roots
+    monkeypatch.setattr(identities, "rational_roots", lambda rho: solves.append(rho) or solve(rho))
+    slices = poly._symbol_slices.__code__
 
-    def counted(name):
-        original = getattr(identities, name)
+    def profile(frame, event, arg):  # every call of _symbol_slices, by whatever name it is reached
+        if event == "call" and frame.f_code is slices:
+            slicings.append(frame)
 
-        def wrapper(*args):
-            counts[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(identities, name, wrapper)
-
-    counted("rational_roots")
-    counted("_symbol_slices")
     _clear_identity_caches()
-    rho = identity_peirce_poly(ident)
-    report = spectrum(ident)
-    sym = identity_symbol(ident)
-    generic = fusion_table(ident, mode="generic")
-    metrized = fusion_table(ident, mode="metrized_orthogonal")
-    # the grid substitutes a once per eigenvalue: 7 slicings are one grid
-    assert counts == {"rational_roots": 1, "_symbol_slices": 7}
+    sys.setprofile(profile)
+    try:
+        rho = identity_peirce_poly(ident)
+        report = spectrum(ident)
+        sym = identity_symbol(ident)
+        generic = fusion_table(ident, mode="generic")
+        metrized = fusion_table(ident, mode="metrized_orthogonal")
+    finally:
+        sys.setprofile(None)
+    # the grid is one Horner pass in a per eigenvalue over packed ints
+    assert len(solves) == 1 and slicings == []
     assert len(report.roots) == 6 and report.peirce_poly is rho
     assert generic.spectrum == metrized.spectrum and len(generic.spectrum) == 7
     # the cached results are immutable, but for the position index, which

@@ -15,6 +15,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from peirce_lab import identities
 from peirce_lab.algebras import StructureAlgebra, build_algebra, eigen_decomposition
 from peirce_lab.identities import (
+    IdentityTerm,
+    WeightedIdentity,
     catalog,
     fusion_table,
     identity_peirce_poly,
@@ -86,11 +88,28 @@ def test_number_entry_points_refuse_floats_and_bools(value, kind):
         "Poly.__call__": t,
         "substitute": lambda v: t.substitute("t", v),
         "total_peirce_value": lambda v: total_peirce_value(atom(), [v], 1),
+        "IdentityTerm": lambda v: IdentityTerm(v, atom()),
+        "WeightedIdentity": lambda v: WeightedIdentity((IdentityTerm(v, principal_power(2)), IdentityTerm(-v, atom()))),
     }
     for name, read in reads.items():
         with pytest.raises(TypeError) as exc:
             read(value)
         assert str(exc.value) == f"expected an int, a Fraction or text, not the {kind} {value!r}", name
+
+
+def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
+    # t + True used to be t + 1 and t * True to be t; == keeps answering
+    t = Poly1.t()
+    combine = [add, lambda f, g: f - g, lambda f, g: f * g]
+    for op in combine:
+        for args in ((t, True), (True, t), (t, False)):
+            with pytest.raises(TypeError) as exc:
+                op(*args)
+            assert str(exc.value).startswith("expected an int, a Fraction or text, not the bool ")
+        with pytest.raises(TypeError, match="^cannot combine a polynomial with float$"):
+            op(t, 0.5)
+    assert Poly1.const(1) == True and Poly1.zero() == False and t != True  # noqa: E712
+    assert hash(Poly1.const(1)) == hash(True)
 
 
 def test_poly_sums_the_terms_of_keys_that_name_one_exponent():
@@ -601,8 +620,8 @@ def _zero_grid_by_value(ident, values, y=None):
 
 
 def _dense_zero_grid(y, values):
-    """The zero grid as it was built before the p-axis was packed: dense
-    slices in p per mu from `_symbol_slices`, then one Horner pass per nu."""
+    """The zero grid as it was built before the b- and p-axes were packed:
+    dense slices in p per mu from `_symbol_slices`, then one Horner pass per nu."""
     d = max((k[0] for k in y), default=0)
     fracs = [(v.numerator, v.denominator) for v in values]
     return {
@@ -684,8 +703,8 @@ _PLANTED = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(
-    _symmetric_symbols(st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))),
-    st.lists(_PLANTED, max_size=5, unique=True),
+    _symmetric_symbols(st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40), st.integers(-(2**200), 2**200))),
+    st.lists(_PLANTED, max_size=11, unique=True),  # 1 to 12 eigenvalues once 1 joins
 )
 # the zero symbol: every slot of every pair is zero
 @example({}, [Fraction(-3, 2), Fraction(0), Fraction(1, 2)])
@@ -697,6 +716,10 @@ _PLANTED = st.one_of(
 # two-byte slots that all read 80 00, so the zero pattern 00 80 is found only
 # across slot boundaries
 @example({(0, 0, 0): 0x80 - 0x8000}, [Fraction(-1), Fraction(0)])
+# 24-bit slots -c, 0, c, -c, ... with c = 2^23 - 1 just under 2^(w-1): a
+# narrower slot carries into the zero beside it, and ORing more than 24 bits
+# into the zero slot's lowest bit reads the low byte of c above it
+@example({(0, 0, 1): 2**23 - 1}, [Fraction(-1), Fraction(0)])
 # D*Y of an identity with coefficients past 2^200
 @example(
     identity_symbol(make_identity(
@@ -706,8 +729,9 @@ _PLANTED = st.one_of(
 )
 def test_packed_zero_grid_matches_dense_grid_and_evaluation(y, values):
     """The packed grid, the dense grid it replaced and the per-triple
-    definition agree on planted symbols and eigenvalues: 0, 1 and +-1/2,
-    numerators and denominators up to 2^64, coefficients up to 2^200."""
+    definition agree on planted symbols and eigenvalues: 0, 1, +-1/2 or no
+    1/2, numerators and denominators up to 2^64, coefficients up to 2^200,
+    so slots of 8 to several hundred bits, many not a power of two."""
     values = sorted(set(values) | {Fraction(1)})
     want = _zeros_by_evaluation(Poly3(y), values)
     assert _dense_zero_grid(y, values) == want
