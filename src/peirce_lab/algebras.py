@@ -614,7 +614,7 @@ def verify_second_linearization(
     pairs, each D^2 the eps_p delta_q coefficient of m(c + sum_p eps_p x_p +
     sum_q delta_q y_q), as verify_first_linearization compares."""
     decomp = decomposition or eigen_decomposition(algebra, c)
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = _rational(lam), _rational(mu)
     xs, ys = decomp.eigenbases.get(lam, ()), decomp.eigenbases.get(mu, ())
     if not (xs and ys):
         return VerificationReport(True, f"second linearization of {m}")

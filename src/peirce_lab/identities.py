@@ -110,6 +110,8 @@ class WeightDescriptor(_Record):
     __slots__ = ("baric_exp", "bilinear_args")
 
     def __init__(self, baric_exp: int = 0, bilinear_args: tuple[Monomial, ...] = ()):
+        if not isinstance(baric_exp, int) or isinstance(baric_exp, bool):  # JSON writes True as true
+            raise TypeError(f"baric exponent must be an int, not the {type(baric_exp).__name__} {baric_exp!r}")
         if baric_exp < 0:
             raise InvalidWeight(f"baric exponent must be nonnegative, got {baric_exp}")
         _set(self, "baric_exp", baric_exp)

@@ -167,6 +167,8 @@ class Poly:
         return max(map(sum, self._ints), default=-1)
 
     def coeff(self, exp: int | Exponents) -> Fraction:
+        if isinstance(exp, bool):  # (True,) would find the key (1,)
+            raise _not_a_number(exp)
         return Fraction(self._ints.get(exp if isinstance(exp, tuple) else (exp,), 0), self._den)
 
     def __eq__(self, other: object) -> bool:
@@ -217,6 +219,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        if isinstance(n, bool):
+            raise _not_a_number(n)
         if n < 0:
             raise ValueError("negative power")
         out = self._coerce(1)

@@ -41,7 +41,6 @@ from peirce_lab.magma import (
     parse_monomial,
     plenary_power,
     principal_power,
-    product,
 )
 from peirce_lab.peirce import (
     half_specialization,
@@ -53,6 +52,8 @@ from peirce_lab.peirce import (
     principal_symbol_closed,
 )
 from peirce_lab.poly import Poly1, Poly3
+
+from reference import random_monomial
 
 F = Fraction
 HALF = F(1, 2)
@@ -77,13 +78,6 @@ class _Gate:
                 f"criterion {self.number} took {elapsed:.2f}s, budget {self.budget}s"
             )
         return False
-
-
-def _random_monomial(degree, rng):
-    if degree == 1:
-        return atom()
-    split = rng.randint(1, degree - 1)
-    return product(_random_monomial(split, rng), _random_monomial(degree - split, rng))
 
 
 def test_criterion_1_table_goldens():
@@ -117,7 +111,7 @@ def test_criterion_2_specialization_suite():
         rng = random.Random(2024)
         for _ in range(500):
             d = rng.randint(1, 12)
-            m = _random_monomial(d, rng)
+            m = random_monomial(d, rng)
             rho = peirce_poly(m)
             assert rho(F(1)) == d
             assert rho(HALF) == 1
@@ -134,9 +128,9 @@ def test_criterion_3_half_root_and_validation():
             total = F(0)
             for _ in range(n - 1):
                 c = F(rng.randint(-6, 6) or 1, rng.randint(1, 3))
-                terms.append((c, _random_monomial(rng.randint(1, 7), rng), baric_weight(rng.randint(0, 2))))
+                terms.append((c, random_monomial(rng.randint(1, 7), rng), baric_weight(rng.randint(0, 2))))
                 total += c
-            terms.append((-total, _random_monomial(rng.randint(1, 7), rng), bilinear_weight(atom())))
+            terms.append((-total, random_monomial(rng.randint(1, 7), rng), bilinear_weight(atom())))
             try:
                 ident = make_identity(terms)
             except Exception:
@@ -206,7 +200,7 @@ def test_criterion_7_product_law():
 
         def formal(max_terms=4):
             terms = [
-                (F(rng.randint(-5, 5) or 1), _random_monomial(rng.randint(1, 6), rng))
+                (F(rng.randint(-5, 5) or 1), random_monomial(rng.randint(1, 6), rng))
                 for _ in range(rng.randint(1, max_terms))
             ]
             try:
@@ -230,9 +224,9 @@ def test_criterion_7_product_law():
             total = F(0)
             for _ in range(rng.randint(1, 3)):
                 c = F(rng.randint(-4, 4) or 1)
-                terms.append((c, _random_monomial(rng.randint(1, 5), rng), baric_weight(1)))
+                terms.append((c, random_monomial(rng.randint(1, 5), rng), baric_weight(1)))
                 total += c
-            terms.append((-total, _random_monomial(rng.randint(1, 5), rng)))
+            terms.append((-total, random_monomial(rng.randint(1, 5), rng)))
             try:
                 return make_identity(terms)
             except Exception:

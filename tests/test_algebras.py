@@ -47,18 +47,11 @@ from peirce_lab.identities import (
     identity_peirce_poly,
     make_identity,
 )
-from peirce_lab.magma import atom, enumerate_monomials, fold, parse_monomial, plenary_power, principal_power
-from peirce_lab.peirce import _symbol_ints, peirce_poly, peirce_symbol
-from peirce_lab.poly import (
-    Poly1,
-    RationalSyntaxError,
-    _cleared_coeffs,
-    _square_free,
-    _symbol_slices,
-    format_rational,
-    rational_roots,
-)
-from test_poly import InexactDivision, _divide_exact_by_fractions
+from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
+from peirce_lab.peirce import _symbol_ints, peirce_symbol
+from peirce_lab.poly import Poly1, RationalSyntaxError, _cleared_coeffs, _symbol_slices, format_rational
+
+import reference
 
 HALF = Fraction(1, 2)
 F = Fraction
@@ -68,14 +61,6 @@ def _rand_vec(dim, rng):
     return tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim))
 
 
-def _dense_product(alg, x, y):
-    """x * y as the full structure-constant sum over every (i, j, k)."""
-    return tuple(
-        sum((x[i] * y[j] * alg.structure[i][j][k] for i in range(alg.dim) for j in range(alg.dim)), F(0))
-        for k in range(alg.dim)
-    )
-
-
 def _labelled_linearization(alg, m, k, x, y):
     """D^k(m; x, y) by its definition: the sum over all C(deg, k) ways to
     label k leaves by y and the others by x, each labelled tree evaluated in full."""
@@ -83,7 +68,7 @@ def _labelled_linearization(alg, m, k, x, y):
     def walk(node, labels):
         if node.is_atom:
             return next(labels)
-        return alg.multiply(walk(node.left, labels), walk(node.right, labels))
+        return reference.product(alg.structure, walk(node.left, labels), walk(node.right, labels))
 
     out = tuple(F(0) for _ in range(alg.dim))
     for positions in itertools.combinations(range(m.degree), k):
@@ -251,31 +236,6 @@ def test_fusion_empirical_reports_every_stray_component():
     assert report == _fusion_by_elimination(alg, c, nothing, eigen_decomposition(alg, c))
 
 
-def _row_reduce(m):
-    """Reduced row echelon form of m and its pivot columns, by exact Gauss-Jordan."""
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    a = [[F(v) for v in row] for row in m]
-    pivots = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][col]:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    return a, pivots
-
-
 def _fusion_by_elimination(alg, c, predicted, decomp):
     """fusion_empirical by coordinates: one elimination of [eigenbasis |
     products] leaves every product's eigenbasis coordinates in the right-hand
@@ -284,15 +244,15 @@ def _fusion_by_elimination(alg, c, predicted, decomp):
     columns = [v for lam in decomp.eigenvalues for v in bases[lam]]
     column_eigenvalue = [lam for lam in decomp.eigenvalues for _ in bases[lam]]
     failures = [
-        f"eigenvalue {format_rational(lam)} of L_c is outside the predicted spectrum"
+        f"eigenvalue {lam} of L_c is outside the predicted spectrum"
         for lam in decomp.eigenvalues
         if lam not in predicted.spectrum
     ]
     known = [lam for lam in decomp.eigenvalues if lam in predicted.spectrum]
     blocks = [(lam, mu) for lam in known for mu in known if mu >= lam]
-    products = [alg.multiply(x, y) for lam, mu in blocks for x in bases[lam] for y in bases[mu]]
+    products = [reference.product(alg.structure, x, y) for lam, mu in blocks for x in bases[lam] for y in bases[mu]]
     n = alg.dim
-    reduced, _ = _row_reduce([[v[i] for v in columns] + [p[i] for p in products] for i in range(n)])
+    reduced, _ = reference.row_reduce([[v[i] for v in columns] + [p[i] for p in products] for i in range(n)])
     col = n
     for lam, mu in blocks:
         allowed = predicted.allowed(lam, mu)
@@ -303,8 +263,8 @@ def _fusion_by_elimination(alg, c, predicted, decomp):
             if extra:
                 failures.append(
                     f"A_c({lam}) * A_c({mu}) has components at "
-                    + ", ".join(format_rational(nu) for nu in sorted(extra))
-                    + f" outside the allowed {{{', '.join(map(format_rational, sorted(allowed)))}}}"
+                    + ", ".join(map(str, sorted(extra)))
+                    + f" outside the allowed {{{', '.join(map(str, sorted(allowed)))}}}"
                 )
     return algebras.VerificationReport(not failures, "empirical fusion", tuple(failures))
 
@@ -490,21 +450,6 @@ def test_null_space_of_an_int_matrix_is_exact():
     assert basis == [(F(-1, 3), F(1), F(0))] and all(type(v) is F for v in basis[0])
 
 
-def _fraction_null_space(m):
-    """Kernel basis by Gauss-Jordan over Fractions: each free column of the
-    reduced row echelon form gives the vector with 1 there."""
-    reduced, pivots = _row_reduce(m)
-    n_cols = len(m[0]) if m else 0
-    basis = []
-    for fc in (c for c in range(n_cols) if c not in pivots):
-        v = [F(0)] * n_cols
-        v[fc] = F(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
 @st.composite
 def kernel_matrices(draw):
     """Int or Fraction matrices from 1x1 to 8x10 of any rank, the zero matrix
@@ -533,25 +478,8 @@ def kernel_matrices(draw):
 def test_null_space_matches_fraction_gauss_jordan(m):
     # null_space takes int rows; scaling each row keeps the kernel
     basis = algebras.null_space([algebras._scaled(row, math.lcm(*(v.denominator for v in row))) for row in m])
-    assert basis == _fraction_null_space(m)
+    assert basis == reference.null_space(m)
     assert all(type(v) is F for vec in basis for v in vec)
-
-
-def _fraction_eigen_decomposition(alg, c):
-    """eigen_decomposition over Fractions: chi of the matrix L_c, and each
-    eigenbasis by Gauss-Jordan on L_c - lam."""
-    lc = alg.mult_operator(c)
-    cp = _char_poly_of(lc)
-    roots, residual = rational_roots(cp)
-    eigenbases = {}
-    for lam, _ in roots:
-        eigenbases[lam] = tuple(_fraction_null_space(
-            [[v - lam * (i == j) for j, v in enumerate(row)] for i, row in enumerate(lc)]))
-    return algebras.PeirceDecomposition(
-        idempotent=tuple(F(v) for v in c), char_poly=cp, eigenvalues=tuple(sorted(eigenbases)),
-        eigenbases=eigenbases, residual=residual,
-        semisimple=sum(len(b) for b in eigenbases.values()) == alg.dim,
-    )
 
 
 def _signed_permutation(alg, seed):
@@ -602,9 +530,9 @@ def test_fusion_empirical_refuses_a_decomposition_that_is_not_semisimple():
 )
 def test_eigen_decomposition_matches_fraction_path(alg):
     for c in alg.idempotents:
-        got, want = eigen_decomposition(alg, c), _fraction_eigen_decomposition(alg, c)
+        got, want = eigen_decomposition(alg, c), reference.eigen_decomposition(alg.structure, c)
         for field in algebras.PeirceDecomposition.__slots__:
-            assert getattr(got, field) == getattr(want, field), field
+            assert getattr(got, field) == want[field], field
         assert all(type(v) is F for basis in got.eigenbases.values() for vec in basis for v in vec)
 
 
@@ -702,19 +630,18 @@ def test_spectrum_inclusion_on_an_algebra_with_eigenvalues_plus_minus_sqrt2():
 
 
 # spectrum_inclusion_check reads rho and the residual in ints.  The oracle is
-# the check in Fractions: rho(lam) per eigenvalue, and long division in
-# Fractions of rho by the square-free part of the residual.
+# the check in Fractions: rho(lam) per eigenvalue, and every irreducible
+# factor of the residual r dividing rho, which is r dividing rho^deg(r).
 
 
 def _fraction_spectrum_inclusion(identity, eigenvalues, residual):
-    rho = identity_peirce_poly(identity)
-    failures = [f"eigenvalue {format_rational(lam)} is not a root of rho_c(P, t)"
-                for lam in eigenvalues if lam != 1 and rho(lam) != 0]
+    rho, r = reference.identity_rho(identity), reference.Poly(reference.T, residual.coeffs)
+    failures = [f"eigenvalue {lam} is not a root of rho_c(P, t)" for lam in eigenvalues if lam != 1 and rho(lam) != 0]
     if residual.degree >= 1:
         try:
-            _divide_exact_by_fractions(rho, Poly1(dict(enumerate(_square_free(_cleared_coeffs(residual)[0])))), "t")
-        except InexactDivision:
-            failures.append(f"L_c has non-rational spectral factor {residual.render()}")
+            reference.divide_exact(rho**residual.degree, r, "t")
+        except reference.InexactDivision:
+            failures.append(f"L_c has non-rational spectral factor {r.render()}")
     return tuple(failures)
 
 
@@ -826,7 +753,7 @@ def test_sparse_multiply_matches_dense_sum():
         for _ in range(10):
             x, y = _rand_vec(alg.dim, rng), _rand_vec(alg.dim, rng)
             got = alg.multiply(x, y)
-            assert got == _dense_product(alg, x, y), alg.name
+            assert got == reference.product(alg.structure, x, y), alg.name
             assert all(type(v) is F for v in got)
         with pytest.raises(ValueError):
             alg.multiply(x[:-1], y)
@@ -919,6 +846,8 @@ def test_linearization_checks_fail_at_twice_the_idempotent(name, columns):
     assert not first.ok
     assert first.failures == tuple(f"column {j}: D^1 != rho(L_c)" for j in columns)
     assert verify_second_linearization(alg, c, m, HALF, HALF, decomp).ok
+    assert verify_second_linearization(alg, c, m, "1/2", "1/2", decomp) == verify_second_linearization(
+        alg, c, m, HALF, HALF, decomp)
     second = verify_second_linearization(alg, c2, m, HALF, HALF, decomp)
     assert not second.ok
     pairs = decomp.multiplicity(HALF) ** 2
@@ -981,63 +910,28 @@ def test_deep_monomial_evaluates_without_recursion():
 #
 # verify_first_linearization and verify_second_linearization fold once over a
 # jet with one infinitesimal per column or eigenvector.  The oracles are the
-# checks that did one fold per column or pair over an exponent-dict jet.
-
-
-def _dict_jet(alg, m, leaf, caps):
-    """The jet of m at `leaf` as {exponent tuple: int vector}: each product of
-    coefficients goes through the kernel when its exponents are within caps."""
-
-    def step(node, a, b):
-        out = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                if all(i <= cap for i, cap in zip(e, caps)):
-                    v = alg._product(va, vb)
-                    out[e] = [s + t for s, t in zip(out[e], v)] if e in out else v
-        return out
-
-    return fold(m, {atom(): leaf}, step)
-
-
-def _operator_poly(alg, f, c, v):
-    """f(L_c) v in Fractions, by algebras._operator_poly's Horner pass over
-    the cleared coefficients of the Poly1 f."""
-    (cs,), d = algebras._cleared_vectors(alg, c)
-    (vs,), e = algebras._cleared_vectors(alg, v)
-    ints, q = _cleared_coeffs(f)
-    (acc,), scale = algebras._operator_poly(alg, ints, cs, d * alg._den, [vs])
-    return tuple(F(a, q * scale * e) for a in acc)
-
-
-def _fraction_symbol_slice(m, lam, mu):
-    """symbol(m)(lam, mu, t) by Fraction substitution into the Poly3."""
-    return peirce_symbol(m).substitute("a", lam).substitute("b", mu).change_vars(Poly1.VARS, {"p": "t"})
+# checks by definition: one jet in Fractions per column or pair, against
+# f(L_c) v.
 
 
 def _first_linearization_by_columns(alg, c, m):
-    rho = peirce_poly(m)
+    rho, lc, zero = reference.rho(m), reference.mult_matrix(alg.structure, c), (F(0),) * alg.dim
     failures = []
     for j in range(alg.dim):
         e_j = alg.basis_vector(j)
-        (cs, es), den = algebras._cleared_vectors(alg, c, e_j)
-        lhs = _dict_jet(alg, m, {(0,): cs, (1,): es}, (1,))[(1,)]
-        if algebras._divided(lhs, algebras._jet_scale(alg, den, m.degree)) != _operator_poly(alg, rho, c, e_j):
+        lhs = reference.jet(alg.structure, m, {(0,): c, (1,): e_j}, (1,)).get((1,), zero)
+        if lhs != reference.poly_at(rho, lc, e_j):
             failures.append(f"column {j}: D^1 != rho(L_c)")
     return algebras.VerificationReport(not failures, f"first linearization of {m}", tuple(failures))
 
 
 def _second_linearization_by_pairs(alg, c, m, lam, mu, decomp):
-    sym_p = _fraction_symbol_slice(m, lam, mu)
+    sym_p, lc, zero = reference.symbol_slice(m, lam, mu), reference.mult_matrix(alg.structure, c), (F(0),) * alg.dim
     failures = []
     for x in decomp.eigenbases.get(F(lam), ()):
         for y in decomp.eigenbases.get(F(mu), ()):
-            (cs, xs, ys), den = algebras._cleared_vectors(alg, c, x, y)
-            lhs = _dict_jet(alg, m, {(0, 0): cs, (1, 0): xs, (0, 1): ys}, (1, 1)).get((1, 1), [0] * alg.dim)
-            if algebras._divided(lhs, algebras._jet_scale(alg, den, m.degree)) != _operator_poly(
-                alg, sym_p, c, alg.multiply(x, y)
-            ):
+            lhs = reference.jet(alg.structure, m, {(0, 0): c, (1, 0): x, (0, 1): y}, (1, 1)).get((1, 1), zero)
+            if lhs != reference.poly_at(sym_p, lc, reference.product(alg.structure, x, y)):
                 failures.append(f"pair in A_c({lam}) x A_c({mu}) fails for {m}")
     return algebras.VerificationReport(not failures, f"second linearization of {m}", tuple(failures))
 
@@ -1058,7 +952,7 @@ def test_symbol_slice_matches_fraction_substitution(m, lam, mus):
     d = max((k[0] for k in y), default=0)
     for mu, ints in zip(mus, _symbol_slices(y, d, lam, mus), strict=True):
         scale = (lam.denominator * mu.denominator) ** d
-        assert Poly1({e: F(c, scale) for e, c in enumerate(ints)}) == _fraction_symbol_slice(m, lam, mu)
+        assert Poly1({e: F(c, scale) for e, c in enumerate(ints)}) == reference.symbol_slice(m, lam, mu)
 
 
 def test_symbol_slice_examples_remove_the_top_power_of_b():
@@ -1253,6 +1147,16 @@ def test_algebra_validation_rejects_nonassociating_form():
         )
 
 
+def _operator_poly(alg, f, c, v):
+    """f(L_c) v in Fractions, by algebras._operator_poly's Horner pass over
+    the cleared coefficients of the Poly1 f."""
+    (cs,), d = algebras._cleared_vectors(alg, c)
+    (vs,), e = algebras._cleared_vectors(alg, v)
+    ints, q = _cleared_coeffs(f)
+    (acc,), scale = algebras._operator_poly(alg, ints, cs, d * alg._den, [vs])
+    return tuple(F(a, q * scale * e) for a in acc)
+
+
 def test_poly_at_matrix():
     # f(L_c)v against L_c applied by multiply
     alg = jordan_sym(2)
@@ -1329,7 +1233,7 @@ def test_kernel_with_one_long_output_sum():
     rng = random.Random(78)
     x, y = _rand_vec(n, rng), _rand_vec(n, rng)
     got = alg.multiply(x, y)
-    assert got == _dense_product(alg, x, y)
+    assert got == reference.product(alg.structure, x, y)
     assert got[0] == sum(x) * sum(y) and not any(got[1:])
     x = tuple(range(n))
     assert alg.multiply(x, x) == (sum(x) ** 2,) + (0,) * (n - 1)
@@ -1345,7 +1249,7 @@ def test_kernel_with_a_constant_past_the_str_limit():
     alg = StructureAlgebra(dim=2, structure=(((big, F(1)), (F(-1), zero)), ((F(-1), zero), (zero, big))))
     assert alg._den == 3 and alg._terms[0][0][0][1].bit_length() > 14_000
     x, y = (F(2, 3), F(-5)), (F(7), F(1, 4))
-    assert alg.multiply(x, y) == _dense_product(alg, x, y)
+    assert alg.multiply(x, y) == reference.product(alg.structure, x, y)
     assert StructureAlgebra(dim=1, structure=(((big,),),)).multiply((2,), (5,)) == (10 * big,)
     assert time.perf_counter() - start < 20
 
@@ -1353,45 +1257,7 @@ def test_kernel_with_a_constant_past_the_str_limit():
 def test_mult_operator_columns_are_products():
     for alg in [build_algebra(name) for name in builder_names()] + [spin_factor(8)]:
         for c in alg.idempotents + (_rand_vec(alg.dim, random.Random(alg.dim)),):
-            lc = alg.mult_operator(c)
-            for j in range(alg.dim):
-                col = _dense_product(alg, c, alg.basis_vector(j))
-                assert [row[j] for row in lc] == list(col), (alg.name, j)
-
-
-def _fraction_mat_mul(m1, m2):
-    n = len(m1)
-    return [[sum((m1[i][k] * m2[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
-
-
-def _char_poly_of(m):
-    """chi of a rational matrix by the library's Faddeev-LeVerrier on its cleared ints."""
-    return algebras._char_poly_ints(*algebras._cleared(m))
-
-
-def _fraction_char_poly(m):
-    """Faddeev-LeVerrier in Fractions."""
-    n = len(m)
-    coeffs = {n: F(1)}
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                mk[i][i] += coeffs[n - k + 1]
-            mk = _fraction_mat_mul(m, mk)
-        coeffs[n - k] = -sum((mk[i][i] for i in range(n)), F(0)) / k
-    return Poly1(coeffs)
-
-
-def _fraction_poly_at_matrix(f, m):
-    """f(M) by Horner's scheme in Fractions."""
-    n = len(m)
-    out = [[F(0)] * n for _ in range(n)]
-    for e in range(f.degree, -1, -1):
-        out = _fraction_mat_mul(out, m)
-        for i in range(n):
-            out[i][i] += f.coeff(e)
-    return out
+            assert alg.mult_operator(c) == reference.mult_matrix(alg.structure, c), alg.name
 
 
 def _form_error(structure, form):
@@ -1412,31 +1278,6 @@ def _form_error(structure, form):
         if b(structure[i][j], basis[k]) != b(basis[i], structure[j][k]):
             return f"bilinear form is not associating on basis triple ({i}, {j}, {k})"
     return None
-
-
-def _fraction_jet(alg, m, leaf, caps=()):
-    """The jet of m at `leaf` in Fractions, every product by _dense_product."""
-    memo = {atom(): leaf}
-    stack = [m]
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        pending = [child for child in (node.left, node.right) if child not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        out = {}
-        for ea, va in memo[node.left].items():
-            for eb, vb in memo[node.right].items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                if all(i <= cap for i, cap in zip(e, caps)):
-                    v = _dense_product(alg, va, vb)
-                    out[e] = tuple(s + t for s, t in zip(out[e], v)) if e in out else v
-        memo[node] = out
-    return memo[m]
 
 
 # verify_identity's trial coordinates as pairs (n, d), in the order of
@@ -1461,9 +1302,9 @@ def _fraction_identity_failures(alg, identity, trials, seed):
             if t.weight.baric_exp:
                 w *= sum((a * b for a, b in zip(alg.weight, x)), F(0)) ** t.weight.baric_exp
             for m in t.weight.bilinear_args:
-                y = _fraction_jet(alg, m, {(): x})[()]
+                y = reference.jet(alg.structure, m, {(): x})[()]
                 w *= sum((x[i] * alg.bilinear_form[i][j] * y[j] for i in range(alg.dim) for j in range(alg.dim)), F(0))
-            value = _fraction_jet(alg, t.monomial, {(): x})[()]
+            value = reference.jet(alg.structure, t.monomial, {(): x})[()]
             acc = [a + t.coeff * w * v for a, v in zip(acc, value)]
         if any(acc):
             failures.append(f"trial {trial}: P(x) != 0")
@@ -1491,7 +1332,7 @@ def _symmetric(draw, n, entries=small_fractions):
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices())
 def test_char_poly_matches_fraction_faddeev_leverrier(m):
-    assert _char_poly_of(m) == _fraction_char_poly(m)
+    assert algebras._char_poly_ints(*algebras._cleared(m)) == reference.char_poly(m)
 
 
 def test_integer_faddeev_leverrier_refuses_a_non_integral_matrix():
@@ -1520,9 +1361,7 @@ six_fractions = st.lists(small_fractions, min_size=6, max_size=6)
 def test_poly_at_matrix_matches_fraction_horner(name, f, c, v):
     alg = build_algebra(name)
     c, v = tuple(c[: alg.dim]), tuple(v[: alg.dim])
-    op = _fraction_poly_at_matrix(f, alg.mult_operator(c))
-    want = tuple(sum((a * b for a, b in zip(row, v)), F(0)) for row in op)
-    assert _operator_poly(alg, f, c, v) == want
+    assert _operator_poly(alg, f, c, v) == reference.poly_at(f, reference.mult_matrix(alg.structure, c), v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1547,14 +1386,14 @@ def test_operator_poly_makes_one_kernel_call_per_degree(name, coeffs, count):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_char_poly_matches_the_fraction_operator(data):
-    # char_poly reads the kernel's int rows; _char_poly_of clears L_c again
+    # char_poly reads the kernel's int rows; the reference builds L_c from the structure
     if data.draw(st.booleans()):
         alg = build_algebra(data.draw(st.sampled_from(builder_names())))
     else:
         alg = data.draw(commutative_algebras(max_dim=4))
     c = tuple(data.draw(st.lists(small_fractions, min_size=alg.dim, max_size=alg.dim)))
     assume(any(v.denominator > 1 for v in c) and not alg.is_idempotent(c))
-    assert char_poly(alg, c) == _char_poly_of(alg.mult_operator(c))
+    assert char_poly(alg, c) == reference.char_poly(reference.mult_matrix(alg.structure, c))
 
 
 @settings(max_examples=120, deadline=None)
@@ -1603,11 +1442,11 @@ def test_integer_jets_match_fraction_jets(name, degree, data):
     m = data.draw(st.sampled_from(enumerate_monomials(degree)))
     vectors = st.tuples(*[small_fractions] * alg.dim)
     c, x, y = data.draw(vectors), data.draw(vectors), data.draw(vectors)
-    assert evaluate_monomial(alg, m, x) == _fraction_jet(alg, m, {(): x})[()]
-    jet = _fraction_jet(alg, m, {(0,): x, (1,): y}, (degree,))
+    assert evaluate_monomial(alg, m, x) == reference.jet(alg.structure, m, {(): x})[()]
+    jet = reference.jet(alg.structure, m, {(0,): x, (1,): y}, (degree,))
     for k in range(degree + 1):
         assert linearize(alg, m, k, x, y) == jet[(k,)], k
-    polar = _fraction_jet(alg, m, {(0, 0): c, (1, 0): x, (0, 1): y}, (1, 1))
+    polar = reference.jet(alg.structure, m, {(0, 0): c, (1, 0): x, (0, 1): y}, (1, 1))
     assert second_linearization(alg, m, c, x, y) == polar.get((1, 1), tuple(F(0) for _ in range(alg.dim)))
 
 
@@ -1616,7 +1455,7 @@ def test_integer_jets_of_a_deep_power():
     x = (F(1, 2), F(-3, 4), F(2, 3), F(5, 4), F(-1, 3))
     y = (F(0), F(1, 2), F(0), F(-1, 4), F(3))
     m = principal_power(300)
-    jet = _fraction_jet(alg, m, {(0,): x, (1,): y}, (1,))
+    jet = reference.jet(alg.structure, m, {(0,): x, (1,): y}, (1,))
     assert evaluate_monomial(alg, m, x) == jet[(0,)]
     assert linearize(alg, m, 1, x, y) == jet[(1,)]
 
@@ -1780,7 +1619,7 @@ def _fraction_trace(m):
 
 
 def _fraction_jordan_product(a, b):
-    ab, ba = _fraction_mat_mul(a, b), _fraction_mat_mul(b, a)
+    ab, ba = reference.mat_mul(a, b), reference.mat_mul(b, a)
     return [[(u + v) / 2 for u, v in zip(r, s)] for r, s in zip(ab, ba)]
 
 
@@ -1807,7 +1646,7 @@ def _oracle_jordan_sym(n):
         basis,
         _fraction_jordan_product,
         lambda m: [m[i][j] for i, j in slots],
-        lambda x, y: _fraction_trace(_fraction_mat_mul(x, y)),
+        lambda x, y: _fraction_trace(reference.mat_mul(x, y)),
         f"jordan_sym{n}",
         (e00, unit),
     )
@@ -1827,14 +1666,14 @@ def _oracle_hsiang_sym3():
 
     def mult(a, b):
         ab = _fraction_jordan_product(a, b)
-        tr = _fraction_trace(_fraction_mat_mul(a, b))
+        tr = _fraction_trace(reference.mat_mul(a, b))
         return [[ab[i][j] - (tr / 3 if i == j else 0) for j in range(3)] for i in range(3)]
 
     return _fraction_matrix_algebra(
         basis,
         mult,
         lambda m: [m[0][1], m[0][2], m[1][2], m[0][0], m[0][0] + m[1][1]],
-        lambda x, y: _fraction_trace(_fraction_mat_mul(x, y)) / 6,
+        lambda x, y: _fraction_trace(reference.mat_mul(x, y)) / 6,
         "hsiang_sym3",
         ((F(0), F(0), F(0), F(-1), F(-2)),),
     )

@@ -25,6 +25,8 @@ from peirce_lab.identities import identity_peirce_poly, identity_to_json, make_i
 from peirce_lab.magma import parse_monomial, principal_power
 from peirce_lab.peirce import plenary_symbol_closed
 
+from reference import train_gammas
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["command"],
@@ -946,11 +948,8 @@ _ODD_PRIMES = [p for p in range(3, 50) if all(p % d for d in range(2, p))]
 
 
 def _planted_train(roots):
-    """--params of the principal train (t - 1) * prod (t - r), leading coefficient first."""
-    gamma = [Fraction(1), Fraction(-1)]
-    for r in roots:
-        gamma = [a - b * r for a, b in zip(gamma + [0], [0] + gamma)]
-    return "gamma=" + ":".join(map(str, gamma))
+    """--params of the principal train with the roots 1 and `roots`."""
+    return "gamma=" + ":".join(map(str, train_gammas(roots)))
 
 
 _TEN_ROOTS = "gamma=1:-3/4:-479/36:539/48:53713/1296:-4723/108:-5347/216:40949/1296:649/144:-539/72:-1/4:1/2"

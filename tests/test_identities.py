@@ -45,10 +45,11 @@ from peirce_lab.magma import (
     parse_monomial,
     plenary_power,
     principal_power,
-    product,
 )
-from peirce_lab.peirce import peirce_poly, peirce_symbol
 from peirce_lab.poly import Poly, Poly1, Poly3, RationalSyntaxError
+
+import reference
+from reference import random_monomial
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -301,13 +302,6 @@ def test_fusion_symmetric_accessor():
 # --- half-root law and the symbol property ------------------------------------
 
 
-def random_monomial(degree, rng):
-    if degree == 1:
-        return atom()
-    split = rng.randint(1, degree - 1)
-    return product(random_monomial(split, rng), random_monomial(degree - split, rng))
-
-
 def random_identity(rng, max_terms=5, max_degree=7):
     n = rng.randint(2, max_terms)
     terms = []
@@ -507,15 +501,27 @@ def test_catalog_reads_text_ints_and_fractions_exactly():
 
 
 def test_identity_json_round_trip():
-    for name in ["jordan_power_assoc", "hsiang", "bernstein", "pseudo_composition"]:
-        ident = catalog(name)
+    params = {"principal_train": {"gamma": [1, -3, 2]}, "plenary_train": {"gamma": [1, -3, 2]},
+              "nourigat_varro": {"a1": 1, "a2": 2, "b1": 1, "b2": 1, "b3": 1}}
+    for name in catalog_names():
+        ident = catalog(name, params.get(name))
         blob = identity_to_json(ident)
-        back = identity_from_json(blob)
+        back = identity_from_json(json.dumps(blob))
         assert back.terms == ident.terms
         assert back.name == ident.name
         # a null name is absent, and the identity stays hashable
         back = identity_from_json({**blob, "name": None})
         assert back.name is None and hash(back) == hash(identity_from_json({**blob, "name": None}))
+
+
+@pytest.mark.parametrize("k", [True, False, 1.5, 2.0, "1", None])
+def test_a_baric_exponent_is_an_int_and_not_a_bool(k):
+    # baric_weight(True) was written as "k": true, which identity_from_json
+    # refuses, and baric_weight(1.5) failed only inside verify_identity
+    with pytest.raises(TypeError, match=f"^baric exponent must be an int, not the {type(k).__name__} "):
+        baric_weight(k)
+    with pytest.raises(TypeError, match="^baric exponent must be an int"):
+        WeightDescriptor(k, (atom(),))
 
 
 def test_identity_json_weights():
@@ -584,20 +590,6 @@ def _clear_identity_caches():
         fn.cache_clear()
 
 
-def _rho_by_growing_sum(identity):
-    out = Poly1.zero()
-    for t in identity.terms:
-        out = out + peirce_poly(t.monomial) * t.coeff
-    return out
-
-
-def _symbol_by_growing_sum(identity):
-    out = Poly3.zero()
-    for t in identity.terms:
-        out = out + peirce_symbol(t.monomial) * t.coeff
-    return out
-
-
 _SMALL_MONOMIALS = [m for d in range(1, 9) for m in enumerate_monomials(d)]
 
 
@@ -619,8 +611,8 @@ def test_identity_rho_and_symbol_match_growing_sums(raw_terms):
     assert isinstance(ident.terms, tuple)
     _clear_identity_caches()
     rho, sym = identity_peirce_poly(ident), identity_symbol(ident)
-    assert rho == _rho_by_growing_sum(ident)
-    assert sym == _symbol_by_growing_sum(ident)
+    assert rho == reference.identity_rho(ident)
+    assert sym == reference.identity_symbol(ident)
     assert identity_peirce_poly(ident) is rho and identity_symbol(ident) is sym
 
 
@@ -687,11 +679,8 @@ def test_terms_of_an_identity_share_one_memo(monkeypatch):
 def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     """rho, the spectrum, Y and both fusion tables of one identity solve rho
     once and build the zero grid of Y once, without slicing Y per pair."""
-    t = Poly1.t()
-    f = t - 1
-    for r in (Fraction(-3), Fraction(-1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(3, 2)):
-        f = f * (t - r)
-    ident = catalog("principal_train", {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
+    roots = [Fraction(-3), Fraction(-1, 3), Fraction(1, 4), Fraction(2, 5), Fraction(3, 2)]
+    ident = _planted_train("principal_train", roots)
     solves, slicings = [], []
     solve = identities.rational_roots
     monkeypatch.setattr(identities, "rational_roots", lambda rho: solves.append(rho) or solve(rho))
@@ -723,7 +712,7 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     assert isinstance(simple, frozenset) and isinstance(singletons, tuple)
     assert index == {v: k for k, v in enumerate(eigenvalues)}
     assert generic.entries._index is index and metrized.entries._index is index
-    assert sym == _symbol_by_growing_sum(ident)
+    assert sym == reference.identity_symbol(ident)
 
 
 def test_degenerate_and_irrational_identities_raise_on_every_call():
@@ -760,39 +749,7 @@ def test_refusal_is_decided_once_per_identity(monkeypatch):
         assert len({id(exc) for exc in raised}) == len(raised)
 
 
-# --- fusion tables: the per-triple definition as the oracle ----------------------
-
-
-def _fusion_by_definition(identity, mode):
-    """The fusion table by its definition: Y evaluated per triple by
-    Poly.__call__, and the exceptions applied on Fraction sets."""
-    report = spectrum(identity)
-    eigenvalues = tuple(sorted({r for r, _ in report.roots} | {ONE}))
-    y = _symbol_by_growing_sum(identity)
-    mult = dict(report.roots)
-    entries = {}
-    for i, lam in enumerate(eigenvalues):
-        for mu in eigenvalues[i:]:
-            y_zeros = {nu for nu in eigenvalues if y(lam, mu, nu) == 0}
-            if mode == "generic":
-                allowed = y_zeros | {ONE, lam, mu}
-                for simple, other in ((lam, mu), (mu, lam)):
-                    if other == HALF and mult.get(simple, 0) == 1:
-                        allowed.discard(simple)
-            elif ONE in (lam, mu):
-                allowed = {mu if lam == ONE else lam}
-            elif lam == mu:
-                allowed = {nu for nu in y_zeros if nu != ONE} | {ONE}
-            else:
-                allowed = y_zeros
-            entries[(lam, mu)] = frozenset(allowed)
-    refinements = ()
-    if mode == "metrized_orthogonal":
-        refinements = (
-            "b-orthogonal Peirce components",
-            "first-order weight terms vanish off A_c(1)",
-        )
-    return FusionTable(eigenvalues, entries, mode, refinements)
+# --- fusion tables: the per-triple definition in reference as the oracle ----------
 
 
 # coprime denominators, so that the identity's common denominator D is > 1
@@ -802,15 +759,15 @@ _PLANTED = [
     Fraction(1, 3), HALF, Fraction(2, 3), ONE, Fraction(3, 2), Fraction(3), Fraction(-10, 21),
 ]
 _FUSION_MONOMIALS = [m for d in range(1, 6) for m in enumerate_monomials(d)]
+_REFINEMENTS = {
+    "generic": (),
+    "metrized_orthogonal": ("b-orthogonal Peirce components", "first-order weight terms vanish off A_c(1)"),
+}
 
 
 def _planted_train(family, roots):
-    """The train identity whose gammas are the coefficients of (t - 1) prod (t - r)."""
-    t = Poly1.t()
-    f = t - 1
-    for r in roots:
-        f = f * (t - r)
-    return catalog(family, {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
+    """The train identity with the roots 1 and `roots`."""
+    return catalog(family, {"gamma": reference.train_gammas(roots)})
 
 
 def _zero_sum_identity(raw_terms, last):
@@ -853,7 +810,9 @@ def test_fusion_table_matches_the_per_triple_definition(ident, scale):
     report = spectrum(ident)
     assume(not report.degenerate and report.residual.degree < 1)
     for mode in ("generic", "metrized_orthogonal"):
-        assert fusion_table(ident, mode=mode) == _fusion_by_definition(ident, mode)
+        table = fusion_table(ident, mode=mode)
+        assert (table.spectrum, table.entries) == reference.fusion_table(ident, mode)
+        assert table.mode == mode and table.refinements_applied == _REFINEMENTS[mode]
 
 
 def _entries_by_dict(identity, mode):

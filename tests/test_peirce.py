@@ -31,6 +31,9 @@ from peirce_lab.peirce import (
 )
 from peirce_lab.poly import Poly1, Poly3
 
+import reference
+from reference import random_monomial
+
 HALF = Fraction(1, 2)
 
 
@@ -73,33 +76,22 @@ def test_specializations_full_enumeration_to_degree_8():
                     assert 0 < c.numerator <= 2**e
 
 
-def _random_monomial(degree, rng):
-    if degree == 1:
-        return atom()
-    split = rng.randint(1, degree - 1)
-    return product(_random_monomial(split, rng), _random_monomial(degree - split, rng))
-
-
 def test_specializations_random_to_degree_12():
     rng = random.Random(1234)
     for _ in range(500):
         d = rng.randint(1, 12)
-        m = _random_monomial(d, rng)
+        m = random_monomial(d, rng)
         rho = peirce_poly(m)
         assert rho(Fraction(1)) == d
         assert rho(HALF) == 1
         assert rho(Fraction(0)) == (1 if d == 1 else 0)
 
 
-def _swap_ab(f):
-    return f.change_vars(Poly3.VARS, {"a": "b", "b": "a", "p": "p"})
-
-
 def test_symbol_symmetric_in_a_b():
     for d in range(1, 8):
         for m in enumerate_monomials(d):
-            sym = peirce_symbol(m)
-            assert _swap_ab(sym) == sym
+            coeffs = peirce_symbol(m).coeffs
+            assert coeffs == {(b, a, p): c for (a, b, p), c in coeffs.items()}
 
 
 def test_half_specialization_identity_to_degree_8():
@@ -127,16 +119,9 @@ def test_closed_form_guards():
             fn(0)
 
 
-def _labeled_rho_value(m, labels, q, counter=None):
-    """Oracle: evaluate the symmetrized first-order operator brute force.
-
-    For each leaf position i, the monomial with leaf i replaced by a marked
-    slot contributes labels[i] * q^(depth-weighted path product) -- concretely,
-    the linear operator on the marked slot is the product of q over every
-    internal node on the path times 2^(siblings...)... Rather than re-derive,
-    evaluate the recursion rho directly with leaf weights: value(m) where
-    value(leaf_i) = labels[i] and value(m1*m2) = q*(value(m1) + value(m2)).
-    """
+def _labeled_rho_value(m, labels, q):
+    """The recursion of rho with weighted leaves: leaf i is worth labels[i],
+    and m1 m2 is worth q (value(m1) + value(m2))."""
     it = iter(labels)
 
     def walk(node):
@@ -152,7 +137,7 @@ def test_total_peirce_value_vs_permutation_oracle():
     q = Fraction(1, 3)
     for _ in range(30):
         d = rng.randint(2, 6)
-        m = _random_monomial(d, rng)
+        m = random_monomial(d, rng)
         leaves = [Fraction(rng.randint(-5, 5)) for _ in range(d)]
         # sum of the leaf-weighted recursion over all orderings of the labels
         brute = sum(
@@ -170,50 +155,22 @@ def test_total_peirce_value_validates_length():
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=9))
 def test_product_recursion_property(d_left, d_right):
     rng = random.Random(d_left * 31 + d_right)
-    m1 = _random_monomial(d_left, rng)
-    m2 = _random_monomial(d_right, rng)
+    m1 = random_monomial(d_left, rng)
+    m2 = random_monomial(d_right, rng)
     m = product(m1, m2)
     t = Poly1.t()
     assert peirce_poly(m) == t * (peirce_poly(m1) + peirce_poly(m2))
 
 
-# --- Fraction oracles: the recursions as polynomial arithmetic -----------------
-
-
-def _rho_oracle(m, memo):
-    """rho by the definition, in Poly1 arithmetic over Fractions."""
-    if m not in memo:
-        if m.is_atom:
-            memo[m] = Poly1.const(1)
-        else:
-            memo[m] = Poly1.t() * (_rho_oracle(m.left, memo) + _rho_oracle(m.right, memo))
-    return memo[m]
-
-
-def _symbol_oracle(m, memo, rho_memo):
-    """The symbol by the definition, in Poly3 arithmetic over Fractions."""
-    if m not in memo:
-        if m.is_atom:
-            memo[m] = Poly3.zero()
-        else:
-            left, right = m.left, m.right
-            rho_left, rho_right = _rho_oracle(left, rho_memo), _rho_oracle(right, rho_memo)
-            cross = rho_left.change_vars(Poly3.VARS, {"t": "a"}) * rho_right.change_vars(Poly3.VARS, {"t": "b"})
-            memo[m] = (
-                Poly3.var("p") * (_symbol_oracle(left, memo, rho_memo) + _symbol_oracle(right, memo, rho_memo))
-                + cross
-                + _swap_ab(cross)
-            )
-    return memo[m]
+# --- the recursions against their definitions in reference ------------------------
 
 
 def test_integer_recursions_match_fraction_oracles_to_degree_10():
-    rho_memo, sym_memo = {}, {}
     for d in range(1, 11):
         for m in enumerate_monomials(d):
             rho, sym = peirce_poly(m), peirce_symbol(m)
-            assert rho == _rho_oracle(m, rho_memo)
-            assert sym == _symbol_oracle(m, sym_memo, rho_memo)
+            assert rho == reference.rho(m)
+            assert sym == reference.symbol(m)
             # coefficients are stored as Fractions, like every Poly's
             assert all(type(c) is Fraction for c in (*rho.coeffs.values(), *sym.coeffs.values()))
 
@@ -221,10 +178,9 @@ def test_integer_recursions_match_fraction_oracles_to_degree_10():
 @settings(max_examples=60)
 @given(st.integers(min_value=11, max_value=40), st.randoms(use_true_random=False))
 def test_integer_recursions_match_fraction_oracles_random(degree, rng):
-    m = _random_monomial(degree, rng)
-    rho_memo = {}
-    assert peirce_poly(m) == _rho_oracle(m, rho_memo)
-    assert peirce_symbol(m) == _symbol_oracle(m, {}, rho_memo)
+    m = random_monomial(degree, rng)
+    assert peirce_poly(m) == reference.rho(m)
+    assert peirce_symbol(m) == reference.symbol(m)
 
 
 # --- per-call memos --------------------------------------------------------------

@@ -7,13 +7,13 @@ from fractions import Fraction
 from itertools import accumulate
 from unittest import mock
 from math import gcd, isqrt, lcm, prod
-from operator import add, itemgetter, ne
+from operator import add, ne
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from peirce_lab import identities
-from peirce_lab.algebras import StructureAlgebra, build_algebra, eigen_decomposition
+from peirce_lab.algebras import StructureAlgebra, build_algebra, eigen_decomposition, verify_second_linearization
 from peirce_lab.identities import (
     IdentityTerm,
     WeightedIdentity,
@@ -32,13 +32,13 @@ from peirce_lab.poly import (
     Poly3,
     RationalSyntaxError,
     _cleared_coeffs,
-    _divide_dense,
     _horner_hom,
-    _symbol_slices,
     format_rational,
     parse_rational,
     rational_roots,
 )
+
+import reference
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -80,7 +80,7 @@ def test_parse_rational_refuses_exponent_notation_before_fraction_reads_it(text)
 def test_number_entry_points_refuse_floats_and_bools(value, kind):
     # Fraction(0.1) is 3602879701896397/2^55 and Fraction(True) is 1; the
     # catalog refuses both, and so does every other entry point that reads a number
-    t = Poly1.t()
+    t, alg, z3 = Poly1.t(), build_algebra("jordan_sym2"), principal_power(3)
     reads = {
         "make_identity": lambda v: make_identity([(v, principal_power(2)), (-1, atom())]),
         "StructureAlgebra": lambda v: StructureAlgebra(1, (((v,),),)),
@@ -90,6 +90,8 @@ def test_number_entry_points_refuse_floats_and_bools(value, kind):
         "total_peirce_value": lambda v: total_peirce_value(atom(), [v], 1),
         "IdentityTerm": lambda v: IdentityTerm(v, atom()),
         "WeightedIdentity": lambda v: WeightedIdentity((IdentityTerm(v, principal_power(2)), IdentityTerm(-v, atom()))),
+        "verify_second_linearization lam": lambda v: verify_second_linearization(alg, alg.idempotents[0], z3, v, 0),
+        "verify_second_linearization mu": lambda v: verify_second_linearization(alg, alg.idempotents[0], z3, 0, v),
     }
     for name, read in reads.items():
         with pytest.raises(TypeError) as exc:
@@ -98,7 +100,8 @@ def test_number_entry_points_refuse_floats_and_bools(value, kind):
 
 
 def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
-    # t + True used to be t + 1 and t * True to be t; == keeps answering
+    # t + True used to be t + 1, t * True and t ** True to be t and t.coeff(True)
+    # the coefficient of t; == keeps answering
     t = Poly1.t()
     combine = [add, lambda f, g: f - g, lambda f, g: f * g]
     for op in combine:
@@ -108,6 +111,9 @@ def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
             assert str(exc.value).startswith("expected an int, a Fraction or text, not the bool ")
         with pytest.raises(TypeError, match="^cannot combine a polynomial with float$"):
             op(t, 0.5)
+    for read in (lambda: t**True, lambda: t**False, lambda: t.coeff(True), lambda: t.coeff(False)):
+        with pytest.raises(TypeError, match="^expected an int, a Fraction or text, not the bool "):
+            read()
     assert Poly1.const(1) == True and Poly1.zero() == False and t != True  # noqa: E712
     assert hash(Poly1.const(1)) == hash(True)
 
@@ -189,34 +195,6 @@ def test_rational_roots_reconstruct(root_list):
     assert rebuilt == f
 
 
-def _divisors_naive(n):
-    return [d for d in range(1, abs(n) + 1) if n % d == 0]
-
-
-def _roots_by_fraction_evaluation(f):
-    """Rational root theorem candidates, each evaluated with Poly1.__call__;
-    a root's multiplicity is the number of derivatives that vanish there."""
-    den = lcm(*(c.denominator for c in f.coeffs.values()))
-    low, top = min(f.coeffs), f.degree
-    candidates = {Fraction(0)} | {
-        Fraction(s * p, q)
-        for p in _divisors_naive(int(f.coeffs[low] * den))
-        for q in _divisors_naive(int(f.coeff(top) * den))
-        for s in (1, -1)
-    }
-    roots = []
-    for r in sorted(candidates):
-        m, g = 0, f
-        while not g.is_zero and g(r) == 0:
-            m, g = m + 1, g.derivative()
-        if m:
-            roots.append((r, m))
-    residual = f
-    for r, m in roots:
-        residual = Poly1(_divide_exact_by_fractions(residual, Poly1({1: 1, 0: -r}) ** m, "t").coeffs)
-    return roots, residual
-
-
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
@@ -235,7 +213,7 @@ def test_rational_roots_match_fraction_evaluation(zero_mult, repeated, mult, oth
     f = t**zero_mult * (t - repeated) ** mult * extra
     for r in others:
         f = f * (t - r)
-    assert rational_roots(f) == _roots_by_fraction_evaluation(f)
+    assert rational_roots(f) == reference.rational_roots(f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,7 +232,7 @@ def test_rational_roots_of_planted_roots_times_a_cofactor(planted, cofactor):
     times a small cofactor whose roots the definitional oracle finds."""
     t = Poly1.t()
     f = cofactor
-    expected, residual = _roots_by_fraction_evaluation(cofactor)
+    expected, residual = reference.rational_roots(cofactor)
     mult = dict(expected)
     for r, m in planted:
         f = f * (t - r) ** m
@@ -391,27 +369,13 @@ def _positive_rational_roots(f: list[int]) -> list[Fraction]:
 
 def _rational_roots_by_bisection(f):
     """rational_roots with the positive roots of F(t) and of F(-t) found by
-    `_positive_rational_roots`, deflated the same way."""
-    roots = []
-    ints, den = _cleared_coeffs(f)
-    k = next(e for e, c in enumerate(ints) if c)
-    if k > 0:
-        roots.append((Fraction(0), k))
-    num = gcd(*ints)
-    rest = [c // num for c in ints[k:]]
-    for s in (1, -1):
-        side = rest if s > 0 else [-c if e % 2 else c for e, c in enumerate(rest)]
-        for r in _positive_rational_roots(side):
-            r = r if s > 0 else -r
-            p, q = r.numerator, r.denominator
-            m = 0
-            while not _horner_hom(rest, p, q):
-                rest = _divide_dense(rest, [-p, q])
-                m += 1
-            num *= q**m
-            roots.append((r, m))
-    roots.sort(key=itemgetter(0))
-    return roots, Poly1({e: Fraction(num * c, den) for e, c in enumerate(rest) if c})
+    `_positive_rational_roots`, F the integer form of f without its roots at 0."""
+    ints, _ = _cleared_coeffs(f)
+    rest = ints[next(e for e, c in enumerate(ints) if c) :]
+    num = gcd(*rest)
+    rest = [c // num for c in rest]
+    found = [s * r for s in (1, -1) for r in _positive_rational_roots([s**e * c for e, c in enumerate(rest)])]
+    return reference.divide_out_roots(f, [Fraction(0), *found])
 
 
 def _primorial(n):
@@ -455,7 +419,7 @@ def test_rational_roots_match_descartes_bisection(f):
     ints, _ = _cleared_coeffs(f)
     low = next(c for c in ints if c)
     if abs(low) <= 5000 and abs(ints[-1]) <= 5000:
-        assert found == _roots_by_fraction_evaluation(f)
+        assert found == reference.rational_roots(f)
 
 
 def test_square_free_part_only_after_a_root_repeats_mod_p():
@@ -597,15 +561,6 @@ def test_rational_roots_adversarial_inputs_are_fast(f, roots, residual):
     assert elapsed < 0.1, f"rational_roots took {elapsed:.3f} s on {f.render()}"
 
 
-def _zeros_by_evaluation(y, values):
-    """The per-triple definition of the symbol grid, through Poly3.__call__."""
-    return {
-        (lam, mu): {nu for nu in values if y(lam, mu, nu) == 0}
-        for i, lam in enumerate(values)
-        for mu in values[i:]
-    }
-
-
 def _zero_grid_by_value(ident, values, y=None):
     """identities._zero_grid of ident with `values` planted as the rational
     roots of rho (1 joins them if absent) and, if given, the int dict y
@@ -617,31 +572,6 @@ def _zero_grid_by_value(ident, values, y=None):
         eigenvalues, grid = identities._zero_grid.__wrapped__(ident)[:2]  # uncached
     assert eigenvalues == tuple(sorted(set(values) | {Fraction(1)}))
     return {(eigenvalues[i], eigenvalues[j]): {eigenvalues[k] for k in zeros} for (i, j), zeros in grid}
-
-
-def _dense_zero_grid(y, values):
-    """The zero grid as it was built before the b- and p-axes were packed:
-    dense slices in p per mu from `_symbol_slices`, then one Horner pass per nu."""
-    d = max((k[0] for k in y), default=0)
-    fracs = [(v.numerator, v.denominator) for v in values]
-    return {
-        (lam, values[j]): {values[k] for k, (p, q) in enumerate(fracs) if not _horner_hom(at_ab, p, q)}
-        for i, lam in enumerate(values)
-        for j, at_ab in enumerate(_symbol_slices(y, d, lam, values[i:]), i)
-    }
-
-
-def _zero_grid_by_evaluation(ident):
-    """identities._zero_grid through the per-triple definition, with the
-    indices the fusion rules read found by value."""
-    report = spectrum(ident)
-    values = tuple(sorted({r for r, _ in report.roots} | {Fraction(1)}))
-    index = {v: k for k, v in enumerate(values)}
-    zeros = _zeros_by_evaluation(identity_symbol(ident), values)
-    grid = tuple(((index[lam], index[mu]), frozenset(map(index.get, z))) for (lam, mu), z in zeros.items())
-    simple = frozenset(index[r] for r, m in report.roots if m == 1)
-    singletons = tuple(frozenset((v,)) for v in values)
-    return values, grid, index[Fraction(1)], index.get(Fraction(1, 2), -1), simple, singletons, index
 
 
 _GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
@@ -667,7 +597,7 @@ def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
         assume(False)
     report = spectrum(ident)
     values = sorted(set(_ALWAYS + extra_values + [r for r, _ in report.roots]))
-    assert _zero_grid_by_value(ident, values) == _zeros_by_evaluation(identity_symbol(ident), values)
+    assert _zero_grid_by_value(ident, values) == reference.zero_grid(reference.identity_symbol(ident), values)
 
 
 def test_symbol_zero_grid_of_zero_symbol():
@@ -676,7 +606,7 @@ def test_symbol_zero_grid_of_zero_symbol():
     assert y.is_zero
     values = [Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
     grid = _zero_grid_by_value(ident, values)
-    assert grid == _zeros_by_evaluation(y, values)
+    assert grid == reference.zero_grid(y, values)
     assert all(zeros == set(values) for zeros in grid.values())
 
 
@@ -728,25 +658,20 @@ _PLANTED = st.one_of(
     [Fraction(2**64 - 1, 2**64 + 1), Fraction(-_BIG), Fraction(0), Fraction(1, 2)],
 )
 def test_packed_zero_grid_matches_dense_grid_and_evaluation(y, values):
-    """The packed grid, the dense grid it replaced and the per-triple
-    definition agree on planted symbols and eigenvalues: 0, 1, +-1/2 or no
-    1/2, numerators and denominators up to 2^64, coefficients up to 2^200,
-    so slots of 8 to several hundred bits, many not a power of two."""
+    """The packed grid and the per-triple definition agree on planted
+    symbols and eigenvalues: 0, 1, +-1/2 or no 1/2, numerators and
+    denominators up to 2^64, coefficients up to 2^200, so slots of 8 to
+    several hundred bits, many not a power of two."""
     values = sorted(set(values) | {Fraction(1)})
-    want = _zeros_by_evaluation(Poly3(y), values)
-    assert _dense_zero_grid(y, values) == want
+    want = reference.zero_grid(reference.Poly(reference.ABP, y), values)
     assert _zero_grid_by_value(make_identity([(1, atom())], require_zero_sum=False), values, y) == want
 
 
 def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
     """Five planted roots: the grid makes no Poly3.__call__, and the table is
     the one the per-triple definition gives."""
-    t = Poly1.t()
-    f = t - 1
-    for r in (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(3)):
-        f = f * (t - r)
-    ident = catalog("principal_train", {"gamma": [f.coeff(e) for e in range(f.degree, -1, -1)]})
-
+    ident = catalog("principal_train", {"gamma": reference.train_gammas(
+        [Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(3)])})
     calls = []
     evaluate = Poly3.__call__
 
@@ -754,18 +679,15 @@ def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
         calls.append(args)
         return evaluate(self, *args)
 
+    monkeypatch.setattr(Poly3, "__call__", counted)
     for mode in ("generic", "metrized_orthogonal"):
         identities._zero_grid.cache_clear()  # each mode builds the grid
-        monkeypatch.setattr(Poly3, "__call__", counted)
         table = fusion_table(ident, mode=mode)
         assert calls == []
-        monkeypatch.setattr(identities, "_zero_grid", _zero_grid_by_evaluation)
-        reference = fusion_table(ident, mode=mode)
-        monkeypatch.undo()
-        assert calls, "the reference evaluates Y per triple"
         assert len(table.spectrum) == 7
-        assert table == reference
-        calls.clear()
+        assert (table.spectrum, table.entries) == reference.fusion_table(ident, mode)
+    identity_symbol(ident)(1, 1, 1)
+    assert calls, "the counter sees an evaluation"
 
 
 def test_poly3_basics():
@@ -839,118 +761,7 @@ def test_catalog_rho_and_symbol_render(name, params, rho, y):
     assert identity_symbol(ident).render() == y
 
 
-# --- the integer form, against the Fraction-dict arithmetic it replaced --------
-
-
-class _FractionPoly:
-    """Poly as it was when it stored {exponents: Fraction}: its arithmetic,
-    kept as the oracle for the integer form."""
-
-    def __init__(self, vars, coeffs):
-        self.vars = tuple(vars)
-        self.coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
-
-    def _lift(self, other):
-        if isinstance(other, _FractionPoly):
-            return other
-        return _FractionPoly(self.vars, {(0,) * len(self.vars): other})
-
-    def _collect(self, terms, vars=None):
-        out = {}
-        for k, c in terms:
-            out[k] = out.get(k, 0) + c
-        return _FractionPoly(vars or self.vars, out)
-
-    def __add__(self, other):
-        return self._collect([*self.coeffs.items(), *self._lift(other).coeffs.items()])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _FractionPoly(self.vars, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if not isinstance(other, _FractionPoly):
-            return _FractionPoly(self.vars, {k: c * other for k, c in self.coeffs.items()})
-        return self._collect(
-            (tuple(map(add, k1, k2)), c1 * c2) for k1, c1 in self.coeffs.items() for k2, c2 in other.coeffs.items()
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = self._lift(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __call__(self, *args):
-        acc = next((x * 0 for x in args if isinstance(x, _FractionPoly)), Fraction(0))
-        for k, c in self.coeffs.items():
-            for x, e in zip(args, k):
-                if e:
-                    c = c * x**e
-            acc = acc + c
-        return acc
-
-    def substitute(self, name, value):
-        i = self.vars.index(name)
-        return self._collect((k[:i] + (0,) + k[i + 1 :], c * Fraction(value) ** k[i]) for k, c in self.coeffs.items())
-
-    def derivative(self, name):
-        i = self.vars.index(name)
-        return _FractionPoly(
-            self.vars, {k[:i] + (k[i] - 1,) + k[i + 1 :]: c * k[i] for k, c in self.coeffs.items() if k[i]}
-        )
-
-    def change_vars(self, vars, names):
-        vars = tuple(vars)
-
-        def renamed(k):
-            key = [0] * len(vars)
-            for v, e in zip(self.vars, k):
-                if e:
-                    key[vars.index(names[v])] += e
-            return tuple(key)
-
-        return self._collect(((renamed(k), c) for k, c in self.coeffs.items()), vars)
-
-    def render(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, k in enumerate(sorted(self.coeffs, key=lambda k: k[-1:] + k[:-1], reverse=True)):
-            var = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, k) if e)
-            parts.append(poly._coeff_str(self.coeffs[k], var, first=(i == 0)))
-        return "".join(parts)
-
-
-class InexactDivision(ArithmeticError):
-    """Long division left a nonzero remainder."""
-
-
-def _divide_exact_by_fractions(f, g, name):
-    i = f.vars.index(name)
-    lead = max(g.coeffs, key=itemgetter(i))
-    rem, out = dict(f.coeffs), {}
-    while rem:
-        top = max(rem, key=itemgetter(i))
-        if top[i] < lead[i]:
-            raise InexactDivision(f"{g} does not divide {f}")
-        shift = top[:i] + (top[i] - lead[i],) + top[i + 1 :]
-        c = out[shift] = rem[top] / g.coeffs[lead]
-        for gk, gc in g.coeffs.items():
-            k = tuple(map(add, shift, gk))
-            rem[k] = rem.get(k, 0) - c * gc
-            if not rem[k]:
-                del rem[k]
-    return _FractionPoly(f.vars, out)
+# --- the integer form, against the Fraction-dict arithmetic it replaced, in reference
 
 
 def _agree(new, old):
@@ -997,7 +808,7 @@ def _pairs(draw, nvars, max_exp):
 def test_integer_form_agrees_with_fraction_arithmetic(cls, max_exp, data):
     n = len(cls.VARS)
     fd, gd = data.draw(_pairs(n, max_exp))
-    f, g, fo, go = cls(fd), cls(gd), _FractionPoly(cls.VARS, fd), _FractionPoly(cls.VARS, gd)
+    f, g, fo, go = cls(fd), cls(gd), reference.Poly(cls.VARS, fd), reference.Poly(cls.VARS, gd)
     s, s2 = data.draw(_SCALARS), data.draw(_SCALARS)
     name = data.draw(st.sampled_from(cls.VARS))
     k = data.draw(st.integers(0, 3))
@@ -1022,14 +833,6 @@ def test_integer_form_agrees_with_fraction_arithmetic(cls, max_exp, data):
                fo.substitute("a", s).substitute("b", s2).change_vars(Poly1.VARS, {"p": "t"}))
 
 
-def _divided_difference_by_fractions(fd, x):
-    """(f(p) - f(x)) / (p - x) as defined, for f = sum fd[e] * t^e: Fraction
-    arithmetic and long division in p."""
-    f = _FractionPoly(Poly1.VARS, {(e,): c for e, c in fd.items()})
-    p = _FractionPoly(Poly3.VARS, {(0, 0, 1): 1})
-    return _divide_exact_by_fractions(f(p) - f(x), p - x, "p")
-
-
 # x as {exponents of (a, b, p): coefficient} for a polynomial, else a value
 _POINTS = st.one_of(
     st.sampled_from([{(1, 0, 0): 1}, {(0, 1, 0): 1}, Fraction(1, 2), {(1, 1, 0): 2}]),  # a, b, 1/2, 2ab
@@ -1044,12 +847,12 @@ def test_divided_difference_agrees_with_its_definition(fd, x):
     f = Poly1(fd)
     if isinstance(x, dict):
         got = _divided_difference(f, Poly3(x), Poly3.var("p"))
-        x = _FractionPoly(Poly3.VARS, x)
+        x = reference.Poly(reference.ABP, x)
     else:
         got = _divided_difference(f, x, Poly3.var("p"))
-    want = _divided_difference_by_fractions(fd, x)
+    want = reference.divided_difference(reference.Poly(reference.T, {(e,): c for e, c in fd.items()}), x)
     _agree(got, want)
-    if not isinstance(x, _FractionPoly):
+    if not isinstance(x, reference.Poly):
         _agree(_divided_difference(f, x, Poly1.t()), want.change_vars(Poly1.VARS, {"p": "t"}))
 
 

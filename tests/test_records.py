@@ -169,20 +169,27 @@ def test_structure_algebra_is_an_immutable_hashable_record():
     assert alg != oracle
 
 
-def _modules_after_importing_cli():
+def _modules_after_importing(module):
+    """The modules loaded by importing `module` with the package and tests/ on the path."""
     # under -S no site hook runs, so a host's .pth file cannot load a module first
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(peirce_lab.__file__)))
-    code = "import peirce_lab.cli, sys; print(*sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True, capture_output=True, text=True)
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(peirce_lab.__file__)), os.path.dirname(__file__)])
+    code = f"import {module}, sys; print(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True,
+                         capture_output=True, text=True)
     modules = set(out.stdout.split())
-    assert "peirce_lab.cli" in modules
+    assert module in modules
     return modules
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    assert {"dataclasses", "inspect"} & _modules_after_importing_cli() == set()
+    assert {"dataclasses", "inspect"} & _modules_after_importing("peirce_lab.cli") == set()
 
 
 def test_import_does_not_load_typing():
     # annotations name collections.abc types, so the package needs no typing at run time
-    assert "typing" not in _modules_after_importing_cli()
+    assert "typing" not in _modules_after_importing("peirce_lab.cli")
+
+
+def test_the_reference_oracles_load_no_peirce_lab_module():
+    # tests/reference.py checks the package, so it must not be computed by it
+    assert {m for m in _modules_after_importing("reference") if m.startswith("peirce_lab")} == set()
