@@ -19,7 +19,7 @@ from math import lcm
 from operator import mul
 
 from ._record import _Record, _set
-from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power
+from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power, product
 from .peirce import _divided_difference, _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints
 from .poly import (
     Poly1,
@@ -94,9 +94,16 @@ class CatalogParameterError(ValueError):
     the family's defining constraint."""
 
 
-# Identity-level results (rho, spectrum, symbol, zero grid) are memoized per
+# Identity-level results (rho, spectrum, symbol, fusion tables) are memoized per
 # identity in bounded caches of this size and shared between callers.
 _IDENTITY_CACHE_SIZE = 256
+
+
+def _require(value, cls: type, field: str):
+    """value, or a TypeError naming the field if it is not a cls."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{field} must be a {cls.__name__}, not the {type(value).__name__} {value!r}")
+    return value
 
 
 @functools.total_ordering
@@ -114,6 +121,9 @@ class WeightDescriptor(_Record):
             raise TypeError(f"baric exponent must be an int, not the {type(baric_exp).__name__} {baric_exp!r}")
         if baric_exp < 0:
             raise InvalidWeight(f"baric exponent must be nonnegative, got {baric_exp}")
+        bilinear_args = tuple(bilinear_args)  # a list would make the weight unhashable
+        for m in bilinear_args:  # a str is iterable too, one character at a time
+            _require(m, Monomial, "each of bilinear_args")
         _set(self, "baric_exp", baric_exp)
         _set(self, "bilinear_args", bilinear_args)
 
@@ -133,10 +143,7 @@ class WeightDescriptor(_Record):
         return "product"
 
     def combine(self, other: "WeightDescriptor") -> "WeightDescriptor":
-        return WeightDescriptor(
-            self.baric_exp + other.baric_exp,
-            tuple(sorted(self.bilinear_args + other.bilinear_args)),
-        )
+        return WeightDescriptor(self.baric_exp + other.baric_exp, sorted(self.bilinear_args + other.bilinear_args))
 
     def describe(self) -> str:
         factors = []
@@ -171,8 +178,8 @@ class IdentityTerm(_Record):
     ):
         # text is read by parse_rational; a float or a bool raises TypeError
         _set(self, "coeff", coeff if isinstance(coeff, Fraction) else _rational(coeff))
-        _set(self, "monomial", monomial)
-        _set(self, "weight", weight)
+        _set(self, "monomial", _require(monomial, Monomial, "monomial"))
+        _set(self, "weight", _require(weight, WeightDescriptor, "weight"))
 
 
 class WeightedIdentity(_Record):
@@ -353,15 +360,10 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
     return SpectrumReport(rho, tuple(roots), residual, degenerate=False)
 
 
-@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
-def _zero_grid(identity: WeightedIdentity) -> tuple:
-    """What both fusion modes read, decided once per identity: (eigenvalues,
-    grid, one, half, simple, singletons, index), or (exception class, message)
-    for an identity without a table.  The eigenvalues are the rational roots of
-    rho and 1; grid holds ((i, j), {k : Y(lam_i, lam_j, lam_k) == 0}) for
-    i <= j; one, half and simple index 1, 1/2 (-1 if absent) and the simple
-    roots; index maps each eigenvalue to its position, and every table of the
-    identity shares it without writing to it.
+def _zero_rows(y: dict, fracs: Sequence[tuple[int, int]]) -> bytes:
+    """One byte per (i, j >= i, k) in grid order, 1 where Y(lam_i, lam_j, lam_k)
+    is 0 and 0 elsewhere, for y the int dict {(a, b, p): c} of D*Y and
+    fracs[k] = (p_k, q_k), lam_k = p_k/q_k in lowest terms with q_k > 0.
 
     Y is packed at the eigenvalues in b and p at once: each a^e of D*Y becomes
     one int with slot (j, k), w bits at bit w*(n*j + k), holding
@@ -373,17 +375,6 @@ def _zero_grid(identity: WeightedIdentity) -> tuple:
     into its lowest one, and the row's lowest bits are read as one byte per
     slot.
     """
-    report = spectrum(identity)
-    if report.degenerate:
-        return DegenerateIdentity, "degenerate identity has no fusion table"
-    if report.residual.degree >= 1:
-        return IrrationalSpectrum, f"non-rational spectral factor remains: {report.residual.render()}"
-    roots, one = report.roots, sum(r.numerator < r.denominator for r, _ in report.roots)
-    if one == len(roots) or roots[one][0] != 1:  # the roots are sorted; 1 goes here
-        roots = roots[:one] + ((Fraction(1), 0),) + roots[one:]
-    eigenvalues = tuple(r for r, _ in roots)
-    fracs = [(v.numerator, v.denominator) for v in eigenvalues]
-    y = identity_symbol(identity)._ints  # D*Y, D the stored denominator
     d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
     dp = max((k[2] for k in y), default=0)
     m, n = max(max(-p, p, q) for p, q in fracs), len(fracs)
@@ -401,24 +392,63 @@ def _zero_grid(identity: WeightedIdentity) -> tuple:
     while span < w:
         smear.append(min(span, w - span))
         span += smear[-1]
-    flags = []  # a byte per slot of j >= i, row by row: 1 where Y is 0
+    rows = []
     for i, (p, q) in enumerate(fracs):
         start = w * n * i  # the slots of j >= i
         v = ((_horner_hom(packed, p, q) + offset) ^ offset) >> start  # a slot is 0 where Y is
         for s in smear:
             v |= v >> s
-        flags.append((~v & low >> start).to_bytes((n - i) * n * nbytes, "little")[::nbytes])
-    flags = b"".join(flags)
-    rows = [flags[k : k + n] for k in range(0, len(flags), n)]  # one per pair, in grid order
-    as_set = {row: frozenset(compress(range(n), row)) for row in set(rows)}
-    grid = tuple(zip(((i, j) for i in range(n) for j in range(i, n)), map(as_set.__getitem__, rows)))
-    half = fracs.index((1, 2)) if (1, 2) in fracs else -1
-    simple = frozenset(k for k, (_, mult) in enumerate(roots) if mult == 1)
+        rows.append((~v & low >> start).to_bytes((n - i) * n * nbytes, "little")[::nbytes])
+    return b"".join(rows)
+
+
+_METRIZED = ("b-orthogonal Peirce components", "first-order weight terms vanish off A_c(1)")
+
+
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_SIZE)
+def _fusion_tables(identity: WeightedIdentity) -> dict[str, FusionTable] | ValueError:
+    """Both fusion tables of an identity by mode, or the exception that
+    refuses it, decided once per identity.  The eigenvalues are the rational
+    roots of rho and 1.  The rules of each mode set and clear bytes of the
+    zero rows, each distinct row becomes one union of singletons, which reuses
+    their stored hashes, and both tables share one index of the positions."""
+    report = spectrum(identity)
+    if report.degenerate:
+        return DegenerateIdentity("degenerate identity has no fusion table")
+    if report.residual.degree >= 1:
+        return IrrationalSpectrum(f"non-rational spectral factor remains: {report.residual.render()}")
+    roots, one = report.roots, sum(r.numerator < r.denominator for r, _ in report.roots)
+    if one == len(roots) or roots[one][0] != 1:  # the roots are sorted; 1 goes here
+        roots = roots[:one] + ((Fraction(1), 0),) + roots[one:]
+    eigenvalues = tuple(r for r, _ in roots)
+    fracs = [(v.numerator, v.denominator) for v in eigenvalues]
+    n, half = len(fracs), fracs.index((1, 2)) if (1, 2) in fracs else -1
+    zeros = _zero_rows(identity_symbol(identity)._ints, fracs)
+    generic, metrized = bytearray(zeros), bytearray(zeros)
+    generic[one::n] = b"\1" * (len(zeros) // n)  # generic: the zeros, 1, lam and mu
+    for at, (i, j) in zip(range(0, len(zeros), n), ((i, j) for i in range(n) for j in range(i, n))):
+        generic[at + i] = generic[at + j] = 1
+        for simple, other in ((i, j), (j, i)):  # less a simple root on the 1/2 row
+            if other == half and roots[simple][1] == 1:
+                generic[at + simple] = 0
+        if one in (i, j):  # metrized: the zeros, but only the other one on the 1 row
+            metrized[at : at + n] = bytes(n)
+            metrized[at + i + j - one] = 1
+        elif i == j:  # and 1 on the diagonal
+            metrized[at + one] = 1
     singletons = tuple(frozenset((v,)) for v in eigenvalues)
     index: dict[Fraction, int] = {}
     for k, v in enumerate(singletons):  # a dict built from a set reuses its stored hashes
         index.update(dict.fromkeys(v, k))
-    return eigenvalues, grid, one, half, simple, singletons, index
+    as_values: dict[bytes, frozenset[Fraction]] = {}
+    tables = {}
+    for mode, rows in (("generic", bytes(generic)), ("metrized_orthogonal", bytes(metrized))):
+        rows = [rows[at : at + n] for at in range(0, len(rows), n)]
+        for row in set(rows).difference(as_values):
+            as_values[row] = frozenset().union(*compress(singletons, row))
+        entries = _FusionEntries(eigenvalues, index, tuple(map(as_values.__getitem__, rows)))
+        tables[mode] = FusionTable(eigenvalues, entries, mode, () if mode == "generic" else _METRIZED)
+    return tables
 
 
 def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTable:
@@ -429,62 +459,21 @@ def fusion_table(identity: WeightedIdentity, mode: str = "generic") -> FusionTab
     from the lam * (1/2) row.  metrized_orthogonal additionally assumes
     b-orthogonal Peirce components and vanishing first-order weight terms,
     which lets the exceptions be dropped except for lam = mu (diagonal) and
-    the lam = 1 row.  The rules run on indices into the eigenvalues.
+    the lam = 1 row.  Both tables are built once per identity and cached.
     """
     if mode not in ("generic", "metrized_orthogonal"):
         raise ValueError(f"unknown fusion mode {mode!r}")
-    grid = _zero_grid(identity)
-    if len(grid) == 2:  # no table: a fresh exception on every call
-        raise grid[0](grid[1])
-    eigenvalues, zeros, one, half, simple, singletons, index = grid
-
-    # one frozenset of eigenvalues per distinct allowed set of indices, built
-    # as a union of singletons, which reuses their stored hashes
-    as_values: dict[frozenset[int], frozenset[Fraction]] = {}
-    sets: list[frozenset[Fraction]] = []
-    for (i, j), y_zeros in zeros:
-        if mode == "generic":
-            allowed = y_zeros | {one, i, j}
-            if j == half and i in simple:
-                allowed -= {i}
-            if i == half and j in simple:
-                allowed -= {j}
-        elif one in (i, j):
-            allowed = frozenset((j if i == one else i,))
-        elif i == j:
-            allowed = y_zeros | {one}
-        else:
-            allowed = y_zeros
-        values = as_values.get(allowed)
-        if values is None:
-            values = as_values[allowed] = frozenset().union(*map(singletons.__getitem__, allowed))
-        sets.append(values)
-
-    refinements = ()
-    if mode == "metrized_orthogonal":
-        refinements = (
-            "b-orthogonal Peirce components",
-            "first-order weight terms vanish off A_c(1)",
-        )
-    return FusionTable(eigenvalues, _FusionEntries(eigenvalues, index, tuple(sets)), mode, refinements)
+    tables = _fusion_tables(identity)
+    if isinstance(tables, ValueError):  # no table: a fresh exception on every call
+        raise type(tables)(*tables.args)
+    return tables[mode]
 
 
 def multiply_identities(p1: WeightedIdentity, p2: WeightedIdentity) -> WeightedIdentity:
     """Free product: coefficients multiply, monomials multiply, weights combine."""
-    from .magma import product as mono_product
-
-    terms = [
-        IdentityTerm(
-            t1.coeff * t2.coeff,
-            mono_product(t1.monomial, t2.monomial),
-            t1.weight.combine(t2.weight),
-        )
-        for t1 in p1.terms
-        for t2 in p2.terms
-    ]
-    name = None
-    if p1.name and p2.name:
-        name = f"({p1.name})*({p2.name})"
+    terms = [IdentityTerm(t1.coeff * t2.coeff, product(t1.monomial, t2.monomial), t1.weight.combine(t2.weight))
+             for t1 in p1.terms for t2 in p2.terms]
+    name = f"({p1.name})*({p2.name})" if p1.name and p2.name else None
     return make_identity(terms, name=name, require_zero_sum=False)
 
 
@@ -750,7 +739,7 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
             raise TypeError(f"{field}.monomials must be a JSON list, got {json.dumps(monomials)}")
         return WeightDescriptor(
             _exponent_from_json(obj.get("k", 0), f"{field}.k"),
-            tuple(sorted(_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials))),
+            sorted(_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials)),
         )
     raise ValueError(f"{field}.kind: unknown weight kind {kind!r}")
 

@@ -167,9 +167,11 @@ class Poly:
         return max(map(sum, self._ints), default=-1)
 
     def coeff(self, exp: int | Exponents) -> Fraction:
-        if isinstance(exp, bool):  # (True,) would find the key (1,)
-            raise _not_a_number(exp)
-        return Fraction(self._ints.get(exp if isinstance(exp, tuple) else (exp,), 0), self._den)
+        key = exp if isinstance(exp, tuple) else (exp,)
+        for e in key:
+            if isinstance(e, bool):  # (True,) would find the key (1,)
+                raise _not_a_number(e)
+        return Fraction(self._ints.get(key, 0), self._den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):

@@ -49,6 +49,7 @@ from peirce_lab.magma import (
 from peirce_lab.poly import Poly, Poly1, Poly3, RationalSyntaxError
 
 import reference
+from caches import clear_identity_caches
 from reference import random_monomial
 
 HALF = Fraction(1, 2)
@@ -81,6 +82,29 @@ def test_make_identity_refuses_exponent_notation(text):
     with pytest.raises(RationalSyntaxError, match="exponent notation"):
         make_identity([IdentityTerm(text, principal_power(2)), IdentityTerm(-1, atom())])
     assert time.perf_counter() - start < 1
+
+
+def test_terms_and_weights_refuse_what_is_not_a_monomial_or_a_weight():
+    # a monomial given as text used to build, and identity_peirce_poly then
+    # failed with AttributeError: 'str' object has no attribute 'left'
+    with pytest.raises(TypeError, match="^monomial must be a Monomial, not the str 'z\\^2'$"):
+        make_identity([(1, "z^2"), (-1, "z")])
+    with pytest.raises(TypeError, match="^weight must be a WeightDescriptor, not the int 2$"):
+        IdentityTerm(1, principal_power(2), 2)
+    with pytest.raises(TypeError, match="^weight must be a WeightDescriptor, not the str 'baric'$"):
+        make_identity([(1, principal_power(2), "baric"), (-1, atom())])
+    for args, kind in ((("z",), "str 'z'"), ("z", "str 'z'"), ([atom(), None], "NoneType None")):
+        with pytest.raises(TypeError, match=f"^each of bilinear_args must be a Monomial, not the {kind}$"):
+            WeightDescriptor(0, args)
+    with pytest.raises(TypeError):
+        WeightDescriptor(0, 3)
+    # a list is stored as a tuple, so the weight hashes and keys the identity caches
+    listed = WeightDescriptor(1, [atom()])
+    assert listed.bilinear_args == (atom(),) and listed == WeightDescriptor(1, (atom(),))
+    assert hash(listed) == hash(WeightDescriptor(1, (atom(),)))
+    ident = make_identity([(1, principal_power(2), listed), (-1, atom())])
+    assert spectrum(ident) is spectrum(make_identity([(1, principal_power(2), WeightDescriptor(1, (atom(),))),
+                                                      (-1, atom())]))
 
 
 def test_empty_rejected():
@@ -580,16 +604,6 @@ def test_identity_json_rejects_bad_sum():
 # --- identity-level results: oracles and sharing ---------------------------------
 
 
-def _clear_identity_caches():
-    for fn in (
-        identity_peirce_poly,
-        identity_symbol,
-        spectrum,
-        identities._zero_grid,
-    ):
-        fn.cache_clear()
-
-
 _SMALL_MONOMIALS = [m for d in range(1, 9) for m in enumerate_monomials(d)]
 
 
@@ -609,7 +623,7 @@ def test_identity_rho_and_symbol_match_growing_sums(raw_terms):
     # a list of terms, repeated monomials and zero coefficients all allowed
     ident = WeightedIdentity([IdentityTerm(c, m, baric_weight(k)) for c, m, k in raw_terms])
     assert isinstance(ident.terms, tuple)
-    _clear_identity_caches()
+    clear_identity_caches()
     rho, sym = identity_peirce_poly(ident), identity_symbol(ident)
     assert rho == reference.identity_rho(ident)
     assert sym == reference.identity_symbol(ident)
@@ -654,11 +668,11 @@ def test_half_root_guard_reads_the_integer_rho(monkeypatch):
         identities, "_rho_ints",
         lambda m, memo: {0: 1, 1: 2} if m.degree == 2 else rho_ints(m, memo),
     )
-    _clear_identity_caches()
+    clear_identity_caches()
     with pytest.raises(identities.InternalHalfRootMissing):
         spectrum(ident)
     monkeypatch.undo()
-    _clear_identity_caches()
+    clear_identity_caches()
     assert spectrum(ident).roots == ((HALF, 1),)
 
 
@@ -670,7 +684,7 @@ def test_terms_of_an_identity_share_one_memo(monkeypatch):
     for name, form in (("_rho_step", identity_peirce_poly), ("_symbol_step", identity_symbol)):
         step, calls = getattr(peirce, name), []
         monkeypatch.setattr(peirce, name, lambda m, l, r: calls.append(m) or step(m, l, r))
-        _clear_identity_caches()
+        clear_identity_caches()
         form(ident)
         assert len(calls) == len(set(calls)) and set(calls) == nodes
         monkeypatch.undo()
@@ -690,7 +704,7 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
         if event == "call" and frame.f_code is slices:
             slicings.append(frame)
 
-    _clear_identity_caches()
+    clear_identity_caches()
     sys.setprofile(profile)
     try:
         rho = identity_peirce_poly(ident)
@@ -704,19 +718,41 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     assert len(solves) == 1 and slicings == []
     assert len(report.roots) == 6 and report.peirce_poly is rho
     assert generic.spectrum == metrized.spectrum and len(generic.spectrum) == 7
-    # the cached results are immutable, but for the position index, which
-    # both tables share and neither writes to
-    eigenvalues, grid, _, _, simple, singletons, index = identities._zero_grid(ident)
-    assert isinstance(eigenvalues, tuple) and isinstance(grid, tuple)
-    assert all(isinstance(zeros, frozenset) for _, zeros in grid)
-    assert isinstance(simple, frozenset) and isinstance(singletons, tuple)
-    assert index == {v: k for k, v in enumerate(eigenvalues)}
-    assert generic.entries._index is index and metrized.entries._index is index
+    # the cached tables are immutable, but for the position index, which
+    # both share and neither writes to
+    index = generic.entries._index
+    assert isinstance(generic.spectrum, tuple) and metrized.spectrum is generic.spectrum
+    for table in (generic, metrized):
+        assert isinstance(table.entries._sets, tuple)
+        assert all(isinstance(allowed, frozenset) for allowed in table.entries._sets)
+    assert index == {v: k for k, v in enumerate(generic.spectrum)}
+    assert metrized.entries._index is index
     assert sym == reference.identity_symbol(ident)
 
 
+def test_both_tables_are_built_once_per_identity(monkeypatch):
+    """The first fusion_table call of an identity builds both tables from
+    one kernel pass; every later call, in either mode, returns the same
+    table object and runs no kernel pass."""
+    ident = _planted_train("plenary_train", [Fraction(-2), Fraction(1, 3), HALF])
+    passes = []
+    kernel = identities._zero_rows
+    monkeypatch.setattr(identities, "_zero_rows", lambda y, fracs: passes.append(fracs) or kernel(y, fracs))
+    clear_identity_caches()
+    modes = ("metrized_orthogonal", "generic")
+    tables = {mode: fusion_table(ident, mode=mode) for mode in modes}
+    assert len(passes) == 1
+    for _ in range(2):
+        for mode in modes:
+            assert fusion_table(ident, mode=mode) is tables[mode]
+    assert len(passes) == 1
+    assert tables["generic"] != tables["metrized_orthogonal"]
+    with pytest.raises(ValueError, match="^unknown fusion mode 'metrized'$"):
+        fusion_table(ident, mode="metrized")
+
+
 def test_degenerate_and_irrational_identities_raise_on_every_call():
-    _clear_identity_caches()
+    clear_identity_caches()
     for _ in range(2):
         with pytest.raises(DegenerateIdentity):
             fusion_table(catalog("elduque_labra"), mode="metrized_orthogonal")
@@ -736,7 +772,7 @@ def test_refusal_is_decided_once_per_identity(monkeypatch):
         (catalog("principal_train", {"gamma": [1, -1, -2, 2]}), identities.IrrationalSpectrum,
          "non-rational spectral factor remains: 2*t^2 - 4", 1),
     ]:
-        _clear_identity_caches()
+        clear_identity_caches()
         renders.clear()
         raised = []
         for _ in range(3):
@@ -816,28 +852,12 @@ def test_fusion_table_matches_the_per_triple_definition(ident, scale):
 
 
 def _entries_by_dict(identity, mode):
-    """The entries as a dict keyed by (lam, mu), built by the loop that
-    fusion_table ran before its entries were stored by position."""
-    eigenvalues, zeros, one, half, simple, singletons, _ = identities._zero_grid(identity)
-    as_values = {}
-    entries = {}
-    for (i, j), y_zeros in zeros:
-        if mode == "generic":
-            allowed = y_zeros | {one, i, j}
-            if j == half and i in simple:
-                allowed -= {i}
-            if i == half and j in simple:
-                allowed -= {j}
-        elif one in (i, j):
-            allowed = frozenset((j if i == one else i,))
-        elif i == j:
-            allowed = y_zeros | {one}
-        else:
-            allowed = y_zeros
-        values = as_values.get(allowed)
-        if values is None:
-            values = as_values[allowed] = frozenset().union(*map(singletons.__getitem__, allowed))
-        entries[(eigenvalues[i], eigenvalues[j])] = values
+    """The entries as a dict keyed by (lam, mu): the keys of the per-triple
+    definition, in its order, and the sets the table stores by position, in
+    grid order, which must be the definition's."""
+    want = reference.fusion_table(identity, mode)[1]
+    entries = dict(zip(want, fusion_table(identity, mode=mode).entries._sets))
+    assert entries == want
     return entries
 
 
@@ -892,10 +912,10 @@ def test_position_keyed_entries_read_as_the_dict(ident, mode):
 
 
 def test_building_a_table_hashes_no_fraction(monkeypatch):
-    """Once the grid of an identity is cached, neither mode hashes a Fraction;
-    a lookup hashes only the two values asked for."""
+    """Once the tables of an identity are cached, neither mode hashes a
+    Fraction; a lookup hashes only the two values asked for."""
     ident = _planted_train("principal_train", [Fraction(-3), Fraction(-1, 3), Fraction(2, 5), Fraction(3, 2)])
-    _clear_identity_caches()
+    clear_identity_caches()
     fusion_table(ident)
     calls = []
     fraction_hash = Fraction.__hash__

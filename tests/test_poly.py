@@ -4,7 +4,7 @@ import copy
 import pickle
 import time
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from unittest import mock
 from math import gcd, isqrt, lcm, prod
 from operator import add, ne
@@ -39,6 +39,7 @@ from peirce_lab.poly import (
 )
 
 import reference
+from caches import clear_identity_caches
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
@@ -101,7 +102,7 @@ def test_number_entry_points_refuse_floats_and_bools(value, kind):
 
 def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
     # t + True used to be t + 1, t * True and t ** True to be t and t.coeff(True)
-    # the coefficient of t; == keeps answering
+    # and t.coeff((True,)) the coefficient of t; == keeps answering
     t = Poly1.t()
     combine = [add, lambda f, g: f - g, lambda f, g: f * g]
     for op in combine:
@@ -111,7 +112,8 @@ def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
             assert str(exc.value).startswith("expected an int, a Fraction or text, not the bool ")
         with pytest.raises(TypeError, match="^cannot combine a polynomial with float$"):
             op(t, 0.5)
-    for read in (lambda: t**True, lambda: t**False, lambda: t.coeff(True), lambda: t.coeff(False)):
+    for read in (lambda: t**True, lambda: t**False, lambda: t.coeff(True), lambda: t.coeff(False),
+                 lambda: t.coeff((True,)), lambda: Poly3.var("a").coeff((1, False, 0))):
         with pytest.raises(TypeError, match="^expected an int, a Fraction or text, not the bool "):
             read()
     assert Poly1.const(1) == True and Poly1.zero() == False and t != True  # noqa: E712
@@ -561,17 +563,15 @@ def test_rational_roots_adversarial_inputs_are_fast(f, roots, residual):
     assert elapsed < 0.1, f"rational_roots took {elapsed:.3f} s on {f.render()}"
 
 
-def _zero_grid_by_value(ident, values, y=None):
-    """identities._zero_grid of ident with `values` planted as the rational
-    roots of rho (1 joins them if absent) and, if given, the int dict y
-    planted as Y; keyed and filled by the values."""
-    report = identities.SpectrumReport(Poly1.t(), tuple((v, 1) for v in values), Poly1.const(1), False)
-    with mock.patch.object(identities, "spectrum", lambda identity: report), mock.patch.object(
-        identities, "identity_symbol", identity_symbol if y is None else lambda identity: Poly3(y)
-    ):
-        eigenvalues, grid = identities._zero_grid.__wrapped__(ident)[:2]  # uncached
-    assert eigenvalues == tuple(sorted(set(values) | {Fraction(1)}))
-    return {(eigenvalues[i], eigenvalues[j]): {eigenvalues[k] for k in zeros} for (i, j), zeros in grid}
+def _zero_grid_by_value(y, values):
+    """The zero rows of the packed kernel for the int dict y, as D*Y, at the
+    sorted `values`, keyed and filled by the values."""
+    values = sorted(values)
+    n = len(values)
+    rows = identities._zero_rows(y, [(v.numerator, v.denominator) for v in values])
+    pairs = [(lam, mu) for i, lam in enumerate(values) for mu in values[i:]]
+    assert len(rows) == n * len(pairs) and set(rows) <= {0, 1}
+    return {pair: set(compress(values, rows[n * k : n * k + n])) for k, pair in enumerate(pairs)}
 
 
 _GRID_MONOMIALS = [m for d in range(1, 7) for m in enumerate_monomials(d)]
@@ -597,7 +597,8 @@ def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
         assume(False)
     report = spectrum(ident)
     values = sorted(set(_ALWAYS + extra_values + [r for r, _ in report.roots]))
-    assert _zero_grid_by_value(ident, values) == reference.zero_grid(reference.identity_symbol(ident), values)
+    assert _zero_grid_by_value(identity_symbol(ident)._ints, values) == reference.zero_grid(
+        reference.identity_symbol(ident), values)
 
 
 def test_symbol_zero_grid_of_zero_symbol():
@@ -605,7 +606,7 @@ def test_symbol_zero_grid_of_zero_symbol():
     y = identity_symbol(ident)
     assert y.is_zero
     values = [Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
-    grid = _zero_grid_by_value(ident, values)
+    grid = _zero_grid_by_value(y._ints, values)
     assert grid == reference.zero_grid(y, values)
     assert all(zeros == set(values) for zeros in grid.values())
 
@@ -664,7 +665,7 @@ def test_packed_zero_grid_matches_dense_grid_and_evaluation(y, values):
     several hundred bits, many not a power of two."""
     values = sorted(set(values) | {Fraction(1)})
     want = reference.zero_grid(reference.Poly(reference.ABP, y), values)
-    assert _zero_grid_by_value(make_identity([(1, atom())], require_zero_sum=False), values, y) == want
+    assert _zero_grid_by_value(y, values) == want
 
 
 def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
@@ -681,7 +682,7 @@ def test_fusion_table_decides_zeros_without_symbol_evaluation(monkeypatch):
 
     monkeypatch.setattr(Poly3, "__call__", counted)
     for mode in ("generic", "metrized_orthogonal"):
-        identities._zero_grid.cache_clear()  # each mode builds the grid
+        clear_identity_caches()  # each mode builds the tables
         table = fusion_table(ident, mode=mode)
         assert calls == []
         assert len(table.spectrum) == 7
