@@ -26,7 +26,7 @@ from operator import mul, sub
 from ._record import _Record, _set
 from .identities import DegenerateIdentity, WeightedIdentity, _field, _json_name, _json_object, identity_peirce_poly
 from .magma import Monomial, atom, fold
-from .peirce import peirce_poly, peirce_symbol
+from .peirce import _symbol_at, peirce_poly, peirce_symbol
 from .poly import (
     Poly1,
     _cleared_coeffs,
@@ -36,7 +36,6 @@ from .poly import (
     _primitive,
     _rational,
     _square_free,
-    _symbol_slices,
     format_rational,
     parse_rational,
     rational_roots,
@@ -622,13 +621,11 @@ def verify_second_linearization(
     xs, ys, w = vs[: len(xs)], vs[len(xs) :], len(ys) + 1
     leaf = [cs, *ys] + [v for x in xs for v in [x] + [None] * len(ys)]  # x_p at (p + 1) * w
     jet = _evaluate_jet(algebra, m, {atom(): leaf}, _jet_schedule([(len(xs), 1), (len(ys), 1)]))
-    sym = peirce_symbol(m)._ints
-    d = max((k[0] for k in sym), default=0)  # the symbol is symmetric in a and b
-    (sym_p,) = _symbol_slices(sym, d, lam, (mu,))  # (q_lam q_mu)^d * symbol(m)(lam, mu, p)
+    sym_p, sym_scale = _symbol_at(peirce_symbol(m)._ints, lam, mu)  # sym_scale * symbol(m)(lam, mu, p)
     s = den * algebra._den
     rhs, scale = _operator_poly(algebra, sym_p, cs, s, [algebra._product(x, y) for x in xs for y in ys])
     # each xy is the kernel's s * den * (x y); eps_p delta_q is at (p + 1) * w + q + 1
-    left = scale * s * den * (lam.denominator * mu.denominator) ** d
+    left = scale * s * den * sym_scale
     right, zero = _jet_scale(algebra, den, m.degree), [0] * algebra.dim
     lhs = [v or zero for k, v in enumerate(jet[w:]) if k % w]
     failures = tuple(f"pair in A_c({lam}) x A_c({mu}) fails for {m}"

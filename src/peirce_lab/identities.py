@@ -16,11 +16,10 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from operator import mul
 
 from ._record import _Record, _set
 from .magma import Monomial, format_monomial, parse_monomial, plenary_power, principal_power, product
-from .peirce import _divided_difference, _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints
+from .peirce import _divided_difference, _plenary_symbol, _principal_symbol, _rho_ints, _symbol_ints, _zero_rows
 from .poly import (
     Poly1,
     Poly3,
@@ -121,6 +120,8 @@ class WeightDescriptor(_Record):
             raise TypeError(f"baric exponent must be an int, not the {type(baric_exp).__name__} {baric_exp!r}")
         if baric_exp < 0:
             raise InvalidWeight(f"baric exponent must be nonnegative, got {baric_exp}")
+        if not isinstance(bilinear_args, Iterable):  # tuple(3) would name no field
+            raise TypeError(f"bilinear_args must be iterable, not the {type(bilinear_args).__name__} {bilinear_args!r}")
         bilinear_args = tuple(bilinear_args)  # a list would make the weight unhashable
         for m in bilinear_args:  # a str is iterable too, one character at a time
             _require(m, Monomial, "each of bilinear_args")
@@ -190,7 +191,7 @@ class WeightedIdentity(_Record):
         # the hash is taken once, since every cache lookup asks for it
         terms = tuple(terms)
         _set(self, "terms", terms)
-        _set(self, "name", name)
+        _set(self, "name", name if name is None else _require(name, str, "name"))  # JSON holds a string or null
         _set(self, "_hash", hash((terms, name)))
 
     def __hash__(self) -> int:
@@ -303,11 +304,7 @@ def make_identity(
             t = IdentityTerm(coeff, monomial, weight)
         key = (t.monomial, t.weight)
         merged[key] = merged.get(key, Fraction(0)) + t.coeff
-    out = tuple(
-        IdentityTerm(c, m, w)
-        for (m, w), c in sorted(merged.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-        if c
-    )
+    out = tuple(IdentityTerm(merged[k], *k) for k in sorted(merged) if merged[k])  # by monomial, then weight
     if not out:
         raise EmptyIdentity("identity has no nonzero terms")
     total = sum(t.coeff for t in out)
@@ -358,48 +355,6 @@ def spectrum(identity: WeightedIdentity) -> SpectrumReport:
         raise InternalHalfRootMissing("rho(P, 1/2) != 0 for a validated identity; this is a bug")
     roots, residual = rational_roots(rho)
     return SpectrumReport(rho, tuple(roots), residual, degenerate=False)
-
-
-def _zero_rows(y: dict, fracs: Sequence[tuple[int, int]]) -> bytes:
-    """One byte per (i, j >= i, k) in grid order, 1 where Y(lam_i, lam_j, lam_k)
-    is 0 and 0 elsewhere, for y the int dict {(a, b, p): c} of D*Y and
-    fracs[k] = (p_k, q_k), lam_k = p_k/q_k in lowest terms with q_k > 0.
-
-    Y is packed at the eigenvalues in b and p at once: each a^e of D*Y becomes
-    one int with slot (j, k), w bits at bit w*(n*j + k), holding
-    q_j^d q_k^dp times the a^e coefficient at (lam_j, lam_k).  One homogeneous
-    Horner pass in a at lam_i then gives row i, slot (j, k) holding
-    (q_i q_j)^d q_k^dp Y(lam_i, lam_j, lam_k), at most sum |c| M^(2d+dp) <
-    2^(w-1) in size, M the largest |num| or den.  With 2^(w-1) added to each
-    slot and XORed back, a slot is zero exactly when Y is; its w bits are ORed
-    into its lowest one, and the row's lowest bits are read as one byte per
-    slot.
-    """
-    d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
-    dp = max((k[2] for k in y), default=0)
-    m, n = max(max(-p, p, q) for p, q in fracs), len(fracs)
-    nbytes = (sum(map(abs, y.values())) * m ** (2 * d + dp)).bit_length() // 8 + 1
-    w = 8 * nbytes
-    at_b = [sum(p**e * q ** (d - e) << w * n * j for j, (p, q) in enumerate(fracs)) for e in range(d + 1)]
-    at_p = [sum(p**e * q ** (dp - e) << w * k for k, (p, q) in enumerate(fracs)) for e in range(dp + 1)]
-    by_ab = [[0] * (d + 1) for _ in range(d + 1)]
-    for (ea, eb, ep), c in y.items():
-        by_ab[ea][eb] += c * at_p[ep]
-    packed = [sum(map(mul, row, at_b)) for row in by_ab]  # one int per power of a
-    low = ((1 << w * n * n) - 1) // ((1 << w) - 1)  # the lowest bit of every slot
-    offset = low << w - 1
-    smear, span = [], 1  # shifts that OR bits 0..w-1 of a slot into bit 0, and no further
-    while span < w:
-        smear.append(min(span, w - span))
-        span += smear[-1]
-    rows = []
-    for i, (p, q) in enumerate(fracs):
-        start = w * n * i  # the slots of j >= i
-        v = ((_horner_hom(packed, p, q) + offset) ^ offset) >> start  # a slot is 0 where Y is
-        for s in smear:
-            v |= v >> s
-        rows.append((~v & low >> start).to_bytes((n - i) * n * nbytes, "little")[::nbytes])
-    return b"".join(rows)
 
 
 _METRIZED = ("b-orthogonal Peirce components", "first-order weight terms vanish off A_c(1)")

@@ -14,6 +14,9 @@ folded once and no monomial outlives its caller; the symbol fold carries
 `peirce_poly` and `peirce_symbol` build one exact polynomial from the
 result, and `identities` sums the integer forms of an identity's monomials
 over one denominator, with one memo for all of them.
+
+Only `_zero_rows` (the fusion grid) and `_symbol_at` (the second linearization's
+slice in p) read the layout of the symbol's int dict, to evaluate it at eigenvalues.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .magma import Monomial, atom, fold
-from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _collect, _make, _rational
+from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _collect, _horner_hom, _make, _rational
 
 __all__ = [
     "peirce_poly",
@@ -89,6 +93,63 @@ def peirce_poly(m: Monomial) -> Poly1:
 def peirce_symbol(m: Monomial) -> Poly3:
     """The trivariate symbol in (a, b, p); symmetric under a <-> b."""
     return _make(Poly3.VARS, _symbol_ints(m, {}))
+
+
+def _zero_rows(y: dict, fracs: Sequence[tuple[int, int]]) -> bytes:
+    """One byte per (i, j >= i, k) in grid order, 1 where Y(lam_i, lam_j, lam_k)
+    is 0 and 0 elsewhere, for y the int dict {(a, b, p): c} of D*Y and
+    fracs[k] = (p_k, q_k), lam_k = p_k/q_k in lowest terms with q_k > 0.
+
+    Y is packed at the eigenvalues in b and p at once: each a^e of D*Y becomes
+    one int with slot (j, k), w bits at bit w*(n*j + k), holding
+    q_j^d q_k^dp times the a^e coefficient at (lam_j, lam_k).  One homogeneous
+    Horner pass in a at lam_i then gives row i, slot (j, k) holding
+    (q_i q_j)^d q_k^dp Y(lam_i, lam_j, lam_k), at most sum |c| M^(2d+dp) <
+    2^(w-1) in size, M the largest |num| or den.  With 2^(w-1) added to each
+    slot and XORed back, a slot is zero exactly when Y is; its w bits are ORed
+    into its lowest one, and the row's lowest bits are read as one byte per
+    slot.
+    """
+    d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
+    dp = max((k[2] for k in y), default=0)
+    m, n = max(max(-p, p, q) for p, q in fracs), len(fracs)
+    nbytes = (sum(map(abs, y.values())) * m ** (2 * d + dp)).bit_length() // 8 + 1
+    w = 8 * nbytes
+    at_b = [sum(p**e * q ** (d - e) << w * n * j for j, (p, q) in enumerate(fracs)) for e in range(d + 1)]
+    at_p = [sum(p**e * q ** (dp - e) << w * k for k, (p, q) in enumerate(fracs)) for e in range(dp + 1)]
+    by_ab = [[0] * (d + 1) for _ in range(d + 1)]
+    for (ea, eb, ep), c in y.items():
+        by_ab[ea][eb] += c * at_p[ep]
+    packed = [sum(map(mul, row, at_b)) for row in by_ab]  # one int per power of a
+    low = ((1 << w * n * n) - 1) // ((1 << w) - 1)  # the lowest bit of every slot
+    offset = low << w - 1
+    smear, span = [], 1  # shifts that OR bits 0..w-1 of a slot into bit 0, and no further
+    while span < w:
+        smear.append(min(span, w - span))
+        span += smear[-1]
+    rows = []
+    for i, (p, q) in enumerate(fracs):
+        start = w * n * i  # the slots of j >= i
+        v = ((_horner_hom(packed, p, q) + offset) ^ offset) >> start  # a slot is 0 where Y is
+        for s in smear:
+            v |= v >> s
+        rows.append((~v & low >> start).to_bytes((n - i) * n * nbytes, "little")[::nbytes])
+    return b"".join(rows)
+
+
+def _symbol_at(y: dict, lam: Fraction, mu: Fraction) -> tuple[list[int], int]:
+    """(s * Y(lam, mu, p) as dense ints in p, lowest first, padded to the top
+    power of p in y; s = (q_lam q_mu)^d) for y the int dict {(a, b, p): c} of
+    Y, q_v the denominator of v and d the top power of a in y.  a is put in
+    by one pass over the terms, b by one homogeneous Horner pass per power of p."""
+    d = max((k[0] for k in y), default=0)  # Y is symmetric in a and b
+    p, q = lam.numerator, lam.denominator
+    powers = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d * lam^e
+    at_a = [[0] * (d + 1) for _ in range(max((k[2] for k in y), default=0) + 1)]  # b-coefficients per power of p
+    for (ea, eb, ep), c in y.items():
+        at_a[ep][eb] += c * powers[ea]
+    p, q = mu.numerator, mu.denominator
+    return [_horner_hom(row, p, q) for row in at_a], (lam.denominator * q) ** d
 
 
 def _divided_difference(f: Poly1, x: Fraction | Poly3, p: Poly) -> Poly:

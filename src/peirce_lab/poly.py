@@ -10,7 +10,7 @@ symbols) are constructors of `Poly` that fix the variables.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add
@@ -113,7 +113,12 @@ class Poly:
         vars = self.VARS if vars is None else tuple(vars)
         terms = []
         for e, c in (coeffs or {}).items():
-            key = (e,) if isinstance(e, int) else tuple(e)
+            key = tuple(e) if isinstance(e, Iterable) else (e,)
+            for x in key:  # True would be t^1, and a str or a float a key that has no degree
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"an exponent must be an int, not the {type(x).__name__} {x!r}")
+                if x < 0:
+                    raise ValueError(f"an exponent must be nonnegative, got {x}")
             if len(key) != len(vars):
                 raise ValueError(f"exponents {e!r} do not match the variables {vars}")
             terms.append((key, _rational(c)))
@@ -334,25 +339,6 @@ def _horner_hom(coeffs: Sequence[int], p: int, q: int) -> int:
         acc = acc * p + c * qpow
         qpow *= q
     return acc
-
-
-def _symbol_slices(y: Mapping[Exponents, int], d: int, lam: Fraction, mus: Iterable[Fraction]) -> Iterator[list]:
-    """(q_lam * q_mu)^d * y(lam, mu, p) for each mu in mus, as dense int
-    coefficients in p, lowest first; q_v is the denominator of v.
-
-    y is {(exponents of a, b, p): int} with no exponent of a or b above d.
-    a is put in once, in one pass over the terms of y, and each mu is one
-    homogeneous Horner pass per power of p.
-    """
-    p, q = lam.numerator, lam.denominator
-    powers = [p**e * q ** (d - e) for e in range(d + 1)]  # q^d * lam^e
-    at_a: dict[int, list[int]] = {}  # dense b-coefficients of the p^ep part, a substituted
-    for (ea, eb, ep), c in y.items():
-        at_a.setdefault(ep, [0] * (d + 1))[eb] += c * powers[ea]
-    dense = [at_a.get(e) for e in range(max(at_a, default=0) + 1)]
-    for mu in mus:
-        p, q = mu.numerator, mu.denominator
-        yield [0 if coeffs is None else _horner_hom(coeffs, p, q) for coeffs in dense]
 
 
 # --- rational roots ----------------------------------------------------------

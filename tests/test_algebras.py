@@ -48,8 +48,8 @@ from peirce_lab.identities import (
     make_identity,
 )
 from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
-from peirce_lab.peirce import _symbol_ints, peirce_symbol
-from peirce_lab.poly import Poly1, RationalSyntaxError, _cleared_coeffs, _symbol_slices, format_rational
+from peirce_lab.peirce import _symbol_at, _symbol_ints, peirce_symbol
+from peirce_lab.poly import Poly1, RationalSyntaxError, _cleared_coeffs, format_rational
 
 import reference
 
@@ -950,8 +950,10 @@ _SLICE_VALUES = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
 def test_symbol_slice_matches_fraction_substitution(m, lam, mus):
     y = _symbol_ints(m, {})
     d = max((k[0] for k in y), default=0)
-    for mu, ints in zip(mus, _symbol_slices(y, d, lam, mus), strict=True):
-        scale = (lam.denominator * mu.denominator) ** d
+    top = max((k[2] for k in y), default=0)
+    for mu in mus:
+        ints, scale = _symbol_at(y, lam, mu)
+        assert len(ints) == top + 1 and scale == (lam.denominator * mu.denominator) ** d
         assert Poly1({e: F(c, scale) for e, c in enumerate(ints)}) == reference.symbol_slice(m, lam, mu)
 
 

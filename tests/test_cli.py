@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
@@ -265,6 +266,19 @@ def test_benchmark_readme_commands_print_their_goldens(capsys, monkeypatch, argv
         lines = out.splitlines()
         assert lines[:2] == list(want[:2]) and lines[-1] == want[2]
         assert all(line.startswith("    ") for line in lines[2:-1])
+
+
+def test_installed_console_script_prints_the_readme_goldens():
+    # the script pip puts on PATH, in a new interpreter; fusion goes through the packed zero grid
+    script = shutil.which("peirce-lab")
+    if script is None:
+        pytest.skip("no peirce-lab console script on PATH; pip install -e . puts one there")
+    env = dict(os.environ)
+    env.pop("PEIRCE_LAB_MAX_DEGREE", None)
+    for argv in (["poly", "z^[4]"], ["fusion", "--catalog", "hsiang", "--mode", "metrized"]):
+        want = next(out for a, _, out in _README if a == argv)
+        done = subprocess.run([script, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, want, "")
 
 
 def test_readme_python_example_prints_what_its_comment_says(capsys):

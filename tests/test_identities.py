@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from peirce_lab import identities, peirce, poly
+from peirce_lab import identities, peirce
 from peirce_lab.identities import (
     CatalogParameterError,
     DegenerateIdentity,
@@ -96,7 +96,8 @@ def test_terms_and_weights_refuse_what_is_not_a_monomial_or_a_weight():
     for args, kind in ((("z",), "str 'z'"), ("z", "str 'z'"), ([atom(), None], "NoneType None")):
         with pytest.raises(TypeError, match=f"^each of bilinear_args must be a Monomial, not the {kind}$"):
             WeightDescriptor(0, args)
-    with pytest.raises(TypeError):
+    # tuple(3) used to raise "'int' object is not iterable", naming no field
+    with pytest.raises(TypeError, match="^bilinear_args must be iterable, not the int 3$"):
         WeightDescriptor(0, 3)
     # a list is stored as a tuple, so the weight hashes and keys the identity caches
     listed = WeightDescriptor(1, [atom()])
@@ -105,6 +106,18 @@ def test_terms_and_weights_refuse_what_is_not_a_monomial_or_a_weight():
     ident = make_identity([(1, principal_power(2), listed), (-1, atom())])
     assert spectrum(ident) is spectrum(make_identity([(1, principal_power(2), WeightDescriptor(1, (atom(),))),
                                                       (-1, atom())]))
+
+
+def test_identities_refuse_a_name_that_is_not_text():
+    # name=5 used to build an identity that identity_from_json then refused
+    terms = make_identity([(1, principal_power(2)), (-1, atom())]).terms
+    for build in (lambda name: make_identity(terms, name=name), lambda name: WeightedIdentity(terms, name)):
+        for name, kind in ((5, "int 5"), (b"x", "bytes b'x'"), (True, "bool True")):
+            with pytest.raises(TypeError, match=f"^name must be a str, not the {kind}$"):
+                build(name)
+        for name in ("x", None):
+            ident = build(name)
+            assert ident.name == name and identity_from_json(identity_to_json(ident)) == ident
 
 
 def test_empty_rejected():
@@ -698,9 +711,9 @@ def test_one_root_solve_and_one_grid_per_identity(monkeypatch):
     solves, slicings = [], []
     solve = identities.rational_roots
     monkeypatch.setattr(identities, "rational_roots", lambda rho: solves.append(rho) or solve(rho))
-    slices = poly._symbol_slices.__code__
+    slices = peirce._symbol_at.__code__
 
-    def profile(frame, event, arg):  # every call of _symbol_slices, by whatever name it is reached
+    def profile(frame, event, arg):  # every call of _symbol_at, by whatever name it is reached
         if event == "call" and frame.f_code is slices:
             slicings.append(frame)
 
@@ -736,7 +749,7 @@ def test_both_tables_are_built_once_per_identity(monkeypatch):
     table object and runs no kernel pass."""
     ident = _planted_train("plenary_train", [Fraction(-2), Fraction(1, 3), HALF])
     passes = []
-    kernel = identities._zero_rows
+    kernel = peirce._zero_rows
     monkeypatch.setattr(identities, "_zero_rows", lambda y, fracs: passes.append(fracs) or kernel(y, fracs))
     clear_identity_caches()
     modes = ("metrized_orthogonal", "generic")

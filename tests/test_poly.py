@@ -12,7 +12,7 @@ from operator import add, ne
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from peirce_lab import identities
+from peirce_lab import identities, peirce
 from peirce_lab.algebras import StructureAlgebra, build_algebra, eigen_decomposition, verify_second_linearization
 from peirce_lab.identities import (
     IdentityTerm,
@@ -118,6 +118,23 @@ def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
             read()
     assert Poly1.const(1) == True and Poly1.zero() == False and t != True  # noqa: E712
     assert hash(Poly1.const(1)) == hash(True)
+
+
+def test_poly_refuses_exponents_that_are_not_nonnegative_ints():
+    # t^-1 and t^True used to build, and a "1" key to build a Poly with no degree;
+    # rational_roots then wrote the t^-1 term into the top coefficient
+    for cls, key, kind in ((Poly1, True, "bool True"), (Poly1, (False,), "bool False"), (Poly1, 1.0, "float 1.0"),
+                           (Poly1, "1", "str '1'"), (Poly1, (Fraction(1),), "Fraction Fraction(1, 1)"),
+                           (Poly3, (1, None, 0), "NoneType None")):
+        with pytest.raises(TypeError) as exc:
+            cls({key: 1})
+        assert str(exc.value) == f"an exponent must be an int, not the {kind}"
+    for coeffs in ({-1: 1}, {-1: 1, 0: 1}, {(-2,): 1}):
+        with pytest.raises(ValueError, match="^an exponent must be nonnegative, got -[12]$"):
+            Poly1(coeffs)
+    with pytest.raises(ValueError, match="^an exponent must be nonnegative, got -1$"):
+        Poly3({(0, -1, 2): 1})
+    assert Poly1({0: 1, (2,): 3}) == 3 * Poly1.t() ** 2 + 1
 
 
 def test_poly_sums_the_terms_of_keys_that_name_one_exponent():
@@ -568,7 +585,7 @@ def _zero_grid_by_value(y, values):
     sorted `values`, keyed and filled by the values."""
     values = sorted(values)
     n = len(values)
-    rows = identities._zero_rows(y, [(v.numerator, v.denominator) for v in values])
+    rows = peirce._zero_rows(y, [(v.numerator, v.denominator) for v in values])
     pairs = [(lam, mu) for i, lam in enumerate(values) for mu in values[i:]]
     assert len(rows) == n * len(pairs) and set(rows) <= {0, 1}
     return {pair: set(compress(values, rows[n * k : n * k + n])) for k, pair in enumerate(pairs)}
