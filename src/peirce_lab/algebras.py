@@ -24,7 +24,9 @@ from math import gcd, lcm, prod
 from operator import mul, sub
 
 from ._record import _Record, _set
-from .identities import DegenerateIdentity, WeightedIdentity, _field, _json_name, _json_object, identity_peirce_poly
+from .identities import (
+    DegenerateIdentity, WeightedIdentity, _field, _json_int, _json_name, _json_object, _require, identity_peirce_poly,
+)
 from .magma import Monomial, atom, fold
 from .peirce import _symbol_at, peirce_poly, peirce_symbol
 from .poly import (
@@ -32,6 +34,7 @@ from .poly import (
     _cleared_coeffs,
     _divide_dense,
     _horner_hom,
+    _integer,
     _make,
     _primitive,
     _rational,
@@ -203,9 +206,7 @@ class StructureAlgebra(_Record):
         idempotents: tuple[Vector, ...] = (),
         name: str = "",
     ):
-        if dim < 1:
-            raise ValueError(f"dim must be at least 1, got {dim}")
-        _check_length("structure", structure, dim)
+        _check_length("structure", structure, _integer(dim, "dim", 1))
         for i, row in enumerate(structure):
             _check_length(f"structure[{i}]", row, dim)
             for j, prod in enumerate(row):
@@ -234,7 +235,7 @@ class StructureAlgebra(_Record):
             (omega,), omega_den = _cleared((weight,))
         idempotents = tuple(_vec(c) for c in idempotents)
         # in the order of __slots__
-        values = (dim, structure, bilinear_form, weight, idempotents, name,
+        values = (dim, structure, bilinear_form, weight, idempotents, _require(name, str, "name"),
                   terms, den, form, form_den, omega, omega_den)
         for slot, value in zip(self.__slots__, values):
             _set(self, slot, value)
@@ -520,7 +521,7 @@ def linearize(
     """D^k(m; x, y): the sum over all C(deg, k) labelings of k leaves by y and
     the rest by x, computed as the eps^k coefficient of m(x + eps*y)."""
     deg = m.degree
-    if not 0 <= k <= deg:
+    if not 0 <= _integer(k, "order k") <= deg:
         raise ValueError(f"order k must be in 0..{deg}, got {k}")
     (xs, ys), den = _cleared_vectors(algebra, x, y)
     jet = _evaluate_jet(algebra, m, {atom(): ([xs, ys] + [None] * k)[: k + 1]}, _jet_schedule([(1, k)]))
@@ -657,8 +658,7 @@ def verify_identity(
     one jet evaluation per monomial, on the diagonal schedule, evaluates it at
     every vector of a block, and each trial's P(x) is then summed in ints.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _integer(trials, "trials", 1)
     draw, dim = random.Random(seed).choices, algebra.dim
 
     # Term t at x is coeff.numerator * num(x) * value(x) / scale_t, with num(x)
@@ -842,8 +842,7 @@ def _matrix_unit_algebra(
 
 def jordan_sym(n: int) -> StructureAlgebra:
     """Jordan algebra of symmetric n x n matrices, x o y = (xy + yx)/2."""
-    if n < 2:
-        raise ValueError("jordan_sym needs n >= 2")
+    _integer(n, "n", 2)
     # The diagonal units E_ii, then E_ij + E_ji for i < j, read at (i, j).
     slots = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     basis = [{(i, j): 1, (j, i): 1} for i, j in slots]
@@ -857,9 +856,7 @@ def jordan_sym(n: int) -> StructureAlgebra:
 
 def spin_factor(d: int) -> StructureAlgebra:
     """Spin factor on R + R^d: (a, u)(b, v) = (ab + <u, v>, av + bu)."""
-    if d < 2:
-        raise ValueError("spin_factor needs d >= 2")
-    dim = d + 1
+    dim = _integer(d, "d", 2) + 1
     e = tuple(tuple(Fraction(int(i == k)) for i in range(dim)) for k in range(dim))
     # e_0 is the unit, and e_i e_j = delta_ij e_0 for i, j >= 1
     structure = tuple(tuple(e[i + j] if not (i and j) else e[0] if i == j else (Fraction(0),) * dim
@@ -942,10 +939,7 @@ def _rationals_from_json(value, field: str, depth: int, memo: dict) -> tuple:
 
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
     obj = _json_object(obj)
-    dim = _field(obj, "dim", "the top-level object")
-    # bool is an int subclass, but `true` is not a JSON integer
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise TypeError(f"dim must be a JSON integer, got {json.dumps(dim)}")
+    dim = _json_int(_field(obj, "dim", "the top-level object"), "dim")
     name = _json_name(obj, "")
     # null means absent; an empty list goes on to the length checks
     form, weight, memo = obj.get("bilinear_form"), obj.get("weight"), {}

@@ -26,6 +26,7 @@ from .poly import (
     RationalSyntaxError,
     _cleared_coeffs,
     _horner_hom,
+    _integer,
     _make,
     _rational,
     _refuse_exponent,
@@ -116,9 +117,7 @@ class WeightDescriptor(_Record):
     __slots__ = ("baric_exp", "bilinear_args")
 
     def __init__(self, baric_exp: int = 0, bilinear_args: tuple[Monomial, ...] = ()):
-        if not isinstance(baric_exp, int) or isinstance(baric_exp, bool):  # JSON writes True as true
-            raise TypeError(f"baric exponent must be an int, not the {type(baric_exp).__name__} {baric_exp!r}")
-        if baric_exp < 0:
+        if _integer(baric_exp, "baric exponent") < 0:  # JSON writes True as true
             raise InvalidWeight(f"baric exponent must be nonnegative, got {baric_exp}")
         if not isinstance(bilinear_args, Iterable):  # tuple(3) would name no field
             raise TypeError(f"bilinear_args must be iterable, not the {type(bilinear_args).__name__} {bilinear_args!r}")
@@ -126,7 +125,7 @@ class WeightDescriptor(_Record):
         for m in bilinear_args:  # a str is iterable too, one character at a time
             _require(m, Monomial, "each of bilinear_args")
         _set(self, "baric_exp", baric_exp)
-        _set(self, "bilinear_args", bilinear_args)
+        _set(self, "bilinear_args", tuple(sorted(bilinear_args)))  # the factors b(z, z^m) commute
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -144,7 +143,7 @@ class WeightDescriptor(_Record):
         return "product"
 
     def combine(self, other: "WeightDescriptor") -> "WeightDescriptor":
-        return WeightDescriptor(self.baric_exp + other.baric_exp, sorted(self.bilinear_args + other.bilinear_args))
+        return WeightDescriptor(self.baric_exp + other.baric_exp, self.bilinear_args + other.bilinear_args)
 
     def describe(self) -> str:
         factors = []
@@ -299,9 +298,7 @@ def make_identity(
     merged: dict[tuple[Monomial, WeightDescriptor], Fraction] = {}
     for t in terms:
         if not isinstance(t, IdentityTerm):
-            coeff, monomial = t[0], t[1]
-            weight = t[2] if len(t) > 2 else constant_weight()
-            t = IdentityTerm(coeff, monomial, weight)
+            t = IdentityTerm(*t)
         key = (t.monomial, t.weight)
         merged[key] = merged.get(key, Fraction(0)) + t.coeff
     out = tuple(IdentityTerm(merged[k], *k) for k in sorted(merged) if merged[k])  # by monomial, then weight
@@ -666,10 +663,10 @@ def _weight_to_json(w: WeightDescriptor) -> dict:
     }
 
 
-def _exponent_from_json(k, field: str) -> int:
+def _json_int(k, field: str) -> int:
     # bool is an int subclass, but `true` is not a JSON integer
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"{field} must be a JSON integer, got {json.dumps(k)}")
+        raise TypeError(f"{field} must be a JSON integer, got {json.dumps(k)}")
     return k
 
 
@@ -684,7 +681,7 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
     if kind == "constant":
         return constant_weight()
     if kind == "baric":
-        return baric_weight(_exponent_from_json(_field(obj, "k", field), f"{field}.k"))
+        return baric_weight(_json_int(_field(obj, "k", field), f"{field}.k"))
     if kind == "bilinear":
         return bilinear_weight(_monomial_from_json(_field(obj, "monomial", field), f"{field}.monomial"))
     if kind == "product":
@@ -693,8 +690,8 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
         if not isinstance(monomials, list):
             raise TypeError(f"{field}.monomials must be a JSON list, got {json.dumps(monomials)}")
         return WeightDescriptor(
-            _exponent_from_json(obj.get("k", 0), f"{field}.k"),
-            sorted(_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials)),
+            _json_int(obj.get("k", 0), f"{field}.k"),
+            [_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials)],
         )
     raise ValueError(f"{field}.kind: unknown weight kind {kind!r}")
 
@@ -710,7 +707,7 @@ def identity_to_json(identity: WeightedIdentity) -> dict:
             for t in identity.terms
         ]
     }
-    if identity.name:
+    if identity.name is not None:  # "" is a name, which reads back as ""
         out["name"] = identity.name
     return out
 
@@ -730,11 +727,11 @@ def _field(obj: Mapping, key: str, where: str):
 
 
 def _json_name(obj: Mapping, default: str | None = None) -> str | None:
-    """obj["name"], or default if it is absent; a name must be a string or null."""
-    name = obj.get("name", default)
+    """obj["name"], or default if it is absent or null; a name must be a string or null."""
+    name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise TypeError(f"name must be a JSON string or null, got {json.dumps(name)}")
-    return name
+    return default if name is None else name
 
 
 def _json_object(obj: Mapping | str) -> Mapping:

@@ -15,6 +15,8 @@ import threading
 import weakref
 from collections.abc import Callable
 
+from .poly import _integer
+
 __all__ = [
     "Monomial",
     "MonomialSyntaxError",
@@ -114,10 +116,8 @@ def product(m1: Monomial, m2: Monomial) -> Monomial:
 
 def power(m: Monomial, n: int) -> Monomial:
     """Iterated principal-style power: m^1 = m, m^n = m^(n-1) * m."""
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
     out = m
-    for _ in range(n - 1):
+    for _ in range(_integer(n, "exponent", 1) - 1):
         out = product(out, m)
     return out
 
@@ -129,10 +129,8 @@ def principal_power(n: int) -> Monomial:
 
 def plenary_power(n: int) -> Monomial:
     """z^[n] with z^[1] = z and z^[n] = z^[n-1] * z^[n-1]; degree 2^(n-1)."""
-    if n < 1:
-        raise ValueError(f"plenary index must be >= 1, got {n}")
     out = _ATOM
-    for _ in range(n - 1):
+    for _ in range(_integer(n, "plenary index", 1) - 1):
         out = Monomial(out, out)
     return out
 
@@ -299,7 +297,7 @@ def enumerate_monomials(d: int, max_degree: int = MAX_ENUMERATION_DEGREE) -> lis
     Counts are the Wedderburn-Etherington numbers 1, 1, 1, 2, 3, 6, 11, 23, ...
     The guard `max_degree` exists because the counts grow super-exponentially.
     """
-    if not 1 <= d <= max_degree:
+    if not 1 <= _integer(d, "degree") <= max_degree:
         raise ValueError(f"degree must be in 1..{max_degree}, got {d}")
     # the cache holds degrees 1..len(_enum_cache); each further degree is
     # generated from the lower ones in canonical order: by the degree of the

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 
 from .magma import Monomial, atom, fold
-from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _collect, _horner_hom, _make, _rational
+from .poly import Poly, Poly1, Poly3, _cleared_coeffs, _collect, _horner_hom, _integer, _make, _rational
 
 __all__ = [
     "peirce_poly",
@@ -167,17 +167,14 @@ def _divided_difference(f: Poly1, x: Fraction | Poly3, p: Poly) -> Poly:
 
 def principal_peirce_closed(n: int) -> Poly1:
     """rho(z^n, q) = (2q^n - q^(n-1) - q)/(q - 1): the numerator vanishes at 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _integer(n, "n", 1)
     t = Poly1.t()
     return _divided_difference(2 * t**n - t ** (n - 1) - t, 1, t)
 
 
 def plenary_peirce_closed(n: int) -> Poly1:
     """rho(z^[n], q) = (2q)^(n-1)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return Poly1({n - 1: 2 ** (n - 1)})
+    return Poly1({_integer(n, "n", 1) - 1: 2 ** (n - 1)})
 
 
 def _principal_symbol(rho: Poly1) -> Poly3:

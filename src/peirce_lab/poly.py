@@ -64,6 +64,16 @@ def _rational(v: "str | Scalar") -> Fraction:
     return parse_rational(v) if isinstance(v, str) else Fraction(v)
 
 
+def _integer(value, what: str, least: int | None = None) -> int:
+    """value, an int that is not a bool (True would read as 1), and at least `least` if given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, not the {type(value).__name__} {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be nonnegative, got {value}" if least == 0
+                         else f"{what} must be at least {least}, got {value}")
+    return value
+
+
 def format_rational(x: Scalar) -> str:
     num, den = x.numerator, x.denominator  # an int is num/1
     return str(num) if den == 1 else f"{num}/{den}"
@@ -113,12 +123,8 @@ class Poly:
         vars = self.VARS if vars is None else tuple(vars)
         terms = []
         for e, c in (coeffs or {}).items():
-            key = tuple(e) if isinstance(e, Iterable) else (e,)
-            for x in key:  # True would be t^1, and a str or a float a key that has no degree
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"an exponent must be an int, not the {type(x).__name__} {x!r}")
-                if x < 0:
-                    raise ValueError(f"an exponent must be nonnegative, got {x}")
+            # True would be t^1, and a str or a float a key that has no degree
+            key = tuple(_integer(x, "an exponent", 0) for x in (e if isinstance(e, Iterable) else (e,)))
             if len(key) != len(vars):
                 raise ValueError(f"exponents {e!r} do not match the variables {vars}")
             terms.append((key, _rational(c)))
@@ -172,10 +178,8 @@ class Poly:
         return max(map(sum, self._ints), default=-1)
 
     def coeff(self, exp: int | Exponents) -> Fraction:
-        key = exp if isinstance(exp, tuple) else (exp,)
-        for e in key:
-            if isinstance(e, bool):  # (True,) would find the key (1,)
-                raise _not_a_number(e)
+        # (True,) and (1.0,) would find the key (1,)
+        key = tuple(_integer(e, "an exponent", 0) for e in (exp if isinstance(exp, tuple) else (exp,)))
         return Fraction(self._ints.get(key, 0), self._den)
 
     def __eq__(self, other: object) -> bool:
@@ -226,12 +230,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if isinstance(n, bool):
-            raise _not_a_number(n)
-        if n < 0:
-            raise ValueError("negative power")
         out = self._coerce(1)
-        for _ in range(n):
+        for _ in range(_integer(n, "an exponent", 0)):
             out = out * self
         return out
 

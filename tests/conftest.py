@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-TIME_LIMIT_S = 60  # the slowest test takes about 12 s, the slowest import 3 s
+TIME_LIMIT_S = 60  # the slowest test takes about 5 s, the slowest import 3 s
 
 
 class TimeLimitExceeded(BaseException):

@@ -12,7 +12,7 @@ from operator import add, ne
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from peirce_lab import identities, peirce
+from peirce_lab import algebras, identities, magma, peirce
 from peirce_lab.algebras import StructureAlgebra, build_algebra, eigen_decomposition, verify_second_linearization
 from peirce_lab.identities import (
     IdentityTerm,
@@ -100,6 +100,52 @@ def test_number_entry_points_refuse_floats_and_bools(value, kind):
         assert str(exc.value) == f"expected an int, a Fraction or text, not the {kind} {value!r}", name
 
 
+def _linearize(k):
+    alg = build_algebra("jordan_sym2")
+    return algebras.linearize(alg, principal_power(3), k, alg.idempotents[0], alg.idempotents[0])
+
+
+# Each whole-number argument: its read, the name its messages give it, the
+# least value it takes and the error a value below that raises
+_WHOLE_NUMBERS = {
+    "power": (lambda v: magma.power(atom(), v), "exponent", 1, ValueError),
+    "plenary_power": (magma.plenary_power, "plenary index", 1, ValueError),
+    "enumerate_monomials": (magma.enumerate_monomials, "degree", 1, ValueError),
+    "Poly": (lambda v: Poly1({v: 1}), "an exponent", 0, ValueError),
+    "Poly.coeff": (lambda v: Poly1.t().coeff(v), "an exponent", 0, ValueError),
+    "Poly.__pow__": (lambda v: Poly1.t() ** v, "an exponent", 0, ValueError),
+    "principal_peirce_closed": (peirce.principal_peirce_closed, "n", 1, ValueError),
+    "plenary_peirce_closed": (peirce.plenary_peirce_closed, "n", 1, ValueError),
+    "WeightDescriptor": (identities.WeightDescriptor, "baric exponent", 0, identities.InvalidWeight),
+    "StructureAlgebra": (lambda v: StructureAlgebra(v, ()), "dim", 1, ValueError),
+    "linearize": (_linearize, "order k", 0, ValueError),
+    "verify_identity": (lambda v: algebras.verify_identity(build_algebra("jordan_sym2"), catalog("hsiang"), trials=v),
+                        "trials", 1, ValueError),
+    "jordan_sym": (algebras.jordan_sym, "n", 2, ValueError),
+    "spin_factor": (algebras.spin_factor, "d", 2, ValueError),
+    # the JSON readers name the field; a negative k is refused as a weight, by WeightDescriptor
+    "identity_from_json k": (lambda v: identities.identity_from_json({"terms": [
+        {"coeff": "1", "monomial": "z^2", "weight": {"kind": "baric", "k": v}}, {"coeff": "-1", "monomial": "z"}]}),
+        "terms[0].weight.k", 0, identities.InvalidWeight),
+    "algebra_from_json dim": (lambda v: algebras.algebra_from_json({"dim": v, "structure": []}), "dim", 1, ValueError),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "below the least value"])
+@pytest.mark.parametrize("site", list(_WHOLE_NUMBERS))
+def test_whole_number_arguments_refuse_a_bool_a_float_and_a_value_below_their_bound(site, value):
+    # plenary_power(True) used to be z, Poly1.t().coeff(1.0) to be 1 and
+    # jordan_sym(2.0) to fail with an error that named no argument
+    read, what, least, below = _WHOLE_NUMBERS[site]
+    error = TypeError
+    if isinstance(value, str):
+        value, error = least - 1, below
+        what = "baric exponent" if below is identities.InvalidWeight else what
+    with pytest.raises(error) as exc:
+        read(value)
+    assert type(exc.value) is error and str(exc.value).startswith(f"{what} must be "), site
+
+
 def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
     # t + True used to be t + 1, t * True and t ** True to be t and t.coeff(True)
     # and t.coeff((True,)) the coefficient of t; == keeps answering
@@ -114,7 +160,7 @@ def test_poly_arithmetic_refuses_a_bool_and_still_compares_with_one():
             op(t, 0.5)
     for read in (lambda: t**True, lambda: t**False, lambda: t.coeff(True), lambda: t.coeff(False),
                  lambda: t.coeff((True,)), lambda: Poly3.var("a").coeff((1, False, 0))):
-        with pytest.raises(TypeError, match="^expected an int, a Fraction or text, not the bool "):
+        with pytest.raises(TypeError, match="^an exponent must be an int, not the bool "):
             read()
     assert Poly1.const(1) == True and Poly1.zero() == False and t != True  # noqa: E712
     assert hash(Poly1.const(1)) == hash(True)

@@ -5,6 +5,7 @@ the same name and fields, the code the records replaced."""
 
 import copy
 import dataclasses
+import json
 import operator
 import os
 import pickle
@@ -16,7 +17,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import peirce_lab
-from peirce_lab.algebras import PeirceDecomposition, StructureAlgebra, VerificationReport, build_algebra
+from peirce_lab.algebras import (
+    PeirceDecomposition,
+    StructureAlgebra,
+    VerificationReport,
+    algebra_from_json,
+    algebra_to_json,
+    build_algebra,
+    builder_names,
+)
 from peirce_lab.identities import (
     FusionTable,
     IdentityTerm,
@@ -24,6 +33,9 @@ from peirce_lab.identities import (
     WeightDescriptor,
     WeightedIdentity,
     constant_weight,
+    identity_from_json,
+    identity_to_json,
+    make_identity,
 )
 from peirce_lab.magma import enumerate_monomials
 from peirce_lab.poly import Poly1
@@ -167,6 +179,53 @@ def test_structure_algebra_is_an_immutable_hashable_record():
     renamed = StructureAlgebra(*(getattr(alg, name) for name in ALGEBRA_FIELDS[:-1]), name="renamed")
     assert alg != renamed and renamed.name == "renamed"
     assert alg != oracle
+
+
+# a name of the wrong type is drawn too, since a constructor must refuse
+# what the JSON form cannot hold
+drawn_names = st.sampled_from([5, None, ""]) | st.text(max_size=3)
+
+
+@st.composite
+def structure_algebra_args(draw):
+    """Arguments for StructureAlgebra: a built-in algebra's fields, or a
+    commutative structure on at most 3 basis vectors with no form or a zero
+    one; dim may be True when it is 1."""
+    if draw(st.booleans()):
+        alg = build_algebra(draw(st.sampled_from(builder_names())))
+        n, structure, form, weight, idempotents = (getattr(alg, name) for name in ALGEBRA_FIELDS[:-1])
+    else:
+        n = draw(st.integers(1, 3))
+        row = st.lists(fractions, min_size=n, max_size=n).map(tuple)
+        upper = {(i, j): draw(row) for i in range(n) for j in range(i, n)}
+        structure = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+        form = draw(st.sampled_from([None, ((Fraction(0),) * n,) * n]))
+        weight = draw(st.none() | row)
+        idempotents = tuple(draw(st.lists(row, max_size=2)))
+    return draw(st.sampled_from([n, True] if n == 1 else [n])), structure, form, weight, idempotents, draw(drawn_names)
+
+
+@st.composite
+def identity_args(draw):
+    """Terms for make_identity, the last one drawn so that the coefficients
+    sum to zero, with weights whose bilinear arguments come in any order."""
+    weights = st.builds(WeightDescriptor, st.integers(0, 2), st.lists(monomials, max_size=2))
+    terms = draw(st.lists(st.tuples(fractions, monomials, weights), min_size=1, max_size=3))
+    terms.append((-sum(t[0] for t in terms), draw(monomials), draw(weights)))
+    return terms, draw(drawn_names)
+
+
+@given(algebra=structure_algebra_args(), identity=identity_args())
+def test_what_a_constructor_accepts_comes_back_through_json(algebra, identity):
+    # StructureAlgebra(True, ...) used to write "dim": true and name=5
+    # "name": 5, which algebra_from_json refuses, and name=None to read back as ""
+    for build_record, to_json, from_json, args in ((StructureAlgebra, algebra_to_json, algebra_from_json, algebra),
+                                                   (make_identity, identity_to_json, identity_from_json, identity)):
+        try:
+            record = build_record(*args)
+        except (TypeError, ValueError):  # refused: a name of the wrong type, a form that is not associating, ...
+            continue
+        assert from_json(json.dumps(to_json(record))) == record
 
 
 def _modules_after_importing(module):
