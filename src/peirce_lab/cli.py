@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import algebras, identities, magma
 from .poly import RationalSyntaxError, format_rational
@@ -81,8 +80,7 @@ def _read_identity(args) -> identities.WeightedIdentity:
             # the JSON decoder recurses on nested brackets
             raise _CliError(f"cannot read identity file: {exc}", EXIT_PARSE_ERROR)
     # bare monomial: treat as the formal identity 1 * m, no zero-sum demand
-    m = _parse_monomial_arg(args.source)
-    return identities.WeightedIdentity((identities.IdentityTerm(Fraction(1), m),), name=None)
+    return identities.WeightedIdentity([(1, _parse_monomial_arg(args.source))])
 
 
 def _parse_monomial_arg(text: str) -> magma.Monomial:
@@ -178,9 +176,9 @@ def cmd_enumerate(args) -> Report:
         try:
             max_degree = int(env)
         except ValueError:
-            raise _CliError(
-                f"PEIRCE_LAB_MAX_DEGREE must be an integer, got {env!r}", EXIT_PARSE_ERROR
-            )
+            max_degree = 0  # refused below, as a bound below 1 is
+        if max_degree < 1:  # else enumerate_monomials would blame the degree asked for
+            raise _CliError(f"PEIRCE_LAB_MAX_DEGREE must be a positive integer, got {env!r}", EXIT_PARSE_ERROR)
     try:
         monomials = magma.enumerate_monomials(args.degree, max_degree=max_degree)
     except ValueError as exc:

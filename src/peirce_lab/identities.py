@@ -99,10 +99,12 @@ class CatalogParameterError(ValueError):
 _IDENTITY_CACHE_SIZE = 256
 
 
-def _require(value, cls: type, field: str):
-    """value, or a TypeError naming the field if it is not a cls."""
+def _require(value, cls: type | tuple[type, ...], field: str):
+    """value, or a TypeError naming the field if it is not a cls (one of them, for a tuple)."""
     if not isinstance(value, cls):
-        raise TypeError(f"{field} must be a {cls.__name__}, not the {type(value).__name__} {value!r}")
+        kinds = " or ".join(("an " if c.__name__[0] in "AEIOUaeiou" else "a ") + c.__name__
+                            for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise TypeError(f"{field} must be {kinds}, not the {type(value).__name__} {value!r}")
     return value
 
 
@@ -183,12 +185,24 @@ class IdentityTerm(_Record):
 
 
 class WeightedIdentity(_Record):
+    """A formal sum of terms, stored in normal form: terms with the same
+    monomial and weight are merged, zero terms dropped and the rest sorted by
+    monomial, then weight.  A term may be given as the tuple of its fields."""
+
     __slots__ = ("terms", "name", "_hash")
 
-    def __init__(self, terms: Iterable[IdentityTerm], name: str | None = None):
+    def __init__(self, terms: Iterable[IdentityTerm | tuple], name: str | None = None):
+        merged: dict[tuple[Monomial, WeightDescriptor], Fraction] = {}
+        for t in terms:
+            if not isinstance(t, IdentityTerm):  # a str would be unpacked one character at a time
+                t = IdentityTerm(*_require(t, (IdentityTerm, tuple), "each term"))
+            key = (t.monomial, t.weight)
+            merged[key] = merged.get(key, Fraction(0)) + t.coeff
         # a tuple keeps the identity hashable, so it can key the caches below;
         # the hash is taken once, since every cache lookup asks for it
-        terms = tuple(terms)
+        terms = tuple(IdentityTerm(merged[k], *k) for k in sorted(merged) if merged[k])
+        if not terms:
+            raise EmptyIdentity("identity has no nonzero terms")
         _set(self, "terms", terms)
         _set(self, "name", name if name is None else _require(name, str, "name"))  # JSON holds a string or null
         _set(self, "_hash", hash((terms, name)))
@@ -283,33 +297,16 @@ class _FusionEntries(Mapping):
         return self.__class__, (self._eigenvalues, self._index, self._sets)
 
 
-def make_identity(
-    terms: Iterable[IdentityTerm | tuple],
-    name: str | None = None,
-    require_zero_sum: bool = True,
-) -> WeightedIdentity:
-    """Merge terms and validate the zero-sum constraint at the idempotent.
-
-    `require_zero_sum=False` builds a formal sum that cannot hold on any
-    algebra with a nonzero idempotent; it is only useful as an input to the
-    product law and to negative tests.  A coefficient given as text is read
-    by parse_rational, which refuses exponent notation.
+def make_identity(terms: Iterable[IdentityTerm | tuple], name: str | None = None) -> WeightedIdentity:
+    """WeightedIdentity(terms, name), whose coefficients at an idempotent must
+    sum to zero, as they do in any identity an algebra with a nonzero
+    idempotent satisfies.  A coefficient given as text is read by
+    parse_rational, which refuses exponent notation.
     """
-    merged: dict[tuple[Monomial, WeightDescriptor], Fraction] = {}
-    for t in terms:
-        if not isinstance(t, IdentityTerm):
-            t = IdentityTerm(*t)
-        key = (t.monomial, t.weight)
-        merged[key] = merged.get(key, Fraction(0)) + t.coeff
-    out = tuple(IdentityTerm(merged[k], *k) for k in sorted(merged) if merged[k])  # by monomial, then weight
-    if not out:
-        raise EmptyIdentity("identity has no nonzero terms")
-    total = sum(t.coeff for t in out)
-    if require_zero_sum and total != 0:
-        raise ZeroSumViolation(
-            f"coefficients at an idempotent sum to {format_rational(total)}, not 0"
-        )
-    return WeightedIdentity(out, name)
+    identity = WeightedIdentity(terms, name)
+    if total := sum(t.coeff for t in identity.terms):
+        raise ZeroSumViolation(f"coefficients at an idempotent sum to {format_rational(total)}, not 0")
+    return identity
 
 
 def _integer_sum(
@@ -426,7 +423,7 @@ def multiply_identities(p1: WeightedIdentity, p2: WeightedIdentity) -> WeightedI
     terms = [IdentityTerm(t1.coeff * t2.coeff, product(t1.monomial, t2.monomial), t1.weight.combine(t2.weight))
              for t1 in p1.terms for t2 in p2.terms]
     name = f"({p1.name})*({p2.name})" if p1.name and p2.name else None
-    return make_identity(terms, name=name, require_zero_sum=False)
+    return WeightedIdentity(terms, name)
 
 
 # --- catalog -----------------------------------------------------------------

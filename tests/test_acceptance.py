@@ -23,6 +23,8 @@ from peirce_lab.algebras import (
     verify_second_linearization,
 )
 from peirce_lab.identities import (
+    EmptyIdentity,
+    WeightedIdentity,
     ZeroSumViolation,
     baric_weight,
     bilinear_weight,
@@ -133,7 +135,7 @@ def test_criterion_3_half_root_and_validation():
             terms.append((-total, random_monomial(rng.randint(1, 7), rng), bilinear_weight(atom())))
             try:
                 ident = make_identity(terms)
-            except Exception:
+            except EmptyIdentity:
                 continue
             built += 1
             assert identity_peirce_poly(ident)(HALF) == 0
@@ -204,8 +206,8 @@ def test_criterion_7_product_law():
                 for _ in range(rng.randint(1, max_terms))
             ]
             try:
-                return make_identity(terms, require_zero_sum=False)
-            except Exception:
+                return WeightedIdentity(terms)
+            except EmptyIdentity:
                 return None
 
         pairs = 0
@@ -229,7 +231,7 @@ def test_criterion_7_product_law():
             terms.append((-total, random_monomial(rng.randint(1, 5), rng)))
             try:
                 return make_identity(terms)
-            except Exception:
+            except EmptyIdentity:
                 return None
 
         squares = 0

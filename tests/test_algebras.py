@@ -39,13 +39,13 @@ from peirce_lab.identities import (
     DegenerateIdentity,
     FusionTable,
     WeightDescriptor,
+    WeightedIdentity,
     baric_weight,
     bilinear_weight,
     catalog,
     catalog_names,
     fusion_table,
     identity_peirce_poly,
-    make_identity,
 )
 from peirce_lab.magma import atom, enumerate_monomials, parse_monomial, plenary_power, principal_power
 from peirce_lab.peirce import _symbol_at, _symbol_ints, peirce_symbol
@@ -1493,17 +1493,15 @@ def _scaled_weight_cases():
     )
     # x = (a, u): x^2 - 2a x + (a^2 - |u|^2) = 0, with a = (2/3) omega(x) and
     # a^2 + |u|^2 = 3 b(x, x); times x this is a cubic identity.
-    cubic = make_identity(
+    cubic = WeightedIdentity(
         [(1, principal_power(3)), (F(-4, 3), principal_power(2), baric_weight(1)),
          (F(8, 9), z, baric_weight(2)), (-3, z, bilinear_weight(z))],
-        require_zero_sum=False,
     )
     # e^2 = (5/4) e, omega(e) = 2/3, b(e, e) = 3/5
     line = StructureAlgebra(dim=1, structure=(((F(5, 4),),),), bilinear_form=((F(3, 5),),), weight=(F(2, 3),))
-    line_identity = make_identity(
+    line_identity = WeightedIdentity(
         [(F(3, 5), principal_power(3), baric_weight(2)),
          (F(-4, 9), principal_power(2), bilinear_weight(principal_power(2)))],
-        require_zero_sum=False,
     )
     cases = [(spin, cubic, True), (line, line_identity, True)]
     return cases + [(alg, catalog(name), False) for alg in (spin, line) for name in ("bernstein", "walcher")]
@@ -1522,9 +1520,7 @@ def test_verify_identity_trial_vectors_match_fraction_draw():
     # a = b, so the verdict of each trial depends on the exact vector drawn.
     zero = (F(0), F(0))
     alg = StructureAlgebra(dim=2, structure=(((F(1), F(0)), zero), (zero, (F(0), F(1)))), weight=(F(1), F(0)))
-    identity = make_identity(
-        [(1, principal_power(2)), (-1, atom(), baric_weight(1))], require_zero_sum=False
-    )
+    identity = WeightedIdentity([(1, principal_power(2)), (-1, atom(), baric_weight(1))])
     report = verify_identity(alg, identity, trials=200, seed=3)
     assert 0 < len(report.failures) < 200
     assert report.failures == _fraction_identity_failures(alg, identity, 200, 3)
@@ -1576,7 +1572,7 @@ def realizable_identities(draw, alg):
     coeffs = st.builds(F, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 4))
     terms = draw(st.lists(st.tuples(coeffs, monomials, weights), min_size=1, max_size=4,
                           unique_by=lambda term: (term[1], term[2])))
-    return make_identity(terms, require_zero_sum=False)
+    return WeightedIdentity(terms)
 
 
 @settings(max_examples=60, deadline=None)

@@ -216,6 +216,12 @@ def test_enumerate_env_guard(capsys, monkeypatch):
     monkeypatch.setenv("PEIRCE_LAB_MAX_DEGREE", "5")
     code, out, _ = run(capsys, "enumerate", "5")
     assert code == EXIT_OK
+    # a bound below 1 used to exit 3 with "degree must be in 1..-3, got 3"
+    for env in ("-3", "0", "x"):
+        monkeypatch.setenv("PEIRCE_LAB_MAX_DEGREE", env)
+        code, out, err = run(capsys, "enumerate", "3")
+        assert (code, out) == (EXIT_PARSE_ERROR, "")
+        assert err == f"error: PEIRCE_LAB_MAX_DEGREE must be a positive integer, got {env!r}\n"
 
 
 def test_catalog_list(capsys):

@@ -8,8 +8,10 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -99,6 +101,13 @@ def test_terms_and_weights_refuse_what_is_not_a_monomial_or_a_weight():
     # tuple(3) used to raise "'int' object is not iterable", naming no field
     with pytest.raises(TypeError, match="^bilinear_args must be iterable, not the int 3$"):
         WeightDescriptor(0, 3)
+    # "z^2" used to be unpacked one character at a time, and WeightedIdentity
+    # stored it, to fail later with AttributeError in identity_peirce_poly
+    for build in (make_identity, WeightedIdentity):
+        for term, kind in (("z^2", "str 'z^2'"), (5, "int 5"), (None, "NoneType None")):
+            message = f"each term must be an IdentityTerm or a tuple, not the {kind}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                build([(1, atom()), term])
     # a list is stored as a tuple, so the weight hashes and keys the identity caches
     listed = WeightDescriptor(1, [atom()])
     assert listed.bilinear_args == (atom(),) and listed == WeightDescriptor(1, (atom(),))
@@ -120,15 +129,23 @@ def test_identities_refuse_a_name_that_is_not_text():
             assert ident.name == name and identity_from_json(identity_to_json(ident)) == ident
 
 
-def test_empty_rejected():
-    with pytest.raises(EmptyIdentity):
-        make_identity([])
-    with pytest.raises(EmptyIdentity):
-        make_identity([(1, atom()), (-1, atom())])  # cancels to nothing
+# make_identity is the WeightedIdentity constructor plus the zero-sum rule
+CONSTRUCTORS = pytest.mark.parametrize("build", [make_identity, WeightedIdentity], ids=lambda f: f.__name__)
 
 
-def test_terms_merge_by_monomial_and_weight():
-    ident = make_identity(
+@CONSTRUCTORS
+def test_empty_rejected(build):
+    with pytest.raises(EmptyIdentity):
+        build([])
+    with pytest.raises(EmptyIdentity):
+        build([(1, atom()), (-1, atom())])  # cancels to nothing
+    with pytest.raises(EmptyIdentity):
+        build([(0, atom()), IdentityTerm(0, principal_power(2))])
+
+
+@CONSTRUCTORS
+def test_terms_merge_by_monomial_and_weight(build):
+    ident = build(
         [(1, principal_power(3)), (2, principal_power(3)), (-3, atom())]
     )
     assert len(ident.terms) == 2
@@ -136,7 +153,7 @@ def test_terms_merge_by_monomial_and_weight():
     assert coeffs["z^3"] == 3
     assert coeffs["z"] == -3
     # same monomial, different weight kinds stay separate
-    ident2 = make_identity(
+    ident2 = build(
         [
             (1, principal_power(2)),
             (1, principal_power(2), baric_weight(2)),
@@ -144,6 +161,13 @@ def test_terms_merge_by_monomial_and_weight():
         ]
     )
     assert len(ident2.terms) == 3
+    # zero terms are dropped, the rest sorted by monomial, then weight, and
+    # tuples and records give the same identity
+    ident3 = build([IdentityTerm(1, principal_power(2), baric_weight(2)), (0, plenary_power(3)),
+                    (-3, atom()), (2, principal_power(2))])
+    assert ident3.terms == (IdentityTerm(-3, atom()), IdentityTerm(2, principal_power(2)),
+                            IdentityTerm(1, principal_power(2), baric_weight(2)))
+    assert ident3 == build(reversed(ident3.terms))
 
 
 # --- catalog goldens ----------------------------------------------------------
@@ -414,7 +438,7 @@ def test_product_law_on_random_pairs():
                 for _ in range(n)
             ]
             try:
-                return make_identity(terms, require_zero_sum=False)
+                return WeightedIdentity(terms)
             except EmptyIdentity:
                 return None
 
@@ -444,10 +468,8 @@ def test_product_of_valid_identities_degenerate():
 
 
 def test_product_weights_combine():
-    p1 = make_identity(
-        [(1, principal_power(2), baric_weight(1)), (-1, atom())], require_zero_sum=False
-    )
-    p2 = make_identity([(1, atom(), bilinear_weight(atom()))], require_zero_sum=False)
+    p1 = WeightedIdentity([(1, principal_power(2), baric_weight(1)), (-1, atom())])
+    p2 = WeightedIdentity([(1, atom(), bilinear_weight(atom()))])
     prod_ident = multiply_identities(p1, p2)
     kinds = sorted(t.weight.kind for t in prod_ident.terms)
     assert kinds == ["bilinear", "product"]
@@ -612,6 +634,10 @@ def test_identity_json_rejects_bad_sum():
     blob = {"terms": [{"coeff": "1", "monomial": "z"}]}
     with pytest.raises(ZeroSumViolation):
         identity_from_json(blob)
+    # a formal sum with a nonzero total is written, but a file holds an identity
+    formal = identity_to_json(WeightedIdentity([(1, principal_power(2)), (1, atom())]))
+    with pytest.raises(ZeroSumViolation, match="^coefficients at an idempotent sum to 2, not 0$"):
+        identity_from_json(formal)
 
 
 # --- identity-level results: oracles and sharing ---------------------------------
@@ -633,13 +659,22 @@ _SMALL_MONOMIALS = [m for d in range(1, 9) for m in enumerate_monomials(d)]
     )
 )
 def test_identity_rho_and_symbol_match_growing_sums(raw_terms):
-    # a list of terms, repeated monomials and zero coefficients all allowed
-    ident = WeightedIdentity([IdentityTerm(c, m, baric_weight(k)) for c, m, k in raw_terms])
-    assert isinstance(ident.terms, tuple)
+    # a list of terms, repeated monomials and zero coefficients all allowed;
+    # the oracles sum the raw terms, before they are merged
+    raw = SimpleNamespace(terms=[IdentityTerm(c, m, baric_weight(k)) for c, m, k in raw_terms])
+    merged = Counter()
+    for t in raw.terms:
+        merged[t.monomial, t.weight] += t.coeff
+    if not any(merged.values()):
+        with pytest.raises(EmptyIdentity):
+            WeightedIdentity(raw.terms)
+        return
+    ident = WeightedIdentity(raw.terms)
+    assert ident.terms == tuple(IdentityTerm(c, *key) for key, c in sorted(merged.items()) if c)
     clear_identity_caches()
     rho, sym = identity_peirce_poly(ident), identity_symbol(ident)
-    assert rho == reference.identity_rho(ident)
-    assert sym == reference.identity_symbol(ident)
+    assert rho == reference.identity_rho(raw)
+    assert sym == reference.identity_symbol(raw)
     assert identity_peirce_poly(ident) is rho and identity_symbol(ident) is sym
 
 

@@ -655,7 +655,7 @@ def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
     include 0, negatives, denominators > 1 and the rational spectrum, so that
     zeros occur."""
     try:
-        ident = make_identity(terms, require_zero_sum=False)
+        ident = WeightedIdentity(terms)
     except identities.EmptyIdentity:
         assume(False)
     report = spectrum(ident)
@@ -665,7 +665,7 @@ def test_symbol_zero_grid_matches_evaluation(terms, extra_values):
 
 
 def test_symbol_zero_grid_of_zero_symbol():
-    ident = make_identity([(1, atom())], require_zero_sum=False)
+    ident = WeightedIdentity([(1, atom())])
     y = identity_symbol(ident)
     assert y.is_zero
     values = [Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1)]
@@ -716,8 +716,8 @@ _PLANTED = st.one_of(
 @example({(0, 0, 1): 2**23 - 1}, [Fraction(-1), Fraction(0)])
 # D*Y of an identity with coefficients past 2^200
 @example(
-    identity_symbol(make_identity(
-        [(2**200 + 1, _GRID_MONOMIALS[-1]), (Fraction(-(2**199), 3), _GRID_MONOMIALS[5])], require_zero_sum=False,
+    identity_symbol(WeightedIdentity(
+        [(2**200 + 1, _GRID_MONOMIALS[-1]), (Fraction(-(2**199), 3), _GRID_MONOMIALS[5])],
     ))._ints,
     [Fraction(2**64 - 1, 2**64 + 1), Fraction(-_BIG), Fraction(0), Fraction(1, 2)],
 )
