@@ -938,6 +938,14 @@ def _rationals_from_json(value, field: str, depth: int, memo: dict) -> tuple:
 
 
 def algebra_from_json(obj: Mapping | str) -> StructureAlgebra:
+    """The algebra a wire-format object holds, or its JSON text.
+
+    A missing field raises KeyError, and a value of the wrong JSON type
+    TypeError.  Text that is not JSON or a number raises json.JSONDecodeError
+    or RationalSyntaxError.  An algebra that breaks a rule raises ValueError:
+    a dim below 1, a field of the wrong length, structure constants that do
+    not commute, or a form that is not symmetric or not associating.
+    """
     obj = _json_object(obj)
     dim = _json_int(_field(obj, "dim", "the top-level object"), "dim")
     name = _json_name(obj, "")

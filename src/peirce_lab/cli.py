@@ -2,9 +2,11 @@
 
 Commands: poly, spectrum, symbol, fusion, enumerate, verify, catalog list.
 Exit codes: 0 success / all verifications pass, 1 a verification failed,
-2 parse error (monomial text, JSON files, --trials below 1, --params
-without --catalog), 3 validation error (zero-sum violation, degenerate
-identity, bad parameters).
+2 an input that cannot be read, 3 an input that is read but breaks a rule.
+The kind of the library's exception decides between 2 and 3, in one place
+(_refused): one of _UNREADABLE exits 2, any other ValueError exits 3, and
+anything else is a bug and keeps its traceback.  The CLI's own argument
+checks (--trials below 1, --params without --catalog) raise _CliError.
 """
 
 from __future__ import annotations
@@ -30,6 +32,30 @@ class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+# What the library raises for an input it cannot read: a missing field or an
+# unknown name is a KeyError, a wrong JSON type a TypeError; the JSON decoder
+# recurses on nested brackets
+_UNREADABLE = (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError,
+               RationalSyntaxError, magma.MonomialSyntaxError, KeyError, TypeError)
+
+
+def _refused(read, unreadable: str = "", invalid: str = ""):
+    """read(), or a _CliError: exit 2 after the prefix `unreadable` if the input
+    cannot be read, exit 3 after the prefix `invalid` on any other ValueError."""
+    try:
+        return read()
+    except _UNREADABLE as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote a KeyError's
+        raise _CliError(f"{unreadable}{message}", EXIT_PARSE_ERROR)
+    except ValueError as exc:
+        raise _CliError(f"{invalid}{exc}", EXIT_VALIDATION_ERROR)
+
+
+def _from_file(path: str, reader):
+    with open(path) as fh:
+        return reader(fh.read())
 
 
 def _parse_params(text: str | None) -> dict:
@@ -59,35 +85,13 @@ def _read_identity(args) -> identities.WeightedIdentity:
     if args.params is not None and not args.catalog:
         raise _CliError("--params needs --catalog", EXIT_PARSE_ERROR)
     if args.catalog:
-        try:
-            return identities.catalog(args.catalog, _parse_params(args.params))
-        except KeyError as exc:
-            raise _CliError(exc.args[0], EXIT_PARSE_ERROR)
-        except (identities.CatalogParameterError, ValueError) as exc:
-            raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
+        return _refused(lambda: identities.catalog(args.catalog, _parse_params(args.params)))
     if args.identity:
-        try:
-            with open(args.identity) as fh:
-                return identities.identity_from_json(fh.read())
-        except (
-            identities.ZeroSumViolation,
-            identities.EmptyIdentity,
-            identities.InvalidWeight,
-        ) as exc:
-            raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
-        except (OSError, KeyError, TypeError, AttributeError, ValueError, RecursionError) as exc:
-            # ValueError covers JSON syntax, monomial syntax and bad numbers;
-            # the JSON decoder recurses on nested brackets
-            raise _CliError(f"cannot read identity file: {exc}", EXIT_PARSE_ERROR)
+        return _refused(lambda: _from_file(args.identity, identities.identity_from_json),
+                        "cannot read identity file: ")
     # bare monomial: treat as the formal identity 1 * m, no zero-sum demand
-    return identities.WeightedIdentity([(1, _parse_monomial_arg(args.source))])
-
-
-def _parse_monomial_arg(text: str) -> magma.Monomial:
-    try:
-        return magma.parse_monomial(text)
-    except magma.MonomialSyntaxError as exc:
-        raise _CliError(f"monomial parse error: {exc}", EXIT_PARSE_ERROR)
+    monomial = _refused(lambda: magma.parse_monomial(args.source), "monomial parse error: ")
+    return identities.WeightedIdentity([(1, monomial)])
 
 
 def _is_bare_monomial(args) -> bool:
@@ -158,10 +162,7 @@ def cmd_symbol(args) -> Report:
 def cmd_fusion(args) -> Report:
     identity = _read_identity(args)
     mode = "metrized_orthogonal" if args.mode == "metrized" else "generic"
-    try:
-        fusion = _fusion_payload(identities.fusion_table(identity, mode=mode))
-    except (identities.DegenerateIdentity, identities.IrrationalSpectrum) as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
+    fusion = _fusion_payload(_refused(lambda: identities.fusion_table(identity, mode=mode)))
     lines = [f"mode: {fusion['mode']}"]
     lines.extend(f"precondition: {pre}" for pre in fusion["preconditions"])
     lines.append("spectrum: " + ", ".join(fusion["spectrum"]))
@@ -179,10 +180,7 @@ def cmd_enumerate(args) -> Report:
             max_degree = 0  # refused below, as a bound below 1 is
         if max_degree < 1:  # else enumerate_monomials would blame the degree asked for
             raise _CliError(f"PEIRCE_LAB_MAX_DEGREE must be a positive integer, got {env!r}", EXIT_PARSE_ERROR)
-    try:
-        monomials = magma.enumerate_monomials(args.degree, max_degree=max_degree)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
+    monomials = _refused(lambda: magma.enumerate_monomials(args.degree, max_degree=max_degree))
     texts = [magma.format_monomial(m) for m in monomials]
     lines = texts + [f"count: {len(texts)}"]
     payload = {"command": "enumerate", "degree": args.degree, "count": len(texts), "monomials": texts}
@@ -194,25 +192,9 @@ def _load_algebra(args) -> algebras.StructureAlgebra:
     if len(sources) != 1:
         raise _CliError("provide exactly one of --builder NAME or --algebra FILE", EXIT_PARSE_ERROR)
     if args.builder:
-        try:
-            return algebras.build_algebra(args.builder)
-        except KeyError as exc:
-            raise _CliError(exc.args[0], EXIT_PARSE_ERROR)
-    try:
-        with open(args.algebra) as fh:
-            return algebras.algebra_from_json(fh.read())
-    except (
-        OSError,
-        UnicodeDecodeError,
-        json.JSONDecodeError,
-        RecursionError,  # the JSON decoder recurses on nested brackets
-        RationalSyntaxError,
-        KeyError,
-        TypeError,
-    ) as exc:
-        raise _CliError(f"cannot read algebra file: {exc}", EXIT_PARSE_ERROR)
-    except ValueError as exc:
-        raise _CliError(f"invalid algebra: {exc}", EXIT_VALIDATION_ERROR)
+        return _refused(lambda: algebras.build_algebra(args.builder))
+    return _refused(lambda: _from_file(args.algebra, algebras.algebra_from_json),
+                    "cannot read algebra file: ", "invalid algebra: ")
 
 
 def cmd_verify(args) -> Report:
@@ -233,10 +215,7 @@ def cmd_verify(args) -> Report:
     ok_idem = algebra.is_idempotent(c)
     checks = [{"name": "idempotent", "ok": ok_idem, "failures": [] if ok_idem else ["c*c != c"]}]
 
-    try:
-        id_report = algebras.verify_identity(algebra, identity, trials=args.trials)
-    except algebras.UnrealizableWeight as exc:
-        raise _CliError(str(exc), EXIT_VALIDATION_ERROR)
+    id_report = _refused(lambda: algebras.verify_identity(algebra, identity, trials=args.trials))
     checks.append({"name": "identity holds", "ok": id_report.ok, "failures": list(id_report.failures)})
 
     eigenvalues: list[dict] = []

@@ -192,10 +192,15 @@ class WeightedIdentity(_Record):
     __slots__ = ("terms", "name", "_hash")
 
     def __init__(self, terms: Iterable[IdentityTerm | tuple], name: str | None = None):
+        if not isinstance(terms, Iterable):  # iterating 5 would name no field
+            raise TypeError(f"terms must be iterable, not the {type(terms).__name__} {terms!r}")
         merged: dict[tuple[Monomial, WeightDescriptor], Fraction] = {}
         for t in terms:
             if not isinstance(t, IdentityTerm):  # a str would be unpacked one character at a time
-                t = IdentityTerm(*_require(t, (IdentityTerm, tuple), "each term"))
+                _require(t, (IdentityTerm, tuple), "each term")
+                if not 2 <= len(t) <= 3:  # IdentityTerm's arity error would name no term
+                    raise TypeError(f"each term tuple must be (coeff, monomial[, weight]), not of length {len(t)}")
+                t = IdentityTerm(*t)
             key = (t.monomial, t.weight)
             merged[key] = merged.get(key, Fraction(0)) + t.coeff
         # a tuple keeps the identity hashable, so it can key the caches below;
@@ -690,7 +695,7 @@ def _weight_from_json(obj: Mapping, field: str) -> WeightDescriptor:
             _json_int(obj.get("k", 0), f"{field}.k"),
             [_monomial_from_json(s, f"{field}.monomials[{j}]") for j, s in enumerate(monomials)],
         )
-    raise ValueError(f"{field}.kind: unknown weight kind {kind!r}")
+    raise _WireKeyError(f"{field}.kind: unknown weight kind {kind!r}")
 
 
 def identity_to_json(identity: WeightedIdentity) -> dict:
@@ -712,14 +717,14 @@ def identity_to_json(identity: WeightedIdentity) -> dict:
 _JSON_KINDS = {list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number"}
 
 
-class _MissingField(KeyError):  # a required field of a wire-format object is absent
+class _WireKeyError(KeyError):  # a wire-format object lacks a required field or names an unknown kind
     __str__ = BaseException.__str__  # the message, without KeyError's quotes
 
 
 def _field(obj: Mapping, key: str, where: str):
-    """obj[key], or _MissingField naming the object and the key."""
+    """obj[key], or _WireKeyError naming the object and the key."""
     if key not in obj:
-        raise _MissingField(f'{where} has no "{key}"')
+        raise _WireKeyError(f'{where} has no "{key}"')
     return obj[key]
 
 
@@ -738,7 +743,12 @@ def _json_object(obj: Mapping | str) -> Mapping:
     be large.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # an integer literal past int's digit limit: a number that cannot be read
+            raise RationalSyntaxError(str(exc)) from None
     if not isinstance(obj, Mapping):
         kind = "null" if obj is None else _JSON_KINDS.get(type(obj), f"a {type(obj).__name__}")
         raise TypeError(f"expected a JSON object at the top level, got {kind}")
@@ -746,6 +756,14 @@ def _json_object(obj: Mapping | str) -> Mapping:
 
 
 def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
+    """The identity a wire-format object holds, or its JSON text.
+
+    A missing field or an unknown weight kind raises KeyError, and a value of
+    the wrong JSON type TypeError.  Text that is not JSON, a number or a
+    monomial raises json.JSONDecodeError, RationalSyntaxError or
+    MonomialSyntaxError.  An identity that breaks a rule raises ValueError:
+    ZeroSumViolation, EmptyIdentity or InvalidWeight.
+    """
     obj = _json_object(obj)
     raw = _field(obj, "terms", "the top-level object")
     if not isinstance(raw, list):
@@ -756,7 +774,7 @@ def identity_from_json(obj: Mapping | str) -> WeightedIdentity:
         if not isinstance(t.get("weight", {}), dict):
             raise TypeError(f"terms[{i}].weight must be a JSON object, got {json.dumps(t['weight'])}")
         if t.get("weight") and "kind" not in t["weight"]:  # {} alone is the constant weight
-            raise ValueError(f"terms[{i}].weight has no \"kind\", got {json.dumps(t['weight'])}")
+            raise _WireKeyError(f"terms[{i}].weight has no \"kind\", got {json.dumps(t['weight'])}")
     name = _json_name(obj)
     terms = [
         IdentityTerm(

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import peirce_lab
-from peirce_lab.algebras import StructureAlgebra, algebra_to_json, jordan_sym
+from peirce_lab.algebras import StructureAlgebra, algebra_to_json, build_algebra, jordan_sym
 from peirce_lab.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -22,7 +22,7 @@ from peirce_lab.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from peirce_lab.identities import identity_peirce_poly, identity_to_json, make_identity
+from peirce_lab.identities import catalog, identity_peirce_poly, identity_to_json, make_identity
 from peirce_lab.magma import parse_monomial, principal_power
 from peirce_lab.peirce import plenary_symbol_closed
 
@@ -963,6 +963,56 @@ def test_unknown_name_message_has_no_stray_quotes(capsys, argv, message):
     assert out == ""
 
 
+class _FreshRefusal(ValueError):
+    """A ValueError subclass that no reader of the command line names."""
+
+
+# source: (the library call the source is read through, argv, exit-2 prefix, exit-3 prefix)
+_SOURCES = {
+    "catalog": ("identities.catalog", ["spectrum", "--catalog", "hsiang"], "", ""),
+    "identity-file": ("identities.make_identity", ["spectrum", "--identity", "identity.json"],
+                      "cannot read identity file: ", ""),
+    "monomial": ("magma.parse_monomial", ["poly", "z^2"], "monomial parse error: ", ""),
+    "algebra-file": ("algebras.StructureAlgebra", ["verify", "--catalog", "hsiang", "--algebra", "algebra.json"],
+                     "cannot read algebra file: ", "invalid algebra: "),
+}
+
+
+@pytest.mark.parametrize("raised, code", [(_FreshRefusal, EXIT_VALIDATION_ERROR), (TypeError, EXIT_PARSE_ERROR)],
+                         ids=["ValueError", "TypeError"])
+@pytest.mark.parametrize("source", list(_SOURCES))
+def test_every_source_refuses_by_the_kind_of_exception(capsys, monkeypatch, tmp_path, source, raised, code):
+    """One rule for every input: a TypeError is an input that cannot be read
+    (exit 2), and a ValueError that no reader names breaks a rule (exit 3)."""
+    call, argv, unreadable, invalid = _SOURCES[source]
+    (tmp_path / "identity.json").write_text(json.dumps(identity_to_json(catalog("hsiang"))))
+    (tmp_path / "algebra.json").write_text(json.dumps(algebra_to_json(build_algebra("hsiang_sym3"))))
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise raised("the library refused")
+
+    monkeypatch.setattr(f"peirce_lab.{call}", refuse)
+    prefix = invalid if code == EXIT_VALIDATION_ERROR else unreadable
+    assert run(capsys, *argv) == (code, "", f"error: {prefix}the library refused\n")
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["poly", "--identity"], "cannot read identity file: "),
+    (["verify", "--catalog", "hsiang", "--algebra"], "cannot read algebra file: "),
+], ids=["identity", "algebra"])
+def test_integer_past_the_digit_limit_in_a_file_exit_2(capsys, tmp_path, argv, prefix):
+    # the JSON decoder raises a plain ValueError for it, which would read as a broken rule
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads integer text of any length")
+    path = tmp_path / "doc.json"
+    path.write_text('{"dim": %s, "terms": [], "structure": []}' % ("1" * (limit + 1)))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_PARSE_ERROR, "")
+    assert err.startswith(f"error: {prefix}Exceeds the limit") and err.count("\n") == 1
+
+
 _CLI = ("-m", "peirce_lab.cli")
 _ODD_PRIMES = [p for p in range(3, 50) if all(p % d for d in range(2, p))]
 
@@ -1042,3 +1092,68 @@ def test_hard_inputs_answer_within_their_time_limit(tmp_path, argv, timeout, cod
         assert out == want
     else:  # lines among others
         assert set(want) <= set(out.splitlines())
+
+
+# Every value a mutation puts in place of a field; deleting the field is one more mutation.
+_MUTANTS = (None, True, 1.5, -1, 0, 2, "", "x", "1/0", [], {}, [[]], ["1"], {"kind": "baric"})
+_WIRE_DOCUMENTS = {
+    "identity": (identity_to_json(catalog("hsiang")), ["spectrum", "--identity"]),
+    "algebra": (algebra_to_json(build_algebra("hsiang_sym3")),
+                ["verify", "--catalog", "hsiang", "--trials", "3", "--algebra"]),
+    "weighted-algebra": (
+        {"dim": 1, "structure": [[["1"]]], "bilinear_form": [["1"]], "weight": ["1"], "idempotents": [["1"]]},
+        ["verify", "--catalog", "bernstein", "--trials", "3", "--algebra"],
+    ),
+}
+
+
+def _field_paths(node, path=()):
+    """The path of every field below node; of a list, only its first two entries."""
+    children = node.items() if isinstance(node, dict) else enumerate(node[:2]) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _mutations(doc):
+    """(label, document) for each field deleted, or replaced by each of _MUTANTS."""
+    for path in _field_paths(doc):
+        for value in ("delete",) + _MUTANTS:
+            mutant = json.loads(json.dumps(doc))
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield f"{'.'.join(map(str, path))} = {'deleted' if value == 'delete' else json.dumps(value)}", mutant
+
+
+@pytest.mark.parametrize("name", list(_WIRE_DOCUMENTS))
+def test_mutated_wire_documents_get_an_exit_code_and_one_error_line(capsys, tmp_path, name):
+    """Each field of a wire document deleted or given a value of another kind:
+    the command answers within 2 s with exit 0-3, and a refusal prints no
+    report and exactly one `error:` line."""
+    doc, argv = _WIRE_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    faults = []
+    for label, mutant in _mutations(doc):
+        path.write_text(json.dumps(mutant))
+        start = time.perf_counter()
+        try:
+            code = main([*argv, str(path)])
+        except Exception as exc:  # a traceback: the input got no defined result
+            code = f"none, it raised {exc!r}"
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        if code not in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR):
+            faults.append(f"{label}: exit {code}")
+        elif code >= EXIT_PARSE_ERROR and (out or not err.startswith("error: ") or err.count("\n") != 1
+                                           or not err.endswith("\n")):
+            faults.append(f"{label}: exit {code} printed {out!r} and {err!r}")
+        elif code < EXIT_PARSE_ERROR and err:
+            faults.append(f"{label}: exit {code} printed {err!r} to stderr")
+        if elapsed >= 2:
+            faults.append(f"{label}: took {elapsed:.2f} s")
+    assert faults == []

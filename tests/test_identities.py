@@ -108,6 +108,16 @@ def test_terms_and_weights_refuse_what_is_not_a_monomial_or_a_weight():
             message = f"each term must be an IdentityTerm or a tuple, not the {kind}"
             with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
                 build([(1, atom()), term])
+    # iterating 5 used to raise "'int' object is not iterable", and a 4-tuple
+    # an IdentityTerm.__init__() arity error, neither naming the field
+    for build in (make_identity, WeightedIdentity):
+        for terms, kind in ((5, "int 5"), (None, "NoneType None")):
+            with pytest.raises(TypeError, match=f"^terms must be iterable, not the {kind}$"):
+                build(terms)
+        for term in ((1,), (1, atom(), constant_weight(), 4)):
+            message = f"each term tuple must be (coeff, monomial[, weight]), not of length {len(term)}"
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                build([(-1, principal_power(2)), term])
     # a list is stored as a tuple, so the weight hashes and keys the identity caches
     listed = WeightDescriptor(1, [atom()])
     assert listed.bilinear_args == (atom(),) and listed == WeightDescriptor(1, (atom(),))
@@ -614,7 +624,7 @@ def test_identity_json_weight_needs_a_kind():
     doc = identity_to_json(catalog("bernstein"))
     term = next(i for i, t in enumerate(doc["terms"]) if t["weight"]["kind"] == "baric")
     del doc["terms"][term]["weight"]["kind"]
-    with pytest.raises(ValueError, match=rf'^terms\[{term}\]\.weight has no "kind", got \{{"k": 2\}}$'):
+    with pytest.raises(KeyError, match=rf'^terms\[{term}\]\.weight has no "kind", got \{{"k": 2\}}$'):
         identity_from_json(doc)
     # an empty object, like an absent weight, is the constant weight
     doc["terms"][term]["weight"] = {}
